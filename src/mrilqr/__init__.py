@@ -54,7 +54,6 @@ from .riccati import (
     dare_residual,
     design,
     infinite_horizon_cost,
-    mri_gains,
     solve_dare,
 )
 from .simulate import (

@@ -24,15 +24,10 @@ import numpy as np
 
 from . import preview as preview_mod
 from . import riccati, simulate
-from .controllability import (
-    candidate_pathological_periods,
-    is_pathological,
-    kalman_controllable,
-    reduced_hautus_mri,
-)
-from .discretize import ContinuousPlant, CostWeights, cost_matrices, sample_plant
-from .errors import NumericalError, UncontrollablePlantError, DareDivergenceError
-from .numkernel import as_matrix
+from .controllability import candidate_pathological_periods, is_pathological, reduced_hautus_mri
+from .discretize import ContinuousPlant, CostWeights, cost_matrices, input_channels, sample_plant
+from .errors import NumericalError, DareDivergenceError
+from .numkernel import as_matrix, spectral_radius
 
 __all__ = ["ScenarioConfig", "load_scenario", "bundled_scenario_names", "main"]
 
@@ -68,6 +63,16 @@ class ScenarioConfig:
 
     def weights(self) -> CostWeights:
         return CostWeights(self.Q, self.Rc, self.Ri)
+
+    def disturbance_column(self) -> np.ndarray:
+        """Btilde as the single disturbance vector the lqr, preview, sweep
+        and simulate commands act on; more columns are an input error."""
+        if self.Btilde.shape[1] != 1:
+            raise ValueError(
+                f"{self.name}: Btilde has {self.Btilde.shape[1]} columns; this command "
+                "takes a single disturbance column"
+            )
+        return self.Btilde[:, 0]
 
 
 def bundled_scenario_names() -> list[str]:
@@ -204,20 +209,14 @@ class _Sink:
 
     def to_csv(self) -> str:
         lines = []
-        if self.scalars:
+        if self.scalars or self.matrices:
             lines.append("section,name,row,col,value")
-            for name, value in self.scalars.items():
-                lines.append(f"scalar,{name},,,{self._cell(value, FILE_DIGITS)}")
-            for name, M in self.matrices.items():
-                for i in range(M.shape[0]):
-                    for j in range(M.shape[1]):
-                        lines.append(f"matrix,{name},{i},{j},{_fmt(M[i, j], FILE_DIGITS)}")
-        elif self.matrices:
-            lines.append("section,name,row,col,value")
-            for name, M in self.matrices.items():
-                for i in range(M.shape[0]):
-                    for j in range(M.shape[1]):
-                        lines.append(f"matrix,{name},{i},{j},{_fmt(M[i, j], FILE_DIGITS)}")
+        for name, value in self.scalars.items():
+            lines.append(f"scalar,{name},,,{self._cell(value, FILE_DIGITS)}")
+        for name, M in self.matrices.items():
+            for i in range(M.shape[0]):
+                for j in range(M.shape[1]):
+                    lines.append(f"matrix,{name},{i},{j},{_fmt(M[i, j], FILE_DIGITS)}")
         for name, (header, rows) in self.tables.items():
             if lines:
                 lines.append("")
@@ -269,10 +268,6 @@ def cmd_discretize(scenario: ScenarioConfig, T: float, sink: _Sink) -> None:
 
 def cmd_controllability(scenario: ScenarioConfig, T_max: float, sink: _Sink) -> None:
     plant = scenario.plant()
-    if not kalman_controllable(plant.A, plant.B):
-        raise UncontrollablePlantError(
-            "hypothesis violated: the continuous pair (A, B) is not controllable"
-        )
     sink.scalar("scenario", scenario.name)
     sink.scalar("T_max", T_max)
     candidates = candidate_pathological_periods(plant.A, T_max)
@@ -300,10 +295,20 @@ def cmd_controllability(scenario: ScenarioConfig, T_max: float, sink: _Sink) -> 
     sink.scalar("scenario_T_mri_controllable", report.controllable)
 
 
+def _emit_gain(sink: _Sink, K: np.ndarray, mode: str, m: int) -> None:
+    """A single-channel gain as K; an mri gain as its hold rows K_c and impulse rows K_i."""
+    if mode != "mri":
+        sink.matrix("K", K)
+        return
+    sink.matrix("K_c", K[input_channels("regular", m)])
+    sink.matrix("K_i", K[input_channels("impulsive", m)])
+
+
 def cmd_lqr(scenario: ScenarioConfig, T: float, mode: str, sink: _Sink) -> None:
     if mode == "open_loop":
         raise ValueError("the lqr command needs a feedback mode (regular, impulsive, mri)")
     plant = scenario.plant()
+    bt = scenario.disturbance_column()
     des = riccati.design(plant, scenario.weights(), T, mode)
     sol = des.solution
     sink.scalar("scenario", scenario.name)
@@ -312,72 +317,76 @@ def cmd_lqr(scenario: ScenarioConfig, T: float, mode: str, sink: _Sink) -> None:
     sink.scalar("converged", sol.converged)
     sink.scalar("iterations", sol.iterations)
     sink.scalar("residual", sol.residual)
-    sink.scalar("closed_loop_spectral_radius", riccati.closed_loop_spectral_radius(des))
-    bt = plant.Btilde[:, 0]
+    sink.scalar("closed_loop_spectral_radius", spectral_radius(des.model.A_d + des.B_sel @ sol.K))
     sink.scalar("cost_at_Btilde", riccati.infinite_horizon_cost(sol, bt))
     sink.matrix("P", sol.P)
-    m = plant.m
-    if mode == "mri":
-        sink.matrix("K_c", sol.K[:m])
-        sink.matrix("K_i", sol.K[m:])
-    else:
-        sink.matrix("K", sol.K)
+    _emit_gain(sink, sol.K, mode, plant.m)
 
 
 def cmd_preview(scenario: ScenarioConfig, T: float, N: int, sink: _Sink) -> None:
     plant = scenario.plant()
-    bt = plant.Btilde[:, 0]
-    plan = preview_mod.preview_plan(plant, scenario.weights(), T, bt, N)
+    bt = scenario.disturbance_column()
+    des = riccati.design(plant, scenario.weights(), T, "mri")
+    plan = preview_mod.preview_plan(des, bt, N)
     sink.scalar("scenario", scenario.name)
     sink.scalar("T", T)
     sink.scalar("N", N)
     sink.scalar("Jstar", plan.Jstar)
-    m = plant.m
-    sink.matrix("K_c", plan.K[:m])
-    sink.matrix("K_i", plan.K[m:])
+    _emit_gain(sink, plan.K, "mri", plant.m)
     sink.matrix("G", plan.G)
     sink.matrix("Gamma", plan.Gamma)
     if plan.feedforward:
         sink.matrix("feedforward", np.vstack(plan.feedforward))
 
 
-def _sweep_cost(plant, weights, T, mode, N, Btilde):
-    """One sweep cell: (cost, converged, iterations)."""
+def _sweep_cell(model, cost, mode, N_list, b) -> list[tuple[float, bool, int]]:
+    """(cost, converged, iterations) of one (T, mode) cell for each horizon in N_list.
+
+    One design serves every horizon. A diverged solve reports its last
+    iterate's cost for all of them, and a failed closed-loop check the
+    feedback-only cost for every N > 0, both with converged=False.
+    """
     try:
-        des = riccati.design(plant, weights, T, mode)
+        des = riccati.design_sampled(model, cost, mode)
     except DareDivergenceError as exc:
         P = exc.last_iterate
-        cost = float(Btilde @ P @ Btilde) if P is not None else float("nan")
-        return cost, False, exc.iterations
+        J = float(b @ P @ b) if P is not None else float("nan")
+        return [(J, False, exc.iterations)] * len(N_list)
     sol = des.solution
-    if N == 0:
-        return float(Btilde @ sol.P @ Btilde), sol.converged, sol.iterations
+    feedback = (float(b @ sol.P @ b), sol.converged, sol.iterations)
+    if all(N == 0 for N in N_list):
+        return [feedback] * len(N_list)
     try:
-        G = preview_mod.closed_loop_G(des.model.A_d, des.B_sel, des.S_sel, des.R_sel, sol.P)
-        _, Jstar = preview_mod.gamma_and_cost(sol.P, G, des.B_sel, des.R_sel, Btilde, N)
-        return Jstar, sol.converged, sol.iterations
+        G = preview_mod.closed_loop_G(model.A_d, des.B_sel, des.S_sel, des.R_sel, sol.P)
     except NumericalError:
-        return float(Btilde @ sol.P @ Btilde), False, sol.iterations
+        return [feedback if N == 0 else (feedback[0], False, sol.iterations) for N in N_list]
+    return [feedback if N == 0 else
+            (preview_mod.gamma_and_cost(sol.P, G, des.B_sel, des.R_sel, b, N)[1],
+             sol.converged, sol.iterations)
+            for N in N_list]
 
 
 def cmd_sweep(scenario: ScenarioConfig, T_grid, modes, N_list, sink: _Sink) -> None:
     plant = scenario.plant()
     weights = scenario.weights()
-    bt = plant.Btilde[:, 0]
+    bt = scenario.disturbance_column()
     rows = []
     for T in T_grid:
+        T = float(T)
+        model = sample_plant(plant, T)
+        cost = cost_matrices(plant, weights, T)
         for mode in modes:
-            for N in N_list:
-                cost, conv, iters = _sweep_cost(plant, weights, float(T), mode, int(N), bt)
-                rows.append([float(T), mode, int(N), cost, conv, iters])
+            for N, (J, conv, iters) in zip(N_list, _sweep_cell(model, cost, mode, N_list, bt)):
+                rows.append([T, mode, int(N), J, conv, iters])
     sink.table("sweep", ["T", "mode", "N", "cost", "converged", "iterations"], rows)
 
 
 def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     plant = scenario.plant()
     weights = scenario.weights()
+    direction = scenario.disturbance_column() * scenario.disturbance_scale
     T = args.T if args.T is not None else scenario.T
-    N = args.N[0] if args.N is not None else scenario.N
+    N = args.N if args.N is not None else scenario.N
     mode = args.mode if args.mode is not None else scenario.mode
     substeps = args.substeps if args.substeps is not None else scenario.substeps
     epsilon = args.eps if args.eps is not None else scenario.epsilon
@@ -394,13 +403,11 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
             raise ValueError("preview (N > 0) is only available in mri mode")
         des = riccati.design(plant, weights, T, mode)
         if N > 0:
-            plan = preview_mod.preview_plan(plant, weights, T, plant.Btilde[:, 0] * scenario.disturbance_scale, N)
-            feedforward = plan.feedforward
+            feedforward = preview_mod.preview_plan(des, direction, N).feedforward
         policy = simulate.InputPolicy(K=des.solution.K, mode=mode, feedforward=feedforward,
                                       saturate_nonnegative=saturate)
         A_cl = des.model.A_d + des.B_sel @ des.solution.K
 
-    direction = plant.Btilde[:, 0] * scenario.disturbance_scale
     disturbance = simulate.DisturbanceSpec(impulse_step=N, direction=direction)
     if args.steps is not None:
         steps = args.steps
@@ -534,12 +541,7 @@ def main(argv=None) -> int:
             modes = ("regular", "impulsive", "mri") if args.mode == "all" else (args.mode,)
             cmd_sweep(scenario, grid, modes, _parse_int_list(args.N), sink)
         elif args.command == "simulate":
-            ns = argparse.Namespace(
-                T=args.T, N=[args.N] if args.N is not None else None, mode=args.mode,
-                substeps=args.substeps, eps=args.eps, steps=args.steps,
-                saturate=args.saturate,
-            )
-            cmd_simulate(scenario, ns, sink)
+            cmd_simulate(scenario, args, sink)
         sink.emit(args.out, args.format)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

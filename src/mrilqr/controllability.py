@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import numkernel
-from .discretize import MODES, ContinuousPlant, sample_plant
+from .discretize import ContinuousPlant, input_channels, sample_plant
 from .errors import UncontrollablePlantError
 
 __all__ = [
@@ -159,22 +159,30 @@ def reduced_hautus_mri(plant: ContinuousPlant, T: float, tol: float = numkernel.
     Requires a controllable continuous pair (raises
     UncontrollablePlantError otherwise). Complex kernels are decided on
     the real doubling [[Re, -Im], [Im, Re]], whose kernel is trivial iff
-    the complex kernel is.
+    the complex kernel is. The A_d' - e^{mu T} I block is divided by
+    max(1, ||A_d||, |e^{mu T}|) and the (Atilde B)' block by
+    max(1, ||Atilde B||): scaling a row block keeps the kernel, and stops
+    entries growing like e^{Re(mu) T} from setting the rank threshold.
+    The scales come from the block's terms, so a block that cancels to
+    roundoff stays small.
     """
     _require_controllable(plant)
     model = sample_plant(plant, T)
     resonant = resonant_eigenvalues(plant.A, T)
 
     AtB = model.Atilde @ plant.B
+    A_d_norm = float(np.linalg.norm(model.A_d, 2))
+    AtB_block = AtB.T / max(1.0, float(np.linalg.norm(AtB, 2)))
     failures = []
     margin = np.inf
     n = plant.n
     for mu in resonant.values():
+        shift = np.exp(mu * T)
         stacked = np.vstack(
             [
-                model.A_d.T.astype(complex) - np.exp(mu * T) * np.eye(n),
-                AtB.T.astype(complex),
-                plant.B.T.astype(complex),
+                (model.A_d.T - shift * np.eye(n)) / max(1.0, A_d_norm, abs(shift)),
+                AtB_block,
+                plant.B.T,
             ]
         )
         doubled = _real_doubling(stacked)
@@ -193,17 +201,10 @@ def reduced_hautus_mri(plant: ContinuousPlant, T: float, tol: float = numkernel.
 
 def is_pathological(plant: ContinuousPlant, T: float, mode: str) -> bool:
     """True when the sampled pair for the given input mode loses controllability."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    channels = input_channels(mode, plant.m)
     _require_controllable(plant)
     model = sample_plant(plant, T)
-    if mode == "regular":
-        B_sel = model.B_d
-    elif mode == "impulsive":
-        B_sel = model.B_i
-    else:
-        B_sel = np.hstack([model.B_d, model.B_i])
-    return not kalman_controllable(model.A_d, B_sel)
+    return not kalman_controllable(model.A_d, np.hstack([model.B_d, model.B_i])[:, channels])
 
 
 def _ratio_is_rational(x: float, tol: float, max_den: int = 1000) -> bool:

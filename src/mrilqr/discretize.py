@@ -36,6 +36,8 @@ __all__ = [
     "sample_plant",
     "cost_matrices",
     "restrict_input_mode",
+    "input_channels",
+    "constant_input_gram",
     "MODES",
 ]
 
@@ -142,16 +144,34 @@ def sample_plant(plant: ContinuousPlant, T: float) -> SampledModel:
     return SampledModel(T=T, A_d=A_d, Atilde=Atilde, B_d=B_d, B_i=A_d @ plant.B)
 
 
+def constant_input_gram(plant: ContinuousPlant, Q: np.ndarray, h: float) -> np.ndarray:
+    """State cost of the response to a constant input, as a form in (x, u).
+
+    With the augmented generator E = [[A, B], [0, 0]], e^{Es} maps the
+    start (x, u) of a hold to (x(s), u), so
+
+        int_0^h x(s)' Q x(s) ds = [x; u]' H [x; u],
+        H = int_0^h e^{E's} diag(Q, 0) e^{Es} ds.
+    """
+    n, m = plant.n, plant.m
+    E = np.zeros((n + m, n + m))
+    E[:n, :n] = plant.A
+    E[:n, n:] = plant.B
+    Qbar = np.zeros((n + m, n + m))
+    Qbar[:n, :n] = Q
+    return numkernel.expm_gram_integral(E, Qbar, h)
+
+
 def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> SampledCost:
     """Exact discrete-equivalent cost matrices over one sampling interval.
 
     The intra-sample state response to a constant u_c and an initial
     impulse u_i is x(s) = e^{As} x + [int_0^s e^{At} dt B, e^{As} B] v,
-    v = [u_c; u_i]. With the augmented generator E = [[A, B], [0, 0]] the
-    three response maps are linear images of e^{Es}, so one Gram integral
-    of size 2(n+m) yields Q_d, S_d and R_d jointly:
+    v = [u_c; u_i]. The three response maps are linear images of the
+    augmented constant-input response, so one Gram integral of size
+    2(n+m) (``constant_input_gram``) yields Q_d, S_d and R_d jointly:
 
-        H = int_0^T e^{E's} diag(Q, 0) e^{Es} ds,    G = L' H L
+        G = L' H L
 
     where L stacks the constant selectors of [e^{As}, int e B, e^{As} B].
     The quadratic input penalties contribute the additive block
@@ -163,13 +183,7 @@ def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> Sam
     if weights.Rc.shape[0] != plant.m:
         raise ValueError(f"Rc has shape {weights.Rc.shape}, expected ({plant.m}, {plant.m})")
     n, m = plant.n, plant.m
-
-    E = np.zeros((n + m, n + m))
-    E[:n, :n] = plant.A
-    E[:n, n:] = plant.B
-    Qbar = np.zeros((n + m, n + m))
-    Qbar[:n, :n] = weights.Q
-    H = numkernel.expm_gram_integral(E, Qbar, T)
+    H = constant_input_gram(plant, weights.Q, T)
 
     # Columns of [e^{As}, int_0^s e^{At} dt B, e^{As} B] as images of e^{Es}.
     L = np.zeros((n + m, n + 2 * m))
@@ -185,20 +199,25 @@ def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> Sam
     return SampledCost(Q_d=G[:n, :n], S_d=G[:n, n:], R_d=0.5 * (R_d + R_d.T))
 
 
-def restrict_input_mode(
-    model: SampledModel, cost: SampledCost, mode: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Input-channel selection shared by all three controller variants.
+def input_channels(mode: str, m: int) -> slice:
+    """Entries of the mixed input v = [u_c; u_i] that a mode drives.
 
-    mri keeps both channels ([B_d B_i] with the full S_d, R_d); regular
-    keeps the hold channel only (first m columns/blocks); impulsive keeps
-    the impulse channel only (last m).
+    The same slice selects the columns of [B_d B_i] and S_d and the
+    rows and columns of R_d: mri keeps both channels, regular the hold
+    channel (first m) and impulsive the impulse channel (last m).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    m = model.B_d.shape[1]
-    if mode == "mri":
-        return np.hstack([model.B_d, model.B_i]), cost.S_d, cost.R_d
-    if mode == "regular":
-        return model.B_d, cost.S_d[:, :m], cost.R_d[:m, :m]
-    return model.B_i, cost.S_d[:, m:], cost.R_d[m:, m:]
+    return slice(m if mode == "impulsive" else 0, m if mode == "regular" else 2 * m)
+
+
+def restrict_input_mode(
+    model: SampledModel, cost: SampledCost, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B_sel, S_sel, R_sel) of one controller variant; see ``input_channels``.
+
+    B_sel is a contiguous copy: the Riccati iteration's rounding, and with
+    it the step at which it stops, follows the memory layout of B_sel.
+    """
+    ch = input_channels(mode, model.B_d.shape[1])
+    return np.hstack([model.B_d, model.B_i])[:, ch].copy(), cost.S_d[:, ch], cost.R_d[ch, ch]

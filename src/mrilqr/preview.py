@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel, riccati
-from .discretize import ContinuousPlant, CostWeights
 from .errors import NumericalError
 
 __all__ = [
@@ -145,11 +144,8 @@ def gamma_and_cost(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, float]:
     return Gamma, Jstar
 
 
-def preview_plan(
-    plant: ContinuousPlant, weights: CostWeights, T: float, Btilde, N: int
-) -> PreviewPlan:
-    """Full synthesis: mixed-input LQR solve plus the preview quantities."""
-    des = riccati.design(plant, weights, T, mode="mri")
+def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
+    """Preview quantities on top of a finished design (usually mode mri)."""
     P = des.solution.P
     G = closed_loop_G(des.model.A_d, des.B_sel, des.S_sel, des.R_sel, P)
     ff = feedforward_sequence(P, G, des.B_sel, des.R_sel, Btilde, N)
@@ -157,18 +153,15 @@ def preview_plan(
     return PreviewPlan(N=N, K=des.solution.K, feedforward=ff, G=G, Gamma=Gamma, Jstar=Jstar)
 
 
-def multi_impulse_measure(
-    plant: ContinuousPlant, weights: CostWeights, T: float, N: int, Btilde=None
-) -> float:
+def multi_impulse_measure(des: riccati.MriLqrDesign, Btilde, N: int) -> float:
     """Aggregate measure for several simultaneous impulse channels.
 
-    Each column c_i of Btilde is treated as its own impulsive
-    disturbance at instant N; the measure is the square root of the sum
-    of the per-column optimal costs. A single column reduces to
-    sqrt(Jstar).
+    Each column c_i of the n x r matrix Btilde is treated as its own
+    impulsive disturbance at instant N; the measure is the square root
+    of the sum of the per-column optimal costs. A single column reduces
+    to sqrt(Jstar).
     """
-    Bt = plant.Btilde if Btilde is None else numkernel.as_matrix(Btilde, "Btilde")
-    des = riccati.design(plant, weights, T, mode="mri")
+    Bt = numkernel.as_matrix(Btilde, "Btilde")
     P = des.solution.P
     G = closed_loop_G(des.model.A_d, des.B_sel, des.S_sel, des.R_sel, P)
     total = 0.0

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numkernel
 from .discretize import ContinuousPlant, CostWeights, SampledCost, SampledModel, cost_matrices, restrict_input_mode, sample_plant
@@ -30,10 +29,10 @@ __all__ = [
     "RiccatiSolution",
     "MriLqrDesign",
     "solve_dare",
-    "mri_gains",
     "infinite_horizon_cost",
     "dare_residual",
     "design",
+    "design_sampled",
 ]
 
 MAX_ITERATIONS = 10**6
@@ -193,16 +192,6 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     )
 
 
-def mri_gains(sol: RiccatiSolution, A_d, B_sel, S_sel, R_sel) -> np.ndarray:
-    """Stationary feedback gain for a solved P.
-
-    K = -(R + B'PB)^{-1}(B'PA_d + S'). With the mixed input selection
-    rows 1..m are the hold gain and rows m+1..2m the impulse gain.
-    """
-    return _gain(sol.P, numkernel.as_matrix(A_d), numkernel.as_matrix(B_sel),
-                 numkernel.as_matrix(S_sel), numkernel.as_matrix(R_sel))
-
-
 def infinite_horizon_cost(sol: RiccatiSolution, x0) -> float:
     """Optimal cost-to-go x0' P x0 from the initial state x0."""
     x = np.asarray(x0, dtype=float).reshape(-1)
@@ -222,17 +211,18 @@ class MriLqrDesign:
     solution: RiccatiSolution
 
 
-def design(plant: ContinuousPlant, weights: CostWeights, T: float, mode: str = "mri") -> MriLqrDesign:
-    """Sample, build the equivalent cost, restrict the input mode, solve."""
-    model = sample_plant(plant, T)
-    cost = cost_matrices(plant, weights, T)
+def design_sampled(model: SampledModel, cost: SampledCost, mode: str) -> MriLqrDesign:
+    """Restrict a sampled model and cost to one input mode and solve.
+
+    The model and cost serve all three modes, so callers designing
+    several modes at one period sample and build the cost once.
+    """
     B_sel, S_sel, R_sel = restrict_input_mode(model, cost, mode)
     sol = solve_dare(model.A_d, B_sel, cost.Q_d, S_sel, R_sel)
     return MriLqrDesign(mode=mode, model=model, cost=cost,
                         B_sel=B_sel, S_sel=S_sel, R_sel=R_sel, solution=sol)
 
 
-def closed_loop_spectral_radius(design_result: MriLqrDesign) -> float:
-    """Spectral radius of A_d + B_sel K for a finished design."""
-    A_cl = design_result.model.A_d + design_result.B_sel @ design_result.solution.K
-    return float(np.max(np.abs(scipy.linalg.eigvals(A_cl))))
+def design(plant: ContinuousPlant, weights: CostWeights, T: float, mode: str = "mri") -> MriLqrDesign:
+    """Sample, build the equivalent cost, restrict the input mode, solve."""
+    return design_sampled(sample_plant(plant, T), cost_matrices(plant, weights, T), mode)

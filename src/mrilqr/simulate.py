@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel
-from .discretize import ContinuousPlant, CostWeights, cost_matrices
+from .discretize import MODES, ContinuousPlant, CostWeights, constant_input_gram, cost_matrices, input_channels
 from .errors import SimulationDivergence
 
 __all__ = [
@@ -55,7 +55,7 @@ class InputPolicy:
     saturate_nonnegative: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("regular", "impulsive", "mri"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown policy mode {self.mode!r}")
         object.__setattr__(self, "K", numkernel.as_matrix(self.K, "K"))
         object.__setattr__(
@@ -148,7 +148,7 @@ def _run(
             raise ValueError(f"approx mode needs epsilon in (0, 1), got {epsilon}")
         alpha = epsilon * T
 
-    n, m = plant.n, plant.m
+    n = plant.n
     A, B = plant.A, plant.B
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.size != n:
@@ -157,16 +157,11 @@ def _run(
     segments = _interval_segments(T, substeps, alpha)
 
     # One propagator and one Gram integral per distinct segment length.
-    E = np.zeros((n + m, n + m))
-    E[:n, :n] = A
-    E[:n, n:] = B
-    Qbar = np.zeros((n + m, n + m))
-    Qbar[:n, :n] = weights.Q
     props: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for _, d, _ in segments:
         if d not in props:
             A_dd, _, B_dd = numkernel.expm_block_integrals(A, B, d)
-            props[d] = (A_dd, B_dd, numkernel.expm_gram_integral(E, Qbar, d))
+            props[d] = (A_dd, B_dd, constant_input_gram(plant, weights.Q, d))
 
     sc = cost_matrices(plant, weights, T)
 
@@ -257,17 +252,19 @@ def _run(
     )
 
 
-def _policy_inputs(policy: InputPolicy, m: int):
+def _policy_inputs(policy: InputPolicy, plant: ContinuousPlant):
+    m = plant.m
+    channels = input_channels(policy.mode, m)
+    expected = (channels.stop - channels.start, plant.n)
+    if policy.K.shape != expected:
+        raise ValueError(f"policy gain has shape {policy.K.shape}, expected {expected}")
+
     def fn(k: int, x: np.ndarray):
-        v = policy.K @ x
+        v = np.zeros(2 * m)
+        v[channels] = policy.K @ x
         if k < len(policy.feedforward):
-            v = v + policy.feedforward[k]
-        if policy.mode == "regular":
-            u_c, u_i = v, np.zeros(m)
-        elif policy.mode == "impulsive":
-            u_c, u_i = np.zeros(m), v
-        else:
-            u_c, u_i = v[:m], v[m:]
+            v[channels] += policy.feedforward[k]
+        u_c, u_i = v[:m], v[m:]
         if policy.saturate_nonnegative:
             u_c = np.maximum(u_c, 0.0)
             u_i = np.maximum(u_i, 0.0)
@@ -296,12 +293,7 @@ def simulate_closed_loop(
     interval start; in approx mode it is spread as a constant input over
     the leading epsilon fraction of the interval.
     """
-    inputs_fn = _policy_inputs(policy, plant.m)
-    expected = 2 * plant.m if policy.mode == "mri" else plant.m
-    if policy.K.shape != (expected, plant.n):
-        raise ValueError(
-            f"policy gain has shape {policy.K.shape}, expected ({expected}, {plant.n})"
-        )
+    inputs_fn = _policy_inputs(policy, plant)
     return _run(plant, weights, T, inputs_fn, x0, steps, substeps, impulse_mode, epsilon, disturbance)
 
 

@@ -35,7 +35,7 @@ from mrilqr import (
     sample_plant,
     simulate_closed_loop,
 )
-from mrilqr.riccati import closed_loop_spectral_radius
+from mrilqr.numkernel import spectral_radius
 
 from conftest import INSULIN_CTILDE, random_controllable_plant, random_stable_plant, relerr
 
@@ -191,7 +191,7 @@ def test_c07_riccati_solution_quality():
                 f"residual {sol.residual:.3e}")
             assert relerr(sol.P, sol.P.T) < 1e-12
             np.linalg.cholesky(sol.P + 0.0)
-            assert closed_loop_spectral_radius(d) < 1.0
+            assert spectral_radius(d.model.A_d + d.B_sel @ sol.K) < 1.0
 
     _report("C7", "Riccati residual, definiteness and closed-loop stability on all plants", body)
 
@@ -203,7 +203,7 @@ def test_c08_preview_cost_formula_vs_simulation():
         for T in (0.5, 1.0, 2.0):
             d = design(plant, weights, T, "mri")
             for N in range(5):
-                plan = preview_plan(plant, weights, T, bt, N)
+                plan = preview_plan(d, bt, N)
                 steps = max(certified_horizon(plan.G, float(bt @ bt) + 1.0, tol=1e-12), N + 2)
                 policy = InputPolicy(K=plan.K, mode="mri", feedforward=plan.feedforward)
                 traj = simulate_closed_loop(
@@ -222,7 +222,8 @@ def test_c09_preview_monotonicity_grid():
         bt = np.array([1.0, 1.0])
         grid = 0.2 + 0.1 * np.arange(49)
         for T in grid:
-            js = [preview_plan(plant, weights, float(T), bt, N).Jstar for N in range(5)]
+            d = design(plant, weights, float(T), "mri")
+            js = [preview_plan(d, bt, N).Jstar for N in range(5)]
             for nxt, cur in zip(js[1:], js[:-1]):
                 assert nxt <= cur + 1e-9, f"T={T:.2f}: not monotone"
             assert js[1] < js[0], f"T={T:.2f}: one preview step does not strictly help"
@@ -291,7 +292,7 @@ def test_c12_insulin_preview_reduces_peak():
 
         open_peak = peak(0, np.zeros((2, 6)))
         p0 = peak(0, d.solution.K)
-        plan = preview_plan(plant, weights, 20.0, direction, 2)
+        plan = preview_plan(d, direction, 2)
         p2 = peak(2, d.solution.K, plan.feedforward)
         assert p2 < p0, f"preview peak {p2:.4f} !< no-preview peak {p0:.4f}"
         assert p0 < open_peak and p2 < open_peak

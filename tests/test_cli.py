@@ -1,13 +1,32 @@
 """Command-line front end: scenarios, output formats, exit codes."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mrilqr import cli
+import mrilqr
+from mrilqr import cli, controllability, design, discretize, preview, preview_plan, riccati, simulate
 
 SOUZA_BASE = 2.0 * np.pi / np.sqrt(23.0)
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls to library functions through every module namespace binding them."""
+    counts = Counter()
+    modules = (mrilqr, cli, controllability, discretize, preview, riccati, simulate)
+    for name in names:
+        fn = getattr(mrilqr, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
 
 
 class TestScenarioLoading:
@@ -156,10 +175,22 @@ class TestOutputs:
         out = tmp_path / "w.csv"
         grid = f"{SOUZA_BASE}:1.0:{SOUZA_BASE}"
         assert cli.main(["sweep", "--scenario", "souza", "--T-grid", grid,
-                         "--mode", "regular", "--N", "0", "--out", str(out)]) == 0
+                         "--mode", "regular", "--N", "0,1,3", "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:] if line]
-        assert rows[0][4] == "false"
+        # the diverged solve is shared by every horizon of the cell
+        assert [r[2] for r in rows] == ["0", "1", "3"]
+        assert all(r[4] == "false" for r in rows)
         assert float(rows[0][3]) > 0.0
+
+    def test_sweep_cell_matches_preview_plan(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "1.3:1.0:1.3",
+                         "--mode", "mri", "--N", "0,2", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:] if line]
+        sc = cli.load_scenario("souza")
+        plan = preview_plan(design(sc.plant(), sc.weights(), 1.3, "mri"), sc.Btilde[:, 0], 2)
+        assert rows[1][2] == "2"
+        assert rows[1][3] == format(plan.Jstar, ".17g")
 
     def test_lqr_json_output(self, tmp_path):
         out = tmp_path / "l.json"
@@ -218,3 +249,36 @@ class TestOutputs:
         uc = {float(r[8]) for r in rows}
         ui = {float(r[9]) for r in rows}
         assert uc == {0.0} and ui == {0.0}
+
+
+class TestDesignReuse:
+    def test_sweep_designs_once_per_period_and_mode(self, tmp_path, monkeypatch):
+        counts = count_calls(monkeypatch, "solve_dare", "sample_plant", "cost_matrices")
+        periods = 4
+        assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "0.5:0.5:2.0",
+                         "--mode", "all", "--N", "0,1,3", "--out", str(tmp_path / "s.csv")]) == 0
+        assert counts == {"solve_dare": 3 * periods, "sample_plant": periods,
+                          "cost_matrices": periods}
+
+    def test_simulate_with_preview_solves_once(self, tmp_path, monkeypatch):
+        counts = count_calls(monkeypatch, "solve_dare")
+        assert cli.main(["simulate", "--scenario", "insulin", "--N", "2",
+                         "--out", str(tmp_path / "t.csv")]) == 0
+        assert counts["solve_dare"] == 1
+
+
+class TestDisturbanceColumns:
+    def test_commands_on_one_disturbance_reject_extra_columns(self, tmp_path, capsys):
+        doc = {
+            "name": "two_columns", "A": [[0.0, 1.0], [-6.0, 1.0]], "B": [[0.0], [1.0]],
+            "Btilde": [[1.0, 0.0], [1.0, 1.0]], "Q": [[1.0, 0.0], [0.0, 0.0]],
+            "Rc": [[1.0]], "Ri": [[1.0]], "T": 1.0,
+        }
+        p = tmp_path / "two.json"
+        p.write_text(json.dumps(doc))
+        for argv in (["lqr"], ["preview", "--N", "2"], ["sweep", "--T-grid", "1:1:1"],
+                     ["simulate", "--steps", "5"]):
+            assert cli.main(argv + ["--scenario", str(p)]) == 1, argv
+            assert "single disturbance column" in capsys.readouterr().err
+        for argv in (["discretize"], ["controllability"]):
+            assert cli.main(argv + ["--scenario", str(p), "--out", str(tmp_path / "o.csv")]) == 0

@@ -89,6 +89,19 @@ class TestReducedHautus:
         with pytest.raises(UncontrollablePlantError):
             reduced_hautus_mri(plant, 1.0)
 
+    def test_souza_controllable_at_long_pathological_periods(self, souza_plant):
+        # the stacked blocks grow like e^{T/2} on souza; the rank test
+        # must not read that growth as a lost direction
+        for k in range(35, 39):
+            assert reduced_hautus_mri(souza_plant, k * SOUZA_BASE).controllable
+
+    def test_rotation_flagged_exactly_at_full_turns(self, rotation_plant):
+        cands = candidate_pathological_periods(rotation_plant.A, 200.0)
+        flagged = [c.multiple for c in cands
+                   if not reduced_hautus_mri(rotation_plant, c.period).controllable]
+        # candidates are the multiples of pi; the 31 multiples of 2 pi lose controllability
+        assert flagged == list(range(2, 63, 2))
+
     def test_agrees_with_kalman_on_random_plants(self):
         rng = np.random.default_rng(33)
         for _ in range(100):

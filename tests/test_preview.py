@@ -113,8 +113,8 @@ class TestGammaAndCost:
         bt = np.array([1.0, 1.0])
         for T in (0.5, 1.0, 2.0):
             for N in range(0, 5):
-                plan = preview_plan(souza_plant, souza_weights, T, bt, N)
                 d, P, G = mri_design(souza_plant, souza_weights, T)
+                plan = preview_plan(d, bt, N)
                 _, J_disc, tail = simulate_preview(
                     souza_plant, souza_weights, T, bt, N, plan, P, G)
                 assert tail < 1e-10 * max(plan.Jstar, 1.0)
@@ -123,8 +123,8 @@ class TestGammaAndCost:
     def test_perturbed_feedforward_never_beats_optimum(self, souza_plant, souza_weights):
         bt = np.array([1.0, 1.0])
         T, N = 1.0, 3
-        plan = preview_plan(souza_plant, souza_weights, T, bt, N)
         d, P, G = mri_design(souza_plant, souza_weights, T)
+        plan = preview_plan(d, bt, N)
         _, J_opt, _ = simulate_preview(souza_plant, souza_weights, T, bt, N, plan, P, G)
         rng = np.random.default_rng(51)
         from dataclasses import replace
@@ -149,7 +149,7 @@ class TestAdjointChain:
         bt = np.array([1.0, 1.0])
         T, N = 1.0, 4
         d, P, G = mri_design(souza_plant, souza_weights, T)
-        plan = preview_plan(souza_plant, souza_weights, T, bt, N)
+        plan = preview_plan(d, bt, N)
         A_d, B, S, R, Qd = d.model.A_d, d.B_sel, d.S_sel, d.R_sel, d.cost.Q_d
 
         xs = [np.zeros(2)]
@@ -183,14 +183,16 @@ class TestAdjointChain:
 class TestMultiImpulse:
     def test_single_column_is_sqrt_of_cost(self, souza_plant, souza_weights):
         bt = np.array([1.0, 1.0])
-        plan = preview_plan(souza_plant, souza_weights, 1.0, bt, 2)
-        got = multi_impulse_measure(souza_plant, souza_weights, 1.0, 2, bt.reshape(2, 1))
+        d = design(souza_plant, souza_weights, 1.0, "mri")
+        plan = preview_plan(d, bt, 2)
+        got = multi_impulse_measure(d, bt.reshape(2, 1), 2)
         assert abs(got - np.sqrt(plan.Jstar)) < 1e-10
 
     def test_zero_column_contributes_nothing(self, souza_plant, souza_weights):
         b = np.array([[1.0, 0.0], [1.0, 0.0]])
-        got = multi_impulse_measure(souza_plant, souza_weights, 1.0, 2, b)
-        single = multi_impulse_measure(souza_plant, souza_weights, 1.0, 2, b[:, :1])
+        d = design(souza_plant, souza_weights, 1.0, "mri")
+        got = multi_impulse_measure(d, b, 2)
+        single = multi_impulse_measure(d, b[:, :1], 2)
         assert abs(got - single) < 1e-12
 
     def test_identity_columns_sum_and_match_simulation(self, souza_plant, souza_weights):
@@ -199,9 +201,9 @@ class TestMultiImpulse:
         total = 0.0
         for i in range(2):
             e_i = np.eye(2)[:, i]
-            plan = preview_plan(souza_plant, souza_weights, T, e_i, N)
+            plan = preview_plan(d, e_i, N)
             _, J_disc, tail = simulate_preview(souza_plant, souza_weights, T, e_i, N, plan, P, G)
             assert abs(J_disc - plan.Jstar) <= 1e-8 * max(plan.Jstar, 1e-12)
             total += plan.Jstar
-        got = multi_impulse_measure(souza_plant, souza_weights, T, N, np.eye(2))
+        got = multi_impulse_measure(d, np.eye(2), N)
         assert abs(got - np.sqrt(total)) < 1e-10
