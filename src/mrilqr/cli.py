@@ -24,7 +24,12 @@ import numpy as np
 
 from . import preview as preview_mod
 from . import riccati, simulate
-from .controllability import candidate_pathological_periods, is_pathological, reduced_hautus_mri
+from .controllability import (
+    _require_controllable,
+    _sampled_hautus_mri,
+    _sampled_pathological,
+    candidate_pathological_periods,
+)
 from .discretize import ContinuousPlant, CostWeights, cost_matrices, input_channels, sample_plant
 from .errors import NumericalError, DareDivergenceError
 from .numkernel import as_matrix, spectral_radius
@@ -271,16 +276,18 @@ def cmd_controllability(scenario: ScenarioConfig, T_max: float, sink: _Sink) -> 
     sink.scalar("scenario", scenario.name)
     sink.scalar("T_max", T_max)
     candidates = candidate_pathological_periods(plant.A, T_max)
+    _require_controllable(plant)
     rows = []
     for c in candidates:
-        report = reduced_hautus_mri(plant, c.period)
+        model = sample_plant(plant, c.period)
+        report = _sampled_hautus_mri(plant, model)
         rows.append([
             c.period,
             c.base_period,
             c.multiple,
             c.needs_per_multiple_test,
-            is_pathological(plant, c.period, "regular"),
-            is_pathological(plant, c.period, "impulsive"),
+            _sampled_pathological(plant, model, "regular"),
+            _sampled_pathological(plant, model, "impulsive"),
             not report.controllable,
             report.margin if np.isfinite(report.margin) else None,
         ])
@@ -290,7 +297,7 @@ def cmd_controllability(scenario: ScenarioConfig, T_max: float, sink: _Sink) -> 
          "pathological_regular", "pathological_impulsive", "pathological_mri", "mri_margin"],
         rows,
     )
-    report = reduced_hautus_mri(plant, scenario.T)
+    report = _sampled_hautus_mri(plant, sample_plant(plant, scenario.T))
     sink.scalar("scenario_T", scenario.T)
     sink.scalar("scenario_T_mri_controllable", report.controllable)
 

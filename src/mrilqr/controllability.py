@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import numkernel
-from .discretize import ContinuousPlant, input_channels, sample_plant
+from .discretize import ContinuousPlant, SampledModel, input_channels, sample_plant
 from .errors import UncontrollablePlantError
 
 __all__ = [
@@ -167,7 +167,13 @@ def reduced_hautus_mri(plant: ContinuousPlant, T: float, tol: float = numkernel.
     roundoff stays small.
     """
     _require_controllable(plant)
-    model = sample_plant(plant, T)
+    return _sampled_hautus_mri(plant, sample_plant(plant, T), tol)
+
+
+def _sampled_hautus_mri(plant: ContinuousPlant, model: SampledModel,
+                        tol: float = numkernel.RANK_RTOL) -> ControllabilityReport:
+    """``reduced_hautus_mri`` on a model sampled from a plant already checked controllable."""
+    T = model.T
     resonant = resonant_eigenvalues(plant.A, T)
 
     AtB = model.Atilde @ plant.B
@@ -201,9 +207,13 @@ def reduced_hautus_mri(plant: ContinuousPlant, T: float, tol: float = numkernel.
 
 def is_pathological(plant: ContinuousPlant, T: float, mode: str) -> bool:
     """True when the sampled pair for the given input mode loses controllability."""
-    channels = input_channels(mode, plant.m)
     _require_controllable(plant)
-    model = sample_plant(plant, T)
+    return _sampled_pathological(plant, sample_plant(plant, T), mode)
+
+
+def _sampled_pathological(plant: ContinuousPlant, model: SampledModel, mode: str) -> bool:
+    """``is_pathological`` on a model sampled from a plant already checked controllable."""
+    channels = input_channels(mode, plant.m)
     return not kalman_controllable(model.A_d, np.hstack([model.B_d, model.B_i])[:, channels])
 
 

@@ -216,8 +216,8 @@ def restrict_input_mode(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(B_sel, S_sel, R_sel) of one controller variant; see ``input_channels``.
 
-    B_sel is a contiguous copy: the Riccati iteration's rounding, and with
-    it the step at which it stops, follows the memory layout of B_sel.
+    B_sel is a contiguous copy, because the last bits of the Riccati
+    solution follow the memory layout of B_sel.
     """
     ch = input_channels(mode, model.B_d.shape[1])
     return np.hstack([model.B_d, model.B_i])[:, ch].copy(), cost.S_d[:, ch], cost.R_d[ch, ch]

@@ -12,10 +12,11 @@ class UncontrollablePlantError(ValueError):
 
 
 class DareDivergenceError(NumericalError):
-    """Riccati value iteration diverged (pair not stabilizable).
+    """The Riccati doubling diverged (pair not stabilizable).
 
-    Carries the last iterate so sweep-style callers can still report a
-    best-effort cost alongside a warning.
+    Carries the last iterate, the value-iteration cost of a horizon of
+    2^iterations periods, so sweep-style callers can still report a
+    best-effort cost alongside a warning; iterations counts doublings.
     """
 
     def __init__(self, message: str, last_iterate=None, iterations: int = 0):

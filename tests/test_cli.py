@@ -266,6 +266,18 @@ class TestDesignReuse:
                          "--out", str(tmp_path / "t.csv")]) == 0
         assert counts["solve_dare"] == 1
 
+    def test_controllability_samples_once_per_candidate(self, tmp_path, monkeypatch):
+        counts = count_calls(monkeypatch, "sample_plant", "kalman_controllable")
+        souza = cli.load_scenario("souza")
+        candidates = len(controllability.candidate_pathological_periods(souza.A, 5.0))
+        assert candidates > 0
+        assert cli.main(["controllability", "--scenario", "souza", "--T-max", "5",
+                         "--out", str(tmp_path / "c.csv")]) == 0
+        # one sampled model per candidate and one at the scenario period; the
+        # continuous pair is checked once, each candidate's hold and impulse pairs once
+        assert counts == {"sample_plant": candidates + 1,
+                          "kalman_controllable": 1 + 2 * candidates}
+
 
 class TestDisturbanceColumns:
     def test_commands_on_one_disturbance_reject_extra_columns(self, tmp_path, capsys):

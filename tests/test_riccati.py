@@ -8,9 +8,11 @@ from mrilqr import (
     ContinuousPlant,
     CostWeights,
     DareDivergenceError,
+    cost_matrices,
     dare_residual,
     design,
     infinite_horizon_cost,
+    restrict_input_mode,
     sample_plant,
     solve_dare,
 )
@@ -81,14 +83,41 @@ class TestSolveDare:
     def test_divergence_raises_with_last_iterate(self, souza_plant, souza_weights):
         # exactly pathological period, hold-only: unstable and uncontrollable
         d_model = sample_plant(souza_plant, SOUZA_BASE)
-        from mrilqr import cost_matrices, restrict_input_mode
-
         cost = cost_matrices(souza_plant, souza_weights, SOUZA_BASE)
         B_sel, S_sel, R_sel = restrict_input_mode(d_model, cost, "regular")
         with pytest.raises(DareDivergenceError) as err:
             solve_dare(d_model.A_d, B_sel, cost.Q_d, S_sel, R_sel)
         assert err.value.last_iterate is not None
         assert err.value.iterations > 0
+
+    def test_last_iterate_is_the_value_iterate_of_its_horizon(self, souza_plant, souza_weights):
+        # k doublings span 2^k Riccati steps from 1e-12 I
+        model = sample_plant(souza_plant, SOUZA_BASE)
+        cost = cost_matrices(souza_plant, souza_weights, SOUZA_BASE)
+        B, S, R = restrict_input_mode(model, cost, "regular")
+        with pytest.raises(DareDivergenceError) as err:
+            solve_dare(model.A_d, B, cost.Q_d, S, R)
+        k = err.value.iterations
+        # the hold-only cost grows ~e^{1.3} per step, past 1e12 within 64 steps
+        assert 0 < k <= 64 and 2**k <= 64
+        A = model.A_d
+        P = 1e-12 * np.eye(2)
+        for _ in range(2**k):
+            W = A.T @ P @ B + S
+            P = A.T @ P @ A + cost.Q_d - W @ np.linalg.solve(R + B.T @ P @ B, W.T)
+        assert relerr(err.value.last_iterate, P) < 1e-8
+
+    @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
+    def test_memory_layout_of_b_does_not_change_the_solve(self, insulin_plant, insulin_weights, mode):
+        model = sample_plant(insulin_plant, 20.0)
+        cost = cost_matrices(insulin_plant, insulin_weights, 20.0)
+        B_sel, S_sel, R_sel = restrict_input_mode(model, cost, mode)
+        ref = solve_dare(model.A_d, np.ascontiguousarray(B_sel), cost.Q_d, S_sel, R_sel)
+        strided = np.repeat(B_sel, 2, axis=1)[:, ::2]
+        for B in (np.asfortranarray(B_sel), strided):
+            sol = solve_dare(model.A_d, B, cost.Q_d, S_sel, R_sel)
+            assert sol.iterations == ref.iterations
+            assert relerr(sol.P, ref.P) < 1e-10
 
     def test_rejects_indefinite_r(self):
         with pytest.raises(ValueError):
