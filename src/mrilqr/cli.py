@@ -168,17 +168,82 @@ def load_scenario(spec: str) -> ScenarioConfig:
 # output helpers
 
 
-def _fmt(x: float, digits: int) -> str:
-    return format(float(x), f".{digits}g")
+def _kind(tp: type) -> str:
+    """The type rule of every writer: a cell's type is bool, int, float, none or str."""
+    if issubclass(tp, (bool, np.bool_)):
+        return "bool"
+    if issubclass(tp, (int, np.integer)):
+        return "int"
+    if issubclass(tp, (float, np.floating)):
+        return "float"
+    return "none" if tp is type(None) else "str"
+
+
+def _spec(kind: str, digits: int) -> str | None:
+    """The %-format of a numeric kind; None for the others."""
+    return {"int": "%d", "float": f"%.{digits}g"}.get(kind)
+
+
+def _cell(v, digits: int) -> str:
+    """A cell as console or CSV text."""
+    kind = _kind(type(v))
+    spec = _spec(kind, digits)
+    if spec is not None:
+        return spec % v
+    if kind == "bool":
+        return "true" if v else "false"
+    return "" if kind == "none" else str(v)
+
+
+_JSON_VALUE = {"bool": bool, "int": int, "float": float, "none": lambda v: None, "str": str}
+
+
+def _plain(v):
+    """A cell as the JSON value it stands for."""
+    return _JSON_VALUE[_kind(type(v))](v)
+
+
+def _row_format(rows, width: int, digits: int) -> str | None:
+    """One %-format string for every row of a table whose columns each hold
+    one numeric kind; None when a row is not ``width`` cells long, a column
+    mixes kinds, or a column holds bools, strings or None."""
+    if set(map(len, rows)) != {width}:
+        return None
+    specs = []
+    for column in zip(*rows):
+        kinds = {_kind(tp) for tp in set(map(type, column))}
+        spec = _spec(kinds.pop(), digits) if len(kinds) == 1 else None
+        if spec is None:
+            return None
+        specs.append(spec)
+    return ",".join(specs)
+
+
+def _table_lines(header, rows, digits: int) -> list[str]:
+    """A table as its header line and one text line per row."""
+    fmt = _row_format(rows, len(header), digits)
+    if fmt is None:
+        body = (",".join(_cell(v, digits) for v in row) for row in rows)
+    else:
+        body = map(fmt.__mod__, map(tuple, rows))
+    return [",".join(header), *body]
 
 
 class _Sink:
-    """Accumulates (section, rows) pairs and renders to console/CSV/JSON."""
+    """Accumulates scalars, matrices and tables and renders them to console, CSV or JSON.
+
+    One type rule (``_kind``) decides how every cell reads: bools as
+    true/false, integers in full, floats to ``CONSOLE_DIGITS`` or
+    ``FILE_DIGITS`` significant digits, None as an empty field (null in
+    JSON). A table whose every column holds only floats or only integers
+    renders through one %-format string per row, built from its column
+    kinds; any other table renders cell by cell, to the same text.
+    """
 
     def __init__(self):
         self.scalars: dict[str, object] = {}
         self.matrices: dict[str, np.ndarray] = {}
-        self.tables: dict[str, tuple[list[str], list[list[object]]]] = {}
+        self.tables: dict[str, tuple[list[str], list]] = {}
 
     def scalar(self, name, value):
         self.scalars[name] = value
@@ -189,60 +254,40 @@ class _Sink:
     def table(self, name, header, rows):
         self.tables[name] = (header, rows)
 
-    def _cell(self, v, digits):
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return _fmt(v, digits)
-        return "" if v is None else str(v)
-
     def to_console(self, out=None):
         out = out or sys.stdout
         for name, value in self.scalars.items():
-            out.write(f"{name} = {self._cell(value, CONSOLE_DIGITS)}\n")
+            out.write(f"{name} = {_cell(value, CONSOLE_DIGITS)}\n")
         for name, M in self.matrices.items():
             out.write(f"{name} ({M.shape[0]}x{M.shape[1]}):\n")
             for row in M:
-                out.write("  " + "  ".join(_fmt(v, CONSOLE_DIGITS) for v in row) + "\n")
+                out.write("  " + "  ".join(_cell(v, CONSOLE_DIGITS) for v in row) + "\n")
         for name, (header, rows) in self.tables.items():
             out.write(f"[{name}]\n")
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(self._cell(v, CONSOLE_DIGITS) for v in row) + "\n")
+            out.write("".join(line + "\n" for line in _table_lines(header, rows, CONSOLE_DIGITS)))
 
     def to_csv(self) -> str:
         lines = []
         if self.scalars or self.matrices:
             lines.append("section,name,row,col,value")
         for name, value in self.scalars.items():
-            lines.append(f"scalar,{name},,,{self._cell(value, FILE_DIGITS)}")
+            lines.append(f"scalar,{name},,,{_cell(value, FILE_DIGITS)}")
         for name, M in self.matrices.items():
             for i in range(M.shape[0]):
                 for j in range(M.shape[1]):
-                    lines.append(f"matrix,{name},{i},{j},{_fmt(M[i, j], FILE_DIGITS)}")
+                    lines.append(f"matrix,{name},{i},{j},{_cell(M[i, j], FILE_DIGITS)}")
         for name, (header, rows) in self.tables.items():
             if lines:
                 lines.append("")
-            lines.append(",".join(header))
-            for row in rows:
-                lines.append(",".join(self._cell(v, FILE_DIGITS) for v in row))
+            lines.extend(_table_lines(header, rows, FILE_DIGITS))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        doc: dict[str, object] = {}
-        doc.update({k: (bool(v) if isinstance(v, (bool, np.bool_)) else v) for k, v in self.scalars.items()})
+        doc: dict[str, object] = {k: _plain(v) for k, v in self.scalars.items()}
         for name, M in self.matrices.items():
             doc[name] = M.tolist()
         for name, (header, rows) in self.tables.items():
-            doc[name] = [
-                {h: (None if c is None else (bool(c) if isinstance(c, (bool, np.bool_)) else
-                     (int(c) if isinstance(c, (int, np.integer)) else
-                      (float(c) if isinstance(c, (float, np.floating)) else str(c)))))
-                 for h, c in zip(header, row)}
-                for row in rows
-            ]
+            doc[name] = [{h: _plain(c) for h, c in zip(header, row)} for row in rows]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def emit(self, out_path: str | None, fmt: str):
@@ -435,15 +480,13 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     header = (["t"] + [f"x{i+1}" for i in range(plant.n)] + ["y"]
               + [f"uc{i+1}" for i in range(m)] + [f"ui{i+1}" for i in range(m)]
               + ["J_running", "impulse"])
-    rows = []
-    for idx, t in enumerate(traj.dense_times):
-        x = traj.dense_states[idx]
-        k = min(int(np.floor(t / T + 1e-9)), traj.steps - 1)
-        uc, ui = traj.u_c[k], traj.u_i[k]
-        y = float(out_row @ x) if out_row is not None else None
-        rows.append([float(t)] + [float(v) for v in x] + [y]
-                    + [float(v) for v in uc] + [float(v) for v in ui]
-                    + [float(traj.dense_running_cost[idx]), int(traj.dense_impulse_flags[idx])])
+    # a row at a duplicated time stamp carries the input of the interval starting there
+    ks = np.minimum(np.floor(traj.dense_times / T + 1e-9).astype(int), traj.steps - 1)
+    # y row by row, as out_row @ x: one gemv over all rows sums in another order
+    y = None if out_row is None else (traj.dense_states[:, None, :] @ out_row)[:, 0]
+    columns = [traj.dense_times, *traj.dense_states.T, y, *traj.u_c[ks].T, *traj.u_i[ks].T,
+               traj.dense_running_cost, traj.dense_impulse_flags]
+    rows = list(zip(*([None] * len(ks) if c is None else c.tolist() for c in columns)))
     sink.scalar("scenario", scenario.name)
     sink.scalar("T", T)
     sink.scalar("mode", mode)
@@ -452,7 +495,7 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     sink.scalar("J_cont", traj.J_cont)
     sink.scalar("J_disc", traj.J_disc)
     if out_row is not None:
-        sink.scalar("peak_y", float(np.max(traj.dense_states @ out_row)))
+        sink.scalar("peak_y", float(y.max()))
     sink.table("trajectory", header, rows)
 
 

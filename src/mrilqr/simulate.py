@@ -135,6 +135,16 @@ def _run(
     epsilon: float | None,
     disturbance: DisturbanceSpec | None,
 ) -> Trajectory:
+    """Step loop behind every simulation.
+
+    Per step it asks ``inputs_fn(k, x)`` for the inputs, adds the
+    discrete-equivalent cost and the impulse penalty, and forms once what
+    every segment of the interval shares: the segment inputs (``u_c``
+    outside the approx-mode hold window, ``u_c + u_i/alpha`` inside), their
+    sampled drive ``B_dd u`` per segment length, and the hold penalty
+    ``u_c' Rc u_c``. Each segment then only propagates the state and adds
+    its Gram integral through one reused ``[x; u]`` buffer.
+    """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if substeps < 1:
@@ -155,6 +165,7 @@ def _run(
         raise ValueError(f"x0 has size {x.size}, expected {n}")
 
     segments = _interval_segments(T, substeps, alpha)
+    drive_keys = {(d, within_hold) for _, d, within_hold in segments}
 
     # One propagator and one Gram integral per distinct segment length.
     props: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -171,6 +182,7 @@ def _run(
     running = [0.0]
     sample_states = []
     ucs, uis = [], []
+    xi = np.empty(n + plant.m)
     J_cont = 0.0
     J_disc = 0.0
 
@@ -182,14 +194,14 @@ def _run(
             if disturbance is not None and k == disturbance.impulse_step:
                 x = x + disturbance.direction
                 times.append(t_k)
-                states.append(x.copy())
+                states.append(x)
                 flags.append(1)
                 running.append(J_cont)
 
             u_c, u_i = inputs_fn(k, x)
             u_c = np.asarray(u_c, dtype=float).reshape(-1)
             u_i = np.asarray(u_i, dtype=float).reshape(-1)
-            sample_states.append(x.copy())
+            sample_states.append(x)
             ucs.append(u_c)
             uis.append(u_i)
 
@@ -202,20 +214,27 @@ def _run(
                 y = x + B @ u_i
                 if np.any(u_i != 0.0):
                     times.append(t_k)
-                    states.append(y.copy())
+                    states.append(y)
                     flags.append(1)
                     running.append(J_cont)
             else:
-                y = x.copy()
+                y = x
 
+            # outside the hold window the impulse part is 0.0, and
+            # u_c + 0.0 reads any -0.0 of u_c as 0.0
+            u_free = u_c + 0.0
+            u_hold = None if alpha is None else u_c + u_i / alpha
+            drive = {(d, hold): props[d][1] @ (u_hold if hold else u_free)
+                     for d, hold in drive_keys}
+            hold_cost = float(u_c @ weights.Rc @ u_c)
             for t_end, d, within_hold in segments:
-                u_eff = u_c + (u_i / alpha if within_hold else 0.0)
-                A_dd, B_dd, H = props[d]
-                xi = np.concatenate([y, u_eff])
-                J_cont += float(xi @ H @ xi) + d * float(u_c @ weights.Rc @ u_c)
-                y = A_dd @ y + B_dd @ u_eff
+                A_dd, _, H = props[d]
+                xi[:n] = y
+                xi[n:] = u_hold if within_hold else u_free
+                J_cont += float(xi @ H @ xi) + d * hold_cost
+                y = A_dd @ y + drive[d, within_hold]
                 times.append(t_k + t_end)
-                states.append(y.copy())
+                states.append(y)
                 flags.append(0)
                 running.append(J_cont)
 
@@ -226,10 +245,10 @@ def _run(
     if disturbance is not None and disturbance.impulse_step == steps:
         x = x + disturbance.direction
         times.append(steps * T)
-        states.append(x.copy())
+        states.append(x)
         flags.append(1)
         running.append(J_cont)
-    sample_states.append(x.copy())
+    sample_states.append(x)
 
     return Trajectory(
         plant=plant,

@@ -1,7 +1,9 @@
 """Command-line front end: scenarios, output formats, exit codes."""
 
+import io
 import json
 from collections import Counter
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -249,6 +251,131 @@ class TestOutputs:
         uc = {float(r[8]) for r in rows}
         ui = {float(r[9]) for r in rows}
         assert uc == {0.0} and ui == {0.0}
+
+
+def read_cli_csv(path):
+    """(scalars, header, rows) of a CLI CSV holding scalars and one table."""
+    lines = path.read_text().splitlines()
+    blank = lines.index("")
+    scalars = {f[1]: f[4] for f in (line.split(",") for line in lines[1:blank]) if f[0] == "scalar"}
+    return scalars, lines[blank + 1].split(","), [line.split(",") for line in lines[blank + 2:]]
+
+
+def bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+class TestWriter:
+    FLOATS = [-0.0, 0.0, 1e-300, 5e-324, -1.5, 0.1, 2.0 / 3.0, 1.7976931348623157e308,
+              np.inf, -np.inf, np.nan, np.float64(-2.5e-17), np.float32(0.1)]
+    INTS = [0, -7, 2**70, np.int64(-3), np.int32(12)]
+
+    @staticmethod
+    def per_cell(rows, digits):
+        return [",".join(cli._cell(v, digits) for v in row) for row in rows]
+
+    def test_cell_text(self):
+        for v in self.FLOATS:
+            for digits in (cli.CONSOLE_DIGITS, cli.FILE_DIGITS):
+                assert cli._cell(v, digits) == format(float(v), f".{digits}g")
+        for v in self.INTS:
+            assert cli._cell(v, 17) == str(int(v))
+        assert [cli._cell(v, 17) for v in (True, np.bool_(False), None, "mri")] == \
+            ["true", "false", "", "mri"]
+
+    @pytest.mark.parametrize("digits", [cli.CONSOLE_DIGITS, cli.FILE_DIGITS])
+    def test_numeric_table_renders_through_one_row_format(self, digits):
+        rows = [[f, i, -f] for f, i in zip(self.FLOATS, cycle(self.INTS))]
+        fmt = cli._row_format(rows, 3, digits)
+        assert fmt == f"%.{digits}g,%d,%.{digits}g"
+        assert [fmt % tuple(row) for row in rows] == self.per_cell(rows, digits)
+
+    @pytest.mark.parametrize("column", [
+        [1.0, 2], [np.int64(1), 2.5], [True, 1.5], [np.bool_(False), 0], [True, False],
+        ["a", 1.0], ["a", "b"], [None, 1.0], [None, None]])
+    def test_mixed_or_non_numeric_columns_render_cell_by_cell(self, column):
+        rows = [[v, 0.5, 3] for v in column]
+        assert cli._row_format(rows, 3, cli.FILE_DIGITS) is None
+        sink = cli._Sink()
+        sink.table("t", ["a", "b", "c"], rows)
+        assert sink.to_csv() == "a,b,c\n" + "".join(
+            line + "\n" for line in self.per_cell(rows, cli.FILE_DIGITS))
+
+    def test_ragged_rows_render_cell_by_cell(self):
+        rows = [[1.0, 2.0], [3.0]]
+        assert cli._row_format(rows, 2, cli.FILE_DIGITS) is None
+        sink = cli._Sink()
+        sink.table("t", ["a", "b"], rows)
+        assert sink.to_csv() == "a,b\n1,2\n3\n"
+
+    def test_every_writer_uses_one_type_rule(self):
+        numeric = [[f, i] for f, i in zip(self.FLOATS, cycle(self.INTS))]
+        mixed = [[-0.0, 1e-300, 3, True, "mri", None], [2.5, np.float64(7.0), np.int64(4),
+                                                         np.bool_(False), "regular", None]]
+        sink = cli._Sink()
+        sink.scalar("flag", np.bool_(True))
+        sink.scalar("count", np.int64(5))
+        sink.table("numeric", ["f", "i"], numeric)
+        sink.table("mixed", list("abcdef"), mixed)
+
+        csv = sink.to_csv().split("\n\n")
+        assert csv[1].splitlines()[1:] == self.per_cell(numeric, cli.FILE_DIGITS)
+        assert csv[2].splitlines()[1:] == self.per_cell(mixed, cli.FILE_DIGITS)
+
+        out = io.StringIO()
+        sink.to_console(out)
+        console = out.getvalue().splitlines()
+        assert console[:2] == ["flag = true", "count = 5"]
+        start = console.index("[numeric]") + 2
+        assert console[start:start + len(numeric)] == self.per_cell(numeric, cli.CONSOLE_DIGITS)
+        assert console[-2:] == self.per_cell(mixed, cli.CONSOLE_DIGITS)
+
+        doc = json.loads(sink.to_json())
+        assert doc["flag"] is True and doc["count"] == 5
+        assert [type(r["i"]) for r in doc["numeric"]] == [int] * len(numeric)
+        assert doc["mixed"][0] == {"a": -0.0, "b": 1e-300, "c": 3, "d": True, "e": "mri", "f": None}
+        assert doc["mixed"][1] == {"a": 2.5, "b": 7.0, "c": 4, "d": False, "e": "regular", "f": None}
+
+
+class TestSimulateTable:
+    @pytest.mark.parametrize("eps", [None, 0.1])
+    def test_csv_is_the_trajectory_bit_for_bit(self, tmp_path, eps):
+        out = tmp_path / "t.csv"
+        extra = [] if eps is None else ["--eps", str(eps)]
+        assert cli.main(["simulate", "--scenario", "insulin", "--N", "2", *extra,
+                         "--out", str(out)]) == 0
+        scalars, header, rows = read_cli_csv(out)
+        col = {h: [r[j] for r in rows] for j, h in enumerate(header)}
+
+        sc = cli.load_scenario("insulin")
+        T, N, steps = float(scalars["T"]), int(scalars["N"]), int(scalars["steps"])
+        direction = sc.disturbance_column() * sc.disturbance_scale
+        des = design(sc.plant(), sc.weights(), T, "mri")
+        policy = simulate.InputPolicy(K=des.solution.K, mode="mri",
+                                      feedforward=preview_plan(des, direction, N).feedforward)
+        traj = simulate.simulate_closed_loop(
+            sc.plant(), sc.weights(), T, policy,
+            disturbance=simulate.DisturbanceSpec(impulse_step=N, direction=direction),
+            steps=steps, substeps=sc.substeps,
+            impulse_mode="exact" if eps is None else "approx", epsilon=eps)
+
+        def parsed(name):
+            return bits([float(v) for v in col[name]])
+
+        assert parsed("t") == bits(traj.dense_times)
+        for i in range(sc.A.shape[0]):
+            assert parsed(f"x{i + 1}") == bits(traj.dense_states[:, i])
+        assert parsed("J_running") == bits(traj.dense_running_cost)
+        assert col["impulse"] == [str(f) for f in traj.dense_impulse_flags]
+        # a row at a duplicated time stamp carries the input of the interval starting there
+        ks = [min(int(np.floor(t / T + 1e-9)), steps - 1) for t in traj.dense_times]
+        assert parsed("uc1") == bits(traj.u_c[ks, 0])
+        assert parsed("ui1") == bits(traj.u_i[ks, 0])
+        out_row = sc.output_row[0]
+        assert parsed("y") == bits([out_row @ x for x in traj.dense_states])
+        assert float(scalars["J_cont"]) == traj.J_cont
+
+        assert scalars["peak_y"] == max(col["y"], key=float)
 
 
 class TestDesignReuse:
