@@ -35,7 +35,6 @@ from .errors import (
 )
 from .numkernel import (
     eigenvalues,
-    expm,
     expm_block_integrals,
     expm_gram_integral,
     null_space_dim,
@@ -45,7 +44,6 @@ from .preview import (
     closed_loop_G,
     feedforward_sequence,
     gamma_and_cost,
-    multi_impulse_measure,
     preview_plan,
 )
 from .riccati import (
@@ -53,7 +51,6 @@ from .riccati import (
     RiccatiSolution,
     dare_residual,
     design,
-    infinite_horizon_cost,
     solve_dare,
 )
 from .simulate import (
@@ -61,9 +58,7 @@ from .simulate import (
     InputPolicy,
     Trajectory,
     certified_horizon,
-    continuous_cost,
     impulse_hold_matrix,
-    cost_equivalence_check,
     simulate_closed_loop,
     simulate_inputs,
 )

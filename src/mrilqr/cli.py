@@ -370,7 +370,7 @@ def cmd_lqr(scenario: ScenarioConfig, T: float, mode: str, sink: _Sink) -> None:
     sink.scalar("iterations", sol.iterations)
     sink.scalar("residual", sol.residual)
     sink.scalar("closed_loop_spectral_radius", spectral_radius(des.model.A_d + des.B_sel @ sol.K))
-    sink.scalar("cost_at_Btilde", riccati.infinite_horizon_cost(sol, bt))
+    sink.scalar("cost_at_Btilde", float(bt @ sol.P @ bt))
     sink.matrix("P", sol.P)
     _emit_gain(sink, sol.K, mode, plant.m)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numkernel
 from .discretize import ContinuousPlant, SampledModel, input_channels, sample_plant
-from .errors import UncontrollablePlantError
+from .errors import NumericalError, UncontrollablePlantError
 
 __all__ = [
     "ResonantSet",
@@ -37,6 +37,9 @@ __all__ = [
     "is_pathological",
     "candidate_pathological_periods",
 ]
+
+# relative tolerance of the eigenvalue matching behind resonances
+_RESONANCE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,18 +94,24 @@ class PathologicalCandidate:
     needs_per_multiple_test: bool
 
 
-def kalman_controllable(A, B, tol: float = numkernel.RANK_RTOL) -> bool:
-    """Rank test: [B, AB, ..., A^{n-1}B] has full row rank n."""
+def kalman_controllable(A, B) -> bool:
+    """Rank test: [B, AB, ..., A^{n-1}B] has full row rank n.
+
+    Raises NumericalError when the powers overflow.
+    """
     A = numkernel.as_matrix(A, "A")
     B = numkernel.as_matrix(B, "B")
     n = A.shape[0]
     if A.shape[1] != n or B.shape[0] != n:
         raise ValueError(f"inconsistent shapes A {A.shape}, B {B.shape}")
     blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n - 1):
+            blocks.append(A @ blocks[-1])
     C = np.hstack(blocks)
-    return numkernel.null_space_dim(C.T, tol) == 0
+    if not np.all(np.isfinite(C)):
+        raise NumericalError("the controllability matrix [B, AB, ...] overflowed")
+    return numkernel.null_space_dim(C.T) == 0
 
 
 def _nearest_integer_distance(x: float) -> tuple[int, float]:
@@ -110,17 +119,19 @@ def _nearest_integer_distance(x: float) -> tuple[int, float]:
     return k, abs(x - k)
 
 
-def resonant_eigenvalues(A, T: float, tol: float = 1e-8) -> ResonantSet:
+def resonant_eigenvalues(A, T: float) -> ResonantSet:
     """Eigenvalues of A with an exponential collision at period T.
 
     A pair (mu, gamma) resonates when their real parts agree within
     tol*(1+|mu|) and T*Im(mu-gamma)/(2 pi) is within tol*(1+T) of a
-    nonzero integer. Distinct real eigenvalues never resonate: their
-    exponentials only coincide through the imaginary part.
+    nonzero integer, tol = 1e-8. Distinct real eigenvalues never
+    resonate: their exponentials only coincide through the imaginary
+    part.
     """
     T = float(T)
     if not (T > 0.0):
         raise ValueError(f"period must be positive, got {T}")
+    tol = _RESONANCE_RTOL
     eigs = numkernel.eigenvalues(A)
     entries = []
     for i, mu in enumerate(eigs):
@@ -153,7 +164,7 @@ def _real_doubling(M: np.ndarray) -> np.ndarray:
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
-def reduced_hautus_mri(plant: ContinuousPlant, T: float, tol: float = numkernel.RANK_RTOL) -> ControllabilityReport:
+def reduced_hautus_mri(plant: ContinuousPlant, T: float) -> ControllabilityReport:
     """Controllability of (A_d, [B_d B_i]) via kernel tests at resonant mu only.
 
     Requires a controllable continuous pair (raises
@@ -167,11 +178,10 @@ def reduced_hautus_mri(plant: ContinuousPlant, T: float, tol: float = numkernel.
     roundoff stays small.
     """
     _require_controllable(plant)
-    return _sampled_hautus_mri(plant, sample_plant(plant, T), tol)
+    return _sampled_hautus_mri(plant, sample_plant(plant, T))
 
 
-def _sampled_hautus_mri(plant: ContinuousPlant, model: SampledModel,
-                        tol: float = numkernel.RANK_RTOL) -> ControllabilityReport:
+def _sampled_hautus_mri(plant: ContinuousPlant, model: SampledModel) -> ControllabilityReport:
     """``reduced_hautus_mri`` on a model sampled from a plant already checked controllable."""
     T = model.T
     resonant = resonant_eigenvalues(plant.A, T)
@@ -191,9 +201,8 @@ def _sampled_hautus_mri(plant: ContinuousPlant, model: SampledModel,
                 plant.B.T,
             ]
         )
-        doubled = _real_doubling(stacked)
-        margin = min(margin, numkernel.smallest_singular_value(doubled))
-        kdim = numkernel.null_space_dim(doubled, tol)
+        s, kdim = numkernel._svd_kernel(_real_doubling(stacked))
+        margin = min(margin, float(s[-1]))
         if kdim > 0:
             failures.append((mu, kdim // 2))
     return ControllabilityReport(
@@ -217,14 +226,12 @@ def _sampled_pathological(plant: ContinuousPlant, model: SampledModel, mode: str
     return not kalman_controllable(model.A_d, np.hstack([model.B_d, model.B_i])[:, channels])
 
 
-def _ratio_is_rational(x: float, tol: float, max_den: int = 1000) -> bool:
-    f = Fraction(float(x)).limit_denominator(max_den)
-    return bool(abs(x - float(f)) <= tol * (1.0 + abs(x)))
+def _ratio_is_rational(x: float) -> bool:
+    f = Fraction(float(x)).limit_denominator(1000)
+    return bool(abs(x - float(f)) <= _RESONANCE_RTOL * (1.0 + abs(x)))
 
 
-def candidate_pathological_periods(
-    A, T_max: float, tol: float = 1e-8
-) -> list[PathologicalCandidate]:
+def candidate_pathological_periods(A, T_max: float) -> list[PathologicalCandidate]:
     """All sampling periods up to T_max at which a resonance can occur.
 
     Every eigenvalue pair a + i b1, a + i b2 with equal real parts and
@@ -233,11 +240,13 @@ def candidate_pathological_periods(
     imaginary parts have a rational ratio (including a zero member), the
     kernel test outcome can change from multiple to multiple, so each
     emitted period is flagged as requiring its own test; otherwise one
-    representative decides the whole family. Periods arising from
-    several pairs are deduplicated, keeping any flag.
+    representative decides the whole family. Eigenvalues match within
+    1e-8 relative to the spectrum's scale. Periods arising from several
+    pairs are deduplicated, keeping any flag.
     """
     if not (T_max > 0.0):
         raise ValueError(f"T_max must be positive, got {T_max}")
+    tol = _RESONANCE_RTOL
     eigs = numkernel.eigenvalues(A)
     scale = 1.0 + float(np.max(np.abs(eigs), initial=0.0))
 
@@ -258,7 +267,7 @@ def candidate_pathological_periods(
                 if abs(b1) <= tol * scale or abs(b2) <= tol * scale:
                     flag = True
                 else:
-                    flag = _ratio_is_rational(b2 / b1, tol)
+                    flag = _ratio_is_rational(b2 / b1)
             families.append((base, flag))
 
     candidates: list[PathologicalCandidate] = []

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkernel
+from .errors import NumericalError
 from .numkernel import as_matrix
 
 __all__ = [
@@ -137,11 +138,22 @@ def _check_period(T: float) -> float:
     return T
 
 
+def _require_finite(what: str, T: float, *blocks: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(M)) for M in blocks):
+        raise NumericalError(f"{what} overflowed at T = {T!r}")
+
+
 def sample_plant(plant: ContinuousPlant, T: float) -> SampledModel:
-    """Exact ZOH + impulse discretization of the plant at period T."""
+    """Exact ZOH + impulse discretization of the plant at period T.
+
+    Raises NumericalError when the exponentials overflow.
+    """
     T = _check_period(T)
-    A_d, Atilde, B_d = numkernel.expm_block_integrals(plant.A, plant.B, T)
-    return SampledModel(T=T, A_d=A_d, Atilde=Atilde, B_d=B_d, B_i=A_d @ plant.B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A_d, Atilde, B_d = numkernel.expm_block_integrals(plant.A, plant.B, T)
+        B_i = A_d @ plant.B
+    _require_finite("the sampled model", T, A_d, Atilde, B_d, B_i)
+    return SampledModel(T=T, A_d=A_d, Atilde=Atilde, B_d=B_d, B_i=B_i)
 
 
 def constant_input_gram(plant: ContinuousPlant, Q: np.ndarray, h: float) -> np.ndarray:
@@ -175,7 +187,8 @@ def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> Sam
 
     where L stacks the constant selectors of [e^{As}, int e B, e^{As} B].
     The quadratic input penalties contribute the additive block
-    diag(T Rc, Ri) to R_d.
+    diag(T Rc, Ri) to R_d. Raises NumericalError when the Gram integral
+    overflows.
     """
     T = _check_period(T)
     if weights.Q.shape[0] != plant.n:
@@ -183,15 +196,16 @@ def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> Sam
     if weights.Rc.shape[0] != plant.m:
         raise ValueError(f"Rc has shape {weights.Rc.shape}, expected ({plant.m}, {plant.m})")
     n, m = plant.n, plant.m
-    H = constant_input_gram(plant, weights.Q, T)
-
     # Columns of [e^{As}, int_0^s e^{At} dt B, e^{As} B] as images of e^{Es}.
     L = np.zeros((n + m, n + 2 * m))
     L[:n, :n] = np.eye(n)
     L[n:, n : n + m] = np.eye(m)
     L[:n, n + m :] = plant.B
-    G = L.T @ H @ L
-    G = 0.5 * (G + G.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = constant_input_gram(plant, weights.Q, T)
+        G = L.T @ H @ L
+        G = 0.5 * (G + G.T)
+    _require_finite("the equivalent cost", T, G)
 
     R_d = G[n:, n:].copy()
     R_d[:m, :m] += T * weights.Rc

@@ -14,16 +14,14 @@ from .errors import NumericalError
 
 __all__ = [
     "as_matrix",
-    "expm",
     "expm_block_integrals",
     "expm_gram_integral",
     "eigenvalues",
     "null_space_dim",
-    "smallest_singular_value",
 ]
 
-#: Default relative threshold separating numerically zero singular values
-#: from roundoff at double precision.
+#: Relative threshold separating numerically zero singular values from
+#: roundoff at double precision.
 RANK_RTOL = 1e-9
 
 
@@ -44,17 +42,6 @@ def _square(M, name: str = "matrix") -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
     return A
-
-
-def expm(M) -> np.ndarray:
-    """Matrix exponential e^M.
-
-    Backed by the scaling-and-squaring method with a high-order rational
-    (Pade) approximation, which is near machine precision for well-scaled
-    inputs.
-    """
-    A = _square(M)
-    return scipy.linalg.expm(A)
 
 
 def expm_block_integrals(A, B, T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,19 +106,20 @@ def expm_gram_integral(A, W, T: float) -> np.ndarray:
     return H
 
 
-def eigenvalues(M, pair_rtol: float = 1e-9) -> np.ndarray:
+def eigenvalues(M) -> np.ndarray:
     """Full spectrum of a real square matrix, conjugate-pair exact.
 
     The raw backward-stable eigensolver output is post-processed so that
     complex eigenvalues of a real matrix come in exact conjugate pairs
     (each pair is matched and averaged) and near-real eigenvalues are
-    made exactly real. Downstream resonance tests rely on the exact
-    symmetry. Returned sorted by (real part, imaginary part).
+    made exactly real, both within 1e-9 relative to the spectrum's
+    scale. Downstream resonance tests rely on the exact symmetry.
+    Returned sorted by (real part, imaginary part).
     """
     A = _square(M)
     raw = np.linalg.eigvals(A)
     scale = 1.0 + float(np.max(np.abs(raw), initial=0.0))
-    tol = pair_rtol * scale
+    tol = 1e-9 * scale
 
     reals: list[complex] = []
     upper: list[complex] = []
@@ -163,35 +151,22 @@ def eigenvalues(M, pair_rtol: float = 1e-9) -> np.ndarray:
     return out[order]
 
 
-def _singular_values(M) -> np.ndarray:
-    A = as_matrix(M)
-    return np.linalg.svd(A, compute_uv=False)
+def _svd_kernel(M) -> tuple[np.ndarray, int]:
+    """Singular values of M (descending) and the dimension of its numerical kernel.
 
-
-def null_space_dim(M, tol: float = RANK_RTOL) -> int:
-    """Dimension of the numerical kernel of a rectangular matrix.
-
-    Singular values below ``tol`` times the largest singular value count
-    as zero. An all-zero matrix has a full kernel.
+    Singular values at or below ``RANK_RTOL`` times the largest count as
+    zero. An all-zero matrix has a full kernel.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     A = as_matrix(M)
-    s = _singular_values(A)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return A.shape[1]
-    rank = int(np.count_nonzero(s > tol * smax))
-    return A.shape[1] - rank
+    s = np.linalg.svd(A, compute_uv=False)
+    if s[0] == 0.0:
+        return s, A.shape[1]
+    return s, A.shape[1] - int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
-def smallest_singular_value(M) -> float:
-    """Smallest singular value of M (0 when M has more columns than rows)."""
-    A = as_matrix(M)
-    if A.shape[0] < A.shape[1]:
-        return 0.0
-    s = _singular_values(A)
-    return float(s[-1])
+def null_space_dim(M) -> int:
+    """Dimension of the numerical kernel of a rectangular matrix; see ``_svd_kernel``."""
+    return _svd_kernel(M)[1]
 
 
 def spectral_radius(M) -> float:
@@ -199,28 +174,25 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(_square(M)))))
 
 
-def is_symmetric(M, atol: float = 1e-12) -> bool:
-    A = _square(M)
-    return bool(np.allclose(A, A.T, rtol=0.0, atol=atol * (1.0 + np.abs(A).max())))
-
-
-def check_psd(M, name: str = "matrix", atol: float = 1e-12) -> None:
-    """Raise ValueError unless M is symmetric positive semidefinite."""
+def _symmetric(M, name: str) -> np.ndarray:
+    """M as a square array, symmetrized; ValueError unless symmetric to 1e-12 relative."""
     A = _square(M, name)
-    if not is_symmetric(A):
+    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())):
         raise ValueError(f"{name} is not symmetric")
-    w = np.linalg.eigvalsh(0.5 * (A + A.T))
-    if w.size and w[0] < -atol:
+    return 0.5 * (A + A.T)
+
+
+def check_psd(M, name: str = "matrix") -> None:
+    """Raise ValueError unless M is symmetric positive semidefinite (to -1e-12)."""
+    w = np.linalg.eigvalsh(_symmetric(M, name))
+    if w.size and w[0] < -1e-12:
         raise ValueError(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
 
 
 def check_pd(M, name: str = "matrix") -> None:
     """Raise ValueError unless M is symmetric positive definite."""
-    A = _square(M, name)
-    if not is_symmetric(A):
-        raise ValueError(f"{name} is not symmetric")
     try:
-        np.linalg.cholesky(0.5 * (A + A.T))
+        np.linalg.cholesky(_symmetric(M, name))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"{name} is not positive definite") from exc
 

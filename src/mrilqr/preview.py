@@ -31,7 +31,6 @@ __all__ = [
     "feedforward_sequence",
     "gamma_and_cost",
     "preview_plan",
-    "multi_impulse_measure",
 ]
 
 
@@ -51,15 +50,15 @@ class PreviewPlan:
     Jstar: float
 
 
-def closed_loop_G(A_d, B_di, S_d, R_d, P, check_rtol: float = 1e-9) -> np.ndarray:
+def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
     """Optimal closed-loop matrix (I + B R^{-1} B' P)^{-1} (A_d - B R^{-1} S').
 
     By the matrix inversion lemma this equals A_d + B_di K with the
     stationary gain. Both forms are evaluated and must agree, which
-    guards against ill-conditioned solves; the agreement tolerance
-    widens with the conditioning of R_d because the literal form routes
-    through R_d^{-1} and cannot do better than eps * cond(R_d). The
-    better-conditioned gain form is returned.
+    guards against ill-conditioned solves. The agreement tolerance is
+    1e-9 relative, widened with the conditioning of R_d because the
+    literal form routes through R_d^{-1} and cannot do better than
+    eps * cond(R_d). The better-conditioned gain form is returned.
     """
     A_d = numkernel.as_matrix(A_d, "A_d")
     B = numkernel.as_matrix(B_di, "B_di")
@@ -77,7 +76,7 @@ def closed_loop_G(A_d, B_di, S_d, R_d, P, check_rtol: float = 1e-9) -> np.ndarra
     err = float(np.linalg.norm(G - G_literal, "fro"))
     # the literal route cannot beat eps * cond(I + B R^{-1} B' P); the
     # extra factor absorbs the error of forming that product entrywise
-    tol = max(check_rtol, 1e4 * np.finfo(float).eps * float(np.linalg.cond(M)))
+    tol = max(1e-9, 1e4 * np.finfo(float).eps * float(np.linalg.cond(M)))
     if err > tol * (1.0 + float(np.linalg.norm(G, "fro"))):
         raise NumericalError(
             f"closed-loop forms disagree by {err:.3e} (tolerance {tol:.3e})"
@@ -151,21 +150,3 @@ def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
     ff = feedforward_sequence(P, G, des.B_sel, des.R_sel, Btilde, N)
     Gamma, Jstar = gamma_and_cost(P, G, des.B_sel, des.R_sel, Btilde, N)
     return PreviewPlan(N=N, K=des.solution.K, feedforward=ff, G=G, Gamma=Gamma, Jstar=Jstar)
-
-
-def multi_impulse_measure(des: riccati.MriLqrDesign, Btilde, N: int) -> float:
-    """Aggregate measure for several simultaneous impulse channels.
-
-    Each column c_i of the n x r matrix Btilde is treated as its own
-    impulsive disturbance at instant N; the measure is the square root
-    of the sum of the per-column optimal costs. A single column reduces
-    to sqrt(Jstar).
-    """
-    Bt = numkernel.as_matrix(Btilde, "Btilde")
-    P = des.solution.P
-    G = closed_loop_G(des.model.A_d, des.B_sel, des.S_sel, des.R_sel, P)
-    total = 0.0
-    for i in range(Bt.shape[1]):
-        _, Jstar = gamma_and_cost(P, G, des.B_sel, des.R_sel, Bt[:, i], N)
-        total += Jstar
-    return float(np.sqrt(max(total, 0.0)))

@@ -31,7 +31,6 @@ __all__ = [
     "RiccatiSolution",
     "MriLqrDesign",
     "solve_dare",
-    "infinite_horizon_cost",
     "dare_residual",
     "design",
     "design_sampled",
@@ -102,7 +101,7 @@ def _psd_factor(M) -> np.ndarray:
     return np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T
 
 
-def _policy_polish(P, A_d, B, Q_d, S, R, max_rounds: int = 12):
+def _policy_polish(P, A_d, B, Q_d, S, R):
     """Policy-iteration refinement of a near-converged iterate.
 
     The doubling iterate stalls at a roundoff floor proportional to the
@@ -112,13 +111,13 @@ def _policy_polish(P, A_d, B, Q_d, S, R, max_rounds: int = 12):
     [[Q_d, S], [S', R]], so every evaluated P is positive semidefinite.
     Each round needs a stabilizing gain, so the polish stops (keeping
     the best iterate so far) when the closed loop is not contractive or
-    its Lyapunov sum overflows.
+    its Lyapunov sum overflows, and after at most 12 rounds.
     """
     n = A_d.shape[0]
     J = _psd_factor(np.block([[Q_d, S], [S.T, R]]))
     best_P = P
     best_res = dare_residual(P, A_d, B, Q_d, S, R)
-    for _ in range(max_rounds):
+    for _ in range(12):
         K = _gain(best_P, A_d, B, S, R)
         A_cl = A_d + B @ K
         if numkernel.spectral_radius(A_cl) >= 1.0 - 1e-12:
@@ -237,12 +236,6 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
         converged=converged,
         qhat_kernel_dim=qhat_kernel_dim,
     )
-
-
-def infinite_horizon_cost(sol: RiccatiSolution, x0) -> float:
-    """Optimal cost-to-go x0' P x0 from the initial state x0."""
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    return float(x @ sol.P @ x)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import numkernel
 from .discretize import MODES, ContinuousPlant, CostWeights, constant_input_gram, cost_matrices, input_channels
@@ -30,8 +31,6 @@ __all__ = [
     "Trajectory",
     "simulate_closed_loop",
     "simulate_inputs",
-    "continuous_cost",
-    "cost_equivalence_check",
     "impulse_hold_matrix",
     "certified_horizon",
 ]
@@ -85,20 +84,14 @@ class DisturbanceSpec:
 class Trajectory:
     """Sampled and dense closed-loop response with both cost tallies.
 
+    steps is the number K of simulated sampling intervals, and
     sample_states holds x_0..x_K in the convention used by the input
     law: at the disturbance step the stored state is the post-jump one.
     Dense rows duplicate the time stamp at jumps (pre and post state)
     and flag rows at which an impulse acted on the state.
     """
 
-    plant: ContinuousPlant
-    T: float
     steps: int
-    substeps: int
-    impulse_mode: str
-    epsilon: float | None
-    x0: np.ndarray
-    disturbance: DisturbanceSpec | None
     sample_states: np.ndarray
     u_c: np.ndarray
     u_i: np.ndarray
@@ -251,14 +244,7 @@ def _run(
     sample_states.append(x)
 
     return Trajectory(
-        plant=plant,
-        T=T,
         steps=steps,
-        substeps=substeps,
-        impulse_mode=impulse_mode,
-        epsilon=epsilon,
-        x0=np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1),
-        disturbance=disturbance,
         sample_states=np.array(sample_states),
         u_c=np.array(ucs),
         u_i=np.array(uis),
@@ -340,47 +326,6 @@ def simulate_inputs(
     return _run(plant, weights, T, fn, x0, u_c_seq.shape[0], substeps, impulse_mode, epsilon, disturbance)
 
 
-def continuous_cost(traj: Trajectory, weights: CostWeights) -> float:
-    """Exact continuous cost of a recorded trajectory under given weights.
-
-    Re-propagates the stored inputs through per-segment Gram integrals,
-    so the result is exact for the recorded input sequence even when the
-    weights differ from the ones the trajectory was generated with.
-    """
-    redo = simulate_inputs(
-        traj.plant,
-        weights,
-        traj.T,
-        traj.u_c,
-        traj.u_i,
-        x0=traj.x0,
-        substeps=traj.substeps,
-        disturbance=traj.disturbance,
-        impulse_mode=traj.impulse_mode,
-        epsilon=traj.epsilon,
-    )
-    return redo.J_cont
-
-
-def cost_equivalence_check(
-    plant: ContinuousPlant,
-    weights: CostWeights,
-    T: float,
-    u_c_seq,
-    u_i_seq,
-    x0,
-    substeps: int = 32,
-) -> tuple[float, float, float]:
-    """Continuous vs discrete-equivalent cost over one truncated horizon.
-
-    Both tallies cover exactly the simulated steps; the relative gap is
-    |J_cont - J_disc| / max(|J_disc|, 1e-12).
-    """
-    traj = simulate_inputs(plant, weights, T, u_c_seq, u_i_seq, x0=x0, substeps=substeps)
-    gap = abs(traj.J_cont - traj.J_disc) / max(abs(traj.J_disc), 1e-12)
-    return traj.J_cont, traj.J_disc, gap
-
-
 def impulse_hold_matrix(plant: ContinuousPlant, T: float, epsilon: float) -> np.ndarray:
     """Sampled input map of the constant-hold impulse approximation.
 
@@ -395,7 +340,7 @@ def impulse_hold_matrix(plant: ContinuousPlant, T: float, epsilon: float) -> np.
         raise ValueError(f"period must be positive, got {T}")
     alpha = epsilon * T
     _, Atilde_a, _ = numkernel.expm_block_integrals(plant.A, plant.B, alpha)
-    return numkernel.expm(plant.A * (T - alpha)) @ Atilde_a @ plant.B / alpha
+    return scipy.linalg.expm(plant.A * (T - alpha)) @ Atilde_a @ plant.B / alpha
 
 
 def certified_horizon(A_cl, cost_scale: float, tol: float = 1e-10, cap: int = 100_000) -> int:

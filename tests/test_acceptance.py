@@ -26,7 +26,6 @@ from mrilqr import (
     InputPolicy,
     certified_horizon,
     design,
-    infinite_horizon_cost,
     impulse_hold_matrix,
     is_pathological,
     preview_plan,
@@ -155,7 +154,7 @@ def test_c06_cost_equivalence_randomized():
             d = design(plant, w, T, "mri")
             A_cl = d.model.A_d + d.B_sel @ d.solution.K
             x0 = rng.normal(size=n)
-            scale = max(infinite_horizon_cost(d.solution, x0), 1.0)
+            scale = max(float(x0 @ d.solution.P @ x0), 1.0)
             steps = certified_horizon(A_cl, scale, tol=1e-10)
             policy = InputPolicy(K=d.solution.K, mode="mri")
             traj = simulate_closed_loop(plant, w, T, policy, steps=steps, substeps=4, x0=x0)
@@ -321,7 +320,7 @@ def test_c13_mode_dominance():
                     for mode in ("regular", "impulsive", "mri")}
             x0s = [plant.Btilde[:, 0]] + [rng.normal(size=plant.n) for _ in range(5)]
             for x0 in x0s:
-                j = {mode: infinite_horizon_cost(sols[mode], x0) for mode in sols}
+                j = {mode: x0 @ sols[mode].P @ x0 for mode in sols}
                 assert j["mri"] <= j["regular"] + 1e-9
                 assert j["mri"] <= j["impulsive"] + 1e-9
 

@@ -105,6 +105,21 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["discretize", "--T", "800"],
+        ["discretize", "--T", "1500"],
+        ["lqr", "--T", "1500"],
+        ["preview", "--T", "1500"],
+        ["controllability", "--T-max", "1500"],
+    ], ids=" ".join)
+    def test_overflow_on_unstable_plant_exits_two_without_output(self, argv, tmp_path, capsys):
+        # e^(AT) of souza (Re(lambda) = 1/2) passes the double range near T = 1420,
+        # its Gram integral near T = 710
+        out = tmp_path / "o.csv"
+        assert cli.main([argv[0], "--scenario", "souza", *argv[1:], "--out", str(out)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_uncontrollable_scenario_is_input_error(self, tmp_path, capsys):
         doc = {
             "name": "uncontrollable", "A": [[1.0, 0.0], [0.0, 2.0]],

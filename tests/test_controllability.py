@@ -5,6 +5,7 @@ import pytest
 
 from mrilqr import (
     ContinuousPlant,
+    NumericalError,
     UncontrollablePlantError,
     candidate_pathological_periods,
     is_pathological,
@@ -25,6 +26,10 @@ class TestKalman:
 
     def test_zero_input_matrix(self):
         assert not kalman_controllable(np.eye(2), np.zeros((2, 1)))
+
+    def test_overflowing_powers_are_a_numerical_error(self):
+        with pytest.raises(NumericalError):
+            kalman_controllable(np.diag([1e200, 1.0]), [[1e200], [1.0]])
 
     def test_rotation_sampled_pair_at_full_turn(self, rotation_plant):
         m = sample_plant(rotation_plant, 2.0 * np.pi)

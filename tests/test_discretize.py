@@ -6,6 +6,7 @@ import pytest
 from mrilqr import (
     ContinuousPlant,
     CostWeights,
+    NumericalError,
     cost_matrices,
     restrict_input_mode,
     sample_plant,
@@ -83,6 +84,14 @@ class TestSamplePlant:
             sample_plant(souza_plant, 0.0)
         with pytest.raises(ValueError):
             sample_plant(souza_plant, 1e-13)
+
+    def test_overflow_is_a_numerical_error(self, souza_plant, souza_weights):
+        # the Gram integral grows like e^(2 Re(lambda) T), the model like e^(Re(lambda) T)
+        sample_plant(souza_plant, 800.0)
+        with pytest.raises(NumericalError, match="equivalent cost"):
+            cost_matrices(souza_plant, souza_weights, 800.0)
+        with pytest.raises(NumericalError, match="sampled model"):
+            sample_plant(souza_plant, 1500.0)
 
 
 class TestCostMatrices:

@@ -11,7 +11,6 @@ from mrilqr import (
     design,
     feedforward_sequence,
     gamma_and_cost,
-    multi_impulse_measure,
     preview_plan,
     simulate_closed_loop,
 )
@@ -179,31 +178,3 @@ class TestAdjointChain:
         for k in range(N):
             assert relerr(qs[k], G.T @ qs[k + 1]) < 1e-9
 
-
-class TestMultiImpulse:
-    def test_single_column_is_sqrt_of_cost(self, souza_plant, souza_weights):
-        bt = np.array([1.0, 1.0])
-        d = design(souza_plant, souza_weights, 1.0, "mri")
-        plan = preview_plan(d, bt, 2)
-        got = multi_impulse_measure(d, bt.reshape(2, 1), 2)
-        assert abs(got - np.sqrt(plan.Jstar)) < 1e-10
-
-    def test_zero_column_contributes_nothing(self, souza_plant, souza_weights):
-        b = np.array([[1.0, 0.0], [1.0, 0.0]])
-        d = design(souza_plant, souza_weights, 1.0, "mri")
-        got = multi_impulse_measure(d, b, 2)
-        single = multi_impulse_measure(d, b[:, :1], 2)
-        assert abs(got - single) < 1e-12
-
-    def test_identity_columns_sum_and_match_simulation(self, souza_plant, souza_weights):
-        T, N = 1.0, 2
-        d, P, G = mri_design(souza_plant, souza_weights, T)
-        total = 0.0
-        for i in range(2):
-            e_i = np.eye(2)[:, i]
-            plan = preview_plan(d, e_i, N)
-            _, J_disc, tail = simulate_preview(souza_plant, souza_weights, T, e_i, N, plan, P, G)
-            assert abs(J_disc - plan.Jstar) <= 1e-8 * max(plan.Jstar, 1e-12)
-            total += plan.Jstar
-        got = multi_impulse_measure(d, np.eye(2), N)
-        assert abs(got - np.sqrt(total)) < 1e-10

@@ -11,7 +11,6 @@ from mrilqr import (
     cost_matrices,
     dare_residual,
     design,
-    infinite_horizon_cost,
     restrict_input_mode,
     sample_plant,
     solve_dare,
@@ -163,15 +162,16 @@ class TestGainsAndCost:
 
     def test_infinite_horizon_cost_values(self):
         sol = solve_dare(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2))
-        assert infinite_horizon_cost(sol, [0.0, 0.0]) == 0.0
-        assert abs(infinite_horizon_cost(sol, [1.0, 0.0]) - 1.0) < 1e-12
+        # A = 0 makes P = Q = I, so the cost-to-go x0' P x0 is |x0|^2
+        x0 = np.array([1.0, 0.0])
+        assert abs(float(x0 @ sol.P @ x0) - 1.0) < 1e-12
 
     def test_cost_equals_lyapunov_evaluation(self, souza_plant, souza_weights):
         d = design(souza_plant, souza_weights, 0.7, "mri")
         X = closed_loop_cost_matrix(d.model.A_d, d.B_sel, d.cost.Q_d, d.S_sel, d.R_sel,
                                     d.solution.K)
         x0 = np.array([1.0, 1.0])
-        assert abs(infinite_horizon_cost(d.solution, x0) - x0 @ X @ x0) < 1e-8 * (1 + x0 @ X @ x0)
+        assert abs(x0 @ d.solution.P @ x0 - x0 @ X @ x0) < 1e-8 * (1 + x0 @ X @ x0)
 
 
 class TestSolutionQuality:
@@ -202,6 +202,6 @@ class TestSolutionQuality:
                 costs[mode] = sol
             for _ in range(10):
                 x0 = rng.normal(size=2)
-                j = {m: infinite_horizon_cost(costs[m], x0) for m in costs}
+                j = {m: x0 @ costs[m].P @ x0 for m in costs}
                 assert j["mri"] <= j["regular"] + 1e-9
                 assert j["mri"] <= j["impulsive"] + 1e-9

@@ -12,11 +12,8 @@ from mrilqr import (
     InputPolicy,
     SimulationDivergence,
     certified_horizon,
-    continuous_cost,
     design,
     impulse_hold_matrix,
-    infinite_horizon_cost,
-    cost_equivalence_check,
     sample_plant,
     simulate_closed_loop,
     simulate_inputs,
@@ -93,7 +90,7 @@ class TestCostAccumulation:
         x0 = np.array([1.0, 1.0])
         traj = simulate_closed_loop(souza_plant, souza_weights, 1.0, policy,
                                     steps=200, substeps=64, x0=x0)
-        expected = infinite_horizon_cost(d.solution, x0)
+        expected = float(x0 @ d.solution.P @ x0)
         xK = traj.sample_states[-1]
         assert float(xK @ d.solution.P @ xK) < 1e-10
         assert abs(traj.J_disc - expected) <= 1e-8 * expected
@@ -107,16 +104,18 @@ class TestCostAccumulation:
         u_i = np.zeros((K, 1))
         traj = simulate_inputs(plant, w, 0.6, u_c, u_i, substeps=4)
         assert abs(traj.J_cont - K * 0.6) < 1e-12
-        assert abs(continuous_cost(traj, w) - K * 0.6) < 1e-12
 
     def test_continuous_cost_recomputes_under_new_weights(self, souza_plant, souza_weights):
         rng = np.random.default_rng(62)
         u_c = rng.normal(size=(6, 1))
         u_i = rng.normal(size=(6, 1))
         traj = simulate_inputs(souza_plant, souza_weights, 0.8, u_c, u_i, x0=[0.2, -0.1])
-        assert abs(continuous_cost(traj, souza_weights) - traj.J_cont) < 1e-12 * (1 + abs(traj.J_cont))
+        again = simulate_inputs(souza_plant, souza_weights, 0.8, traj.u_c, traj.u_i, x0=[0.2, -0.1])
+        assert abs(again.J_cont - traj.J_cont) < 1e-12 * (1 + abs(traj.J_cont))
         heavier = CostWeights(souza_weights.Q, [[5.0]], [[2.0]])
-        assert continuous_cost(traj, heavier) > traj.J_cont
+        reweighted = simulate_inputs(souza_plant, heavier, 0.8, traj.u_c, traj.u_i, x0=[0.2, -0.1])
+        assert np.array_equal(reweighted.sample_states, traj.sample_states)
+        assert reweighted.J_cont > traj.J_cont
 
     def test_free_response_cost_against_quadrature(self):
         rng = np.random.default_rng(63)
@@ -127,8 +126,9 @@ class TestCostAccumulation:
         K = 40
         T = 0.5
         zeros = np.zeros((K, 1))
-        J_cont, J_disc, gap = cost_equivalence_check(plant, w, T, zeros, zeros, x0, substeps=8)
-        assert gap <= 1e-8
+        traj = simulate_inputs(plant, w, T, zeros, zeros, x0=x0, substeps=8)
+        J_cont = traj.J_cont
+        assert abs(J_cont - traj.J_disc) <= 1e-8 * max(abs(traj.J_disc), 1e-12)
 
         def integrand(t):
             x = scipy.linalg.expm(plant.A * t) @ x0
@@ -144,17 +144,16 @@ class TestCostAccumulation:
 class TestCostEquivalence:
     def test_zero_inputs_zero_state(self, souza_plant, souza_weights):
         zeros = np.zeros((5, 1))
-        J_cont, J_disc, gap = cost_equivalence_check(souza_plant, souza_weights, 1.0,
-                                           zeros, zeros, np.zeros(2))
-        assert J_cont == 0.0 and J_disc == 0.0 and gap == 0.0
+        traj = simulate_inputs(souza_plant, souza_weights, 1.0, zeros, zeros, x0=np.zeros(2))
+        assert traj.J_cont == 0.0 and traj.J_disc == 0.0
 
     def test_random_inputs_on_souza(self, souza_plant, souza_weights):
         rng = np.random.default_rng(64)
         u_c = rng.normal(size=(50, 1))
         u_i = rng.normal(size=(50, 1))
-        J_cont, J_disc, gap = cost_equivalence_check(souza_plant, souza_weights, 0.7,
-                                           u_c, u_i, rng.normal(size=2), substeps=8)
-        assert gap <= 1e-6
+        traj = simulate_inputs(souza_plant, souza_weights, 0.7, u_c, u_i,
+                               x0=rng.normal(size=2), substeps=8)
+        assert abs(traj.J_cont - traj.J_disc) <= 1e-6 * max(abs(traj.J_disc), 1e-12)
 
     def test_fifty_randomized_instances_with_certified_tails(self):
         rng = np.random.default_rng(65)
@@ -168,7 +167,7 @@ class TestCostEquivalence:
             d = design(plant, w, T, "mri")
             A_cl = d.model.A_d + d.B_sel @ d.solution.K
             x0 = rng.normal(size=n)
-            scale = max(infinite_horizon_cost(d.solution, x0), 1.0)
+            scale = max(float(x0 @ d.solution.P @ x0), 1.0)
             K = certified_horizon(A_cl, scale, tol=1e-10)
             policy = InputPolicy(K=d.solution.K, mode="mri")
             traj = simulate_closed_loop(plant, w, T, policy, steps=K, substeps=4, x0=x0)
