@@ -11,7 +11,6 @@ result against the cost it claims.
 from .controllability import (
     ControllabilityReport,
     PathologicalCandidate,
-    ResonantSet,
     candidate_pathological_periods,
     is_pathological,
     kalman_controllable,

@@ -302,7 +302,8 @@ class _Sink:
 # subcommands
 
 
-def cmd_discretize(scenario: ScenarioConfig, T: float, sink: _Sink) -> None:
+def cmd_discretize(scenario: ScenarioConfig, args, sink: _Sink) -> None:
+    T = args.T
     plant = scenario.plant()
     weights = scenario.weights()
     model = sample_plant(plant, T)
@@ -316,11 +317,11 @@ def cmd_discretize(scenario: ScenarioConfig, T: float, sink: _Sink) -> None:
         sink.matrix(name, M)
 
 
-def cmd_controllability(scenario: ScenarioConfig, T_max: float, sink: _Sink) -> None:
+def cmd_controllability(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     plant = scenario.plant()
     sink.scalar("scenario", scenario.name)
-    sink.scalar("T_max", T_max)
-    candidates = candidate_pathological_periods(plant.A, T_max)
+    sink.scalar("T_max", args.T_max)
+    candidates = candidate_pathological_periods(plant.A, args.T_max)
     _require_controllable(plant)
     rows = []
     for c in candidates:
@@ -356,7 +357,8 @@ def _emit_gain(sink: _Sink, K: np.ndarray, mode: str, m: int) -> None:
     sink.matrix("K_i", K[input_channels("impulsive", m)])
 
 
-def cmd_lqr(scenario: ScenarioConfig, T: float, mode: str, sink: _Sink) -> None:
+def cmd_lqr(scenario: ScenarioConfig, args, sink: _Sink) -> None:
+    T, mode = args.T, args.mode
     if mode == "open_loop":
         raise ValueError("the lqr command needs a feedback mode (regular, impulsive, mri)")
     plant = scenario.plant()
@@ -375,7 +377,8 @@ def cmd_lqr(scenario: ScenarioConfig, T: float, mode: str, sink: _Sink) -> None:
     _emit_gain(sink, sol.K, mode, plant.m)
 
 
-def cmd_preview(scenario: ScenarioConfig, T: float, N: int, sink: _Sink) -> None:
+def cmd_preview(scenario: ScenarioConfig, args, sink: _Sink) -> None:
+    T, N = args.T, args.N
     plant = scenario.plant()
     bt = scenario.disturbance_column()
     des = riccati.design(plant, scenario.weights(), T, "mri")
@@ -418,7 +421,10 @@ def _sweep_cell(model, cost, mode, N_list, b) -> list[tuple[float, bool, int]]:
             for N in N_list]
 
 
-def cmd_sweep(scenario: ScenarioConfig, T_grid, modes, N_list, sink: _Sink) -> None:
+def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
+    T_grid = _parse_grid(args.T_grid)
+    modes = ("regular", "impulsive", "mri") if args.mode == "all" else (args.mode,)
+    N_list = [int(p) for p in args.N.split(",") if p != ""]
     plant = scenario.plant()
     weights = scenario.weights()
     bt = scenario.disturbance_column()
@@ -437,11 +443,7 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     plant = scenario.plant()
     weights = scenario.weights()
     direction = scenario.disturbance_column() * scenario.disturbance_scale
-    T = args.T if args.T is not None else scenario.T
-    N = args.N if args.N is not None else scenario.N
-    mode = args.mode if args.mode is not None else scenario.mode
-    substeps = args.substeps if args.substeps is not None else scenario.substeps
-    epsilon = args.eps if args.eps is not None else scenario.epsilon
+    T, N, mode = args.T, args.N, args.mode
     saturate = scenario.saturate_nonnegative or bool(args.saturate)
 
     m = plant.m
@@ -461,19 +463,14 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
         A_cl = des.model.A_d + des.B_sel @ des.solution.K
 
     disturbance = simulate.DisturbanceSpec(impulse_step=N, direction=direction)
-    if args.steps is not None:
-        steps = args.steps
-    elif scenario.horizon_steps is not None:
-        steps = scenario.horizon_steps
-    else:
+    steps = args.steps
+    if steps is None:
         steps = 50 if A_cl is None else max(simulate.certified_horizon(
             A_cl, float(direction @ direction), cap=2000), N + 10)
 
     traj = simulate.simulate_closed_loop(
         plant, weights, T, policy,
-        disturbance=disturbance, steps=steps, substeps=substeps,
-        impulse_mode="approx" if epsilon is not None else "exact",
-        epsilon=epsilon,
+        disturbance=disturbance, steps=steps, substeps=args.substeps, epsilon=args.eps,
     )
 
     out_row = scenario.output_row[0] if scenario.output_row is not None else None
@@ -523,44 +520,37 @@ def _parse_grid(text: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p != ""]
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="mrilqr", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_T=True):
+    def command(name, run, help, with_T=True):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--scenario", required=True, help="scenario JSON path or bundled name")
         if with_T:
             sp.add_argument("--T", type=float, default=None, help="sampling period override")
         sp.add_argument("--out", default=None, help="output file (default: console)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        return sp
 
-    sp = sub.add_parser("discretize", help="sampled model and equivalent cost matrices")
-    common(sp)
+    command("discretize", cmd_discretize, "sampled model and equivalent cost matrices")
 
-    sp = sub.add_parser("controllability", help="pathological-period report")
-    common(sp, with_T=False)
+    sp = command("controllability", cmd_controllability, "pathological-period report", with_T=False)
     sp.add_argument("--T-max", type=float, default=10.0, dest="T_max")
 
-    sp = sub.add_parser("lqr", help="infinite-horizon gain synthesis")
-    common(sp)
+    sp = command("lqr", cmd_lqr, "infinite-horizon gain synthesis")
     sp.add_argument("--mode", choices=("regular", "impulsive", "mri"), default=None)
 
-    sp = sub.add_parser("preview", help="preview feedforward synthesis")
-    common(sp)
+    sp = command("preview", cmd_preview, "preview feedforward synthesis")
     sp.add_argument("--N", type=int, default=None, help="preview horizon override")
 
-    sp = sub.add_parser("sweep", help="cost sweep over sampling periods")
-    common(sp, with_T=False)
+    sp = command("sweep", cmd_sweep, "cost sweep over sampling periods", with_T=False)
     sp.add_argument("--T-grid", required=True, dest="T_grid", help="start:step:stop")
     sp.add_argument("--mode", choices=("regular", "impulsive", "mri", "all"), default="mri")
     sp.add_argument("--N", default="0", help="comma-separated preview horizons")
 
-    sp = sub.add_parser("simulate", help="closed-loop trajectory CSV")
-    common(sp)
+    sp = command("simulate", cmd_simulate, "closed-loop trajectory CSV")
     sp.add_argument("--mode", choices=SIMULATE_MODES, default=None)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--eps", type=float, default=None, help="impulse hold fraction (approx mode)")
@@ -570,28 +560,23 @@ def _build_parser() -> _Parser:
     return p
 
 
+# (flag, ScenarioConfig field): a flag a command has but was not given
+# takes the scenario's value
+_SCENARIO_DEFAULTS = (
+    ("T", "T"), ("N", "N"), ("mode", "mode"), ("eps", "epsilon"),
+    ("steps", "horizon_steps"), ("substeps", "substeps"),
+)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
+        for flag, field in _SCENARIO_DEFAULTS:
+            if hasattr(args, flag) and getattr(args, flag) is None:
+                setattr(args, flag, getattr(scenario, field))
         sink = _Sink()
-        if args.command == "discretize":
-            cmd_discretize(scenario, args.T if args.T is not None else scenario.T, sink)
-        elif args.command == "controllability":
-            cmd_controllability(scenario, args.T_max, sink)
-        elif args.command == "lqr":
-            mode = args.mode if args.mode is not None else scenario.mode
-            cmd_lqr(scenario, args.T if args.T is not None else scenario.T, mode, sink)
-        elif args.command == "preview":
-            cmd_preview(scenario, args.T if args.T is not None else scenario.T,
-                        args.N if args.N is not None else scenario.N, sink)
-        elif args.command == "sweep":
-            grid = _parse_grid(args.T_grid)
-            modes = ("regular", "impulsive", "mri") if args.mode == "all" else (args.mode,)
-            cmd_sweep(scenario, grid, modes, _parse_int_list(args.N), sink)
-        elif args.command == "simulate":
-            cmd_simulate(scenario, args, sink)
+        args.run(scenario, args, sink)
         sink.emit(args.out, args.format)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -28,7 +28,6 @@ from .discretize import ContinuousPlant, SampledModel, input_channels, sample_pl
 from .errors import NumericalError, UncontrollablePlantError
 
 __all__ = [
-    "ResonantSet",
     "ControllabilityReport",
     "PathologicalCandidate",
     "kalman_controllable",
@@ -43,37 +42,18 @@ _RESONANCE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ResonantSet:
-    """Eigenvalues of A whose exponentials collide at the given period.
-
-    entries holds (mu, partners) pairs: each partner gamma satisfies
-    Re(gamma) = Re(mu) and T * Im(mu - gamma) = 2 pi l for a nonzero
-    integer l, within matching tolerance.
-    """
-
-    T: float
-    entries: tuple[tuple[complex, tuple[complex, ...]], ...]
-
-    def values(self) -> tuple[complex, ...]:
-        return tuple(mu for mu, _ in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class ControllabilityReport:
-    """Outcome of the reduced kernel test for one (plant, T, mode).
+    """Outcome of the reduced kernel test for one (plant, T) in mri mode.
 
+    resonant holds the tested eigenvalues (see ``resonant_eigenvalues``);
     failures lists (mu, complex kernel dimension) for every tested
     eigenvalue whose stacked matrix had a nontrivial kernel; margin is
-    the smallest singular value seen across all tests (inf when the
-    resonant set was empty and no test was needed).
+    the smallest singular value seen across all tests (inf when no
+    eigenvalue resonated and no test was needed).
     """
 
-    mode: str
     controllable: bool
-    resonant_set: ResonantSet
+    resonant: tuple[complex, ...]
     failures: tuple[tuple[complex, int], ...]
     margin: float
 
@@ -114,42 +94,33 @@ def kalman_controllable(A, B) -> bool:
     return numkernel.null_space_dim(C.T) == 0
 
 
-def _nearest_integer_distance(x: float) -> tuple[int, float]:
-    k = int(np.rint(x))
-    return k, abs(x - k)
-
-
-def resonant_eigenvalues(A, T: float) -> ResonantSet:
+def resonant_eigenvalues(A, T: float) -> tuple[complex, ...]:
     """Eigenvalues of A with an exponential collision at period T.
 
-    A pair (mu, gamma) resonates when their real parts agree within
-    tol*(1+|mu|) and T*Im(mu-gamma)/(2 pi) is within tol*(1+T) of a
-    nonzero integer, tol = 1e-8. Distinct real eigenvalues never
-    resonate: their exponentials only coincide through the imaginary
-    part.
+    mu resonates when some other eigenvalue gamma has a real part
+    within tol*(1+|mu|) of mu's and T*Im(mu-gamma)/(2 pi) within
+    tol*(1+T) of a nonzero integer, tol = 1e-8. Distinct real
+    eigenvalues never resonate: their exponentials only coincide
+    through the imaginary part. Returned in the order of
+    ``numkernel.eigenvalues``.
     """
     T = float(T)
     if not (T > 0.0):
         raise ValueError(f"period must be positive, got {T}")
     tol = _RESONANCE_RTOL
     eigs = numkernel.eigenvalues(A)
-    entries = []
-    for i, mu in enumerate(eigs):
-        partners = []
-        for j, gamma in enumerate(eigs):
-            if i == j:
-                continue
-            if abs(mu.real - gamma.real) > tol * (1.0 + abs(mu)):
-                continue
+    out = []
+    for mu in eigs:
+        for gamma in eigs:
             gap = mu.imag - gamma.imag
-            if gap == 0.0:
+            if gap == 0.0 or abs(mu.real - gamma.real) > tol * (1.0 + abs(mu)):
                 continue
-            ell, dist = _nearest_integer_distance(T * gap / (2.0 * np.pi))
-            if ell != 0 and dist <= tol * (1.0 + T):
-                partners.append(complex(gamma))
-        if partners:
-            entries.append((complex(mu), tuple(partners)))
-    return ResonantSet(T=T, entries=tuple(entries))
+            x = T * gap / (2.0 * np.pi)
+            ell = int(np.rint(x))
+            if ell != 0 and abs(x - ell) <= tol * (1.0 + T):
+                out.append(complex(mu))
+                break
+    return tuple(out)
 
 
 def _require_controllable(plant: ContinuousPlant) -> None:
@@ -186,13 +157,12 @@ def _sampled_hautus_mri(plant: ContinuousPlant, model: SampledModel) -> Controll
     T = model.T
     resonant = resonant_eigenvalues(plant.A, T)
 
-    AtB = model.Atilde @ plant.B
     A_d_norm = float(np.linalg.norm(model.A_d, 2))
-    AtB_block = AtB.T / max(1.0, float(np.linalg.norm(AtB, 2)))
+    AtB_block = model.B_d.T / max(1.0, float(np.linalg.norm(model.B_d, 2)))
     failures = []
     margin = np.inf
     n = plant.n
-    for mu in resonant.values():
+    for mu in resonant:
         shift = np.exp(mu * T)
         stacked = np.vstack(
             [
@@ -206,9 +176,8 @@ def _sampled_hautus_mri(plant: ContinuousPlant, model: SampledModel) -> Controll
         if kdim > 0:
             failures.append((mu, kdim // 2))
     return ControllabilityReport(
-        mode="mri",
         controllable=not failures,
-        resonant_set=resonant,
+        resonant=resonant,
         failures=tuple(failures),
         margin=float(margin),
     )

@@ -109,46 +109,19 @@ def expm_gram_integral(A, W, T: float) -> np.ndarray:
 def eigenvalues(M) -> np.ndarray:
     """Full spectrum of a real square matrix, conjugate-pair exact.
 
-    The raw backward-stable eigensolver output is post-processed so that
-    complex eigenvalues of a real matrix come in exact conjugate pairs
-    (each pair is matched and averaged) and near-real eigenvalues are
-    made exactly real, both within 1e-9 relative to the spectrum's
-    scale. Downstream resonance tests rely on the exact symmetry.
-    Returned sorted by (real part, imaginary part).
+    LAPACK's real eigensolver (dgeev) returns the complex eigenvalues of
+    a real matrix as exact conjugate pairs, both taken from one 2x2
+    block of the real Schur form, so no pairing is done here. Near-real
+    eigenvalues, with an imaginary part within 1e-9 relative to the
+    spectrum's scale, are made exactly real (imaginary part +0.0).
+    Downstream resonance tests rely on the exact symmetry. Returned
+    sorted by (real part, imaginary part).
     """
-    A = _square(M)
-    raw = np.linalg.eigvals(A)
-    scale = 1.0 + float(np.max(np.abs(raw), initial=0.0))
-    tol = 1e-9 * scale
-
-    reals: list[complex] = []
-    upper: list[complex] = []
-    lower: list[complex] = []
-    for z in raw:
-        if abs(z.imag) <= tol:
-            reals.append(complex(z.real, 0.0))
-        elif z.imag > 0:
-            upper.append(complex(z))
-        else:
-            lower.append(complex(z))
-
-    paired: list[complex] = []
-    lower_left = list(lower)
-    for u in upper:
-        if lower_left:
-            j = min(range(len(lower_left)), key=lambda i: abs(u - lower_left[i].conjugate()))
-            w = lower_left.pop(j)
-            avg = 0.5 * (u + w.conjugate())
-            paired.extend([avg, avg.conjugate()])
-        else:
-            # Unmatched complex value: keep as computed (cannot happen for
-            # real input matrices with a backward-stable solver).
-            paired.append(u)
-    paired.extend(lower_left)
-
-    out = np.array(reals + paired, dtype=complex)
-    order = np.lexsort((out.imag, out.real))
-    return out[order]
+    # numpy returns a real array when every eigenvalue is real
+    out = np.linalg.eigvals(_square(M)).astype(complex)
+    scale = 1.0 + float(np.max(np.abs(out), initial=0.0))
+    out.imag[np.abs(out.imag) <= 1e-9 * scale] = 0.0
+    return out[np.lexsort((out.imag, out.real))]
 
 
 def _svd_kernel(M) -> tuple[np.ndarray, int]:

@@ -132,11 +132,19 @@ def _policy_polish(P, A_d, B, Q_d, S, R):
     return best_P, best_res
 
 
+def _solve(M, rhs) -> np.ndarray:
+    """``np.linalg.solve`` with a singular M reported as a NumericalError."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular system in the Riccati doubling: {exc}") from exc
+
+
 def _doubling_step(A, G, H):
     """(A_k, G_k, H_k) -> (A_{k+1}, G_{k+1}, H_{k+1}); see ``solve_dare``."""
     n = A.shape[0]
     H_half = _psd_factor(H)
-    WinvAG = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
+    WinvAG = _solve(np.eye(n) + G @ H, np.hstack([A, G]))
     try:
         L = np.linalg.cholesky(np.eye(n) + H_half @ G @ H_half.T)
     except np.linalg.LinAlgError as exc:
@@ -151,7 +159,7 @@ def _value_iterate(A, G, H) -> np.ndarray:
 
     After k doublings this is the value iterate 2^k Riccati steps from X0.
     """
-    P = H + _X0 * A.T @ np.linalg.solve(np.eye(A.shape[0]) + _X0 * G, A)
+    P = H + _X0 * A.T @ _solve(np.eye(A.shape[0]) + _X0 * G, A)
     return 0.5 * (P + P.T)
 
 
@@ -160,7 +168,11 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
 
     Preconditions: R_sel symmetric positive definite and
     Qhat = Q_d - S R^{-1} S' positive semidefinite (it is a Gram-matrix
-    Schur complement for costs coming from ``cost_matrices``).
+    Schur complement for costs coming from ``cost_matrices``). A Qhat
+    whose negative eigenvalue lies within 1e-10 of the size of Q_d and
+    S R^{-1} S' lost definiteness to roundoff in their cancellation and
+    raises NumericalError; a more negative one raises ValueError. A
+    singular solve inside the doubling raises NumericalError.
 
     Starting from (A_0, G_0, H_0) = (Ahat, B R^{-1} B', Qhat), each
     doubling forms, with W = I + G_k H_k,
@@ -193,11 +205,21 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     RinvBSt = numkernel.solve_pd(R, np.hstack([B.T, S.T]), "R_sel")
     RinvSt = RinvBSt[:, n:]
     Ahat = A_d - B @ RinvSt
-    Qhat = Q_d - S @ RinvSt
+    SRinvSt = S @ RinvSt
+    Qhat = Q_d - SRinvSt
     Qhat = 0.5 * (Qhat + Qhat.T)
     qhat_eigs = np.linalg.eigvalsh(Qhat)
     qscale = 1.0 + float(np.abs(qhat_eigs).max(initial=0.0))
     if qhat_eigs[0] < -1e-10 * qscale:
+        # Q_d and S R^{-1} S' can cancel to a Qhat far below their own
+        # size (long periods on unstable plants); a negative eigenvalue at
+        # their roundoff level is a numerical failure, not a bad input
+        cancelling = max(float(np.abs(Q_d).max()), float(np.abs(SRinvSt).max()))
+        if qhat_eigs[0] >= -1e-10 * cancelling:
+            raise NumericalError(
+                f"Q_d - S R^{{-1}} S' lost positive semidefiniteness to roundoff "
+                f"(min eig {qhat_eigs[0]:.3e} against cost blocks of size {cancelling:.3e})"
+            )
         raise ValueError(
             f"Q_d - S R^{{-1}} S' is not positive semidefinite (min eig {qhat_eigs[0]:.3e})"
         )

@@ -35,9 +35,6 @@ __all__ = [
     "certified_horizon",
 ]
 
-IMPULSE_MODES = ("exact", "approx")
-
-
 @dataclass(frozen=True)
 class InputPolicy:
     """State-feedback gain plus an optional preview feedforward tail.
@@ -124,7 +121,6 @@ def _run(
     x0,
     steps: int,
     substeps: int,
-    impulse_mode: str,
     epsilon: float | None,
     disturbance: DisturbanceSpec | None,
 ) -> Trajectory:
@@ -133,7 +129,7 @@ def _run(
     Per step it asks ``inputs_fn(k, x)`` for the inputs, adds the
     discrete-equivalent cost and the impulse penalty, and forms once what
     every segment of the interval shares: the segment inputs (``u_c``
-    outside the approx-mode hold window, ``u_c + u_i/alpha`` inside), their
+    outside the epsilon hold window, ``u_c + u_i/alpha`` inside), their
     sampled drive ``B_dd u`` per segment length, and the hold penalty
     ``u_c' Rc u_c``. Each segment then only propagates the state and adds
     its Gram integral through one reused ``[x; u]`` buffer.
@@ -142,12 +138,10 @@ def _run(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    if impulse_mode not in IMPULSE_MODES:
-        raise ValueError(f"impulse_mode must be one of {IMPULSE_MODES}, got {impulse_mode!r}")
     T = float(T)
     alpha = None
-    if impulse_mode == "approx":
-        if epsilon is None or not (0.0 < epsilon < 1.0):
+    if epsilon is not None:
+        if not (0.0 < epsilon < 1.0):
             raise ValueError(f"approx mode needs epsilon in (0, 1), got {epsilon}")
         alpha = epsilon * T
 
@@ -203,7 +197,7 @@ def _run(
 
             # Impulse penalty is a per-instant sum in both impulse modes.
             J_cont += float(u_i @ weights.Ri @ u_i)
-            if impulse_mode == "exact":
+            if alpha is None:
                 y = x + B @ u_i
                 if np.any(u_i != 0.0):
                     times.append(t_k)
@@ -286,7 +280,6 @@ def simulate_closed_loop(
     disturbance: DisturbanceSpec | None = None,
     steps: int = 100,
     substeps: int = 32,
-    impulse_mode: str = "exact",
     epsilon: float | None = None,
     x0=None,
 ) -> Trajectory:
@@ -294,12 +287,12 @@ def simulate_closed_loop(
 
     The disturbance jump is applied at its sample index before that
     step's input is computed, so the feedback acts on the post-jump
-    state. In exact mode the control impulse jumps the state at the
-    interval start; in approx mode it is spread as a constant input over
-    the leading epsilon fraction of the interval.
+    state. With epsilon None the control impulse jumps the state at the
+    interval start; with epsilon in (0, 1) it is spread as a constant
+    input over the leading epsilon fraction of the interval.
     """
     inputs_fn = _policy_inputs(policy, plant)
-    return _run(plant, weights, T, inputs_fn, x0, steps, substeps, impulse_mode, epsilon, disturbance)
+    return _run(plant, weights, T, inputs_fn, x0, steps, substeps, epsilon, disturbance)
 
 
 def simulate_inputs(
@@ -311,10 +304,10 @@ def simulate_inputs(
     x0=None,
     substeps: int = 32,
     disturbance: DisturbanceSpec | None = None,
-    impulse_mode: str = "exact",
     epsilon: float | None = None,
 ) -> Trajectory:
-    """Open-loop run driven by explicit per-step input sequences."""
+    """Open-loop run driven by explicit per-step input sequences; epsilon as
+    in ``simulate_closed_loop``."""
     u_c_seq = np.atleast_2d(np.asarray(u_c_seq, dtype=float))
     u_i_seq = np.atleast_2d(np.asarray(u_i_seq, dtype=float))
     if u_c_seq.shape != u_i_seq.shape:
@@ -323,7 +316,7 @@ def simulate_inputs(
     def fn(k, _x):
         return u_c_seq[k], u_i_seq[k]
 
-    return _run(plant, weights, T, fn, x0, u_c_seq.shape[0], substeps, impulse_mode, epsilon, disturbance)
+    return _run(plant, weights, T, fn, x0, u_c_seq.shape[0], substeps, epsilon, disturbance)
 
 
 def impulse_hold_matrix(plant: ContinuousPlant, T: float, epsilon: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mrilqr import (
     ContinuousPlant,
@@ -43,19 +44,15 @@ class TestKalman:
 class TestResonantEigenvalues:
     def test_rotation_full_turn_resonates(self, rotation_plant):
         res = resonant_eigenvalues(rotation_plant.A, 2.0 * np.pi)
-        vals = sorted(res.values(), key=lambda z: z.imag)
-        assert np.allclose(vals, [-1j, 1j])
-        # each partners the other
-        for mu, partners in res.entries:
-            assert len(partners) == 1
-            assert abs(partners[0] - mu.conjugate()) < 1e-9
+        assert type(res) is tuple and all(type(mu) is complex for mu in res)
+        assert np.allclose(sorted(res, key=lambda z: z.imag), [-1j, 1j])
 
     def test_souza_nonresonant_at_unit_period(self, souza_plant):
         assert len(resonant_eigenvalues(souza_plant.A, 1.0)) == 0
 
     def test_souza_resonant_at_base_period(self, souza_plant):
         res = resonant_eigenvalues(souza_plant.A, SOUZA_BASE)
-        vals = sorted(res.values(), key=lambda z: z.imag)
+        vals = sorted(res, key=lambda z: z.imag)
         assert np.allclose(vals, [0.5 - 1j * np.sqrt(23) / 2, 0.5 + 1j * np.sqrt(23) / 2])
 
     def test_real_spectrum_never_resonates(self):
@@ -72,7 +69,7 @@ class TestReducedHautus:
     def test_souza_mri_controllable_at_pathological_period(self, souza_plant):
         report = reduced_hautus_mri(souza_plant, SOUZA_BASE)
         assert report.controllable
-        assert len(report.resonant_set) == 2
+        assert len(report.resonant) == 2
         assert report.failures == ()
         assert np.isfinite(report.margin) and report.margin > 1e-6
 
@@ -86,7 +83,7 @@ class TestReducedHautus:
     def test_empty_resonant_set_short_circuits(self, souza_plant):
         report = reduced_hautus_mri(souza_plant, 1.0)
         assert report.controllable
-        assert len(report.resonant_set) == 0
+        assert report.resonant == ()
         assert report.margin == np.inf
 
     def test_uncontrollable_pair_raises(self):
@@ -196,3 +193,73 @@ class TestCandidatePeriods:
             for T in np.linspace(0.2, T_max, 23):
                 if len(resonant_eigenvalues(A, T)) > 0:
                     assert any(abs(T - p) <= 1e-6 * (1 + T) for p in periods)
+
+
+def kalman_sigma_min(A, B, T, mode):
+    """sigma_min / sigma_max of the sampled Kalman matrix, from scipy alone.
+
+    One exponential of [[A, B], [0, 0]] T gives e^{AT} and the hold map
+    int_0^T e^{As} ds B; the impulse map is e^{AT} B.
+    """
+    n, m = B.shape
+    M = np.zeros((n + m, n + m))
+    M[:n, :n], M[:n, n:] = A, B
+    E = scipy.linalg.expm(M * T)
+    A_d, B_d = E[:n, :n], E[:n, n:]
+    cols = {"regular": B_d, "impulsive": A_d @ B, "mri": np.hstack([B_d, A_d @ B])}[mode]
+    blocks = [cols]
+    for _ in range(n - 1):
+        blocks.append(A_d @ blocks[-1])
+    s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    return s[n - 1] / s[0]
+
+
+def kalman_zeros(A, B, mode, T_max, h=0.01):
+    """Periods in (0, T_max] where the sampled Kalman matrix loses rank.
+
+    Scans a grid of step h, then bisects each local minimum of
+    sigma_min on the sign of its slope; a refined minimum below 1e-8
+    is a zero (the other minima of souza and rotation sit above 3e-2).
+    """
+    grid = np.arange(h, T_max + h / 2, h)
+    f = [kalman_sigma_min(A, B, T, mode) for T in grid]
+    zeros = []
+    for i in range(1, len(grid) - 1):
+        if not (f[i] <= f[i - 1] and f[i] <= f[i + 1]):
+            continue
+        lo, hi = grid[i - 1], grid[i + 1]
+        while hi - lo > 1e-11:
+            mid = 0.5 * (lo + hi)
+            if kalman_sigma_min(A, B, mid + 1e-12, mode) > kalman_sigma_min(A, B, mid - 1e-12, mode):
+                hi = mid
+            else:
+                lo = mid
+        T = 0.5 * (lo + hi)
+        if kalman_sigma_min(A, B, T, mode) < 1e-8:
+            zeros.append(T)
+    return zeros
+
+
+class TestPathologicalPeriodOracle:
+    """Candidate periods and the rank decisions against an independent sigma_min scan."""
+
+    @pytest.mark.parametrize("name, T_max", [("souza", 5.0), ("rotation", 13.0)])
+    @pytest.mark.parametrize("mode", ["regular", "impulsive"])
+    def test_single_channel_zeros_are_the_flagged_candidates(self, request, name, T_max, mode):
+        plant = request.getfixturevalue(f"{name}_plant")
+        zeros = kalman_zeros(plant.A, plant.B, mode, T_max)
+        flagged = [c.period for c in candidate_pathological_periods(plant.A, T_max)
+                   if is_pathological(plant, c.period, mode)]
+        assert zeros and len(zeros) == len(flagged)
+        assert np.allclose(zeros, flagged, rtol=0.0, atol=1e-6)
+
+    def test_mri_zeros(self, souza_plant, rotation_plant):
+        assert kalman_zeros(souza_plant.A, souza_plant.B, "mri", 5.0) == []
+        zeros = kalman_zeros(rotation_plant.A, rotation_plant.B, "mri", 13.0)
+        assert len(zeros) == 2
+        assert np.allclose(zeros, [2.0 * np.pi, 4.0 * np.pi], rtol=0.0, atol=1e-6)
+        # the reduced test at the resonant eigenvalues finds the same periods
+        flagged = [c.period for c in candidate_pathological_periods(rotation_plant.A, 13.0)
+                   if not reduced_hautus_mri(rotation_plant, c.period).controllable]
+        assert len(flagged) == 2
+        assert np.allclose(zeros, flagged, rtol=0.0, atol=1e-6)

@@ -1,5 +1,7 @@
 """Kernel-level checks: exponentials, integrals, spectra, rank decisions."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -122,6 +124,53 @@ class TestGramIntegral:
         assert relerr(got, oracle) < 1e-10
 
 
+def hand_paired_eigenvalues(M) -> np.ndarray:
+    """Reference spectrum that pairs conjugates by hand: each upper-half
+    eigenvalue is matched to the nearest lower-half conjugate and the pair
+    averaged, near-real values are made real, then sorted like
+    ``eigenvalues``."""
+    raw = np.linalg.eigvals(np.asarray(M, dtype=float))
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(raw), initial=0.0)))
+    reals = [complex(z.real, 0.0) for z in raw if abs(z.imag) <= tol]
+    upper = [complex(z) for z in raw if z.imag > tol]
+    lower = [complex(z) for z in raw if z.imag < -tol]
+    paired = []
+    for u in upper:
+        j = min(range(len(lower)), key=lambda i: abs(u - lower[i].conjugate()))
+        avg = 0.5 * (u + lower.pop(j).conjugate())
+        paired.extend([avg, avg.conjugate()])
+    out = np.array(reals + paired, dtype=complex)
+    return out[np.lexsort((out.imag, out.real))]
+
+
+def spectrum_probe_matrices(rng, count):
+    """Gaussian, rotation-block similarities with shared real parts (some
+    with imaginary parts around the 1e-9 clamp), perturbed Jordan blocks
+    and integer matrices, n from 1 to 24."""
+    for i in range(count):
+        n = int(rng.integers(1, 25))
+        kind = i % 4
+        if kind == 0:
+            yield rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+        elif kind == 1:
+            a, D = rng.choice([0.0, 0.5, -1.0]), np.zeros((n, n))
+            for j in range(0, n - 1, 2):
+                b = rng.choice([1.0, np.sqrt(23.0) / 2.0, rng.uniform(0.1, 5.0),
+                                10.0 ** rng.uniform(-12.0, -6.0)])
+                D[j:j + 2, j:j + 2] = [[a, -b], [b, a]]
+            if n % 2:
+                D[-1, -1] = a
+            S = rng.normal(size=(n, n))
+            yield S @ D @ np.linalg.inv(S)
+        elif kind == 2:
+            J = rng.normal() * np.eye(n) + np.diag(np.ones(n - 1), 1)
+            J += rng.choice([0.0, 1e-14, 1e-10, 1e-6]) * rng.normal(size=(n, n))
+            S = rng.normal(size=(n, n))
+            yield S @ J @ np.linalg.inv(S)
+        else:
+            yield rng.integers(-3, 4, size=(n, n)).astype(float)
+
+
 class TestEigenvalues:
     def test_insulin_diagonal(self):
         d = [-0.0167, -0.01, -0.0083, -0.0143, -0.0091, -0.008]
@@ -139,15 +188,49 @@ class TestEigenvalues:
         expected = sorted(np.roots([1.0, -1.0, 6.0]), key=lambda z: z.imag)
         assert np.allclose(got, expected, atol=1e-12)
 
+    @staticmethod
+    def near_defective(rng, n):
+        # a Jordan block perturbed at 1e-14..1e-6 splits into clustered,
+        # often complex eigenvalues with tiny imaginary parts
+        J = rng.normal() * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        J += 10.0 ** rng.integers(-14, -5) * rng.normal(size=(n, n))
+        S = rng.normal(size=(n, n))
+        return S @ J @ np.linalg.inv(S)
+
+    @staticmethod
+    def near_real(rng, n):
+        # rotation blocks a +- i b, b around the 1e-9 clamp, under a similarity
+        D = np.zeros((n, n))
+        for i in range(0, n - 1, 2):
+            b = 10.0 ** rng.uniform(-12, -6)
+            D[i:i + 2, i:i + 2] = [[0.5, -b], [b, 0.5]]
+        if n % 2:
+            D[-1, -1] = 0.5
+        S = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        return S @ D @ S.T
+
     def test_conjugate_pairs_are_exact(self):
         rng = np.random.default_rng(14)
-        for _ in range(25):
-            n = rng.integers(2, 7)
-            vals = eigenvalues(rng.normal(size=(n, n)))
+        gaussian = lambda rng, n: rng.normal(size=(n, n))
+        key = lambda z: (z.real, z.imag)
+        for _, draw in product(range(25), (gaussian, self.near_defective, self.near_real)):
+            n = int(rng.integers(2, 9))
+            vals = eigenvalues(draw(rng, n))
             assert len(vals) == n
+            # sorted by (real, imag), and every exactly-real value carries +0.0
+            assert list(vals) == sorted(vals, key=key)
+            assert not np.any(np.signbit(vals.imag[vals.imag == 0.0]))
             complexes = vals[vals.imag != 0.0]
-            key = lambda z: (z.real, z.imag)
+            assert np.all(np.abs(complexes.imag) > 1e-9 * (1.0 + np.abs(vals).max()))
             assert sorted(map(complex, complexes), key=key) == sorted(map(complex, complexes.conj()), key=key)
+
+    def test_bitwise_equal_to_hand_paired_reference(self):
+        # LAPACK's conjugate pairs are exact, so pairing them by hand
+        # changes no bit, sign of zero included
+        for M in spectrum_probe_matrices(np.random.default_rng(16), 2000):
+            got, ref = eigenvalues(M).view(float), hand_paired_eigenvalues(M).view(float)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_exponential_spectral_mapping(self):
         # eigenvalues of e^{TA} are exactly {e^{lambda T}} after matching

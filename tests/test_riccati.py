@@ -8,6 +8,7 @@ from mrilqr import (
     ContinuousPlant,
     CostWeights,
     DareDivergenceError,
+    NumericalError,
     cost_matrices,
     dare_residual,
     design,
@@ -122,6 +123,18 @@ class TestSolveDare:
         with pytest.raises(ValueError):
             solve_dare(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), -np.eye(2))
 
+    def test_rejects_indefinite_q(self):
+        # far from roundoff of the cost blocks: a bad input, not a numerical failure
+        with pytest.raises(ValueError, match="not positive semidefinite") as err:
+            solve_dare(np.eye(2), np.eye(2), -np.eye(2), np.zeros((2, 2)), np.eye(2))
+        assert not isinstance(err.value, NumericalError)
+
+    def test_qhat_cancelling_to_roundoff_is_a_numerical_error(self):
+        # Q_d - S R^-1 S' = -65536 I (all exact) against blocks of size 1e20
+        I = np.eye(2)
+        with pytest.raises(NumericalError, match="roundoff"):
+            solve_dare(I, I, (1e20 - 65536.0) * I, 1e10 * I, I)
+
     def test_reports_qhat_kernel(self, souza_plant):
         w = CostWeights(np.zeros((2, 2)), [[1.0]], [[1.0]])
         d = design(souza_plant, w, 1.0, "mri")
@@ -205,3 +218,21 @@ class TestSolutionQuality:
                 j = {m: x0 @ costs[m].P @ x0 for m in costs}
                 assert j["mri"] <= j["regular"] + 1e-9
                 assert j["mri"] <= j["impulsive"] + 1e-9
+
+
+class TestNearPathologicalPeriods:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_typed_error_or_honest_convergence(self, souza_plant, souza_weights, k):
+        # hold-only souza loses controllability at k 2 pi / sqrt(23); near
+        # it a design fails typed, says it did not converge, or is right
+        for delta in (0.0, 1e-9, -1e-9, 1e-8, -1e-8, 1e-7, -1e-7, 1e-6, -1e-6):
+            try:
+                d = design(souza_plant, souza_weights, k * SOUZA_BASE + delta, "regular")
+            except NumericalError:
+                continue
+            sol = d.solution
+            if not sol.converged:
+                continue
+            assert spectral_radius(d.model.A_d + d.B_sel @ sol.K) < 1.0
+            P = scipy.linalg.solve_discrete_are(d.model.A_d, d.B_sel, d.cost.Q_d, d.R_sel, s=d.S_sel)
+            assert relerr(sol.P, P) < 1e-8

@@ -215,8 +215,7 @@ class TestImpulseApproximation:
         m = sample_plant(souza_plant, 1.0)
         B_ia = impulse_hold_matrix(souza_plant, 1.0, eps)
         traj = simulate_inputs(souza_plant, souza_weights, 1.0, u_c, u_i,
-                               x0=[1.0, 0.0], substeps=8,
-                               impulse_mode="approx", epsilon=eps)
+                               x0=[1.0, 0.0], substeps=8, epsilon=eps)
         expected = m.A_d @ np.array([1.0, 0.0]) + m.B_d @ u_c[0] + B_ia @ u_i[0]
         assert relerr(traj.sample_states[1], expected) < 1e-10
 
@@ -231,8 +230,7 @@ class TestImpulseApproximation:
             out = []
             for eps in epsilons:
                 approx = simulate_closed_loop(souza_plant, souza_weights, 1.0, policy,
-                                              steps=12, substeps=4, x0=x0,
-                                              impulse_mode="approx", epsilon=eps)
+                                              steps=12, substeps=4, x0=x0, epsilon=eps)
                 out.append(np.linalg.norm(approx.sample_states[step] - exact.sample_states[step]))
             return out
 
@@ -246,11 +244,12 @@ class TestImpulseApproximation:
         for a, b in zip(final[1:], final[:-1]):
             assert 0.4 <= a / b <= 0.65
 
-    def test_approx_needs_epsilon(self, souza_plant, souza_weights):
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1])
+    def test_epsilon_outside_unit_interval_is_rejected(self, souza_plant, souza_weights, eps):
         policy = InputPolicy(K=np.zeros((2, 2)), mode="mri")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="epsilon in \\(0, 1\\)"):
             simulate_closed_loop(souza_plant, souza_weights, 1.0, policy,
-                                 steps=2, impulse_mode="approx")
+                                 steps=2, epsilon=eps)
 
 
 class TestInsulinScenario:

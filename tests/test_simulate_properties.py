@@ -61,8 +61,7 @@ def test_held_impulses_converge_first_order_in_epsilon(loop):
     exact = simulate_closed_loop(plant, weights, T, policy, **kw).sample_states[1]
     errors = []
     for eps in (0.05, 0.025, 0.0125):
-        approx = simulate_closed_loop(plant, weights, T, policy, impulse_mode="approx",
-                                      epsilon=eps, **kw)
+        approx = simulate_closed_loop(plant, weights, T, policy, epsilon=eps, **kw)
         errors.append(np.linalg.norm(approx.sample_states[1] - exact))
     # an impulse input or A B u_i that vanishes leaves only roundoff to compare
     assume(errors[-1] > 1e-9 * (1.0 + np.linalg.norm(exact)))
