@@ -394,47 +394,53 @@ def cmd_preview(scenario: ScenarioConfig, args, sink: _Sink) -> None:
         sink.matrix("feedforward", np.vstack(plan.feedforward))
 
 
-def _sweep_cell(model, cost, mode, N_list, b) -> list[tuple[float, bool, int]]:
+def _sweep_cell(cell, N_list, b) -> list[tuple[float, bool, int]]:
     """(cost, converged, iterations) of one (T, mode) cell for each horizon in N_list.
 
-    One design serves every horizon. A diverged solve reports its last
-    iterate's cost for all of them, and a failed closed-loop check the
-    feedback-only cost for every N > 0, both with converged=False.
+    ``cell`` is the cell's design or the error its solve ended with; a
+    ValueError is raised. One design serves every horizon. A diverged
+    solve reports its last iterate's cost for all of them, any other
+    numerical failure a nan cost with 0 iterations, and a failed
+    closed-loop check the feedback-only cost for every N > 0, all with
+    converged=False.
     """
-    try:
-        des = riccati.design_sampled(model, cost, mode)
-    except DareDivergenceError as exc:
-        P = exc.last_iterate
-        J = float(b @ P @ b) if P is not None else float("nan")
-        return [(J, False, exc.iterations)] * len(N_list)
-    sol = des.solution
+    if isinstance(cell, DareDivergenceError):
+        return [(float(b @ cell.last_iterate @ b), False, cell.iterations)] * len(N_list)
+    if isinstance(cell, NumericalError):
+        return [(float("nan"), False, 0)] * len(N_list)
+    if isinstance(cell, Exception):
+        raise cell
+    sol = cell.solution
     feedback = (float(b @ sol.P @ b), sol.converged, sol.iterations)
     if all(N == 0 for N in N_list):
         return [feedback] * len(N_list)
     try:
-        G = preview_mod.closed_loop_G(model.A_d, des.B_sel, des.S_sel, des.R_sel, sol.P)
+        G = preview_mod.closed_loop_G(cell.model.A_d, cell.B_sel, cell.S_sel, cell.R_sel, sol.P)
     except NumericalError:
         return [feedback if N == 0 else (feedback[0], False, sol.iterations) for N in N_list]
     return [feedback if N == 0 else
-            (preview_mod.gamma_and_cost(sol.P, G, des.B_sel, des.R_sel, b, N)[1],
+            (preview_mod.gamma_and_cost(sol.P, G, cell.B_sel, cell.R_sel, b, N)[1],
              sol.converged, sol.iterations)
             for N in N_list]
 
 
 def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
-    T_grid = _parse_grid(args.T_grid)
+    T_grid = _parse_grid(args.T_grid).tolist()
     modes = ("regular", "impulsive", "mri") if args.mode == "all" else (args.mode,)
     N_list = [int(p) for p in args.N.split(",") if p != ""]
     plant = scenario.plant()
     weights = scenario.weights()
     bt = scenario.disturbance_column()
-    rows = []
+    models, costs = [], []
     for T in T_grid:
-        T = float(T)
-        model = sample_plant(plant, T)
-        cost = cost_matrices(plant, weights, T)
+        models.append(sample_plant(plant, T))
+        costs.append(cost_matrices(plant, weights, T))
+    # each mode's whole period grid is one stacked solve
+    cells = {mode: riccati.design_batch(models, costs, mode) for mode in modes}
+    rows = []
+    for i, T in enumerate(T_grid):
         for mode in modes:
-            for N, (J, conv, iters) in zip(N_list, _sweep_cell(model, cost, mode, N_list, bt)):
+            for N, (J, conv, iters) in zip(N_list, _sweep_cell(cells[mode][i], N_list, bt)):
                 rows.append([T, mode, int(N), J, conv, iters])
     sink.table("sweep", ["T", "mode", "N", "cost", "converged", "iterations"], rows)
 

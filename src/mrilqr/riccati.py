@@ -8,9 +8,16 @@ Solves the discrete algebraic Riccati equation
 by structure-preserving doubling on the cross-term-eliminated form
 (Ahat = A_d - B R^{-1} S', Qhat = Q_d - S R^{-1} S', G = B R^{-1} B'),
 whose k-th iterate is the 2^k-step value-iteration cost, polishes the
-result by policy iteration, and returns the stationary feedback gain
+result by policy iteration only when it misses the residual test, and
+returns the stationary feedback gain
 
     K = -(R + B' P B)^{-1} (B' P A_d + S').
+
+The doubling runs on a stack of equally sized problems at once, each
+with its own stop rule and its own failure status. ``design_batch``
+solves the cells of a period grid as one stack; ``solve_dare`` is a
+stack of one, and a cell's result does not depend on the stack it was
+solved in.
 
 With the mixed hold+impulse input selection the gain rows split as the
 hold gain (first m rows) followed by the impulse gain.
@@ -21,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from . import numkernel
 from .discretize import ContinuousPlant, CostWeights, SampledCost, SampledModel, cost_matrices, restrict_input_mode, sample_plant
@@ -34,6 +41,7 @@ __all__ = [
     "dare_residual",
     "design",
     "design_sampled",
+    "design_batch",
 ]
 
 STEP_RTOL = 1e-13
@@ -74,6 +82,11 @@ def dare_residual(P, A_d, B, Q_d, S, R) -> float:
     return float(np.linalg.norm(P - rhs, "fro"))
 
 
+def _converged(P, residual: float) -> bool:
+    """The residual test: at most 1e-9 relative to 1 + ||P||_F."""
+    return residual <= RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(P, "fro")))
+
+
 def _smith_lyapunov(A_cl, F) -> np.ndarray:
     """X = A_cl' X A_cl + F'F by squaring; requires rho(A_cl) < 1.
 
@@ -95,28 +108,51 @@ def _smith_lyapunov(A_cl, F) -> np.ndarray:
     return 0.5 * (X + X.T)
 
 
+def _T(M) -> np.ndarray:
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(M, -1, -2)
+
+
+def _sym(M) -> np.ndarray:
+    return 0.5 * (M + _T(M))
+
+
+def _fro(X) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack.
+
+    Each equals ``np.linalg.norm(X[i], "fro")`` bit for bit, because both
+    take the dot product of the flattened matrix with itself;
+    ``np.linalg.norm(X, axis=(-2, -1))`` sums in another order.
+    """
+    flat = X.reshape(len(X), 1, -1)
+    return np.sqrt((flat @ _T(flat))[:, 0, 0])
+
+
 def _psd_factor(M) -> np.ndarray:
-    """F with F'F = M for a symmetric M, negative eigenvalues clipped to zero."""
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    return np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T
+    """F with F'F = M for a symmetric M (or each of a stack), negative eigenvalues clipped to zero."""
+    w, V = np.linalg.eigh(_sym(M))
+    return np.sqrt(np.clip(w, 0.0, None))[..., :, None] * _T(V)
 
 
 def _policy_polish(P, A_d, B, Q_d, S, R):
-    """Policy-iteration refinement of a near-converged iterate.
+    """Policy-iteration refinement of an iterate that misses the residual test.
 
-    The doubling iterate stalls at a roundoff floor proportional to the
-    magnitude of the cost blocks; re-evaluating the current gain through
-    an exact closed-loop Lyapunov solve removes that floor. The Lyapunov
-    right-hand side is F'F with F = J [I; K], J'J the joint cost
-    [[Q_d, S], [S', R]], so every evaluated P is positive semidefinite.
-    Each round needs a stabilizing gain, so the polish stops (keeping
-    the best iterate so far) when the closed loop is not contractive or
-    its Lyapunov sum overflows, and after at most 12 rounds.
+    An iterate that passes ``_converged`` is returned as it is, with its
+    residual. Otherwise the doubling stalled at a roundoff floor
+    proportional to the magnitude of the cost blocks; re-evaluating the
+    current gain through an exact closed-loop Lyapunov solve removes that
+    floor. The Lyapunov right-hand side is F'F with F = J [I; K], J'J the
+    joint cost [[Q_d, S], [S', R]], so every evaluated P is positive
+    semidefinite. Each round needs a stabilizing gain, so the polish stops
+    (keeping the best iterate so far) when the closed loop is not
+    contractive or its Lyapunov sum overflows, and after at most 12 rounds.
     """
-    n = A_d.shape[0]
-    J = _psd_factor(np.block([[Q_d, S], [S.T, R]]))
     best_P = P
     best_res = dare_residual(P, A_d, B, Q_d, S, R)
+    if _converged(P, best_res):
+        return best_P, best_res
+    n = A_d.shape[0]
+    J = _psd_factor(np.block([[Q_d, S], [S.T, R]]))
     for _ in range(12):
         K = _gain(best_P, A_d, B, S, R)
         A_cl = A_d + B @ K
@@ -132,76 +168,147 @@ def _policy_polish(P, A_d, B, Q_d, S, R):
     return best_P, best_res
 
 
-def _solve(M, rhs) -> np.ndarray:
-    """``np.linalg.solve`` with a singular M reported as a NumericalError."""
+def _cellwise(fn, M, *rest) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
+    """``fn(M, *rest)`` on stacks, and the error of each cell where it failed.
+
+    A stacked LAPACK call raises for the whole stack when one cell fails.
+    The cells are then tried one at a time, each as a stack of one, and
+    the stack is computed again with the identity in place of each failed
+    cell's M, so that it stays finite. The failed cells' results mean
+    nothing; the caller drops those cells.
+    """
     try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular system in the Riccati doubling: {exc}") from exc
+        return fn(M, *rest), {}
+    except np.linalg.LinAlgError:
+        pass
+    failed = {}
+    for i in range(len(M)):
+        try:
+            fn(M[i : i + 1], *(r[i : i + 1] for r in rest))
+        except np.linalg.LinAlgError as exc:
+            failed[i] = exc
+    M = M.copy()
+    M[list(failed)] = np.eye(M.shape[-1])
+    return fn(M, *rest), failed
+
+
+def _singular(exc: np.linalg.LinAlgError) -> NumericalError:
+    return NumericalError(f"singular system in the Riccati doubling: {exc}")
+
+
+def _solve_lower(L, Z) -> np.ndarray:
+    """L^{-1} Z for each pair of stacks of lower-triangular L and of Z.
+
+    Each cell makes the LAPACK call that ``scipy.linalg.solve_triangular(
+    L[i], Z[i], lower=True)`` makes for a C-ordered L (trtrs on the
+    Fortran-ordered transpose), and so gives its bits; scipy's own
+    stacked form loops over the cells at several times the cost. A
+    Cholesky factor has a positive diagonal, so the solve cannot fail.
+    """
+    return np.stack([dtrtrs(l.T, z, lower=0, trans=1)[0] for l, z in zip(L, Z)])
 
 
 def _doubling_step(A, G, H):
-    """(A_k, G_k, H_k) -> (A_{k+1}, G_{k+1}, H_{k+1}); see ``solve_dare``."""
-    n = A.shape[0]
+    """(A_k, G_k, H_k) -> (A_{k+1}, G_{k+1}, H_{k+1}) on stacks; see ``solve_dare``.
+
+    Also returns the NumericalError of each cell whose solve or Cholesky
+    factorization failed, by its index in the stack.
+    """
+    n = A.shape[-1]
+    I = np.eye(n)
     H_half = _psd_factor(H)
-    WinvAG = _solve(np.eye(n) + G @ H, np.hstack([A, G]))
-    try:
-        L = np.linalg.cholesky(np.eye(n) + H_half @ G @ H_half.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("indefinite I + H^{1/2} G H^{1/2} in the Riccati doubling") from exc
-    Y = scipy.linalg.solve_triangular(L, H_half @ A, lower=True)
-    G_next = G + A @ WinvAG[:, n:] @ A.T
-    return A @ WinvAG[:, :n], 0.5 * (G_next + G_next.T), H + Y.T @ Y
+    WinvAG, singular = _cellwise(np.linalg.solve, I + G @ H, np.concatenate([A, G], axis=-1))
+    L, indefinite = _cellwise(np.linalg.cholesky, I + H_half @ G @ _T(H_half))
+    # the solve comes first, so a cell where both fail reports the solve
+    failed = {i: NumericalError("indefinite I + H^{1/2} G H^{1/2} in the Riccati doubling")
+              for i in indefinite}
+    failed.update((i, _singular(exc)) for i, exc in singular.items())
+    Y = _solve_lower(L, H_half @ A)
+    G_next = G + A @ WinvAG[..., n:] @ _T(A)
+    return A @ WinvAG[..., :n], _sym(G_next), H + _T(Y) @ Y, failed
 
 
-def _value_iterate(A, G, H) -> np.ndarray:
-    """H + A' X0 (I + G X0)^{-1} A with X0 = 1e-12 I.
+def _value_iterate(A, G, H):
+    """H + A' X0 (I + G X0)^{-1} A with X0 = 1e-12 I, on stacks.
 
     After k doublings this is the value iterate 2^k Riccati steps from X0.
+    Also returns the NumericalError of each cell whose solve failed.
     """
-    P = H + _X0 * A.T @ _solve(np.eye(A.shape[0]) + _X0 * G, A)
-    return 0.5 * (P + P.T)
+    X, singular = _cellwise(np.linalg.solve, np.eye(A.shape[-1]) + _X0 * G, A)
+    return _sym(H + _X0 * _T(A) @ X), {i: _singular(exc) for i, exc in singular.items()}
 
 
-def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
-    """Structure-preserving doubling (SDA) for the cross-term DARE.
+def _doubling(A, G, H, blow_up):
+    """The doubling on stacks (k, n, n) of (Ahat, G, Qhat), until every cell stops.
 
-    Preconditions: R_sel symmetric positive definite and
-    Qhat = Q_d - S R^{-1} S' positive semidefinite (it is a Gram-matrix
-    Schur complement for costs coming from ``cost_matrices``). A Qhat
-    whose negative eigenvalue lies within 1e-10 of the size of Q_d and
-    S R^{-1} S' lost definiteness to roundoff in their cancellation and
-    raises NumericalError; a more negative one raises ValueError. A
-    singular solve inside the doubling raises NumericalError.
-
-    Starting from (A_0, G_0, H_0) = (Ahat, B R^{-1} B', Qhat), each
-    doubling forms, with W = I + G_k H_k,
-
-        A_{k+1} = A_k W^{-1} A_k
-        G_{k+1} = G_k + A_k W^{-1} G_k A_k'
-        H_{k+1} = H_k + A_k' H_k W^{-1} A_k,
-
-    the last as H_k + Z'(I + H^{1/2} G_k H^{1/2})^{-1} Z with
-    Z = H^{1/2} A_k, which is positive semidefinite by construction.
-    The iterate P_k = H_k + A_k' X0 (I + G_k X0)^{-1} A_k, X0 = 1e-12 I,
-    is exactly the value iterate after 2^k Riccati steps from X0, and
-    ``iterations`` counts doublings. The loop stops when the Frobenius
-    change of P_k falls below 1e-13 relative (with an absolute floor for
-    P -> 0), or after 64 doublings, a horizon of 2^64 steps. An iterate
-    growing past 1e12 times the scale of Qhat raises
-    DareDivergenceError carrying that finite-horizon cost. The result is
-    polished by policy iteration. The returned residual is evaluated on
-    the original cross-term equation, and ``converged`` is true exactly
-    when it is at most 1e-9 relative to 1 + ||P||_F.
+    Returns each cell's iterate, its number of doublings and its failure:
+    None, a NumericalError, or a DareDivergenceError once the iterate
+    passes the cell's ``blow_up`` bound. A cell leaves the stack when it
+    meets the step rule, passes its bound or fails, so its result and
+    doubling count are those of a stack of one.
     """
-    A_d = numkernel.as_matrix(A_d, "A_d")
-    B = numkernel.as_matrix(B_sel, "B_sel")
-    Q_d = numkernel.as_matrix(Q_d, "Q_d")
-    S = numkernel.as_matrix(S_sel, "S_sel")
+    k = len(A)
+    P_out = np.empty_like(H)
+    iterations = np.zeros(k, dtype=int)
+    failures: list[NumericalError | None] = [None] * k
+    live = np.arange(k)
+    # a cell that overflows shows as a non-finite norm, which the divergence
+    # test reads, and a failed cell runs on with placeholder values until it
+    # is dropped, so numpy's overflow warnings would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, failed = _value_iterate(A, G, H)
+        stop = np.zeros(k, dtype=bool)
+        for it in range(1, _MAX_DOUBLINGS + 2):
+            # drop the cells that failed or stopped in the last doubling
+            for j, exc in failed.items():
+                failures[live[j]] = exc
+                stop[j] = True
+            keep = ~stop
+            live, A, G, H, P = live[keep], A[keep], G[keep], H[keep], P[keep]
+            if not live.size or it > _MAX_DOUBLINGS:
+                break
+            A, G, H, failed = _doubling_step(A, G, H)
+            Pn, vi_failed = _value_iterate(A, G, H)
+            # a cell's first failure is the one it reports
+            failed = {**vi_failed, **failed}
+            norm = _fro(Pn)
+            diverged = (norm > blow_up[live]) | ~np.isfinite(norm)
+            stop = diverged | (_fro(Pn - P) <= STEP_RTOL * np.maximum(1.0, norm))
+            for j in np.flatnonzero(stop):
+                if j in failed:
+                    continue
+                cell = live[j]
+                finite = np.isfinite(norm[j])
+                P_out[cell] = Pn[j] if finite else P[j]
+                iterations[cell] = it if finite else it - 1
+                if diverged[j]:
+                    failures[cell] = DareDivergenceError(
+                        f"Riccati doubling diverged: the 2^{it}-step cost passed {blow_up[cell]:.1e} "
+                        "(pair not stabilizable or period pathological)",
+                        last_iterate=P_out[cell],
+                        iterations=int(iterations[cell]),
+                    )
+            P = Pn
+    P_out[live] = P
+    iterations[live] = _MAX_DOUBLINGS
+    return P_out, iterations, failures
+
+
+def _checked(A_d, B_sel, Q_d, S_sel, R_sel):
+    """The five matrices of a problem as 2-D float arrays; ValueError unless R_sel is positive definite."""
     R = numkernel.as_matrix(R_sel, "R_sel")
-    n = A_d.shape[0]
     numkernel.check_pd(R, "R_sel")
+    return (numkernel.as_matrix(A_d, "A_d"), numkernel.as_matrix(B_sel, "B_sel"),
+            numkernel.as_matrix(Q_d, "Q_d"), numkernel.as_matrix(S_sel, "S_sel"), R)
 
+
+def _eliminate_cross_term(A_d, B, Q_d, S, R):
+    """(Ahat, G, Qhat, blow-up bound, Qhat kernel dimension) of a checked problem.
+
+    Raises ValueError for an indefinite Qhat and NumericalError for one
+    that lost definiteness to roundoff; see ``solve_dare``.
+    """
+    n = A_d.shape[0]
     RinvBSt = numkernel.solve_pd(R, np.hstack([B.T, S.T]), "R_sel")
     RinvSt = RinvBSt[:, n:]
     Ahat = A_d - B @ RinvSt
@@ -224,40 +331,90 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
             f"Q_d - S R^{{-1}} S' is not positive semidefinite (min eig {qhat_eigs[0]:.3e})"
         )
     qhat_kernel_dim = int(np.count_nonzero(np.abs(qhat_eigs) <= 1e-10 * qscale))
-
     blow_up = DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(Qhat, "fro")))
     G = B @ RinvBSt[:, :n]
-    A, G, H = Ahat, 0.5 * (G + G.T), Qhat
-    P = _value_iterate(A, G, H)
-    iterations = 0
-    for iterations in range(1, _MAX_DOUBLINGS + 1):
-        A, G, H = _doubling_step(A, G, H)
-        Pn = _value_iterate(A, G, H)
-        norm_Pn = float(np.linalg.norm(Pn, "fro"))
-        if norm_Pn > blow_up or not np.isfinite(norm_Pn):
-            finite = np.isfinite(norm_Pn)
-            raise DareDivergenceError(
-                f"Riccati doubling diverged: the 2^{iterations}-step cost passed {blow_up:.1e} "
-                "(pair not stabilizable or period pathological)",
-                last_iterate=Pn if finite else P,
-                iterations=iterations if finite else iterations - 1,
-            )
-        step = float(np.linalg.norm(Pn - P, "fro"))
-        P = Pn
-        if step <= STEP_RTOL * max(1.0, norm_Pn):
-            break
+    return Ahat, 0.5 * (G + G.T), Qhat, blow_up, qhat_kernel_dim
 
-    P, residual = _policy_polish(P, A_d, B, Q_d, S, R)
-    K = _gain(P, A_d, B, S, R)
-    converged = residual <= RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(P, "fro")))
-    return RiccatiSolution(
-        P=P,
-        K=K,
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-        qhat_kernel_dim=qhat_kernel_dim,
-    )
+
+def _solve_stack(problems) -> list[RiccatiSolution | ValueError | NumericalError]:
+    """Solve (A_d, B_sel, Q_d, S_sel, R_sel) problems of equal shapes as one stack.
+
+    Each entry is the problem's solution or the error ``solve_dare``
+    raises for it. The cross-term elimination, the polish and the gain
+    are per problem; the doubling runs on the stack.
+    """
+    out: list = [None] * len(problems)
+    ok, parts = [], []
+    for i, problem in enumerate(problems):
+        try:
+            problem = _checked(*problem)
+            parts.append(_eliminate_cross_term(*problem))
+        except (ValueError, NumericalError) as exc:
+            out[i] = exc
+        else:
+            ok.append((i, problem))
+    if not ok:
+        return out
+    Ahat, G, Qhat, blow_up, kernel_dims = zip(*parts)
+    P, iterations, failures = _doubling(np.stack(Ahat), np.stack(G), np.stack(Qhat), np.array(blow_up))
+    for j, (i, (A_d, B, Q_d, S, R)) in enumerate(ok):
+        if failures[j] is not None:
+            out[i] = failures[j]
+            continue
+        P_j, residual = _policy_polish(P[j], A_d, B, Q_d, S, R)
+        out[i] = RiccatiSolution(
+            P=P_j,
+            K=_gain(P_j, A_d, B, S, R),
+            residual=residual,
+            iterations=int(iterations[j]),
+            converged=_converged(P_j, residual),
+            qhat_kernel_dim=kernel_dims[j],
+        )
+    return out
+
+
+def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
+    """Structure-preserving doubling (SDA) for the cross-term DARE.
+
+    Preconditions: R_sel symmetric positive definite and
+    Qhat = Q_d - S R^{-1} S' positive semidefinite (it is a Gram-matrix
+    Schur complement for costs coming from ``cost_matrices``). A Qhat
+    whose negative eigenvalue lies within 1e-10 of the size of Q_d and
+    S R^{-1} S' lost definiteness to roundoff in their cancellation and
+    raises NumericalError; a more negative one raises ValueError. A
+    singular solve or a failed Cholesky factorization inside the doubling
+    raises NumericalError.
+
+    Starting from (A_0, G_0, H_0) = (Ahat, B R^{-1} B', Qhat), each
+    doubling forms, with W = I + G_k H_k,
+
+        A_{k+1} = A_k W^{-1} A_k
+        G_{k+1} = G_k + A_k W^{-1} G_k A_k'
+        H_{k+1} = H_k + A_k' H_k W^{-1} A_k,
+
+    the last as H_k + Y'Y with Y = L^{-1} H^{1/2} A_k and L the Cholesky
+    factor of I + H^{1/2} G_k H^{1/2}, which is positive semidefinite by
+    construction. The iterate P_k = H_k + A_k' X0 (I + G_k X0)^{-1} A_k,
+    X0 = 1e-12 I, is exactly the value iterate after 2^k Riccati steps
+    from X0, and ``iterations`` counts doublings. The loop stops when the
+    Frobenius change of P_k falls below 1e-13 relative (with an absolute
+    floor for P -> 0), or after 64 doublings, a horizon of 2^64 steps. An
+    iterate growing past 1e12 times the scale of Qhat raises
+    DareDivergenceError carrying that finite-horizon cost.
+
+    The returned residual is evaluated on the original cross-term
+    equation, and ``converged`` is true exactly when it is at most 1e-9
+    relative to 1 + ||P||_F. Only an iterate that misses this test is
+    polished by policy iteration, which keeps its result only where it
+    lowers the residual.
+
+    This is the doubling of ``design_batch`` on a stack of one, so both
+    give the same bits for the same problem.
+    """
+    (result,) = _solve_stack([(A_d, B_sel, Q_d, S_sel, R_sel)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -283,6 +440,23 @@ def design_sampled(model: SampledModel, cost: SampledCost, mode: str) -> MriLqrD
     sol = solve_dare(model.A_d, B_sel, cost.Q_d, S_sel, R_sel)
     return MriLqrDesign(mode=mode, model=model, cost=cost,
                         B_sel=B_sel, S_sel=S_sel, R_sel=R_sel, solution=sol)
+
+
+def design_batch(models, costs, mode: str) -> list[MriLqrDesign | ValueError | NumericalError]:
+    """``design_sampled`` of one plant at several periods, solved as one stack.
+
+    ``models`` and ``costs`` pair up period by period. Each entry is that
+    period's design, equal bit for bit to the one ``design_sampled``
+    returns, or the ValueError or NumericalError it raises. One period
+    failing does not stop the others.
+    """
+    selected = [restrict_input_mode(model, cost, mode) for model, cost in zip(models, costs)]
+    results = _solve_stack([(model.A_d, B_sel, cost.Q_d, S_sel, R_sel)
+                            for model, cost, (B_sel, S_sel, R_sel) in zip(models, costs, selected)])
+    return [sol if isinstance(sol, Exception) else
+            MriLqrDesign(mode=mode, model=model, cost=cost,
+                         B_sel=B_sel, S_sel=S_sel, R_sel=R_sel, solution=sol)
+            for model, cost, (B_sel, S_sel, R_sel), sol in zip(models, costs, selected, results)]
 
 
 def design(plant: ContinuousPlant, weights: CostWeights, T: float, mode: str = "mri") -> MriLqrDesign:

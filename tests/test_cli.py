@@ -10,6 +10,7 @@ import pytest
 
 import mrilqr
 from mrilqr import cli, controllability, design, discretize, preview, preview_plan, riccati, simulate
+from mrilqr.errors import DareDivergenceError, NumericalError
 
 SOUZA_BASE = 2.0 * np.pi / np.sqrt(23.0)
 
@@ -112,7 +113,7 @@ class TestExitCodes:
         ["preview", "--T", "1500"],
         ["controllability", "--T-max", "1500"],
         *(["lqr", "--T", T] for T in ("50", "100", "150", "300", "500", "700")),
-        ["sweep", "--T-grid", "20:5:60", "--mode", "all"],
+        ["sweep", "--T-grid", "700:100:800", "--mode", "all"],
     ], ids=" ".join)
     def test_overflow_on_unstable_plant_exits_two_without_output(self, argv, tmp_path, capsys):
         # e^(AT) of souza (Re(lambda) = 1/2) passes the double range near T = 1420,
@@ -122,6 +123,33 @@ class TestExitCodes:
         assert cli.main([argv[0], "--scenario", "souza", *argv[1:], "--out", str(out)]) == 2
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_reports_failed_cells_and_keeps_the_others(self, tmp_path):
+        # from T = 45 the mri cells' Q_d and S R^-1 S' cancel to roundoff in
+        # Qhat; those cells read nan, the others as their solo designs
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "20:5:60",
+                         "--mode", "all", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 27
+        sc = cli.load_scenario("souza")
+        b = sc.Btilde[:, 0]
+        failed = []
+        for T, mode, N, cost, converged, iterations in rows:
+            model = discretize.sample_plant(sc.plant(), float(T))
+            cost_blocks = discretize.cost_matrices(sc.plant(), sc.weights(), float(T))
+            try:
+                sol = riccati.design_sampled(model, cost_blocks, mode).solution
+                solo = (b @ sol.P @ b, sol.converged, sol.iterations)
+            except DareDivergenceError as exc:
+                solo = (b @ exc.last_iterate @ b, False, exc.iterations)
+            except NumericalError:
+                failed.append((T, mode))
+                assert (cost, converged, iterations) == ("nan", "false", "0")
+                continue
+            assert (cost, converged, iterations) == (format(solo[0], ".17g"),
+                                                     str(solo[1]).lower(), str(solo[2]))
+        assert failed == [("45", "mri"), ("50", "mri"), ("55", "mri")]
 
     def test_uncontrollable_scenario_is_input_error(self, tmp_path, capsys):
         doc = {
@@ -397,12 +425,21 @@ class TestSimulateTable:
 
 class TestDesignReuse:
     def test_sweep_designs_once_per_period_and_mode(self, tmp_path, monkeypatch):
+        # each mode's period grid is one stacked solve with a cell per period
         counts = count_calls(monkeypatch, "solve_dare", "sample_plant", "cost_matrices")
+        batches = []
+        batched = riccati.design_batch
+
+        def design_batch(models, costs, mode):
+            batches.append((mode, len(models)))
+            return batched(models, costs, mode)
+
+        monkeypatch.setattr(riccati, "design_batch", design_batch)
         periods = 4
         assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "0.5:0.5:2.0",
                          "--mode", "all", "--N", "0,1,3", "--out", str(tmp_path / "s.csv")]) == 0
-        assert counts == {"solve_dare": 3 * periods, "sample_plant": periods,
-                          "cost_matrices": periods}
+        assert counts == {"sample_plant": periods, "cost_matrices": periods}
+        assert batches == [("regular", periods), ("impulsive", periods), ("mri", periods)]
 
     def test_simulate_with_preview_solves_once(self, tmp_path, monkeypatch):
         counts = count_calls(monkeypatch, "solve_dare")

@@ -1,4 +1,7 @@
-"""Riccati solver: fixed points, gains, residual quality, dominance."""
+"""Riccati solver: fixed points, gains, residual quality, dominance, batches."""
+
+import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,10 +16,13 @@ from mrilqr import (
     dare_residual,
     design,
     restrict_input_mode,
+    riccati,
     sample_plant,
     solve_dare,
 )
+from mrilqr.discretize import SampledCost
 from mrilqr.numkernel import spectral_radius
+from mrilqr.riccati import design_batch, design_sampled
 
 from conftest import closed_loop_cost_matrix, random_stable_plant, relerr
 
@@ -236,3 +242,170 @@ class TestNearPathologicalPeriods:
             assert spectral_radius(d.model.A_d + d.B_sel @ sol.K) < 1.0
             P = scipy.linalg.solve_discrete_are(d.model.A_d, d.B_sel, d.cost.Q_d, d.R_sel, s=d.S_sel)
             assert relerr(sol.P, P) < 1e-8
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def batch_against_solo(models, costs, mode) -> Counter:
+    """Assert each cell of one batched design equals its solo ``design_sampled``
+    bit for bit, or fails with the same error; count the outcomes."""
+    outcomes = Counter()
+    for model, cost, cell in zip(models, costs, design_batch(models, costs, mode), strict=True):
+        try:
+            solo = design_sampled(model, cost, mode)
+        except (ValueError, NumericalError) as exc:
+            assert type(cell) is type(exc) and str(cell) == str(exc), (model.T, cell, exc)
+            if isinstance(exc, DareDivergenceError):
+                assert cell.iterations == exc.iterations
+                assert same_bits(cell.last_iterate, exc.last_iterate)
+            outcomes[type(exc).__name__] += 1
+            continue
+        got, ref = cell.solution, solo.solution
+        assert same_bits(got.P, ref.P) and same_bits(got.K, ref.K), model.T
+        assert same_bits(got.residual, ref.residual), model.T
+        assert (got.iterations, got.converged, got.qhat_kernel_dim) == \
+            (ref.iterations, ref.converged, ref.qhat_kernel_dim), model.T
+        outcomes["converged" if got.converged else "not converged"] += 1
+    return outcomes
+
+
+def reference_doubling(A_d, B, Q_d, S, R):
+    """The documented doubling as 2-D calls, one problem at a time:
+    (last iterate or None when it diverges, doublings)."""
+    n = A_d.shape[0]
+    RinvBSt = scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (R + R.T)), np.hstack([B.T, S.T]))
+    A = A_d - B @ RinvBSt[:, n:]
+    H = Q_d - S @ RinvBSt[:, n:]
+    H = 0.5 * (H + H.T)
+    G = B @ RinvBSt[:, :n]
+    G = 0.5 * (G + G.T)
+    blow_up = 1e12 * max(1.0, float(np.linalg.norm(H, "fro")))
+
+    def value_iterate(A, G, H):
+        P = H + 1e-12 * A.T @ np.linalg.solve(np.eye(n) + 1e-12 * G, A)
+        return 0.5 * (P + P.T)
+
+    P = value_iterate(A, G, H)
+    for k in range(1, 65):
+        w, V = np.linalg.eigh(0.5 * (H + H.T))
+        H_half = np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T
+        X = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
+        L = np.linalg.cholesky(np.eye(n) + H_half @ G @ H_half.T)
+        Y = scipy.linalg.solve_triangular(L, H_half @ A, lower=True)
+        G_next = G + A @ X[:, n:] @ A.T
+        A, G, H = A @ X[:, :n], 0.5 * (G_next + G_next.T), H + Y.T @ Y
+        Pn = value_iterate(A, G, H)
+        norm = float(np.linalg.norm(Pn, "fro"))
+        if not norm <= blow_up:
+            return None, k
+        step = float(np.linalg.norm(Pn - P, "fro"))
+        P = Pn
+        if step <= 1e-13 * max(1.0, norm):
+            break
+    return P, k
+
+
+def sampled_grid(plant, weights, periods):
+    return ([sample_plant(plant, T) for T in periods],
+            [cost_matrices(plant, weights, T) for T in periods])
+
+
+class TestDesignBatch:
+    @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
+    def test_souza_grid_and_near_pathological_periods(self, souza_plant, souza_weights, mode):
+        near = [k * SOUZA_BASE + d for k in (1, 2, 3)
+                for d in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6)]
+        periods = [*(0.2 + 0.05 * np.arange(97)), *near]
+        outcomes = batch_against_solo(*sampled_grid(souza_plant, souza_weights, periods), mode)
+        assert outcomes["converged"] > 90
+        if mode == "regular":
+            # the hold-only design diverges at and next to k 2 pi / sqrt(23)
+            assert outcomes["DareDivergenceError"] > 0
+
+    @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
+    def test_rotation_grid_across_multiples_of_pi(self, rotation_plant, mode):
+        weights = CostWeights(np.eye(2), [[1.0]], [[1.0]])
+        near = [k * np.pi + d for k in (1, 2, 3, 4) for d in (0.0, 1e-7, -1e-7)]
+        periods = [*np.linspace(0.25, 13.0, 52), *near]
+        outcomes = batch_against_solo(*sampled_grid(rotation_plant, weights, periods), mode)
+        assert outcomes["converged"] > 40
+        # both single channels lose controllability at multiples of 2 pi
+        if mode != "mri":
+            assert outcomes["converged"] < len(periods)
+
+    @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
+    def test_insulin_periods(self, insulin_plant, insulin_weights, mode):
+        grid = sampled_grid(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0])
+        assert batch_against_solo(*grid, mode) == {"converged": 4}
+
+    def test_mixed_outcomes_fail_cell_by_cell(self, souza_plant, souza_weights):
+        # mri: converging, not converging, Qhat cancelling to roundoff,
+        # converging, a singular doubling solve
+        models, costs = sampled_grid(souza_plant, souza_weights, [1.0, 20.0, 45.0, 2.0, 100.0])
+        model, cost = models[0], costs[0]
+        # an unstable A_d without inputs is not stabilizable: the doubling diverges
+        models.append(dataclasses.replace(model, B_d=0.0 * model.B_d, B_i=0.0 * model.B_i))
+        costs.append(cost)
+        # an indefinite Qhat far from roundoff is a bad input
+        models.append(model)
+        costs.append(SampledCost(-np.eye(2), np.zeros_like(cost.S_d), cost.R_d))
+        assert batch_against_solo(models, costs, "mri") == {
+            "converged": 2, "not converged": 1, "DareDivergenceError": 1,
+            "NumericalError": 2, "ValueError": 1}
+
+    def test_hold_only_failures_in_the_doubling(self, souza_plant, souza_weights):
+        # converging, diverging, an indefinite Cholesky factor, converging,
+        # a singular solve
+        grid = sampled_grid(souza_plant, souza_weights, [1.0, SOUZA_BASE, 80.0, 2.0, 100.0])
+        assert batch_against_solo(*grid, "regular") == {
+            "converged": 2, "DareDivergenceError": 1, "NumericalError": 2}
+
+
+    def test_stacked_doubling_equals_the_two_dimensional_recursion(
+            self, souza_plant, souza_weights, insulin_plant, insulin_weights):
+        # stacked LAPACK calls, matmuls and norms give each cell the bits of
+        # the 2-D calls: the doubling count always matches, and an iterate
+        # that passes the residual test is returned unpolished, bit for bit
+        grids = [sampled_grid(souza_plant, souza_weights, 0.2 + 0.1 * np.arange(48)),
+                 sampled_grid(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0])]
+        unpolished = 0
+        for models, costs in grids:
+            for mode in ("regular", "impulsive", "mri"):
+                for model, cost in zip(models, costs):
+                    d = design_sampled(model, cost, mode)
+                    sol = d.solution
+                    P, k = reference_doubling(model.A_d, d.B_sel, cost.Q_d, d.S_sel, d.R_sel)
+                    assert P is not None and sol.iterations == k
+                    res = dare_residual(P, model.A_d, d.B_sel, cost.Q_d, d.S_sel, d.R_sel)
+                    if res <= 1e-9 * (1.0 + np.linalg.norm(P, "fro")):
+                        assert same_bits(sol.P, P)
+                        unpolished += 1
+        # 153 of these 156 iterates pass unpolished
+        assert unpolished > 140
+
+
+class TestPolishOnDemand:
+    def test_insulin_polishes_only_iterates_missing_the_residual_test(
+            self, insulin_plant, insulin_weights, monkeypatch):
+        # the polish evaluates the doubling iterate's residual, and one more
+        # residual per policy-iteration round: one evaluation per design means
+        # the returned P is the doubling iterate itself
+        evaluations = []
+        residual = riccati.dare_residual
+        monkeypatch.setattr(riccati, "dare_residual",
+                            lambda *args: evaluations.append(1) or residual(*args))
+        polished = 0
+        for T in (5.0, 10.0, 20.0, 40.0):
+            for mode in ("regular", "impulsive", "mri"):
+                evaluations.clear()
+                d = design(insulin_plant, insulin_weights, T, mode)
+                sol = d.solution
+                np.linalg.cholesky(sol.P)
+                assert sol.converged
+                assert sol.residual == residual(sol.P, d.model.A_d, d.B_sel, d.cost.Q_d,
+                                                d.S_sel, d.R_sel)
+                polished += len(evaluations) > 1
+        # 3 of the 12 iterates miss the test and are polished to convergence
+        assert 0 < polished < 12
