@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -401,8 +402,8 @@ def _sweep_cell(cell, N_list, b) -> list[tuple[float, bool, int]]:
     ValueError is raised. One design serves every horizon. A diverged
     solve reports its last iterate's cost for all of them, any other
     numerical failure a nan cost with 0 iterations, and a failed
-    closed-loop check the feedback-only cost for every N > 0, all with
-    converged=False.
+    closed-loop check or a singular preview solve the feedback-only cost
+    for every N > 0, all with converged=False.
     """
     if isinstance(cell, DareDivergenceError):
         return [(float(b @ cell.last_iterate @ b), False, cell.iterations)] * len(N_list)
@@ -416,12 +417,12 @@ def _sweep_cell(cell, N_list, b) -> list[tuple[float, bool, int]]:
         return [feedback] * len(N_list)
     try:
         G = preview_mod.closed_loop_G(cell.model.A_d, cell.B_sel, cell.S_sel, cell.R_sel, sol.P)
+        return [feedback if N == 0 else
+                (preview_mod.gamma_and_cost(sol.P, G, cell.B_sel, cell.R_sel, b, N)[1],
+                 sol.converged, sol.iterations)
+                for N in N_list]
     except NumericalError:
         return [feedback if N == 0 else (feedback[0], False, sol.iterations) for N in N_list]
-    return [feedback if N == 0 else
-            (preview_mod.gamma_and_cost(sol.P, G, cell.B_sel, cell.R_sel, b, N)[1],
-             sol.converged, sol.iterations)
-            for N in N_list]
 
 
 def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
@@ -526,13 +527,14 @@ def _parse_grid(text: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; ``main`` runs ``cmd_<command>``."""
     p = _Parser(prog="mrilqr", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help, with_T=True):
+    def command(name, help, with_T=True):
         sp = sub.add_parser(name, help=help)
-        sp.set_defaults(run=run)
         sp.add_argument("--scenario", required=True, help="scenario JSON path or bundled name")
         if with_T:
             sp.add_argument("--T", type=float, default=None, help="sampling period override")
@@ -540,23 +542,23 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         return sp
 
-    command("discretize", cmd_discretize, "sampled model and equivalent cost matrices")
+    command("discretize", "sampled model and equivalent cost matrices")
 
-    sp = command("controllability", cmd_controllability, "pathological-period report", with_T=False)
+    sp = command("controllability", "pathological-period report", with_T=False)
     sp.add_argument("--T-max", type=float, default=10.0, dest="T_max")
 
-    sp = command("lqr", cmd_lqr, "infinite-horizon gain synthesis")
+    sp = command("lqr", "infinite-horizon gain synthesis")
     sp.add_argument("--mode", choices=("regular", "impulsive", "mri"), default=None)
 
-    sp = command("preview", cmd_preview, "preview feedforward synthesis")
+    sp = command("preview", "preview feedforward synthesis")
     sp.add_argument("--N", type=int, default=None, help="preview horizon override")
 
-    sp = command("sweep", cmd_sweep, "cost sweep over sampling periods", with_T=False)
+    sp = command("sweep", "cost sweep over sampling periods", with_T=False)
     sp.add_argument("--T-grid", required=True, dest="T_grid", help="start:step:stop")
     sp.add_argument("--mode", choices=("regular", "impulsive", "mri", "all"), default="mri")
     sp.add_argument("--N", default="0", help="comma-separated preview horizons")
 
-    sp = command("simulate", cmd_simulate, "closed-loop trajectory CSV")
+    sp = command("simulate", "closed-loop trajectory CSV")
     sp.add_argument("--mode", choices=SIMULATE_MODES, default=None)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--eps", type=float, default=None, help="impulse hold fraction (approx mode)")
@@ -582,7 +584,8 @@ def main(argv=None) -> int:
             if hasattr(args, flag) and getattr(args, flag) is None:
                 setattr(args, flag, getattr(scenario, field))
         sink = _Sink()
-        args.run(scenario, args, sink)
+        # looked up per call, so a replaced module attribute is the one that runs
+        globals()[f"cmd_{args.command}"](scenario, args, sink)
         sink.emit(args.out, args.format)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

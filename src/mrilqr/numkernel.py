@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericalError
 
@@ -32,7 +33,7 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
     if A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
 
@@ -150,7 +151,8 @@ def spectral_radius(M) -> float:
 def _symmetric(M, name: str) -> np.ndarray:
     """M as a square array, symmetrized; ValueError unless symmetric to 1e-12 relative."""
     A = _square(M, name)
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())):
+    # for finite A this is np.allclose(A, A.T, rtol=0, atol=...) at a fraction of its cost
+    if not float(np.abs(A - A.T).max()) <= 1e-12 * (1.0 + float(np.abs(A).max())):
         raise ValueError(f"{name} is not symmetric")
     return 0.5 * (A + A.T)
 
@@ -171,9 +173,20 @@ def check_pd(M, name: str = "matrix") -> None:
 
 
 def solve_pd(M, rhs, what: str = "system") -> np.ndarray:
-    """Solve M x = rhs for symmetric positive definite M via Cholesky."""
-    try:
-        c = scipy.linalg.cho_factor(0.5 * (np.asarray(M) + np.asarray(M).T))
-        return scipy.linalg.cho_solve(c, rhs)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"singular {what}") from exc
+    """Solve M x = rhs for symmetric positive definite M via Cholesky.
+
+    M is symmetrized first. The LAPACK calls are the ones scipy's
+    ``cho_factor``/``cho_solve`` make (potrf on the upper triangle, then
+    potrs), so the result has their bits for 1-D and 2-D right-hand
+    sides, without their per-call wrapping. NumericalError for a
+    non-finite M or rhs (only an overflow upstream produces one) and for
+    an M that is not numerically positive definite.
+    """
+    M = np.asarray(M, dtype=float)
+    A = 0.5 * (M + M.T)
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise NumericalError(f"overflow: non-finite entries in {what} or its right-hand side")
+    c, info = dpotrf(A, lower=0, clean=0)
+    if info > 0:
+        raise NumericalError(f"singular {what}")
+    return dpotrs(c, rhs, lower=0)[0]

@@ -50,12 +50,21 @@ class PreviewPlan:
     Jstar: float
 
 
+def _solve(M, rhs, what: str) -> np.ndarray:
+    """np.linalg.solve(M, rhs); NumericalError for a singular M."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular {what}: {exc}") from exc
+
+
 def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
     """Optimal closed-loop matrix (I + B R^{-1} B' P)^{-1} (A_d - B R^{-1} S').
 
     By the matrix inversion lemma this equals A_d + B_di K with the
     stationary gain. Both forms are evaluated and must agree, which
-    guards against ill-conditioned solves. The agreement tolerance is
+    guards against ill-conditioned solves; a singular I + B R^{-1} B' P
+    raises NumericalError like a disagreement. The agreement tolerance is
     1e-9 relative, widened with the conditioning of R_d because the
     literal form routes through R_d^{-1} and cannot do better than
     eps * cond(R_d). The better-conditioned gain form is returned.
@@ -69,7 +78,7 @@ def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
 
     BRinvBt = B @ numkernel.solve_pd(R, B.T, "R_d")
     M = np.eye(n) + BRinvBt @ P
-    G_literal = np.linalg.solve(M, A_d - B @ numkernel.solve_pd(R, S.T, "R_d"))
+    G_literal = _solve(M, A_d - B @ numkernel.solve_pd(R, S.T, "R_d"), "I + B R^{-1} B' P")
 
     K = riccati._gain(P, A_d, B, S, R)
     G = A_d + B @ K
@@ -114,7 +123,8 @@ def gamma_and_cost(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, float]:
     Gamma accumulates sum_{i=0}^{N-1} G^i M (G')^i with the symmetric
     psd core M = B R^{-1} B' (I + P B R^{-1} B')^{-1}; every term is
     symmetrized to kill roundoff asymmetry. The cost is
-    Btilde'P Btilde - Btilde'P Gamma P Btilde.
+    Btilde'P Btilde - Btilde'P Gamma P Btilde. A singular
+    I + P B R^{-1} B' raises NumericalError.
     """
     if N < 0:
         raise ValueError(f"preview horizon must be >= 0, got {N}")
@@ -128,7 +138,7 @@ def gamma_and_cost(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, float]:
     if N > 0:
         X = B @ numkernel.solve_pd(R, B.T, "R_d")
         # M = X (I + P X)^{-1}, symmetric by the push-through identity.
-        M = np.linalg.solve((np.eye(n) + P @ X).T, X).T
+        M = _solve((np.eye(n) + P @ X).T, X, "(I + P B R^{-1} B')'").T
         M = 0.5 * (M + M.T)
         Gk = np.eye(n)
         for i in range(N):

@@ -75,11 +75,15 @@ def _gain(P, A_d, B, S, R) -> np.ndarray:
 
 
 def dare_residual(P, A_d, B, Q_d, S, R) -> float:
-    """Frobenius norm of P - (A_d'PA_d + Q_d - (A_d'PB + S)(B'PB + R)^{-1}(...)')."""
-    W = A_d.T @ P @ B + S
-    M = B.T @ P @ B + R
-    rhs = A_d.T @ P @ A_d + Q_d - W @ numkernel.solve_pd(M, W.T, "R + B'PB")
-    return float(np.linalg.norm(P - rhs, "fro"))
+    """Frobenius norm of P - (A_d'PA_d + Q_d - (A_d'PB + S)(B'PB + R)^{-1}(...)').
+
+    Not finite, without a numpy warning, when it overflows double precision.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = A_d.T @ P @ B + S
+        M = B.T @ P @ B + R
+        rhs = A_d.T @ P @ A_d + Q_d - W @ numkernel.solve_pd(M, W.T, "R + B'PB")
+        return float(np.linalg.norm(P - rhs, "fro"))
 
 
 def _converged(P, residual: float) -> bool:
@@ -149,6 +153,8 @@ def _policy_polish(P, A_d, B, Q_d, S, R):
     """
     best_P = P
     best_res = dare_residual(P, A_d, B, Q_d, S, R)
+    if not np.isfinite(best_res):
+        raise NumericalError("overflow: the Riccati residual of the doubling iterate is not finite")
     if _converged(P, best_res):
         return best_P, best_res
     n = A_d.shape[0]
@@ -306,7 +312,8 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
     """(Ahat, G, Qhat, blow-up bound, Qhat kernel dimension) of a checked problem.
 
     Raises ValueError for an indefinite Qhat and NumericalError for one
-    that lost definiteness to roundoff; see ``solve_dare``.
+    that lost definiteness to roundoff or whose norm overflows; see
+    ``solve_dare``.
     """
     n = A_d.shape[0]
     RinvBSt = numkernel.solve_pd(R, np.hstack([B.T, S.T]), "R_sel")
@@ -331,7 +338,11 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
             f"Q_d - S R^{{-1}} S' is not positive semidefinite (min eig {qhat_eigs[0]:.3e})"
         )
     qhat_kernel_dim = int(np.count_nonzero(np.abs(qhat_eigs) <= 1e-10 * qscale))
-    blow_up = DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(Qhat, "fro")))
+    with np.errstate(over="ignore"):
+        qhat_norm = float(np.linalg.norm(Qhat, "fro"))
+    if not np.isfinite(qhat_norm):
+        raise NumericalError("overflow: the Frobenius norm of Q_d - S R^{-1} S' is not finite")
+    blow_up = DIVERGENCE_FACTOR * max(1.0, qhat_norm)
     G = B @ RinvBSt[:, :n]
     return Ahat, 0.5 * (G + G.T), Qhat, blow_up, qhat_kernel_dim
 
@@ -361,10 +372,15 @@ def _solve_stack(problems) -> list[RiccatiSolution | ValueError | NumericalError
         if failures[j] is not None:
             out[i] = failures[j]
             continue
-        P_j, residual = _policy_polish(P[j], A_d, B, Q_d, S, R)
+        try:
+            P_j, residual = _policy_polish(P[j], A_d, B, Q_d, S, R)
+            K = _gain(P_j, A_d, B, S, R)
+        except NumericalError as exc:
+            out[i] = exc
+            continue
         out[i] = RiccatiSolution(
             P=P_j,
-            K=_gain(P_j, A_d, B, S, R),
+            K=K,
             residual=residual,
             iterations=int(iterations[j]),
             converged=_converged(P_j, residual),
@@ -383,7 +399,8 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     S R^{-1} S' lost definiteness to roundoff in their cancellation and
     raises NumericalError; a more negative one raises ValueError. A
     singular solve or a failed Cholesky factorization inside the doubling
-    raises NumericalError.
+    raises NumericalError, and so does an overflow: a Qhat whose norm or
+    an iterate whose residual is not finite in double precision.
 
     Starting from (A_0, G_0, H_0) = (Ahat, B R^{-1} B', Qhat), each
     doubling forms, with W = I + G_k H_k,

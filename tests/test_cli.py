@@ -124,6 +124,40 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("T, mode", [("600", "impulsive"), ("700", "impulsive"), ("300", "regular")])
+    def test_long_period_overflow_is_a_numerical_failure(self, T, mode, tmp_path, capsys):
+        # the impulse-only Qhat's norm overflows at T = 600 and 700, the
+        # hold-only iterate's residual at T = 300; RuntimeWarnings are errors here
+        out = tmp_path / "o.csv"
+        assert cli.main(["lqr", "--scenario", "souza", "--T", T, "--mode", mode,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: overflow: ")
+        assert not out.exists()
+
+    def test_singular_preview_solve_keeps_the_sweep(self, tmp_path):
+        grid = ["sweep", "--scenario", "souza", "--T-grid", "20:5:60", "--mode", "all"]
+        both, plain = tmp_path / "both.csv", tmp_path / "plain.csv"
+        assert cli.main([*grid, "--N", "0,3", "--out", str(both)]) == 0
+        assert cli.main([*grid, "--N", "0", "--out", str(plain)]) == 0
+        header, *rows = both.read_text().splitlines()
+        assert header == plain.read_text().splitlines()[0]
+        assert len(rows) == 54
+        assert rows[::2] == plain.read_text().splitlines()[1:]
+        # the hold-only cells at T = 50 (closed-loop form) and T = 55 (preview
+        # benefit) meet a singular I + B R^-1 B' P: their N = 3 rows carry the
+        # feedback cost, not converged
+        cells = {tuple(r.split(",")[:3]): r.split(",")[3:] for r in rows}
+        for T in ("50", "55"):
+            cost, _, iterations = cells[(T, "regular", "0")]
+            assert cells[(T, "regular", "3")] == [cost, "false", iterations]
+        sc = cli.load_scenario("souza")
+        d50, d55 = (design(sc.plant(), sc.weights(), T, "regular") for T in (50.0, 55.0))
+        with pytest.raises(NumericalError, match=r"^singular I \+ B R\^\{-1\} B' P: "):
+            preview.closed_loop_G(d50.model.A_d, d50.B_sel, d50.S_sel, d50.R_sel, d50.solution.P)
+        G = preview.closed_loop_G(d55.model.A_d, d55.B_sel, d55.S_sel, d55.R_sel, d55.solution.P)
+        with pytest.raises(NumericalError, match=r"^singular \(I \+ P B R\^\{-1\} B'\)': "):
+            preview.gamma_and_cost(d55.solution.P, G, d55.B_sel, d55.R_sel, sc.Btilde[:, 0], 3)
+
     def test_sweep_reports_failed_cells_and_keeps_the_others(self, tmp_path):
         # from T = 45 the mri cells' Q_d and S R^-1 S' cancel to roundoff in
         # Qhat; those cells read nan, the others as their solo designs
@@ -160,6 +194,61 @@ class TestExitCodes:
         p = tmp_path / "u.json"
         p.write_text(json.dumps(doc))
         assert cli.main(["controllability", "--scenario", str(p)]) == 1
+
+
+class TestParserCache:
+    COMMANDS = [
+        ["discretize", "--scenario", "souza", "--T", "0.7"],
+        ["controllability", "--scenario", "rotation", "--T-max", "7"],
+        ["lqr", "--scenario", "insulin", "--mode", "impulsive", "--format", "json"],
+        ["lqr", "--scenario", "souza"],
+        ["lqr", "--scenario", "souza", "--mode", "bogus"],
+        ["preview", "--scenario", "souza", "--N", "2"],
+        ["sweep", "--scenario", "souza", "--T-grid", "0.5:0.25:1.5", "--mode", "all", "--N", "0,2"],
+        ["sweep", "--scenario", "souza", "--T-grid", "1:1:1"],
+        ["simulate", "--scenario", "insulin", "--N", "1", "--steps", "40", "--format", "json"],
+        ["simulate", "--scenario", "souza", "--mode", "open_loop", "--substeps", "4"],
+    ]
+
+    @staticmethod
+    def run(argv, out, capsys):
+        """Exit status, output file bytes and console text of one in-process
+        call, writing to ``out`` or, when it is None, to the console."""
+        try:
+            status = cli.main(argv if out is None else [*argv, "--out", str(out)])
+        except SystemExit as exc:
+            status = f"SystemExit({exc.code})"
+        text = capsys.readouterr()
+        return status, out and out.exists() and out.read_bytes(), text.out, text.err
+
+    def test_back_to_back_calls_match_fresh_ones(self, tmp_path, capsys):
+        calls = [(argv, out) for i, argv in enumerate(self.COMMANDS) for out in (f"{i}.out", None)]
+
+        def fresh(argv, out):
+            cli._build_parser.cache_clear()
+            return self.run(argv, out and tmp_path / f"fresh-{out}", capsys)
+
+        expected = [fresh(argv, out) for argv, out in calls]
+        got = [self.run(argv, out and tmp_path / f"cached-{out}", capsys) for argv, out in calls]
+        assert [status for status, *_ in got[::2]] == [0, 0, 0, 0, "SystemExit(1)", 0, 0, 0, 0, 0]
+        assert got == expected
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_main_runs_the_command_bound_at_call_time(self, tmp_path, monkeypatch):
+        cli._build_parser()
+        seen = []
+
+        def fake_sweep(scenario, args, sink):
+            seen.append((scenario.name, args.T_grid, args.N))
+            sink.scalar("patched", True)
+
+        monkeypatch.setattr(cli, "cmd_sweep", fake_sweep)
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "1:1:2", "--out", str(out)]) == 0
+        assert seen == [("souza", "1:1:2", "0")]
+        assert out.read_text() == "section,name,row,col,value\nscalar,patched,,,true\n"
 
 
 class TestOutputs:

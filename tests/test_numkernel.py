@@ -9,6 +9,7 @@ from scipy.integrate import quad_vec
 from scipy.optimize import linear_sum_assignment
 
 from mrilqr import numkernel
+from mrilqr.errors import NumericalError
 from mrilqr.numkernel import (
     eigenvalues,
     expm_block_integrals,
@@ -274,3 +275,90 @@ class TestNullSpace:
 
 def test_spectral_radius():
     assert abs(numkernel.spectral_radius(np.diag([0.5, -0.9])) - 0.9) < 1e-14
+
+
+def cho_reference(M, rhs) -> np.ndarray:
+    """The symmetric solve through scipy's cho_factor/cho_solve."""
+    c = scipy.linalg.cho_factor(0.5 * (np.asarray(M) + np.asarray(M).T))
+    return scipy.linalg.cho_solve(c, rhs)
+
+
+class TestSolvePd:
+    def test_bitwise_equal_to_scipy_cholesky_solve(self):
+        rng = np.random.default_rng(9)
+        for n, cond in product(range(1, 25), (1.0, 1e4, 1e8, 1e12)):
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            # roundoff leaves M asymmetric; both solves symmetrize it
+            M = (Q * np.geomspace(1.0, cond, n)) @ Q.T
+            for rhs in (rng.normal(size=n), rng.normal(size=(n, 3)), rng.normal(size=(3, n)).T):
+                kept = rhs.copy()
+                for layout in (np.ascontiguousarray, np.asfortranarray):
+                    x = numkernel.solve_pd(layout(M), rhs)
+                    ref = cho_reference(layout(M), rhs)
+                    assert x.shape == ref.shape
+                    assert np.array_equal(x.view(np.uint64), ref.view(np.uint64)), (n, cond)
+                assert np.array_equal(rhs, kept)
+
+    @pytest.mark.parametrize("M", [[[1.0, 2.0], [2.0, 1.0]], [[0.0]], [[2.0, 0.0], [0.0, -1e-300]]])
+    def test_indefinite_matrix_is_a_singular_system(self, M):
+        rhs = np.ones(len(M))
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_reference(M, rhs)
+        with pytest.raises(NumericalError, match=r"^singular R \+ B'PB$"):
+            numkernel.solve_pd(M, rhs, "R + B'PB")
+
+    @pytest.mark.parametrize("where", ["M", "rhs"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_is_a_numerical_error(self, where, value):
+        M, rhs = np.eye(2), np.ones((2, 1))
+        (M if where == "M" else rhs)[1, 0] = value
+        with pytest.raises(NumericalError, match="^overflow: non-finite entries in R_d"):
+            numkernel.solve_pd(M, rhs, "R_d")
+
+
+class TestSymmetryTest:
+    """``_symmetric`` and ``check_pd`` accept exactly what np.allclose(A, A', rtol=0,
+    atol=1e-12 (1 + max|A|)) accepts."""
+
+    @staticmethod
+    def allclose(A) -> bool:
+        return bool(np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())))
+
+    @staticmethod
+    def accepted(A) -> bool:
+        try:
+            numkernel.check_pd(A, "A")
+        except ValueError as exc:
+            assert str(exc) == "A is not symmetric"
+            return False
+        S = numkernel._symmetric(A, "A")
+        assert np.array_equal(S, 0.5 * (A + A.T))
+        return True
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 3e5])
+    def test_asymmetry_at_just_under_and_just_over_the_bound(self, scale):
+        A = scale * np.array([[2.0, 0.0, 0.5], [0.0, 3.0, -1.0], [0.5, -1.0, 4.0]])
+        bound = 1e-12 * (1.0 + float(np.abs(A).max()))
+        verdicts = []
+        for d in (0.0, 0.5 * bound, np.nextafter(bound, 0.0), bound,
+                  np.nextafter(bound, np.inf), 2.0 * bound):
+            B = A.copy()
+            B[0, 1] = d  # the asymmetry is exactly d, and max|B| is that of A
+            assert self.accepted(B) == self.allclose(B) == (d <= bound), d
+            verdicts.append(self.accepted(B))
+        assert verdicts == [True, True, True, True, False, False]
+
+    def test_random_asymmetry_around_the_bound(self):
+        rng = np.random.default_rng(12)
+        verdicts = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            X = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 6)
+            A = X @ X.T + np.eye(n)
+            bound = 1e-12 * (1.0 + float(np.abs(A).max()))
+            E = rng.normal(size=(n, n))
+            A = A + (rng.uniform(0.5, 1.5) * bound / np.abs(E).max()) * E
+            verdict = self.accepted(A)
+            assert verdict == self.allclose(A)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

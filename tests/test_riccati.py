@@ -362,6 +362,14 @@ class TestDesignBatch:
         assert batch_against_solo(*grid, "regular") == {
             "converged": 2, "DareDivergenceError": 1, "NumericalError": 2}
 
+    def test_overflowing_cells_fail_alone(self, souza_plant, souza_weights):
+        # at T = 300 the hold-only iterate's residual overflows, and at
+        # T = 700 the norm of the impulse-only Qhat does
+        grid = sampled_grid(souza_plant, souza_weights, [1.0, 300.0, 2.0])
+        assert batch_against_solo(*grid, "regular") == {"converged": 2, "NumericalError": 1}
+        grid = sampled_grid(souza_plant, souza_weights, [1.0, 700.0, 2.0])
+        assert batch_against_solo(*grid, "impulsive") == {"converged": 2, "NumericalError": 1}
+
 
     def test_stacked_doubling_equals_the_two_dimensional_recursion(
             self, souza_plant, souza_weights, insulin_plant, insulin_weights):
