@@ -31,7 +31,7 @@ from .controllability import (
     _sampled_pathological,
     candidate_pathological_periods,
 )
-from .discretize import ContinuousPlant, CostWeights, cost_matrices, input_channels, sample_plant
+from .discretize import MODES, ContinuousPlant, CostWeights, cost_matrices, input_channels, sample_plant
 from .errors import NumericalError, DareDivergenceError
 from .numkernel import as_matrix, spectral_radius
 
@@ -40,7 +40,7 @@ __all__ = ["ScenarioConfig", "load_scenario", "bundled_scenario_names", "main"]
 CONSOLE_DIGITS = 12
 FILE_DIGITS = 17
 
-SIMULATE_MODES = ("regular", "impulsive", "mri", "open_loop")
+SIMULATE_MODES = (*MODES, "open_loop")
 
 
 @dataclass
@@ -55,14 +55,14 @@ class ScenarioConfig:
     Rc: np.ndarray
     Ri: np.ndarray
     T: float
-    N: int = 0
-    mode: str = "mri"
-    epsilon: float | None = None
-    saturate_nonnegative: bool = False
-    horizon_steps: int | None = None
-    substeps: int = 32
-    disturbance_scale: float = 1.0
-    output_row: np.ndarray | None = None
+    N: int
+    mode: str
+    epsilon: float | None
+    saturate_nonnegative: bool
+    horizon_steps: int | None
+    substeps: int
+    disturbance_scale: float
+    output_row: np.ndarray | None
 
     def plant(self) -> ContinuousPlant:
         return ContinuousPlant(self.A, self.B, self.Btilde)
@@ -79,6 +79,35 @@ class ScenarioConfig:
                 "takes a single disturbance column"
             )
         return self.Btilde[:, 0]
+
+
+# scalar scenario field -> (JSON type, value when absent, flag that overrides it)
+_SCENARIO_SCALARS = {
+    "T": (float, 0.0, "T"),
+    "N": (int, 0, "N"),
+    "mode": (str, "mri", "mode"),
+    "epsilon": (float, None, "eps"),
+    "saturate_nonnegative": (bool, False, "saturate"),
+    "horizon_steps": (int, None, "steps"),
+    "substeps": (int, 32, "substeps"),
+    "disturbance_scale": (float, 1.0, None),
+}
+
+_JSON_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _scalar(label: str, key: str, value, tp: type, absent):
+    """Field ``key`` as ``tp``: a number accepts integers, an integer takes 2.0
+    but not 1.5, a bool is never a number, and null only stands for None."""
+    if value is None and absent is None:
+        return None
+    kind = type(value)
+    if kind is tp or (tp is float and kind is int) or (tp is int and kind is float and value.is_integer()):
+        try:
+            return tp(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{label}: field {key!r} must be {_JSON_TYPE_NAMES[tp]}, got {json.dumps(value)}")
 
 
 def bundled_scenario_names() -> list[str]:
@@ -120,49 +149,29 @@ def load_scenario(spec: str) -> ScenarioConfig:
     A = matrix("A")
     B = matrix("B")
     Btilde = matrix("Btilde", required=False)
+    C = matrix("Ctilde", required=False)
     if "Q" in raw:
         Q = matrix("Q")
-    elif "Ctilde" in raw:
-        C = matrix("Ctilde")
+    elif C is not None:
         Q = C.T @ C
     else:
         raise ValueError(f"{label}: provide either 'Q' or a 'Ctilde' row to form Q")
     Rc = matrix("Rc")
     Ri = matrix("Ri")
 
-    mode = raw.get("mode", "mri")
-    if mode not in SIMULATE_MODES:
-        raise ValueError(f"{label}: field 'mode' must be one of {SIMULATE_MODES}, got {mode!r}")
-    T = float(raw.get("T", 0.0))
-    if not (T > 0.0):
+    scalars = {key: _scalar(label, key, raw.get(key, absent), tp, absent)
+               for key, (tp, absent, _) in _SCENARIO_SCALARS.items()}
+    if scalars["mode"] not in SIMULATE_MODES:
+        raise ValueError(f"{label}: field 'mode' must be one of {SIMULATE_MODES}, got {scalars['mode']!r}")
+    if not (scalars["T"] > 0.0):
         raise ValueError(f"{label}: field 'T' must be a positive sampling period")
-    N = int(raw.get("N", 0))
-    if N < 0:
+    if scalars["N"] < 0:
         raise ValueError(f"{label}: field 'N' must be >= 0")
-    eps = raw.get("epsilon", None)
     out_row = matrix("output_row", required=False)
-    if out_row is None and "Ctilde" in raw:
-        out_row = matrix("Ctilde")
-    horizon = raw.get("horizon_steps", None)
 
-    return ScenarioConfig(
-        name=str(raw.get("name", label)),
-        A=A,
-        B=B,
-        Btilde=Btilde if Btilde is not None else np.zeros((A.shape[0], 1)),
-        Q=Q,
-        Rc=Rc,
-        Ri=Ri,
-        T=T,
-        N=N,
-        mode=mode,
-        epsilon=float(eps) if eps is not None else None,
-        saturate_nonnegative=bool(raw.get("saturate_nonnegative", False)),
-        horizon_steps=int(horizon) if horizon is not None else None,
-        substeps=int(raw.get("substeps", 32)),
-        disturbance_scale=float(raw.get("disturbance_scale", 1.0)),
-        output_row=out_row,
-    )
+    return ScenarioConfig(str(raw.get("name", label)), A, B,
+                          np.zeros((A.shape[0], 1)) if Btilde is None else Btilde, Q, Rc, Ri,
+                          output_row=C if out_row is None else out_row, **scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +410,8 @@ def _sweep_cell(cell, N_list, b) -> list[tuple[float, bool, int]]:
     ``cell`` is the cell's design or the error its solve ended with; a
     ValueError is raised. One design serves every horizon. A diverged
     solve reports its last iterate's cost for all of them, any other
-    numerical failure a nan cost with 0 iterations, and a failed
+    numerical failure a nan cost with 0 iterations, and an unconverged
+    design (whose preview cost can fall far below zero), a failed
     closed-loop check or a singular preview solve the feedback-only cost
     for every N > 0, all with converged=False.
     """
@@ -413,7 +423,7 @@ def _sweep_cell(cell, N_list, b) -> list[tuple[float, bool, int]]:
         raise cell
     sol = cell.solution
     feedback = (float(b @ sol.P @ b), sol.converged, sol.iterations)
-    if all(N == 0 for N in N_list):
+    if not sol.converged or all(N == 0 for N in N_list):
         return [feedback] * len(N_list)
     try:
         G = preview_mod.closed_loop_G(cell.model.A_d, cell.B_sel, cell.S_sel, cell.R_sel, sol.P)
@@ -427,7 +437,7 @@ def _sweep_cell(cell, N_list, b) -> list[tuple[float, bool, int]]:
 
 def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     T_grid = _parse_grid(args.T_grid).tolist()
-    modes = ("regular", "impulsive", "mri") if args.mode == "all" else (args.mode,)
+    modes = MODES if args.mode == "all" else (args.mode,)
     N_list = [int(p) for p in args.N.split(",") if p != ""]
     plant = scenario.plant()
     weights = scenario.weights()
@@ -451,14 +461,12 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     weights = scenario.weights()
     direction = scenario.disturbance_column() * scenario.disturbance_scale
     T, N, mode = args.T, args.N, args.mode
-    saturate = scenario.saturate_nonnegative or bool(args.saturate)
 
     m = plant.m
     feedforward: tuple = ()
     A_cl = None
     if mode == "open_loop":
-        policy = simulate.InputPolicy(K=np.zeros((2 * m, plant.n)), mode="mri",
-                                      saturate_nonnegative=False)
+        policy = simulate.InputPolicy(K=np.zeros((2 * m, plant.n)), mode="mri")
     else:
         if N > 0 and mode != "mri":
             raise ValueError("preview (N > 0) is only available in mri mode")
@@ -466,7 +474,7 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
         if N > 0:
             feedforward = preview_mod.preview_plan(des, direction, N).feedforward
         policy = simulate.InputPolicy(K=des.solution.K, mode=mode, feedforward=feedforward,
-                                      saturate_nonnegative=saturate)
+                                      saturate_nonnegative=args.saturate)
         A_cl = des.model.A_d + des.B_sel @ des.solution.K
 
     disturbance = simulate.DisturbanceSpec(impulse_step=N, direction=direction)
@@ -485,7 +493,7 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
               + [f"uc{i+1}" for i in range(m)] + [f"ui{i+1}" for i in range(m)]
               + ["J_running", "impulse"])
     # a row at a duplicated time stamp carries the input of the interval starting there
-    ks = np.minimum(np.floor(traj.dense_times / T + 1e-9).astype(int), traj.steps - 1)
+    ks = np.minimum(np.floor(traj.dense_times / T + 1e-9).astype(int), steps - 1)
     # y row by row, as out_row @ x: one gemv over all rows sums in another order
     y = None if out_row is None else (traj.dense_states[:, None, :] @ out_row)[:, 0]
     columns = [traj.dense_times, *traj.dense_states.T, y, *traj.u_c[ks].T, *traj.u_i[ks].T,
@@ -495,7 +503,7 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     sink.scalar("T", T)
     sink.scalar("mode", mode)
     sink.scalar("N", N)
-    sink.scalar("steps", traj.steps)
+    sink.scalar("steps", steps)
     sink.scalar("J_cont", traj.J_cont)
     sink.scalar("J_disc", traj.J_disc)
     if out_row is not None:
@@ -548,14 +556,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--T-max", type=float, default=10.0, dest="T_max")
 
     sp = command("lqr", "infinite-horizon gain synthesis")
-    sp.add_argument("--mode", choices=("regular", "impulsive", "mri"), default=None)
+    sp.add_argument("--mode", choices=MODES, default=None)
 
     sp = command("preview", "preview feedforward synthesis")
     sp.add_argument("--N", type=int, default=None, help="preview horizon override")
 
     sp = command("sweep", "cost sweep over sampling periods", with_T=False)
     sp.add_argument("--T-grid", required=True, dest="T_grid", help="start:step:stop")
-    sp.add_argument("--mode", choices=("regular", "impulsive", "mri", "all"), default="mri")
+    sp.add_argument("--mode", choices=(*MODES, "all"), default="mri")
     sp.add_argument("--N", default="0", help="comma-separated preview horizons")
 
     sp = command("simulate", "closed-loop trajectory CSV")
@@ -564,24 +572,16 @@ def _build_parser() -> _Parser:
     sp.add_argument("--eps", type=float, default=None, help="impulse hold fraction (approx mode)")
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--substeps", type=int, default=None)
-    sp.add_argument("--saturate", action="store_true", help="clip inputs at zero")
+    sp.add_argument("--saturate", action="store_true", default=None, help="clip inputs at zero")
     return p
-
-
-# (flag, ScenarioConfig field): a flag a command has but was not given
-# takes the scenario's value
-_SCENARIO_DEFAULTS = (
-    ("T", "T"), ("N", "N"), ("mode", "mode"), ("eps", "epsilon"),
-    ("steps", "horizon_steps"), ("substeps", "substeps"),
-)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        for flag, field in _SCENARIO_DEFAULTS:
-            if hasattr(args, flag) and getattr(args, flag) is None:
+        for field, (_, _, flag) in _SCENARIO_SCALARS.items():
+            if flag is not None and getattr(args, flag, False) is None:
                 setattr(args, flag, getattr(scenario, field))
         sink = _Sink()
         # looked up per call, so a replaced module attribute is the one that runs

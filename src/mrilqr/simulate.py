@@ -81,14 +81,13 @@ class DisturbanceSpec:
 class Trajectory:
     """Sampled and dense closed-loop response with both cost tallies.
 
-    steps is the number K of simulated sampling intervals, and
-    sample_states holds x_0..x_K in the convention used by the input
-    law: at the disturbance step the stored state is the post-jump one.
-    Dense rows duplicate the time stamp at jumps (pre and post state)
-    and flag rows at which an impulse acted on the state.
+    sample_states holds x_0..x_K for the K simulated sampling intervals,
+    in the convention used by the input law: at the disturbance step the
+    stored state is the post-jump one. Dense rows duplicate the time
+    stamp at jumps (pre and post state) and flag rows at which an impulse
+    acted on the state.
     """
 
-    steps: int
     sample_states: np.ndarray
     u_c: np.ndarray
     u_i: np.ndarray
@@ -163,10 +162,10 @@ def _run(
 
     sc = cost_matrices(plant, weights, T)
 
-    times = [0.0]
-    states = [x.copy()]
-    flags = [0]
-    running = [0.0]
+    # one (t, state, impulse flag, J_cont) record per dense row, laid end to
+    # end in one flat list and unzipped by stride at the end: a tuple per
+    # row is a tracked allocation per row and sets off the cyclic collector
+    rows = [0.0, x.copy(), 0, 0.0]
     sample_states = []
     ucs, uis = [], []
     xi = np.empty(n + plant.m)
@@ -176,19 +175,19 @@ def _run(
     # overflow on a diverging loop is reported through the finiteness
     # check below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
+        # the pass k == steps only applies a disturbance due at the final sample
+        for k in range(steps + 1):
             t_k = k * T
             if disturbance is not None and k == disturbance.impulse_step:
                 x = x + disturbance.direction
-                times.append(t_k)
-                states.append(x)
-                flags.append(1)
-                running.append(J_cont)
+                rows += (t_k, x, 1, J_cont)
+            sample_states.append(x)
+            if k == steps:
+                break
 
             u_c, u_i = inputs_fn(k, x)
             u_c = np.asarray(u_c, dtype=float).reshape(-1)
             u_i = np.asarray(u_i, dtype=float).reshape(-1)
-            sample_states.append(x)
             ucs.append(u_c)
             uis.append(u_i)
 
@@ -200,10 +199,7 @@ def _run(
             if alpha is None:
                 y = x + B @ u_i
                 if np.any(u_i != 0.0):
-                    times.append(t_k)
-                    states.append(y)
-                    flags.append(1)
-                    running.append(J_cont)
+                    rows += (t_k, y, 1, J_cont)
             else:
                 y = x
 
@@ -220,25 +216,14 @@ def _run(
                 xi[n:] = u_hold if within_hold else u_free
                 J_cont += float(xi @ H @ xi) + d * hold_cost
                 y = A_dd @ y + drive[d, within_hold]
-                times.append(t_k + t_end)
-                states.append(y)
-                flags.append(0)
-                running.append(J_cont)
+                rows += (t_k + t_end, y, 0, J_cont)
 
             x = y
             if not np.all(np.isfinite(x)):
                 raise SimulationDivergence(f"state diverged at step {k}", step=k)
 
-    if disturbance is not None and disturbance.impulse_step == steps:
-        x = x + disturbance.direction
-        times.append(steps * T)
-        states.append(x)
-        flags.append(1)
-        running.append(J_cont)
-    sample_states.append(x)
-
+    times, states, flags, running = (rows[i::4] for i in range(4))
     return Trajectory(
-        steps=steps,
         sample_states=np.array(sample_states),
         u_c=np.array(ucs),
         u_i=np.array(uis),

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+from argparse import Namespace
 from collections import Counter
 from itertools import cycle
 
@@ -85,6 +87,79 @@ class TestScenarioLoading:
         with pytest.raises(ValueError, match="bundled"):
             cli.load_scenario("nope")
 
+    ABSENT = "<absent>"
+    SOUZA = {"A": [[0.0, 1.0], [-6.0, 1.0]], "B": [[0.0], [1.0]], "Btilde": [[1.0], [1.0]],
+             "Q": [[1.0, 0.0], [0.0, 0.0]], "Rc": [[1.0]], "Ri": [[1.0]], "T": 1.0}
+
+    MALFORMED = [
+        ("[1, 2]", "top-level JSON value must be an object"),
+        ('{"A": [[0.0]],', "invalid JSON at line 1"),
+        ({"A": ABSENT}, "missing required field 'A'"),
+        ({"A": [[0.0, 1.0], [-6.0]]}, "field 'A': "),
+        ({"Q": ABSENT}, "provide either 'Q' or a 'Ctilde' row"),
+        ({"mode": "bogus"}, "field 'mode' must be one of "),
+        ({"mode": 3}, "field 'mode' must be a string, got 3"),
+        ({"T": 0}, "field 'T' must be a positive sampling period"),
+        ({"T": -1.0}, "field 'T' must be a positive sampling period"),
+        ({"T": None}, "field 'T' must be a number, got null"),
+        ({"T": [1.0]}, r"field 'T' must be a number, got \[1.0\]"),
+        ({"T": True}, "field 'T' must be a number, got true"),
+        ({"N": -1}, "field 'N' must be >= 0"),
+        ({"N": 1.5}, "field 'N' must be an integer, got 1.5"),
+        ({"N": "2"}, "field 'N' must be an integer, got \"2\""),
+        ({"substeps": 2.7}, "field 'substeps' must be an integer, got 2.7"),
+        ({"horizon_steps": 12.9}, "field 'horizon_steps' must be an integer, got 12.9"),
+        ({"horizon_steps": False}, "field 'horizon_steps' must be an integer, got false"),
+        ({"epsilon": "0.1"}, "field 'epsilon' must be a number"),
+        ({"disturbance_scale": None}, "field 'disturbance_scale' must be a number, got null"),
+        ({"disturbance_scale": 10 ** 400}, "field 'disturbance_scale' must be a number, got 1000"),
+        ({"saturate_nonnegative": "false"},
+         "field 'saturate_nonnegative' must be true or false, got \"false\""),
+        ({"saturate_nonnegative": 0}, "field 'saturate_nonnegative' must be true or false, got 0"),
+    ]
+
+    @pytest.mark.parametrize("text, message", MALFORMED,
+                             ids=[json.dumps(text)[:32] for text, _ in MALFORMED])
+    def test_malformed_scenario_file_is_an_input_error(self, text, message, tmp_path, capsys):
+        if isinstance(text, dict):
+            text = json.dumps({k: v for k, v in {**self.SOUZA, **text}.items() if v != self.ABSENT})
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert cli.main(["discretize", "--scenario", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {p}: ")
+        assert re.search(message, err), err
+        assert "Traceback" not in err
+
+    def test_integral_and_null_fields_load(self, tmp_path):
+        p = tmp_path / "ok.json"
+        p.write_text(json.dumps({**self.SOUZA, "T": 1, "N": 2.0, "epsilon": None,
+                                 "horizon_steps": None, "saturate_nonnegative": True}))
+        sc = cli.load_scenario(str(p))
+        assert (type(sc.T), sc.T) == (float, 1.0)
+        assert (type(sc.N), sc.N) == (int, 2)
+        assert sc.epsilon is None and sc.horizon_steps is None
+        assert sc.saturate_nonnegative is True
+        assert sc.name == str(p)
+
+    def test_given_flags_override_scenario_fields(self, tmp_path, monkeypatch):
+        full, bare = tmp_path / "full.json", tmp_path / "bare.json"
+        full.write_text(json.dumps({**self.SOUZA, "T": 2.0, "N": 1, "mode": "regular", "epsilon": 0.1,
+                                    "saturate_nonnegative": True, "horizon_steps": 7, "substeps": 5}))
+        bare.write_text(json.dumps(self.SOUZA))
+        seen = []
+        monkeypatch.setattr(cli, "cmd_simulate", lambda scenario, args, sink: seen.append(vars(args)))
+        flags = ["--T", "3", "--N", "2", "--mode", "mri", "--eps", "0.2", "--steps", "9",
+                 "--substeps", "6", "--saturate"]
+        for argv in ([str(full)], [str(bare)], [str(bare), *flags]):
+            assert cli.main(["simulate", "--scenario", *argv]) == 0
+        names = ["T", "N", "mode", "eps", "saturate", "steps", "substeps"]
+        assert [[args[k] for k in names] for args in seen] == [
+            [2.0, 1, "regular", 0.1, True, 7, 5],
+            [1.0, 0, "mri", None, False, None, 32],
+            [3.0, 2, "mri", 0.2, True, 9, 6],
+        ]
+
 
 class TestExitCodes:
     def test_success(self, tmp_path):
@@ -150,6 +225,13 @@ class TestExitCodes:
         for T in ("50", "55"):
             cost, _, iterations = cells[(T, "regular", "0")]
             assert cells[(T, "regular", "3")] == [cost, "false", iterations]
+        # an unconverged design's preview cost can fall far below zero (down to
+        # -6.8e46 here): such a cell reports its feedback cost for every N
+        assert all(not float(cost) < 0.0 for cost, _, _ in cells.values())
+        for (T, mode, N), (cost, converged, iterations) in cells.items():
+            if N == "3" and converged == "false":
+                zero_cost, _, zero_iterations = cells[(T, mode, "0")]
+                assert (cost, iterations) == (zero_cost, zero_iterations)
         sc = cli.load_scenario("souza")
         d50, d55 = (design(sc.plant(), sc.weights(), T, "regular") for T in (50.0, 55.0))
         with pytest.raises(NumericalError, match=r"^singular I \+ B R\^\{-1\} B' P: "):
@@ -157,6 +239,20 @@ class TestExitCodes:
         G = preview.closed_loop_G(d55.model.A_d, d55.B_sel, d55.S_sel, d55.R_sel, d55.solution.P)
         with pytest.raises(NumericalError, match=r"^singular \(I \+ P B R\^\{-1\} B'\)': "):
             preview.gamma_and_cost(d55.solution.P, G, d55.B_sel, d55.R_sel, sc.Btilde[:, 0], 3)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda sc: cli._parse_grid("1:2"), "--T-grid expects start:step:stop, got '1:2'"),
+        (lambda sc: cli._parse_grid("1:0:2"), "--T-grid needs step > 0 and stop >= start"),
+        (lambda sc: cli._parse_grid("2:1:1"), "--T-grid needs step > 0 and stop >= start"),
+        # an lqr run on a scenario whose mode is open_loop
+        (lambda sc: cli.cmd_lqr(sc, Namespace(T=1.0, mode="open_loop"), cli._Sink()),
+         "the lqr command needs a feedback mode"),
+        (lambda sc: cli.cmd_simulate(sc, Namespace(T=1.0, N=2, mode="regular", saturate=False), cli._Sink()),
+         r"preview \(N > 0\) is only available in mri mode"),
+    ], ids=["grid-parts", "grid-step", "grid-order", "lqr-open-loop", "simulate-preview-regular"])
+    def test_invalid_command_arguments(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(cli.load_scenario("souza"))
 
     def test_sweep_reports_failed_cells_and_keeps_the_others(self, tmp_path):
         # from T = 45 the mri cells' Q_d and S R^-1 S' cancel to roundoff in

@@ -161,6 +161,11 @@ class TestCandidatePeriods:
     def test_real_spectrum_has_no_candidates(self):
         assert candidate_pathological_periods(np.diag([-1.0, -2.0]), 100.0) == []
 
+    @pytest.mark.parametrize("T_max", [0.0, -2.5])
+    def test_nonpositive_horizon_rejected(self, souza_plant, T_max):
+        with pytest.raises(ValueError, match=f"T_max must be positive, got {T_max}"):
+            candidate_pathological_periods(souza_plant.A, T_max)
+
     def test_rotation_candidates_flagged(self, rotation_plant):
         cands = candidate_pathological_periods(rotation_plant.A, 7.0)
         periods = [c.period for c in cands]

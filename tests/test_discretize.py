@@ -39,6 +39,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             CostWeights(Q=[[1.0]], Rc=[[0.0]], Ri=[[1.0]])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ContinuousPlant(np.eye(2), [[0.0], [1.0]], Btilde=[[1.0]]),
+         r"Btilde has 1 rows, expected 2"),
+        (lambda: CostWeights(Q=[[1.0]], Rc=[[1.0]], Ri=np.eye(2)),
+         r"Rc \(1, 1\) and Ri \(2, 2\) must have equal shape"),
+        (lambda: cost_matrices(ContinuousPlant(np.eye(2), [[0.0], [1.0]]),
+                               CostWeights(Q=np.eye(2), Rc=np.eye(2), Ri=np.eye(2)), 1.0),
+         r"Rc has shape \(2, 2\), expected \(1, 1\)"),
+    ], ids=["Btilde-rows", "Rc-Ri-shapes", "Rc-vs-inputs"])
+    def test_mismatched_shapes_are_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestSamplePlant:
     def test_scalar_integrator(self):

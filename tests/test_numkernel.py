@@ -50,6 +50,18 @@ class TestExpm:
         with pytest.raises(ValueError):
             expm([[np.nan, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: numkernel.as_matrix(np.zeros((2, 2, 2)), "M"), r"M must be 2-D, got shape \(2, 2, 2\)"),
+        (lambda: numkernel.as_matrix([[]], "M"), "M must have at least one row and column"),
+        (lambda: numkernel.as_matrix([], "M"), "M must have at least one row and column"),
+        (lambda: expm_block_integrals(np.eye(2), np.ones((3, 1)), 1.0), "B has 3 rows, expected 2"),
+        (lambda: expm_gram_integral(np.eye(2), np.eye(3), 1.0), r"W has shape \(3, 3\), expected \(2, 2\)"),
+        (lambda: expm_gram_integral(np.eye(2), np.eye(2), 0.0), "duration T must be positive"),
+    ], ids=["3-D", "empty-row", "empty", "B-rows", "W-shape", "gram-duration"])
+    def test_malformed_arguments_are_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_semigroup_property(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

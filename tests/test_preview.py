@@ -87,6 +87,12 @@ class TestGammaAndCost:
         assert np.all(Gamma == 0.0)
         assert abs(Jstar - bt @ P @ bt) < 1e-12
 
+    @pytest.mark.parametrize("N", [-1, -4])
+    def test_negative_horizon_rejected(self, souza_plant, souza_weights, N):
+        d, P, G = mri_design(souza_plant, souza_weights, 1.0)
+        with pytest.raises(ValueError, match=f"preview horizon must be >= 0, got {N}"):
+            gamma_and_cost(P, G, d.B_sel, d.R_sel, [1.0, 1.0], N)
+
     def test_single_step_core_is_symmetric_psd(self, souza_plant, souza_weights):
         d, P, G = mri_design(souza_plant, souza_weights, 1.0)
         Gamma, _ = gamma_and_cost(P, G, d.B_sel, d.R_sel, [1.0, 1.0], 1)

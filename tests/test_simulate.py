@@ -65,6 +65,38 @@ class TestBasics:
         assert np.allclose(traj.sample_states[0], [1.0, 1.0])
         assert traj.dense_impulse_flags[1] == 1
 
+    @pytest.mark.parametrize("epsilon", [None, 0.3])
+    @pytest.mark.parametrize("closed_loop", [False, True])
+    def test_disturbance_at_the_last_sample(self, souza_plant, souza_weights, closed_loop, epsilon):
+        # impulse_step == steps: the jump lands on the final state and on
+        # nothing before it
+        steps, T, d = 5, 0.9, np.array([0.25, -1.5])
+        if closed_loop:
+            policy = InputPolicy(K=design(souza_plant, souza_weights, T, "mri").solution.K)
+
+            def run(disturbance):
+                return simulate_closed_loop(souza_plant, souza_weights, T, policy,
+                                            disturbance=disturbance, steps=steps, substeps=3,
+                                            epsilon=epsilon, x0=[1.0, -0.5])
+        else:
+            rng = np.random.default_rng(7)
+            u_c, u_i = rng.normal(size=(steps, 1)), rng.normal(size=(steps, 1))
+
+            def run(disturbance):
+                return simulate_inputs(souza_plant, souza_weights, T, u_c, u_i, x0=[1.0, -0.5],
+                                       substeps=3, disturbance=disturbance, epsilon=epsilon)
+
+        free, hit = run(None), run(DisturbanceSpec(steps, d))
+        assert hit.dense_times[-1] == steps * T
+        assert hit.dense_impulse_flags[-1] == 1
+        assert np.array_equal(hit.dense_states[-1], free.dense_states[-1] + d)
+        assert np.array_equal(hit.sample_states[-1], hit.dense_states[-1])
+        assert np.array_equal(hit.sample_states[:-1], free.sample_states[:-1])
+        for name in ("dense_times", "dense_states", "dense_impulse_flags", "dense_running_cost"):
+            assert np.array_equal(getattr(hit, name)[:-1], getattr(free, name)), name
+        assert np.array_equal(hit.u_c, free.u_c) and np.array_equal(hit.u_i, free.u_i)
+        assert hit.J_cont == free.J_cont and hit.J_disc == free.J_disc
+
     def test_divergence_is_reported_with_step(self):
         plant = ContinuousPlant([[5.0]], [[1.0]])
         w = CostWeights([[1.0]], [[1.0]], [[1.0]])
@@ -81,6 +113,27 @@ class TestBasics:
                                     disturbance=dist, steps=30, substeps=4)
         assert traj.u_c.min() >= 0.0
         assert traj.u_i.min() >= 0.0
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2))), steps=0),
+         "steps must be >= 1, got 0"),
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2))), substeps=0),
+         "substeps must be >= 1, got 0"),
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2))), x0=[1.0] * 3),
+         "x0 has size 3, expected 2"),
+        (lambda p, w: InputPolicy(np.zeros((2, 2)), mode="bogus"), "unknown policy mode 'bogus'"),
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((1, 2)))),
+         r"policy gain has shape \(1, 2\), expected \(2, 2\)"),
+        (lambda p, w: DisturbanceSpec(-1, [1.0, 0.0]), "impulse_step must be >= 0"),
+        (lambda p, w: DisturbanceSpec(0, [1.0, np.inf]), "non-finite"),
+        (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((3, 1)), np.zeros((2, 1))), "equal shapes"),
+        (lambda p, w: impulse_hold_matrix(p, 0.0, 0.5), "period must be positive"),
+        (lambda p, w: impulse_hold_matrix(p, -1.0, 0.5), "period must be positive"),
+    ], ids=["steps", "substeps", "x0-size", "policy-mode", "gain-shape", "negative-step",
+            "non-finite-direction", "unequal-sequences", "zero-period", "negative-period"])
+    def test_invalid_arguments_are_rejected(self, souza_plant, souza_weights, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(souza_plant, souza_weights)
 
 
 class TestCostAccumulation:
