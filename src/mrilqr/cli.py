@@ -81,16 +81,16 @@ class ScenarioConfig:
         return self.Btilde[:, 0]
 
 
-# scalar scenario field -> (JSON type, value when absent, flag that overrides it)
+# scalar scenario field -> (JSON type, value when absent, flag that overrides it, least value)
 _SCENARIO_SCALARS = {
-    "T": (float, 0.0, "T"),
-    "N": (int, 0, "N"),
-    "mode": (str, "mri", "mode"),
-    "epsilon": (float, None, "eps"),
-    "saturate_nonnegative": (bool, False, "saturate"),
-    "horizon_steps": (int, None, "steps"),
-    "substeps": (int, 32, "substeps"),
-    "disturbance_scale": (float, 1.0, None),
+    "T": (float, 0.0, "T", None),
+    "N": (int, 0, "N", 0),
+    "mode": (str, "mri", "mode", None),
+    "epsilon": (float, None, "eps", None),
+    "saturate_nonnegative": (bool, False, "saturate", None),
+    "horizon_steps": (int, None, "steps", 1),
+    "substeps": (int, 32, "substeps", 1),
+    "disturbance_scale": (float, 1.0, None, None),
 }
 
 _JSON_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
@@ -160,16 +160,17 @@ def load_scenario(spec: str) -> ScenarioConfig:
     Ri = matrix("Ri")
 
     scalars = {key: _scalar(label, key, raw.get(key, absent), tp, absent)
-               for key, (tp, absent, _) in _SCENARIO_SCALARS.items()}
+               for key, (tp, absent, _, _) in _SCENARIO_SCALARS.items()}
+    for key, (_, _, _, least) in _SCENARIO_SCALARS.items():
+        if least is not None and scalars[key] is not None and scalars[key] < least:
+            raise ValueError(f"{label}: field {key!r} must be >= {least}, got {scalars[key]}")
     if scalars["mode"] not in SIMULATE_MODES:
         raise ValueError(f"{label}: field 'mode' must be one of {SIMULATE_MODES}, got {scalars['mode']!r}")
     if not (scalars["T"] > 0.0):
         raise ValueError(f"{label}: field 'T' must be a positive sampling period")
-    if scalars["N"] < 0:
-        raise ValueError(f"{label}: field 'N' must be >= 0")
     out_row = matrix("output_row", required=False)
 
-    return ScenarioConfig(str(raw.get("name", label)), A, B,
+    return ScenarioConfig(_scalar(label, "name", raw.get("name", label), str, label), A, B,
                           np.zeros((A.shape[0], 1)) if Btilde is None else Btilde, Q, Rc, Ri,
                           output_row=C if out_row is None else out_row, **scalars)
 
@@ -404,55 +405,54 @@ def cmd_preview(scenario: ScenarioConfig, args, sink: _Sink) -> None:
         sink.matrix("feedforward", np.vstack(plan.feedforward))
 
 
-def _sweep_cell(cell, N_list, b) -> list[tuple[float, bool, int]]:
-    """(cost, converged, iterations) of one (T, mode) cell for each horizon in N_list.
+def _sweep_rows(cells, N_list, b) -> list:
+    """(cost, converged, iterations) of each of one mode's ``design_batch``
+    cells for each horizon in N_list, or the cell's ValueError.
 
-    ``cell`` is the cell's design or the error its solve ended with; a
-    ValueError is raised. One design serves every horizon. A diverged
-    solve reports its last iterate's cost for all of them, any other
-    numerical failure a nan cost with 0 iterations, and an unconverged
-    design (whose preview cost can fall far below zero), a failed
-    closed-loop check or a singular preview solve the feedback-only cost
-    for every N > 0, all with converged=False.
+    A diverged solve reports its last iterate's cost for every horizon, any
+    other numerical failure a nan cost with 0 iterations, and an unconverged
+    design (whose preview cost can fall far below zero), a failed closed-loop
+    check or a singular preview solve the feedback-only cost for every N > 0,
+    all with converged=False. The converged designs' preview is one stacked call.
     """
-    if isinstance(cell, DareDivergenceError):
-        return [(float(b @ cell.last_iterate @ b), False, cell.iterations)] * len(N_list)
-    if isinstance(cell, NumericalError):
-        return [(float("nan"), False, 0)] * len(N_list)
-    if isinstance(cell, Exception):
-        raise cell
-    sol = cell.solution
-    feedback = (float(b @ sol.P @ b), sol.converged, sol.iterations)
-    if not sol.converged or all(N == 0 for N in N_list):
-        return [feedback] * len(N_list)
-    try:
-        G = preview_mod.closed_loop_G(cell.model.A_d, cell.B_sel, cell.S_sel, cell.R_sel, sol.P)
-        return [feedback if N == 0 else
-                (preview_mod.gamma_and_cost(sol.P, G, cell.B_sel, cell.R_sel, b, N)[1],
-                 sol.converged, sol.iterations)
-                for N in N_list]
-    except NumericalError:
-        return [feedback if N == 0 else (feedback[0], False, sol.iterations) for N in N_list]
+    rows: list = []
+    for cell in cells:
+        if isinstance(cell, DareDivergenceError):
+            rows.append([(float(b @ cell.last_iterate @ b), False, cell.iterations)] * len(N_list))
+        elif isinstance(cell, NumericalError):
+            rows.append([(float("nan"), False, 0)] * len(N_list))
+        elif isinstance(cell, Exception):
+            rows.append(cell)
+        else:
+            sol = cell.solution
+            rows.append([(float(b @ sol.P @ b), sol.converged, sol.iterations)] * len(N_list))
+    previewed = [i for i, cell in enumerate(cells) if not isinstance(cell, Exception) and cell.solution.converged]
+    if previewed and any(N_list):
+        _, costs, failed = preview_mod.preview_costs([cells[i] for i in previewed], b, N_list)
+        for j, i in enumerate(previewed):
+            feedback = J, _, iterations = rows[i][0]
+            rows[i] = [feedback if N == 0 else (J, False, iterations) if j in failed else
+                       (float(costs[j, k]), True, iterations) for k, N in enumerate(N_list)]
+    return rows
 
 
 def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     T_grid = _parse_grid(args.T_grid).tolist()
     modes = MODES if args.mode == "all" else (args.mode,)
-    N_list = [int(p) for p in args.N.split(",") if p != ""]
-    plant = scenario.plant()
-    weights = scenario.weights()
-    bt = scenario.disturbance_column()
-    models, costs = [], []
-    for T in T_grid:
-        models.append(sample_plant(plant, T))
-        costs.append(cost_matrices(plant, weights, T))
-    # each mode's whole period grid is one stacked solve
-    cells = {mode: riccati.design_batch(models, costs, mode) for mode in modes}
+    N_list = [p for p in args.N.split(",") if p != ""]
+    for p in N_list:
+        if not p.strip().lstrip("+").isdecimal():
+            raise ValueError(f"--N takes comma-separated integers >= 0, got the entry {p!r}")
+    N_list = [int(p) for p in N_list]
+    plant, weights, bt = scenario.plant(), scenario.weights(), scenario.disturbance_column()
+    models, costs = zip(*((sample_plant(plant, T), cost_matrices(plant, weights, T)) for T in T_grid))
+    sweeps = {mode: _sweep_rows(riccati.design_batch(models, costs, mode), N_list, bt) for mode in modes}
     rows = []
     for i, T in enumerate(T_grid):
         for mode in modes:
-            for N, (J, conv, iters) in zip(N_list, _sweep_cell(cells[mode][i], N_list, bt)):
-                rows.append([T, mode, int(N), J, conv, iters])
+            if isinstance(sweeps[mode][i], Exception):
+                raise sweeps[mode][i]
+            rows.extend([T, mode, N, *cell] for N, cell in zip(N_list, sweeps[mode][i]))
     sink.table("sweep", ["T", "mode", "N", "cost", "converged", "iterations"], rows)
 
 
@@ -580,7 +580,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        for field, (_, _, flag) in _SCENARIO_SCALARS.items():
+        for field, (_, _, flag, _) in _SCENARIO_SCALARS.items():
             if flag is not None and getattr(args, flag, False) is None:
                 setattr(args, flag, getattr(scenario, field))
         sink = _Sink()

@@ -172,13 +172,73 @@ def check_pd(M, name: str = "matrix") -> None:
         raise ValueError(f"{name} is not positive definite") from exc
 
 
+def _T(M) -> np.ndarray:
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return M.swapaxes(-1, -2)
+
+
+def _sym(M) -> np.ndarray:
+    return 0.5 * (M + _T(M))
+
+
+def _fro(X) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack.
+
+    Each equals ``np.linalg.norm(X[i], "fro")`` bit for bit, because both
+    take the dot product of the flattened matrix with itself;
+    ``np.linalg.norm(X, axis=(-2, -1))`` sums in another order.
+    """
+    flat = X.reshape(len(X), 1, X.shape[-2] * X.shape[-1])
+    return np.sqrt((flat @ _T(flat))[:, 0, 0])
+
+
+def _cellwise(fn, M, *rest) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
+    """``fn(M, *rest)`` on stacks, and the error of each cell where it failed.
+
+    A stacked LAPACK call raises for the whole stack when one cell fails.
+    The cells are then tried one at a time, each as a stack of one, and
+    the stack is computed again with the identity in place of each failed
+    cell's M, so that it stays finite. The failed cells' results mean
+    nothing; the caller drops those cells.
+    """
+    try:
+        return fn(M, *rest), {}
+    except np.linalg.LinAlgError:
+        pass
+    failed = {}
+    for i in range(len(M)):
+        try:
+            fn(M[i : i + 1], *(r[i : i + 1] for r in rest))
+        except np.linalg.LinAlgError as exc:
+            failed[i] = exc
+    M = M.copy()
+    M[list(failed)] = np.eye(M.shape[-1])
+    return fn(M, *rest), failed
+
+
+def _single(X, failed: dict):
+    """The only cell of a stack of one, or its error raised."""
+    if failed:
+        raise failed[0]
+    return X[0]
+
+
+def _cho_solve(A, rhs, what: str) -> np.ndarray:
+    """A^{-1} rhs for a finite symmetric A by the LAPACK calls scipy's
+    ``cho_factor``/``cho_solve`` make (potrf on the upper triangle, then
+    potrs), without their per-call wrapping, so with their bits and their
+    memory order (Fortran for a matrix right-hand side); NumericalError
+    for an A that is not numerically positive definite."""
+    c, info = dpotrf(A, lower=0, clean=0)
+    if info > 0:
+        raise NumericalError(f"singular {what}")
+    return dpotrs(c, rhs, lower=0)[0]
+
+
 def solve_pd(M, rhs, what: str = "system") -> np.ndarray:
     """Solve M x = rhs for symmetric positive definite M via Cholesky.
 
-    M is symmetrized first. The LAPACK calls are the ones scipy's
-    ``cho_factor``/``cho_solve`` make (potrf on the upper triangle, then
-    potrs), so the result has their bits for 1-D and 2-D right-hand
-    sides, without their per-call wrapping. NumericalError for a
+    M is symmetrized first; see ``_cho_solve``. NumericalError for a
     non-finite M or rhs (only an overflow upstream produces one) and for
     an M that is not numerically positive definite.
     """
@@ -186,7 +246,29 @@ def solve_pd(M, rhs, what: str = "system") -> np.ndarray:
     A = 0.5 * (M + M.T)
     if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
         raise NumericalError(f"overflow: non-finite entries in {what} or its right-hand side")
-    c, info = dpotrf(A, lower=0, clean=0)
-    if info > 0:
-        raise NumericalError(f"singular {what}")
-    return dpotrs(c, rhs, lower=0)[0]
+    return _cho_solve(A, rhs, what)
+
+
+def solve_pd_stack(M, rhs, what: str = "system") -> tuple[np.ndarray, dict[int, NumericalError]]:
+    """``solve_pd`` on each cell of stacks M (k, n, n) and rhs (k, n) or (k, n, p).
+
+    The symmetrization and the finiteness test run on the stacks, the
+    Cholesky solve once per cell, so each solution has the bits and the
+    memory order of ``solve_pd``; numpy's stacked Cholesky solve sums in
+    another order. Returns the solutions and the NumericalError of each
+    cell that fails, by index; a failed cell's solution is zero.
+    """
+    M, rhs = np.asarray(M, dtype=float), np.asarray(rhs, dtype=float)
+    A = _sym(M)
+    finite = np.isfinite(A).all() and np.isfinite(rhs).all()
+    X = np.zeros((len(A), *rhs.shape[:0:-1])).swapaxes(1, -1)
+    failed = {}
+    for i in range(len(A)):
+        try:
+            # only a stack with a non-finite entry is tested cell by cell
+            if not (finite or np.isfinite(A[i]).all() and np.isfinite(rhs[i]).all()):
+                raise NumericalError(f"overflow: non-finite entries in {what} or its right-hand side")
+            X[i] = _cho_solve(A[i], rhs[i], what)
+        except NumericalError as exc:
+            failed[i] = exc
+    return X, failed

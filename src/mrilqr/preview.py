@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel, riccati
+from .numkernel import _T, _cellwise, _fro, _sym
 from .errors import NumericalError
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "closed_loop_G",
     "feedforward_sequence",
     "gamma_and_cost",
+    "preview_costs",
     "preview_plan",
 ]
 
@@ -50,12 +52,23 @@ class PreviewPlan:
     Jstar: float
 
 
-def _solve(M, rhs, what: str) -> np.ndarray:
-    """np.linalg.solve(M, rhs); NumericalError for a singular M."""
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular {what}: {exc}") from exc
+def _closed_loop(A_d, B, S, R, P, K):
+    """``closed_loop_G`` on stacks, given each cell's gain K (a nan K measures
+    no disagreement); and the NumericalError of each failed cell, by index."""
+    n = A_d.shape[-1]
+    RinvBSt, failed = numkernel.solve_pd_stack(R, np.concatenate([_T(B), _T(S)], axis=-1), "R_d")
+    M = np.eye(n) + B @ RinvBSt[..., :n] @ P
+    G_literal, singular = _cellwise(np.linalg.solve, M, A_d - B @ RinvBSt[..., n:])
+    G = A_d + B @ K
+    err = _fro(G - G_literal)
+    # the literal route cannot beat eps * cond(I + B R^{-1} B' P); the
+    # extra factor absorbs the error of forming that product entrywise
+    tol = np.fmax(1e-9, 1e4 * np.finfo(float).eps * np.linalg.cond(M))
+    # a cell reports its first failure
+    disagree = {j: NumericalError(f"closed-loop forms disagree by {err[j]:.3e} (tolerance {tol[j]:.3e})")
+                for j in np.flatnonzero(err > tol * (1.0 + _fro(G)))}
+    singular = {j: NumericalError(f"singular I + B R^{{-1}} B' P: {exc}") for j, exc in singular.items()}
+    return G, {**disagree, **singular, **failed}
 
 
 def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
@@ -68,29 +81,15 @@ def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
     1e-9 relative, widened with the conditioning of R_d because the
     literal form routes through R_d^{-1} and cannot do better than
     eps * cond(R_d). The better-conditioned gain form is returned.
+    This is ``sweep``'s stacked closed loop on a stack of one.
     """
-    A_d = numkernel.as_matrix(A_d, "A_d")
-    B = numkernel.as_matrix(B_di, "B_di")
-    S = numkernel.as_matrix(S_d, "S_d")
-    R = numkernel.as_matrix(R_d, "R_d")
-    P = numkernel.as_matrix(P, "P")
-    n = A_d.shape[0]
-
-    BRinvBt = B @ numkernel.solve_pd(R, B.T, "R_d")
-    M = np.eye(n) + BRinvBt @ P
-    G_literal = _solve(M, A_d - B @ numkernel.solve_pd(R, S.T, "R_d"), "I + B R^{-1} B' P")
-
-    K = riccati._gain(P, A_d, B, S, R)
-    G = A_d + B @ K
-    err = float(np.linalg.norm(G - G_literal, "fro"))
-    # the literal route cannot beat eps * cond(I + B R^{-1} B' P); the
-    # extra factor absorbs the error of forming that product entrywise
-    tol = max(1e-9, 1e4 * np.finfo(float).eps * float(np.linalg.cond(M)))
-    if err > tol * (1.0 + float(np.linalg.norm(G, "fro"))):
-        raise NumericalError(
-            f"closed-loop forms disagree by {err:.3e} (tolerance {tol:.3e})"
-        )
-    return G
+    A_d, B, S, R, P = (numkernel.as_matrix(X, name)[None] for X, name in
+                       ((A_d, "A_d"), (B_di, "B_di"), (S_d, "S_d"), (R_d, "R_d"), (P, "P")))
+    K, gain_failed = riccati._gain(P, A_d, B, S, R)
+    if gain_failed:  # no disagreement is measured without a gain
+        K[0] = np.nan
+    G, failed = _closed_loop(A_d, B, S, R, P, K)
+    return numkernel._single(G, {**gain_failed, **failed})
 
 
 def feedforward_sequence(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, ...]:
@@ -117,6 +116,31 @@ def feedforward_sequence(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, .
     return tuple(-numkernel.solve_pd(M, B.T @ ws[N - 1 - k], "R + B'PB") for k in range(N))
 
 
+def _gamma_and_cost(P, G, B, R, b, N: int):
+    """``gamma_and_cost`` on stacks, for one Btilde b or one per cell and
+    N >= 0; and the NumericalError of each cell that fails, by index."""
+    n = P.shape[-1]
+    Gamma = np.zeros(P.shape)
+    failed = {}
+    if N > 0:
+        RinvBt, failed = numkernel.solve_pd_stack(R, _T(B), "R_d")
+        X = B @ RinvBt
+        # M = X (I + P X)^{-1}, symmetric by the push-through identity.
+        M, singular = _cellwise(np.linalg.solve, _T(np.eye(n) + P @ X), X)
+        failed = {**{j: NumericalError(f"singular (I + P B R^{{-1}} B')': {exc}") for j, exc in singular.items()},
+                  **failed}
+        M = _sym(_T(M))
+        Gk = np.eye(n)
+        for i in range(N):
+            Gamma += _sym(Gk @ M @ _T(Gk))
+            if i < N - 1:
+                Gk = G @ Gk
+        Gamma = _sym(Gamma)
+    b = b[..., None]
+    Pb = P @ b
+    return Gamma, (_T(b) @ Pb - _T(Pb) @ Gamma @ Pb)[:, 0, 0], failed
+
+
 def gamma_and_cost(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, float]:
     """Preview benefit matrix Gamma and the closed-form optimal cost.
 
@@ -124,33 +148,35 @@ def gamma_and_cost(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, float]:
     psd core M = B R^{-1} B' (I + P B R^{-1} B')^{-1}; every term is
     symmetrized to kill roundoff asymmetry. The cost is
     Btilde'P Btilde - Btilde'P Gamma P Btilde. A singular
-    I + P B R^{-1} B' raises NumericalError.
+    I + P B R^{-1} B' raises NumericalError. This is ``sweep``'s stacked
+    preview cost on a stack of one.
     """
     if N < 0:
         raise ValueError(f"preview horizon must be >= 0, got {N}")
-    B = numkernel.as_matrix(B_di, "B_di")
-    P = numkernel.as_matrix(P, "P")
-    R = numkernel.as_matrix(R_d, "R_d")
-    b = np.asarray(Btilde, dtype=float).reshape(-1)
-    n = P.shape[0]
+    B, P, R = (numkernel.as_matrix(X, name)[None] for X, name in ((B_di, "B_di"), (P, "P"), (R_d, "R_d")))
+    Gamma, Jstar, failed = _gamma_and_cost(P, np.asarray(G, dtype=float)[None], B, R,
+                                           np.asarray(Btilde, dtype=float).reshape(-1), N)
+    return numkernel._single(Gamma, failed), float(Jstar[0])
 
-    Gamma = np.zeros((n, n))
-    if N > 0:
-        X = B @ numkernel.solve_pd(R, B.T, "R_d")
-        # M = X (I + P X)^{-1}, symmetric by the push-through identity.
-        M = _solve((np.eye(n) + P @ X).T, X, "(I + P B R^{-1} B')'").T
-        M = 0.5 * (M + M.T)
-        Gk = np.eye(n)
-        for i in range(N):
-            term = Gk @ M @ Gk.T
-            Gamma += 0.5 * (term + term.T)
-            if i < N - 1:
-                Gk = G @ Gk
-        Gamma = 0.5 * (Gamma + Gamma.T)
 
-    Pb = P @ b
-    Jstar = float(b @ Pb - Pb @ Gamma @ Pb)
-    return Gamma, Jstar
+def preview_costs(designs, Btilde, horizons) -> tuple[np.ndarray, np.ndarray, dict[int, NumericalError]]:
+    """The closed loop G of equally shaped designs and their Jstar (rows) at
+    each horizon (columns), as one stack, and the NumericalError of each
+    failed design, by index.
+
+    The closed loop takes each solution's K, which ``closed_loop_G``
+    derives again, so each cost has the bits of ``closed_loop_G`` followed
+    by ``gamma_and_cost``.
+    """
+    A_d, B, S, R, P, K = (np.stack(X) for X in zip(*(
+        (d.model.A_d, d.B_sel, d.S_sel, d.R_sel, d.solution.P, d.solution.K) for d in designs)))
+    G, failed = _closed_loop(A_d, B, S, R, P, K)
+    costs = []
+    for N in horizons:
+        _, Jstar, failed_N = _gamma_and_cost(P, G, B, R, np.asarray(Btilde, dtype=float), N)
+        failed = {**failed_N, **failed}
+        costs.append(Jstar)
+    return G, np.stack(costs, axis=-1), failed
 
 
 def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:

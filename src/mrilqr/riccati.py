@@ -13,11 +13,13 @@ returns the stationary feedback gain
 
     K = -(R + B' P B)^{-1} (B' P A_d + S').
 
-The doubling runs on a stack of equally sized problems at once, each
-with its own stop rule and its own failure status. ``design_batch``
-solves the cells of a period grid as one stack; ``solve_dare`` is a
-stack of one, and a cell's result does not depend on the stack it was
-solved in.
+Every stage runs on a stack of equally sized problems at once: the
+entry checks, the cross-term elimination, the doubling (each problem
+with its own stop rule), the residual test and the gain. Only the policy
+polish runs per problem, on the few iterates that need it. Each problem
+keeps its own failure status. ``design_batch`` solves the cells of a
+period grid as one stack; ``solve_dare`` is a stack of one, and a
+cell's result does not depend on the stack it was solved in.
 
 With the mixed hold+impulse input selection the gain rows split as the
 hold gain (first m rows) followed by the impulse gain.
@@ -31,6 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from . import numkernel
+from .numkernel import _T, _cellwise, _fro, _sym
 from .discretize import ContinuousPlant, CostWeights, SampledCost, SampledModel, cost_matrices, restrict_input_mode, sample_plant
 from .errors import DareDivergenceError, NumericalError
 
@@ -69,9 +72,22 @@ class RiccatiSolution:
     qhat_kernel_dim: int
 
 
-def _gain(P, A_d, B, S, R) -> np.ndarray:
-    M = R + B.T @ P @ B
-    return -numkernel.solve_pd(M, B.T @ P @ A_d + S.T, "R + B'PB")
+def _gain(P, A_d, B, S, R):
+    """K = -(R + B'PB)^{-1}(B'PA_d + S') of each cell of stacks, and each failed cell's NumericalError."""
+    X, failed = numkernel.solve_pd_stack(R + _T(B) @ P @ B, _T(B) @ P @ A_d + _T(S), "R + B'PB")
+    return -X, failed
+
+
+def _residuals(P, A_d, B, Q_d, S, R):
+    """``dare_residual`` of each cell of stacks, and each failed cell's NumericalError.
+
+    A residual that overflows double precision is not finite, without a
+    numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = _T(A_d) @ P @ B + S
+        X, failed = numkernel.solve_pd_stack(_T(B) @ P @ B + R, _T(W), "R + B'PB")
+        return _fro(P - (_T(A_d) @ P @ A_d + Q_d - W @ X)), failed
 
 
 def dare_residual(P, A_d, B, Q_d, S, R) -> float:
@@ -79,16 +95,13 @@ def dare_residual(P, A_d, B, Q_d, S, R) -> float:
 
     Not finite, without a numpy warning, when it overflows double precision.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        W = A_d.T @ P @ B + S
-        M = B.T @ P @ B + R
-        rhs = A_d.T @ P @ A_d + Q_d - W @ numkernel.solve_pd(M, W.T, "R + B'PB")
-        return float(np.linalg.norm(P - rhs, "fro"))
+    return float(numkernel._single(*_residuals(*(np.asarray(X, dtype=float)[None]
+                                                  for X in (P, A_d, B, Q_d, S, R)))))
 
 
-def _converged(P, residual: float) -> bool:
-    """The residual test: at most 1e-9 relative to 1 + ||P||_F."""
-    return residual <= RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(P, "fro")))
+def _converged(P, residual) -> np.ndarray:
+    """The residual test of each cell: at most 1e-9 relative to 1 + ||P||_F."""
+    return residual <= RESIDUAL_RTOL * (1.0 + _fro(P))
 
 
 def _smith_lyapunov(A_cl, F) -> np.ndarray:
@@ -112,55 +125,29 @@ def _smith_lyapunov(A_cl, F) -> np.ndarray:
     return 0.5 * (X + X.T)
 
 
-def _T(M) -> np.ndarray:
-    """The transpose of a matrix, or of each matrix of a stack."""
-    return np.swapaxes(M, -1, -2)
-
-
-def _sym(M) -> np.ndarray:
-    return 0.5 * (M + _T(M))
-
-
-def _fro(X) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack.
-
-    Each equals ``np.linalg.norm(X[i], "fro")`` bit for bit, because both
-    take the dot product of the flattened matrix with itself;
-    ``np.linalg.norm(X, axis=(-2, -1))`` sums in another order.
-    """
-    flat = X.reshape(len(X), 1, -1)
-    return np.sqrt((flat @ _T(flat))[:, 0, 0])
-
-
 def _psd_factor(M) -> np.ndarray:
     """F with F'F = M for a symmetric M (or each of a stack), negative eigenvalues clipped to zero."""
     w, V = np.linalg.eigh(_sym(M))
     return np.sqrt(np.clip(w, 0.0, None))[..., :, None] * _T(V)
 
 
-def _policy_polish(P, A_d, B, Q_d, S, R):
+def _policy_polish(P, residual: float, A_d, B, Q_d, S, R):
     """Policy-iteration refinement of an iterate that misses the residual test.
 
-    An iterate that passes ``_converged`` is returned as it is, with its
-    residual. Otherwise the doubling stalled at a roundoff floor
-    proportional to the magnitude of the cost blocks; re-evaluating the
-    current gain through an exact closed-loop Lyapunov solve removes that
-    floor. The Lyapunov right-hand side is F'F with F = J [I; K], J'J the
-    joint cost [[Q_d, S], [S', R]], so every evaluated P is positive
-    semidefinite. Each round needs a stabilizing gain, so the polish stops
-    (keeping the best iterate so far) when the closed loop is not
-    contractive or its Lyapunov sum overflows, and after at most 12 rounds.
+    The doubling stalled at a roundoff floor proportional to the magnitude
+    of the cost blocks; re-evaluating the current gain through an exact
+    closed-loop Lyapunov solve removes that floor. The Lyapunov right-hand
+    side is F'F with F = J [I; K], J'J the joint cost [[Q_d, S], [S', R]],
+    so every evaluated P is positive semidefinite. Each round needs a
+    stabilizing gain, so the polish stops (keeping the best iterate so far)
+    when the closed loop is not contractive or its Lyapunov sum overflows,
+    when the residual stops falling, and after at most 12 rounds.
     """
-    best_P = P
-    best_res = dare_residual(P, A_d, B, Q_d, S, R)
-    if not np.isfinite(best_res):
-        raise NumericalError("overflow: the Riccati residual of the doubling iterate is not finite")
-    if _converged(P, best_res):
-        return best_P, best_res
+    best_P, best_res = P, residual
     n = A_d.shape[0]
     J = _psd_factor(np.block([[Q_d, S], [S.T, R]]))
     for _ in range(12):
-        K = _gain(best_P, A_d, B, S, R)
+        K = numkernel._single(*_gain(best_P[None], A_d[None], B[None], S[None], R[None]))
         A_cl = A_d + B @ K
         if numkernel.spectral_radius(A_cl) >= 1.0 - 1e-12:
             break
@@ -172,30 +159,6 @@ def _policy_polish(P, A_d, B, Q_d, S, R):
             break
         best_P, best_res = Pn, res
     return best_P, best_res
-
-
-def _cellwise(fn, M, *rest) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError]]:
-    """``fn(M, *rest)`` on stacks, and the error of each cell where it failed.
-
-    A stacked LAPACK call raises for the whole stack when one cell fails.
-    The cells are then tried one at a time, each as a stack of one, and
-    the stack is computed again with the identity in place of each failed
-    cell's M, so that it stays finite. The failed cells' results mean
-    nothing; the caller drops those cells.
-    """
-    try:
-        return fn(M, *rest), {}
-    except np.linalg.LinAlgError:
-        pass
-    failed = {}
-    for i in range(len(M)):
-        try:
-            fn(M[i : i + 1], *(r[i : i + 1] for r in rest))
-        except np.linalg.LinAlgError as exc:
-            failed[i] = exc
-    M = M.copy()
-    M[list(failed)] = np.eye(M.shape[-1])
-    return fn(M, *rest), failed
 
 
 def _singular(exc: np.linalg.LinAlgError) -> NumericalError:
@@ -254,7 +217,7 @@ def _doubling(A, G, H, blow_up):
     doubling count are those of a stack of one.
     """
     k = len(A)
-    P_out = np.empty_like(H)
+    P_out = np.zeros_like(H)
     iterations = np.zeros(k, dtype=int)
     failures: list[NumericalError | None] = [None] * k
     live = np.arange(k)
@@ -300,93 +263,119 @@ def _doubling(A, G, H, blow_up):
     return P_out, iterations, failures
 
 
-def _checked(A_d, B_sel, Q_d, S_sel, R_sel):
-    """The five matrices of a problem as 2-D float arrays; ValueError unless R_sel is positive definite."""
-    R = numkernel.as_matrix(R_sel, "R_sel")
-    numkernel.check_pd(R, "R_sel")
-    return (numkernel.as_matrix(A_d, "A_d"), numkernel.as_matrix(B_sel, "B_sel"),
-            numkernel.as_matrix(Q_d, "Q_d"), numkernel.as_matrix(S_sel, "S_sel"), R)
+def _check_problem(A_d, B_sel, Q_d, S_sel, R_sel) -> None:
+    """ValueError unless the five matrices are finite, non-empty 2-D arrays
+    and R_sel is symmetric positive definite."""
+    numkernel.check_pd(numkernel.as_matrix(R_sel, "R_sel"), "R_sel")
+    for M, name in ((A_d, "A_d"), (B_sel, "B_sel"), (Q_d, "Q_d"), (S_sel, "S_sel")):
+        numkernel.as_matrix(M, name)
+
+
+def _checked(problems):
+    """The five matrices of equally shaped problems as float stacks (k, ., .),
+    and the ValueError of each problem that ``_check_problem`` rejects.
+
+    The test runs on the stacks; only the rare rejected problems are
+    checked again one by one, to word their errors, and stay in the stacks
+    as zeros. A shape error, which every problem shares, is raised.
+    """
+    k = len(problems)
+    stacks = [np.asarray([problem[j] for problem in problems], dtype=float) for j in range(5)]
+    stacks = [X if X.ndim == 3 else X.reshape(k, *np.atleast_2d(X[0]).shape) for X in stacks]
+    R = stacks[4]
+    if any(X.ndim != 3 or 0 in X.shape for X in stacks) or R.shape[1] != R.shape[2]:
+        _check_problem(*problems[0])
+    with np.errstate(invalid="ignore"):
+        ok = np.logical_and.reduce([np.isfinite(X).all(axis=(1, 2)) for X in stacks])
+        # numkernel.check_pd's symmetry test and Cholesky factorization
+        ok &= np.abs(R - _T(R)).max(axis=(1, 2)) <= 1e-12 * (1.0 + np.abs(R).max(axis=(1, 2)))
+        ok[list(_cellwise(np.linalg.cholesky, _sym(R))[1])] = False
+    failed = {}
+    for i in np.flatnonzero(~ok):
+        try:
+            _check_problem(*problems[i])
+        except ValueError as exc:
+            failed[int(i)] = exc
+            for X in stacks:  # a rejected problem stays in the stack as zeros
+                X[i] = 0.0
+    return stacks, failed
 
 
 def _eliminate_cross_term(A_d, B, Q_d, S, R):
-    """(Ahat, G, Qhat, blow-up bound, Qhat kernel dimension) of a checked problem.
+    """(Ahat, G, Qhat, blow-up bound, Qhat kernel dimension) of each cell of
+    checked stacks, and the error of each cell that fails.
 
-    Raises ValueError for an indefinite Qhat and NumericalError for one
-    that lost definiteness to roundoff or whose norm overflows; see
-    ``solve_dare``.
+    A cell fails with ValueError for an indefinite Qhat and NumericalError
+    for one that lost definiteness to roundoff or whose norm overflows;
+    see ``solve_dare``.
     """
-    n = A_d.shape[0]
-    RinvBSt = numkernel.solve_pd(R, np.hstack([B.T, S.T]), "R_sel")
-    RinvSt = RinvBSt[:, n:]
+    n = A_d.shape[-1]
+    RinvBSt, failed = numkernel.solve_pd_stack(R, np.concatenate([_T(B), _T(S)], axis=-1), "R_sel")
+    RinvSt = RinvBSt[..., n:]
     Ahat = A_d - B @ RinvSt
     SRinvSt = S @ RinvSt
-    Qhat = Q_d - SRinvSt
-    Qhat = 0.5 * (Qhat + Qhat.T)
-    qhat_eigs = np.linalg.eigvalsh(Qhat)
-    qscale = 1.0 + float(np.abs(qhat_eigs).max(initial=0.0))
-    if qhat_eigs[0] < -1e-10 * qscale:
+    Qhat = _sym(Q_d - SRinvSt)
+    qhat_eigs, bad_eigs = _cellwise(np.linalg.eigvalsh, Qhat)
+    failed = {**bad_eigs, **failed}
+    low = qhat_eigs[:, 0]
+    qscale = 1.0 + np.abs(qhat_eigs).max(axis=-1, initial=0.0)
+    for j in np.flatnonzero(low < -1e-10 * qscale):
         # Q_d and S R^{-1} S' can cancel to a Qhat far below their own
         # size (long periods on unstable plants); a negative eigenvalue at
         # their roundoff level is a numerical failure, not a bad input
-        cancelling = max(float(np.abs(Q_d).max()), float(np.abs(SRinvSt).max()))
-        if qhat_eigs[0] >= -1e-10 * cancelling:
-            raise NumericalError(
-                f"Q_d - S R^{{-1}} S' lost positive semidefiniteness to roundoff "
-                f"(min eig {qhat_eigs[0]:.3e} against cost blocks of size {cancelling:.3e})"
-            )
-        raise ValueError(
-            f"Q_d - S R^{{-1}} S' is not positive semidefinite (min eig {qhat_eigs[0]:.3e})"
-        )
-    qhat_kernel_dim = int(np.count_nonzero(np.abs(qhat_eigs) <= 1e-10 * qscale))
+        cancelling = max(float(np.abs(Q_d[j]).max()), float(np.abs(SRinvSt[j]).max()))
+        failed.setdefault(j, NumericalError(
+            f"Q_d - S R^{{-1}} S' lost positive semidefiniteness to roundoff "
+            f"(min eig {low[j]:.3e} against cost blocks of size {cancelling:.3e})"
+        ) if low[j] >= -1e-10 * cancelling else ValueError(
+            f"Q_d - S R^{{-1}} S' is not positive semidefinite (min eig {low[j]:.3e})"))
+    kernel_dims = np.count_nonzero(np.abs(qhat_eigs) <= 1e-10 * qscale[:, None], axis=-1)
     with np.errstate(over="ignore"):
-        qhat_norm = float(np.linalg.norm(Qhat, "fro"))
-    if not np.isfinite(qhat_norm):
-        raise NumericalError("overflow: the Frobenius norm of Q_d - S R^{-1} S' is not finite")
-    blow_up = DIVERGENCE_FACTOR * max(1.0, qhat_norm)
-    G = B @ RinvBSt[:, :n]
-    return Ahat, 0.5 * (G + G.T), Qhat, blow_up, qhat_kernel_dim
+        qhat_norm = _fro(Qhat)
+    for j in np.flatnonzero(~np.isfinite(qhat_norm)):
+        failed.setdefault(j, NumericalError("overflow: the Frobenius norm of Q_d - S R^{-1} S' is not finite"))
+    G = _sym(B @ RinvBSt[..., :n])
+    return (Ahat, G, Qhat, DIVERGENCE_FACTOR * np.maximum(1.0, qhat_norm), kernel_dims), failed
 
 
 def _solve_stack(problems) -> list[RiccatiSolution | ValueError | NumericalError]:
     """Solve (A_d, B_sel, Q_d, S_sel, R_sel) problems of equal shapes as one stack.
 
-    Each entry is the problem's solution or the error ``solve_dare``
-    raises for it. The cross-term elimination, the polish and the gain
-    are per problem; the doubling runs on the stack.
+    Each entry is the problem's solution or the first error ``solve_dare``
+    raises for it. Every stage runs on the stack except the policy polish,
+    which runs per problem on the iterates that miss the residual test. A
+    problem that fails stays in the stack, as zeros where its data means
+    nothing, and its results are dropped.
     """
-    out: list = [None] * len(problems)
-    ok, parts = [], []
-    for i, problem in enumerate(problems):
-        try:
-            problem = _checked(*problem)
-            parts.append(_eliminate_cross_term(*problem))
-        except (ValueError, NumericalError) as exc:
-            out[i] = exc
-        else:
-            ok.append((i, problem))
-    if not ok:
-        return out
-    Ahat, G, Qhat, blow_up, kernel_dims = zip(*parts)
-    P, iterations, failures = _doubling(np.stack(Ahat), np.stack(G), np.stack(Qhat), np.array(blow_up))
-    for j, (i, (A_d, B, Q_d, S, R)) in enumerate(ok):
-        if failures[j] is not None:
-            out[i] = failures[j]
-            continue
-        try:
-            P_j, residual = _policy_polish(P[j], A_d, B, Q_d, S, R)
-            K = _gain(P_j, A_d, B, S, R)
-        except NumericalError as exc:
-            out[i] = exc
-            continue
-        out[i] = RiccatiSolution(
-            P=P_j,
-            K=K,
-            residual=residual,
-            iterations=int(iterations[j]),
-            converged=_converged(P_j, residual),
-            qhat_kernel_dim=kernel_dims[j],
-        )
-    return out
+    if not problems:
+        return []
+    try:
+        (A_d, B, Q_d, S, R), failed = _checked(problems)
+        (Ahat, G, Qhat, blow_up, kernel_dims), more = _eliminate_cross_term(A_d, B, Q_d, S, R)
+    except ValueError as exc:  # a shape all problems share
+        return [exc] * len(problems)
+    failed = {**more, **failed}
+    for j in failed:
+        Ahat[j] = G[j] = Qhat[j] = 0.0
+    P, iterations, failures = _doubling(Ahat, G, Qhat, blow_up)
+    failed = {**{j: exc for j, exc in enumerate(failures) if exc is not None}, **failed}
+    residual, more = _residuals(P, A_d, B, Q_d, S, R)
+    overflow = {j: NumericalError("overflow: the Riccati residual of the doubling iterate is not finite")
+                for j in np.flatnonzero(~np.isfinite(residual))}
+    failed = {**overflow, **more, **failed}
+    for j in np.flatnonzero(~_converged(P, residual)):
+        if j not in failed:
+            try:
+                P[j], residual[j] = _policy_polish(P[j], residual[j], A_d[j], B[j], Q_d[j], S[j], R[j])
+            except NumericalError as exc:
+                failed[j] = exc
+    with np.errstate(over="ignore", invalid="ignore"):  # a failed problem's gain may overflow
+        K, more = _gain(P, A_d, B, S, R)
+    failed = {**more, **failed}
+    converged = _converged(P, residual)
+    return [failed.get(j) or RiccatiSolution(
+        P=P[j], K=K[j], residual=float(residual[j]), iterations=int(iterations[j]),
+        converged=bool(converged[j]), qhat_kernel_dim=int(kernel_dims[j])) for j in range(len(problems))]
 
 
 def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
@@ -425,7 +414,7 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     polished by policy iteration, which keeps its result only where it
     lowers the residual.
 
-    This is the doubling of ``design_batch`` on a stack of one, so both
+    This is ``design_batch``'s stacked solve on a stack of one, so both
     give the same bits for the same problem.
     """
     (result,) = _solve_stack([(A_d, B_sel, Q_d, S_sel, R_sel)])

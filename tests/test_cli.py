@@ -110,6 +110,11 @@ class TestScenarioLoading:
         ({"substeps": 2.7}, "field 'substeps' must be an integer, got 2.7"),
         ({"horizon_steps": 12.9}, "field 'horizon_steps' must be an integer, got 12.9"),
         ({"horizon_steps": False}, "field 'horizon_steps' must be an integer, got false"),
+        ({"horizon_steps": 0}, "field 'horizon_steps' must be >= 1, got 0"),
+        ({"substeps": 0}, "field 'substeps' must be >= 1, got 0"),
+        ({"substeps": -3}, "field 'substeps' must be >= 1, got -3"),
+        ({"name": [1, 2]}, r"field 'name' must be a string, got \[1, 2\]"),
+        ({"name": None}, "field 'name' must be a string, got null"),
         ({"epsilon": "0.1"}, "field 'epsilon' must be a number"),
         ({"disturbance_scale": None}, "field 'disturbance_scale' must be a number, got null"),
         ({"disturbance_scale": 10 ** 400}, "field 'disturbance_scale' must be a number, got 1000"),
@@ -207,6 +212,21 @@ class TestExitCodes:
         assert cli.main(["lqr", "--scenario", "souza", "--T", T, "--mode", mode,
                          "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("numerical failure: overflow: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # no cell of either grid converges, so no preview cost is computed
+        ["--T-grid", "1.3101347027385728:0.05:1.3101347027385728", "--mode", "regular", "--N", "0,-1"],
+        ["--T-grid", "700:1:701", "--mode", "impulsive", "--N", "0,-1"],
+        ["--T-grid", "1:1:2", "--N", "0,x"],
+        ["--T-grid", "1:1:2", "--N", "3,1.5"],
+    ], ids=lambda argv: argv[-1])
+    def test_sweep_rejects_a_horizon_that_is_not_an_integer_at_least_zero(self, argv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--scenario", "souza", *argv, "--out", str(out)]) == 1
+        bad = argv[-1].split(",")[1]
+        assert capsys.readouterr().err == (
+            f"input error: --N takes comma-separated integers >= 0, got the entry {bad!r}\n")
         assert not out.exists()
 
     def test_singular_preview_solve_keeps_the_sweep(self, tmp_path):

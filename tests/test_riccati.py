@@ -12,9 +12,12 @@ from mrilqr import (
     CostWeights,
     DareDivergenceError,
     NumericalError,
+    closed_loop_G,
     cost_matrices,
     dare_residual,
     design,
+    gamma_and_cost,
+    preview,
     restrict_input_mode,
     riccati,
     sample_plant,
@@ -24,7 +27,7 @@ from mrilqr.discretize import SampledCost
 from mrilqr.numkernel import spectral_radius
 from mrilqr.riccati import design_batch, design_sampled
 
-from conftest import closed_loop_cost_matrix, random_stable_plant, relerr
+from conftest import closed_loop_cost_matrix, random_controllable_plant, random_stable_plant, relerr
 
 SOUZA_BASE = 2.0 * np.pi / np.sqrt(23.0)
 
@@ -394,11 +397,99 @@ class TestDesignBatch:
         assert unpolished > 140
 
 
+def post_solve_against_solo(models, costs, mode, b, horizons=(0, 1, 3)) -> Counter:
+    """``batch_against_solo``, then the stacked closed loop and preview costs
+    of every design of the batch against ``design_sampled`` followed by the
+    2-D ``closed_loop_G`` and ``gamma_and_cost``: G and Jstar bit for bit,
+    or the same first error. Counts the outcomes of both."""
+    outcomes = batch_against_solo(models, costs, mode)
+    cells = [(model, cost, d) for model, cost, d in zip(models, costs, design_batch(models, costs, mode))
+             if not isinstance(d, Exception)]
+    G, Jstar, failed = preview.preview_costs([d for _, _, d in cells], b, horizons)
+    for j, (model, cost, _) in enumerate(cells):
+        solo = design_sampled(model, cost, mode)
+        P = solo.solution.P
+        try:
+            G_solo = closed_loop_G(model.A_d, solo.B_sel, solo.S_sel, solo.R_sel, P)
+            J_solo = [gamma_and_cost(P, G_solo, solo.B_sel, solo.R_sel, b, N)[1] for N in horizons]
+        except NumericalError as exc:
+            assert type(failed[j]) is type(exc) and str(failed[j]) == str(exc), (model.T, exc)
+            outcomes[f"preview: {str(exc).split(' by ')[0].split(':')[0]}"] += 1
+            continue
+        assert j not in failed, (model.T, failed.get(j))
+        assert same_bits(G[j], G_solo) and same_bits(Jstar[j], J_solo), model.T
+        outcomes["previewed"] += 1
+    return outcomes
+
+
+class TestStackedPostSolve:
+    """The stacked cross-term elimination, residual test, gain, closed loop and
+    preview cost give each cell the bits of its solo design and 2-D preview."""
+
+    @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
+    def test_souza_grid_and_near_pathological_periods(self, souza_plant, souza_weights, mode):
+        near = [k * SOUZA_BASE + d for k in (1, 2, 3)
+                for d in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6)]
+        periods = [*(0.2 + 0.05 * np.arange(97)), *near]
+        grid = sampled_grid(souza_plant, souza_weights, periods)
+        outcomes = post_solve_against_solo(*grid, mode, souza_plant.Btilde[:, 0], (0, 1, 3, 10))
+        assert outcomes["previewed"] > 90
+
+    @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
+    def test_rotation_grid_across_multiples_of_pi(self, rotation_plant, mode):
+        weights = CostWeights(np.eye(2), [[1.0]], [[1.0]])
+        near = [k * np.pi + d for k in (1, 2, 3, 4) for d in (0.0, 1e-7, -1e-7)]
+        periods = [*np.linspace(0.25, 13.0, 52), *near]
+        grid = sampled_grid(rotation_plant, weights, periods)
+        assert post_solve_against_solo(*grid, mode, rotation_plant.Btilde[:, 0])["previewed"] > 40
+
+    @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
+    def test_insulin_periods(self, insulin_plant, insulin_weights, mode):
+        grid = sampled_grid(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0])
+        outcomes = post_solve_against_solo(*grid, mode, insulin_plant.Btilde[:, 0], (0, 1, 3, 10))
+        assert outcomes == {"converged": 4, "previewed": 4}
+
+    @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
+    def test_random_plant_with_two_inputs(self, mode):
+        # m = 2: the closed loop and preview costs of multi-input gains
+        # (four input columns in mri mode)
+        rng = np.random.default_rng(23)
+        plant = random_controllable_plant(rng, 3, 2)
+        C = rng.normal(size=(3, 3))
+        weights = CostWeights(C.T @ C, np.diag([0.5, 2.0]), np.diag([1.5, 0.3]))
+        grid = sampled_grid(plant, weights, np.linspace(0.1, 6.0, 24))
+        outcomes = post_solve_against_solo(*grid, mode, plant.Btilde[:, 0], (0, 1, 2, 5))
+        assert outcomes["previewed"] == 24
+
+    def test_mixed_failures_in_one_stack(self, souza_plant, souza_weights):
+        # hold-only: converging, diverging, a singular I + B R^-1 B' P in the
+        # closed loop (T = 50) and in the preview core (T = 55), converging;
+        # then an indefinite Qhat far from roundoff, an indefinite R and a
+        # non-finite Q_d, which the entry checks reject
+        models, costs = sampled_grid(souza_plant, souza_weights, [1.0, SOUZA_BASE, 50.0, 55.0, 2.0])
+        cost = costs[0]
+        for bad in (SampledCost(-np.eye(2), np.zeros_like(cost.S_d), cost.R_d),
+                    SampledCost(cost.Q_d, cost.S_d, -cost.R_d),
+                    SampledCost(np.array([[1.0, np.inf], [-np.inf, 1.0]]), cost.S_d, cost.R_d)):
+            models.append(models[0])
+            costs.append(bad)
+        outcomes = post_solve_against_solo(models, costs, "regular", souza_plant.Btilde[:, 0])
+        assert outcomes == {
+            "converged": 2, "not converged": 2, "DareDivergenceError": 1, "ValueError": 3,
+            "previewed": 2, "preview: singular I + B R^{-1} B' P": 1,
+            "preview: singular (I + P B R^{-1} B')'": 1}
+        # mri: closed-loop forms that disagree, and a Qhat cancelling to roundoff
+        grid = sampled_grid(souza_plant, souza_weights, [1.0, 25.0, 45.0, 2.0])
+        outcomes = post_solve_against_solo(*grid, "mri", souza_plant.Btilde[:, 0])
+        assert outcomes == {"converged": 2, "not converged": 1, "NumericalError": 1,
+                            "previewed": 2, "preview: closed-loop forms disagree": 1}
+
+
 class TestPolishOnDemand:
     def test_insulin_polishes_only_iterates_missing_the_residual_test(
             self, insulin_plant, insulin_weights, monkeypatch):
-        # the polish evaluates the doubling iterate's residual, and one more
-        # residual per policy-iteration round: one evaluation per design means
+        # the residual test runs on the stack, and only the polish evaluates
+        # dare_residual, once per policy-iteration round: no evaluation means
         # the returned P is the doubling iterate itself
         evaluations = []
         residual = riccati.dare_residual
@@ -414,6 +505,6 @@ class TestPolishOnDemand:
                 assert sol.converged
                 assert sol.residual == residual(sol.P, d.model.A_d, d.B_sel, d.cost.Q_d,
                                                 d.S_sel, d.R_sel)
-                polished += len(evaluations) > 1
+                polished += len(evaluations) > 0
         # 3 of the 12 iterates miss the test and are polished to convergence
         assert 0 < polished < 12
