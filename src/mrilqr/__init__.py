@@ -11,9 +11,11 @@ result against the cost it claims.
 from .controllability import (
     ControllabilityReport,
     PathologicalCandidate,
+    PeriodReport,
     candidate_pathological_periods,
     is_pathological,
     kalman_controllable,
+    period_reports,
     reduced_hautus_mri,
     resonant_eigenvalues,
 )
@@ -25,6 +27,7 @@ from .discretize import (
     cost_matrices,
     restrict_input_mode,
     sample_plant,
+    sample_plants,
 )
 from .errors import (
     DareDivergenceError,

@@ -25,13 +25,8 @@ import numpy as np
 
 from . import preview as preview_mod
 from . import riccati, simulate
-from .controllability import (
-    _require_controllable,
-    _sampled_hautus_mri,
-    _sampled_pathological,
-    candidate_pathological_periods,
-)
-from .discretize import MODES, ContinuousPlant, CostWeights, cost_matrices, input_channels, sample_plant
+from .controllability import candidate_pathological_periods, period_reports
+from .discretize import MODES, ContinuousPlant, CostWeights, cost_matrices, input_channels, sample_plant, sample_plants
 from .errors import NumericalError, DareDivergenceError
 from .numkernel import as_matrix, spectral_radius
 
@@ -74,10 +69,8 @@ class ScenarioConfig:
         """Btilde as the single disturbance vector the lqr, preview, sweep
         and simulate commands act on; more columns are an input error."""
         if self.Btilde.shape[1] != 1:
-            raise ValueError(
-                f"{self.name}: Btilde has {self.Btilde.shape[1]} columns; this command "
-                "takes a single disturbance column"
-            )
+            raise ValueError(f"{self.name}: Btilde has {self.Btilde.shape[1]} columns; this command "
+                             "takes a single disturbance column")
         return self.Btilde[:, 0]
 
 
@@ -190,20 +183,18 @@ def _kind(tp: type) -> str:
     return "none" if tp is type(None) else "str"
 
 
-def _spec(kind: str, digits: int) -> str | None:
-    """The %-format of a numeric kind; None for the others."""
-    return {"int": "%d", "float": f"%.{digits}g"}.get(kind)
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _spec(kind: str, digits: int) -> str:
+    """The %-format of a kind; a bool is formatted as its ``_BOOL_TEXT``, and "%.0s" writes no None."""
+    return {"int": "%d", "float": f"%.{digits}g", "none": "%.0s"}.get(kind, "%s")
 
 
 def _cell(v, digits: int) -> str:
     """A cell as console or CSV text."""
     kind = _kind(type(v))
-    spec = _spec(kind, digits)
-    if spec is not None:
-        return spec % v
-    if kind == "bool":
-        return "true" if v else "false"
-    return "" if kind == "none" else str(v)
+    return _spec(kind, digits) % (_BOOL_TEXT[v] if kind == "bool" else v,)
 
 
 _JSON_VALUE = {"bool": bool, "int": int, "float": float, "none": lambda v: None, "str": str}
@@ -214,19 +205,24 @@ def _plain(v):
     return _JSON_VALUE[_kind(type(v))](v)
 
 
+def _plain_column(column):
+    """``_plain`` of each cell of a column, with one type rule lookup for a column of one kind."""
+    kinds = {_kind(tp) for tp in set(map(type, column))}
+    return map(_JSON_VALUE[kinds.pop()] if len(kinds) == 1 else _plain, column)
+
+
 def _row_format(rows, width: int, digits: int) -> str | None:
     """One %-format string for every row of a table whose columns each hold
-    one numeric kind; None when a row is not ``width`` cells long, a column
-    mixes kinds, or a column holds bools, strings or None."""
+    one kind; None when a row is not ``width`` cells long or a column mixes
+    kinds."""
     if set(map(len, rows)) != {width}:
         return None
     specs = []
     for column in zip(*rows):
         kinds = {_kind(tp) for tp in set(map(type, column))}
-        spec = _spec(kinds.pop(), digits) if len(kinds) == 1 else None
-        if spec is None:
+        if len(kinds) != 1:
             return None
-        specs.append(spec)
+        specs.append(_spec(kinds.pop(), digits))
     return ",".join(specs)
 
 
@@ -235,9 +231,29 @@ def _table_lines(header, rows, digits: int) -> list[str]:
     fmt = _row_format(rows, len(header), digits)
     if fmt is None:
         body = (",".join(_cell(v, digits) for v in row) for row in rows)
+    elif any(_kind(type(v)) == "bool" for v in rows[0]):
+        columns = [map(_BOOL_TEXT.__getitem__, c) if _kind(type(c[0])) == "bool" else c for c in zip(*rows)]
+        body = map(fmt.__mod__, zip(*columns))
     else:
         body = map(fmt.__mod__, map(tuple, rows))
     return [",".join(header), *body]
+
+
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` through the C encoder, which
+    an indent turns off. The values are scalars or lists of scalar lists or
+    flat dicts, so each is one call whose item separator carries the inner
+    indent; the outer separators are then rewritten, which is safe because a
+    raw newline only stands between items (JSON strings escape theirs)."""
+    items = []
+    for key in sorted(doc):
+        text = json.dumps(doc[key], sort_keys=True, separators=(",\n      ", ": "))
+        if isinstance(doc[key], list) and doc[key]:
+            open_, close = text[1], text[-2]
+            body = text[2:-2].replace(f"{close},\n      {open_}", f"\n    {close},\n    {open_}\n      ")
+            text = f"[\n    {open_}\n      {body}\n    {close}\n  ]"
+        items.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}" if items else "{}"
 
 
 class _Sink:
@@ -246,9 +262,10 @@ class _Sink:
     One type rule (``_kind``) decides how every cell reads: bools as
     true/false, integers in full, floats to ``CONSOLE_DIGITS`` or
     ``FILE_DIGITS`` significant digits, None as an empty field (null in
-    JSON). A table whose every column holds only floats or only integers
-    renders through one %-format string per row, built from its column
-    kinds; any other table renders cell by cell, to the same text.
+    JSON). A table whose every column holds one kind renders through one
+    %-format string per row, built from its column kinds; a table with a
+    mixed column renders cell by cell, to the same text. JSON is written
+    through the C encoder (``_json_text``).
     """
 
     def __init__(self):
@@ -284,29 +301,30 @@ class _Sink:
         for name, value in self.scalars.items():
             lines.append(f"scalar,{name},,,{_cell(value, FILE_DIGITS)}")
         for name, M in self.matrices.items():
-            for i in range(M.shape[0]):
-                for j in range(M.shape[1]):
-                    lines.append(f"matrix,{name},{i},{j},{_cell(M[i, j], FILE_DIGITS)}")
+            lines.extend(f"matrix,{name},{i},{j},{_cell(v, FILE_DIGITS)}" for (i, j), v in np.ndenumerate(M))
         for name, (header, rows) in self.tables.items():
             if lines:
                 lines.append("")
             lines.extend(_table_lines(header, rows, FILE_DIGITS))
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
+    def json_doc(self) -> dict:
         doc: dict[str, object] = {k: _plain(v) for k, v in self.scalars.items()}
         for name, M in self.matrices.items():
             doc[name] = M.tolist()
         for name, (header, rows) in self.tables.items():
-            doc[name] = [{h: _plain(c) for h, c in zip(header, row)} for row in rows]
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            # rows as long as the header, as every table of the commands is
+            doc[name] = [dict(zip(header, row)) for row in zip(*map(_plain_column, zip(*rows)))]
+        return doc
+
+    def to_json(self) -> str:
+        return _json_text(self.json_doc()) + "\n"
 
     def emit(self, out_path: str | None, fmt: str):
         if out_path is None:
             self.to_console()
-            return
-        text = self.to_json() if fmt == "json" else self.to_csv()
-        Path(out_path).write_text(text)
+        else:
+            Path(out_path).write_text(self.to_json() if fmt == "json" else self.to_csv())
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +333,7 @@ class _Sink:
 
 def cmd_discretize(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     T = args.T
-    plant = scenario.plant()
-    weights = scenario.weights()
+    plant, weights = scenario.plant(), scenario.weights()
     model = sample_plant(plant, T)
     cost = cost_matrices(plant, weights, T)
     sink.scalar("scenario", scenario.name)
@@ -333,30 +350,14 @@ def cmd_controllability(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     sink.scalar("scenario", scenario.name)
     sink.scalar("T_max", args.T_max)
     candidates = candidate_pathological_periods(plant.A, args.T_max)
-    _require_controllable(plant)
-    rows = []
-    for c in candidates:
-        model = sample_plant(plant, c.period)
-        report = _sampled_hautus_mri(plant, model)
-        rows.append([
-            c.period,
-            c.base_period,
-            c.multiple,
-            c.needs_per_multiple_test,
-            _sampled_pathological(plant, model, "regular"),
-            _sampled_pathological(plant, model, "impulsive"),
-            not report.controllable,
-            report.margin if np.isfinite(report.margin) else None,
-        ])
-    sink.table(
-        "candidates",
-        ["period", "base_period", "multiple", "needs_per_multiple_test",
-         "pathological_regular", "pathological_impulsive", "pathological_mri", "mri_margin"],
-        rows,
-    )
-    report = _sampled_hautus_mri(plant, sample_plant(plant, scenario.T))
+    *reports, at_T = period_reports(plant, [c.period for c in candidates] + [scenario.T])
+    rows = [[c.period, c.base_period, c.multiple, c.needs_per_multiple_test,
+             r.pathological_regular, r.pathological_impulsive, not r.mri.controllable,
+             r.mri.margin if np.isfinite(r.mri.margin) else None] for c, r in zip(candidates, reports)]
+    sink.table("candidates", ["period", "base_period", "multiple", "needs_per_multiple_test", "pathological_regular",
+                              "pathological_impulsive", "pathological_mri", "mri_margin"], rows)
     sink.scalar("scenario_T", scenario.T)
-    sink.scalar("scenario_T_mri_controllable", report.controllable)
+    sink.scalar("scenario_T_mri_controllable", at_T.mri.controllable)
 
 
 def _emit_gain(sink: _Sink, K: np.ndarray, mode: str, m: int) -> None:
@@ -445,7 +446,7 @@ def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
             raise ValueError(f"--N takes comma-separated integers >= 0, got the entry {p!r}")
     N_list = [int(p) for p in N_list]
     plant, weights, bt = scenario.plant(), scenario.weights(), scenario.disturbance_column()
-    models, costs = zip(*((sample_plant(plant, T), cost_matrices(plant, weights, T)) for T in T_grid))
+    models, costs = sample_plants(plant, T_grid), [cost_matrices(plant, weights, T) for T in T_grid]
     sweeps = {mode: _sweep_rows(riccati.design_batch(models, costs, mode), N_list, bt) for mode in modes}
     rows = []
     for i, T in enumerate(T_grid):
@@ -457,13 +458,11 @@ def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
 
 
 def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
-    plant = scenario.plant()
-    weights = scenario.weights()
+    plant, weights = scenario.plant(), scenario.weights()
     direction = scenario.disturbance_column() * scenario.disturbance_scale
     T, N, mode = args.T, args.N, args.mode
 
     m = plant.m
-    feedforward: tuple = ()
     A_cl = None
     if mode == "open_loop":
         policy = simulate.InputPolicy(K=np.zeros((2 * m, plant.n)), mode="mri")
@@ -471,8 +470,7 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
         if N > 0 and mode != "mri":
             raise ValueError("preview (N > 0) is only available in mri mode")
         des = riccati.design(plant, weights, T, mode)
-        if N > 0:
-            feedforward = preview_mod.preview_plan(des, direction, N).feedforward
+        feedforward = preview_mod.preview_plan(des, direction, N).feedforward if N > 0 else ()
         policy = simulate.InputPolicy(K=des.solution.K, mode=mode, feedforward=feedforward,
                                       saturate_nonnegative=args.saturate)
         A_cl = des.model.A_d + des.B_sel @ des.solution.K

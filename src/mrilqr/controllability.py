@@ -24,16 +24,19 @@ from fractions import Fraction
 import numpy as np
 
 from . import numkernel
-from .discretize import ContinuousPlant, SampledModel, input_channels, sample_plant
+from .numkernel import _T
+from .discretize import ContinuousPlant, input_channels, sample_plants
 from .errors import NumericalError, UncontrollablePlantError
 
 __all__ = [
     "ControllabilityReport",
+    "PeriodReport",
     "PathologicalCandidate",
     "kalman_controllable",
     "resonant_eigenvalues",
     "reduced_hautus_mri",
     "is_pathological",
+    "period_reports",
     "candidate_pathological_periods",
 ]
 
@@ -59,6 +62,21 @@ class ControllabilityReport:
 
 
 @dataclass(frozen=True)
+class PeriodReport:
+    """Controllability of the sampled model at one period.
+
+    pathological_regular and pathological_impulsive are
+    ``is_pathological`` of the single-channel modes; mri is
+    ``reduced_hautus_mri``.
+    """
+
+    period: float
+    pathological_regular: bool
+    pathological_impulsive: bool
+    mri: ControllabilityReport
+
+
+@dataclass(frozen=True)
 class PathologicalCandidate:
     """One sampling period at which controllability may degrade.
 
@@ -74,6 +92,21 @@ class PathologicalCandidate:
     needs_per_multiple_test: bool
 
 
+def _full_rank(A, B) -> np.ndarray:
+    """Kalman rank test of each pair of stacks A (k, n, n), B (k, n, p).
+
+    Raises NumericalError when the powers overflow in any pair.
+    """
+    blocks = [B]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(A.shape[-1] - 1):
+            blocks.append(A @ blocks[-1])
+    C = np.concatenate(blocks, axis=-1)
+    if not np.isfinite(C).all():
+        raise NumericalError("the controllability matrix [B, AB, ...] overflowed")
+    return numkernel._svd_kernel(_T(C))[1] == 0
+
+
 def kalman_controllable(A, B) -> bool:
     """Rank test: [B, AB, ..., A^{n-1}B] has full row rank n.
 
@@ -84,14 +117,19 @@ def kalman_controllable(A, B) -> bool:
     n = A.shape[0]
     if A.shape[1] != n or B.shape[0] != n:
         raise ValueError(f"inconsistent shapes A {A.shape}, B {B.shape}")
-    blocks = [B]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n - 1):
-            blocks.append(A @ blocks[-1])
-    C = np.hstack(blocks)
-    if not np.all(np.isfinite(C)):
-        raise NumericalError("the controllability matrix [B, AB, ...] overflowed")
-    return numkernel.null_space_dim(C.T) == 0
+    return bool(_full_rank(A[None], B[None])[0])
+
+
+def _resonance(eigs: np.ndarray, periods) -> np.ndarray:
+    """Mask (k, n) of the eigenvalues that resonate at each period; see ``resonant_eigenvalues``."""
+    tol = _RESONANCE_RTOL
+    T = np.asarray(periods, dtype=float)[:, None, None]
+    # [i, j] pairs mu = eigs[i] with gamma = eigs[j]
+    gap = eigs.imag[:, None] - eigs.imag[None, :]
+    paired = (gap != 0.0) & (np.abs(eigs.real[:, None] - eigs.real[None, :]) <= tol * (1.0 + np.abs(eigs))[:, None])
+    x = T * gap / (2.0 * np.pi)
+    ell = np.rint(x)
+    return (paired & (ell != 0.0) & (np.abs(x - ell) <= tol * (1.0 + T))).any(axis=-1)
 
 
 def resonant_eigenvalues(A, T: float) -> tuple[complex, ...]:
@@ -107,20 +145,8 @@ def resonant_eigenvalues(A, T: float) -> tuple[complex, ...]:
     T = float(T)
     if not (T > 0.0):
         raise ValueError(f"period must be positive, got {T}")
-    tol = _RESONANCE_RTOL
     eigs = numkernel.eigenvalues(A)
-    out = []
-    for mu in eigs:
-        for gamma in eigs:
-            gap = mu.imag - gamma.imag
-            if gap == 0.0 or abs(mu.real - gamma.real) > tol * (1.0 + abs(mu)):
-                continue
-            x = T * gap / (2.0 * np.pi)
-            ell = int(np.rint(x))
-            if ell != 0 and abs(x - ell) <= tol * (1.0 + T):
-                out.append(complex(mu))
-                break
-    return tuple(out)
+    return tuple(map(complex, eigs[_resonance(eigs, [T])[0]]))
 
 
 def _require_controllable(plant: ContinuousPlant) -> None:
@@ -131,8 +157,66 @@ def _require_controllable(plant: ContinuousPlant) -> None:
 
 
 def _real_doubling(M: np.ndarray) -> np.ndarray:
-    """Real 2x block matrix whose kernel dimension doubles the complex one."""
+    """Real 2x block matrix (of each matrix of a stack) whose kernel dimension doubles the complex one."""
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
+
+
+def _sampled(plant: ContinuousPlant, periods) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stacks (T, A_d, B_d, B_i) of the plant sampled at each period, from one ``sample_plants`` call."""
+    models = sample_plants(plant, periods)
+    return (np.array([m.T for m in models]),
+            *(np.stack([getattr(m, name) for m in models]) for name in ("A_d", "B_d", "B_i")))
+
+
+def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> list[ControllabilityReport]:
+    """``reduced_hautus_mri`` at each period of the sampled stacks.
+
+    The spectrum of A is computed once, the norms of the A_d and B_d
+    stacks take one stacked SVD each, and one stacked SVD covers the
+    kernel test of every (period, resonant eigenvalue) pair.
+    """
+    n, m = plant.n, plant.m
+    eigs = numkernel.eigenvalues(plant.A)
+    resonant = _resonance(eigs, T)
+    # one kernel test per (period, resonant eigenvalue) pair
+    at, which = np.nonzero(resonant)
+    mus = eigs[which]
+    A_d_norm = np.linalg.svd(A_d, compute_uv=False).max(axis=-1)
+    B_d_norm = np.linalg.svd(B_d, compute_uv=False).max(axis=-1)
+    AtB_block = _T(B_d) / np.maximum(1.0, B_d_norm)[:, None, None]
+    shift = np.exp(mus * T[at])
+    scale = np.maximum(np.maximum(1.0, A_d_norm[at]), np.abs(shift))
+    stacked = np.concatenate(
+        [
+            (_T(A_d)[at] - shift[:, None, None] * np.eye(n)) / scale[:, None, None],
+            AtB_block[at],
+            np.broadcast_to(plant.B.T, (len(at), m, n)),
+        ],
+        axis=1,
+    )
+    if not np.isfinite(stacked).all():
+        raise NumericalError("the reduced Hautus matrix overflowed")
+    s, kdim = numkernel._svd_kernel(_real_doubling(stacked))
+    margin = np.full(len(T), np.inf)
+    np.minimum.at(margin, at, s[:, -1])
+    failures: list[list] = [[] for _ in T]
+    for j in np.flatnonzero(kdim):
+        failures[at[j]].append((complex(mus[j]), int(kdim[j]) // 2))
+    return [
+        ControllabilityReport(
+            controllable=not f,
+            resonant=tuple(map(complex, eigs[mask])),
+            failures=tuple(f),
+            margin=float(g),
+        )
+        for f, mask, g in zip(failures, resonant, margin)
+    ]
+
+
+def _pathological(plant: ContinuousPlant, A_d, B_d, B_i, mode: str) -> np.ndarray:
+    """``is_pathological`` of the given mode at each period of the sampled stacks."""
+    channels = input_channels(mode, plant.m)
+    return ~_full_rank(A_d, np.concatenate([B_d, B_i], axis=-1)[..., channels])
 
 
 def reduced_hautus_mri(plant: ContinuousPlant, T: float) -> ControllabilityReport:
@@ -146,53 +230,40 @@ def reduced_hautus_mri(plant: ContinuousPlant, T: float) -> ControllabilityRepor
     max(1, ||Atilde B||): scaling a row block keeps the kernel, and stops
     entries growing like e^{Re(mu) T} from setting the rank threshold.
     The scales come from the block's terms, so a block that cancels to
-    roundoff stays small.
+    roundoff stays small. Runs as a stack of one through the test behind
+    ``period_reports``.
     """
     _require_controllable(plant)
-    return _sampled_hautus_mri(plant, sample_plant(plant, T))
-
-
-def _sampled_hautus_mri(plant: ContinuousPlant, model: SampledModel) -> ControllabilityReport:
-    """``reduced_hautus_mri`` on a model sampled from a plant already checked controllable."""
-    T = model.T
-    resonant = resonant_eigenvalues(plant.A, T)
-
-    A_d_norm = float(np.linalg.norm(model.A_d, 2))
-    AtB_block = model.B_d.T / max(1.0, float(np.linalg.norm(model.B_d, 2)))
-    failures = []
-    margin = np.inf
-    n = plant.n
-    for mu in resonant:
-        shift = np.exp(mu * T)
-        stacked = np.vstack(
-            [
-                (model.A_d.T - shift * np.eye(n)) / max(1.0, A_d_norm, abs(shift)),
-                AtB_block,
-                plant.B.T,
-            ]
-        )
-        s, kdim = numkernel._svd_kernel(_real_doubling(stacked))
-        margin = min(margin, float(s[-1]))
-        if kdim > 0:
-            failures.append((mu, kdim // 2))
-    return ControllabilityReport(
-        controllable=not failures,
-        resonant=resonant,
-        failures=tuple(failures),
-        margin=float(margin),
-    )
+    T, A_d, B_d, _ = _sampled(plant, [T])
+    return _hautus_reports(plant, T, A_d, B_d)[0]
 
 
 def is_pathological(plant: ContinuousPlant, T: float, mode: str) -> bool:
-    """True when the sampled pair for the given input mode loses controllability."""
+    """True when the sampled pair for the given input mode loses controllability
+    (the Kalman rank test of the sampled pair, as a stack of one)."""
     _require_controllable(plant)
-    return _sampled_pathological(plant, sample_plant(plant, T), mode)
+    _, A_d, B_d, B_i = _sampled(plant, [T])
+    return bool(_pathological(plant, A_d, B_d, B_i, mode)[0])
 
 
-def _sampled_pathological(plant: ContinuousPlant, model: SampledModel, mode: str) -> bool:
-    """``is_pathological`` on a model sampled from a plant already checked controllable."""
-    channels = input_channels(mode, plant.m)
-    return not kalman_controllable(model.A_d, np.hstack([model.B_d, model.B_i])[:, channels])
+def period_reports(plant: ContinuousPlant, periods) -> list[PeriodReport]:
+    """Controllability of the plant sampled at each period, on one stack.
+
+    The continuous pair is checked once (UncontrollablePlantError), the
+    periods are sampled in one ``sample_plants`` call, and each report
+    equals the solo ``is_pathological`` and ``reduced_hautus_mri`` calls
+    at its period bit for bit. A numerical failure at any period raises
+    its NumericalError for the whole stack.
+    """
+    _require_controllable(plant)
+    if len(periods) == 0:
+        return []
+    T, A_d, B_d, B_i = _sampled(plant, periods)
+    mri = _hautus_reports(plant, T, A_d, B_d)
+    regular = _pathological(plant, A_d, B_d, B_i, "regular")
+    impulsive = _pathological(plant, A_d, B_d, B_i, "impulsive")
+    return [PeriodReport(float(t), bool(r), bool(i), report)
+            for t, r, i, report in zip(T, regular, impulsive, mri)]
 
 
 def _ratio_is_rational(x: float) -> bool:

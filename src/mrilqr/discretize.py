@@ -35,6 +35,7 @@ __all__ = [
     "SampledModel",
     "SampledCost",
     "sample_plant",
+    "sample_plants",
     "cost_matrices",
     "restrict_input_mode",
     "input_channels",
@@ -138,22 +139,28 @@ def _check_period(T: float) -> float:
     return T
 
 
-def _require_finite(what: str, T: float, *blocks: np.ndarray) -> None:
-    if not all(np.all(np.isfinite(M)) for M in blocks):
-        raise NumericalError(f"{what} overflowed at T = {T!r}")
+def sample_plants(plant: ContinuousPlant, periods) -> list[SampledModel]:
+    """Exact ZOH + impulse discretization of the plant at each period.
+
+    One stacked exponential covers every period; each model is bit for
+    bit the one a single period gives. Raises NumericalError, naming the
+    first period in order whose exponentials overflow.
+    """
+    Ts = [_check_period(T) for T in periods]
+    with np.errstate(over="ignore", invalid="ignore"):
+        A_d, Atilde, B_d = numkernel.expm_block_integrals(plant.A, plant.B, Ts)
+        B_i = A_d @ plant.B
+    finite = np.ones(len(Ts), dtype=bool)
+    for M in (A_d, Atilde, B_d, B_i):
+        finite &= np.isfinite(M).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"the sampled model overflowed at T = {Ts[int(np.argmin(finite))]!r}")
+    return [SampledModel(T=T, A_d=A_d[i], Atilde=Atilde[i], B_d=B_d[i], B_i=B_i[i]) for i, T in enumerate(Ts)]
 
 
 def sample_plant(plant: ContinuousPlant, T: float) -> SampledModel:
-    """Exact ZOH + impulse discretization of the plant at period T.
-
-    Raises NumericalError when the exponentials overflow.
-    """
-    T = _check_period(T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        A_d, Atilde, B_d = numkernel.expm_block_integrals(plant.A, plant.B, T)
-        B_i = A_d @ plant.B
-    _require_finite("the sampled model", T, A_d, Atilde, B_d, B_i)
-    return SampledModel(T=T, A_d=A_d, Atilde=Atilde, B_d=B_d, B_i=B_i)
+    """``sample_plants`` at the single period T."""
+    return sample_plants(plant, [T])[0]
 
 
 def constant_input_gram(plant: ContinuousPlant, Q: np.ndarray, h: float) -> np.ndarray:
@@ -205,7 +212,8 @@ def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> Sam
         H = constant_input_gram(plant, weights.Q, T)
         G = L.T @ H @ L
         G = 0.5 * (G + G.T)
-    _require_finite("the equivalent cost", T, G)
+    if not np.isfinite(G).all():
+        raise NumericalError(f"the equivalent cost overflowed at T = {T!r}")
 
     R_d = G[n:, n:].copy()
     R_d[:m, :m] += T * weights.Rc

@@ -45,27 +45,32 @@ def _square(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def expm_block_integrals(A, B, T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def expm_block_integrals(A, B, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jointly compute (e^{AT}, int_0^T e^{As} ds, int_0^T e^{As} ds B).
 
     One exponential of the block-upper-triangular augmentation
     [[A, I], [0, 0]] yields both the state transition matrix and its
     running integral; the input map is the integral times B. For
     invertible A the integral equals A^{-1}(e^{AT} - I).
+
+    T is one duration or a 1-D array of them; for an array each result
+    is a stack with one matrix per duration, each bit for bit the one a
+    single duration gives (scipy's ``expm`` works slice by slice).
     """
     A = _square(A, "A")
     B = as_matrix(B, "B")
     n = A.shape[0]
     if B.shape[0] != n:
         raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
-    if not (T > 0.0):
+    T = np.asarray(T, dtype=float)
+    if not np.all(T > 0.0):
         raise ValueError(f"duration T must be positive, got {T}")
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n] = A
     M[:n, n:] = np.eye(n)
-    E = scipy.linalg.expm(M * T)
-    A_d = E[:n, :n]
-    Atilde = E[:n, n:]
+    E = scipy.linalg.expm(M * T[..., None, None])
+    A_d = E[..., :n, :n]
+    Atilde = E[..., :n, n:]
     return A_d, Atilde, Atilde @ B
 
 
@@ -125,22 +130,21 @@ def eigenvalues(M) -> np.ndarray:
     return out[np.lexsort((out.imag, out.real))]
 
 
-def _svd_kernel(M) -> tuple[np.ndarray, int]:
-    """Singular values of M (descending) and the dimension of its numerical kernel.
+def _svd_kernel(M) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (descending) of M, or of each matrix of a stack M, and
+    the dimension of each numerical kernel.
 
     Singular values at or below ``RANK_RTOL`` times the largest count as
-    zero. An all-zero matrix has a full kernel.
+    zero, so an all-zero matrix has a full kernel. numpy's SVD works
+    slice by slice, so a stack gives each matrix's own bits.
     """
-    A = as_matrix(M)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0:
-        return s, A.shape[1]
-    return s, A.shape[1] - int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    s = np.linalg.svd(M, compute_uv=False)
+    return s, M.shape[-1] - np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
 
 
 def null_space_dim(M) -> int:
     """Dimension of the numerical kernel of a rectangular matrix; see ``_svd_kernel``."""
-    return _svd_kernel(M)[1]
+    return int(_svd_kernel(as_matrix(M))[1])
 
 
 def spectral_radius(M) -> float:

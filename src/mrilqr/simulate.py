@@ -8,6 +8,11 @@ constant-input system. The continuous cost and the discrete-equivalent
 cost are therefore two independently computed quantities whose match is
 limited only by matrix-exponential accuracy.
 
+The maps from an interval's start (state, free input, hold input) to
+every sub-segment end are composed once per run as one stack; each step
+then takes all its dense states, Gram increments and running costs from
+that stack in a few array operations (see ``_run``).
+
 Impulses can be applied exactly (state jump at the interval start) or
 as a constant hold over the leading fraction epsilon of the interval,
 which reproduces hardware that cannot deliver true impulses; the two
@@ -112,6 +117,33 @@ def _interval_segments(T: float, substeps: int, alpha: float | None):
     return segments
 
 
+def _interval_maps(plant: ContinuousPlant, weights: CostWeights, segments):
+    """Maps from one interval's start to its segment ends, and each segment's Gram form.
+
+    ``Phi[j]`` (n x (n + 2m)) takes xi = [y; u_free; u_hold], the state at
+    the interval start and the two segment inputs, to the state at the end
+    of segment j. It is composed segment by segment from one propagator
+    per distinct segment length: Phi[j] = A_dd Phi[j-1] + B_dd times the
+    selector of the segment's input. ``H[j]`` is the Gram form of segment
+    j in (segment start state, segment input); see ``constant_input_gram``.
+    """
+    n, m = plant.n, plant.m
+    distinct = sorted({d for _, d, _ in segments})
+    A_dd, _, B_dd = numkernel.expm_block_integrals(plant.A, plant.B, distinct)
+    grams = [constant_input_gram(plant, weights.Q, d) for d in distinct]
+    Phi = np.empty((len(segments), n, n + 2 * m))
+    H = np.empty((len(segments), n + m, n + m))
+    prev = np.eye(n, n + 2 * m)
+    for j, (_, d, within_hold) in enumerate(segments):
+        i = distinct.index(d)
+        Phi[j] = A_dd[i] @ prev
+        cols = slice(n + m, n + 2 * m) if within_hold else slice(n, n + m)
+        Phi[j][:, cols] += B_dd[i]
+        prev = Phi[j]
+        H[j] = grams[i]
+    return Phi, H
+
+
 def _run(
     plant: ContinuousPlant,
     weights: CostWeights,
@@ -125,13 +157,17 @@ def _run(
 ) -> Trajectory:
     """Step loop behind every simulation.
 
-    Per step it asks ``inputs_fn(k, x)`` for the inputs, adds the
-    discrete-equivalent cost and the impulse penalty, and forms once what
-    every segment of the interval shares: the segment inputs (``u_c``
-    outside the epsilon hold window, ``u_c + u_i/alpha`` inside), their
-    sampled drive ``B_dd u`` per segment length, and the hold penalty
-    ``u_c' Rc u_c``. Each segment then only propagates the state and adds
-    its Gram integral through one reused ``[x; u]`` buffer.
+    Once per run it composes the maps ``Phi`` (S x n x (n + 2m)) from an
+    interval's start state y, free input u_free = u_c and hold input
+    u_hold = u_c + u_i/alpha to the state at each of the S segment ends,
+    and stacks each segment's Gram form (see ``_interval_maps``). Per step
+    it asks ``inputs_fn(k, x)`` for the inputs and adds the
+    discrete-equivalent cost and the impulse penalty; then one product
+    gives all S dense states, one stacked quadratic form all S Gram
+    increments [x_{j-1}; u_j]' H_j [x_{j-1}; u_j] (plus the hold penalty
+    d_j u_c' Rc u_c), and one sequential cumsum seeded with J_cont the
+    running cost. The step's end state is its last dense row. Dense rows
+    are kept in per-step blocks and joined once at the end.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -144,33 +180,36 @@ def _run(
             raise ValueError(f"approx mode needs epsilon in (0, 1), got {epsilon}")
         alpha = epsilon * T
 
-    n = plant.n
-    A, B = plant.A, plant.B
+    n, m = plant.n, plant.m
+    B = plant.B
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.size != n:
         raise ValueError(f"x0 has size {x.size}, expected {n}")
 
     segments = _interval_segments(T, substeps, alpha)
-    drive_keys = {(d, within_hold) for _, d, within_hold in segments}
-
-    # One propagator and one Gram integral per distinct segment length.
-    props: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for _, d, _ in segments:
-        if d not in props:
-            A_dd, _, B_dd = numkernel.expm_block_integrals(A, B, d)
-            props[d] = (A_dd, B_dd, constant_input_gram(plant, weights.Q, d))
+    S = len(segments)
+    t_ends = np.array([t_end for t_end, _, _ in segments])
+    lengths = np.array([d for _, d, _ in segments])
+    hold = np.array([within_hold for _, _, within_hold in segments])
+    Phi, H = _interval_maps(plant, weights, segments)
+    Phi_flat = Phi.reshape(S * n, n + 2 * m)
 
     sc = cost_matrices(plant, weights, T)
 
-    # one (t, state, impulse flag, J_cont) record per dense row, laid end to
-    # end in one flat list and unzipped by stride at the end: a tuple per
-    # row is a tracked allocation per row and sets off the cyclic collector
-    rows = [0.0, x.copy(), 0, 0.0]
+    # dense rows in per-step blocks of (times, states, impulse flags, J_cont)
+    blocks: list[tuple] = [(np.zeros(1), x[None].copy(), np.zeros(1, dtype=int), np.zeros(1))]
     sample_states = []
     ucs, uis = [], []
-    xi = np.empty(n + plant.m)
+    xi = np.zeros(n + 2 * m)
+    # [segment start state; segment input] of each segment
+    Z = np.empty((S, n + m))
+    no_flags = np.zeros(S, dtype=int)
+    running = np.empty(S + 1)
     J_cont = 0.0
     J_disc = 0.0
+
+    def jump_row(t, state, cost):
+        blocks.append((np.array([t]), state[None], np.ones(1, dtype=int), np.array([cost])))
 
     # overflow on a diverging loop is reported through the finiteness
     # check below, not as a numpy warning
@@ -180,7 +219,7 @@ def _run(
             t_k = k * T
             if disturbance is not None and k == disturbance.impulse_step:
                 x = x + disturbance.direction
-                rows += (t_k, x, 1, J_cont)
+                jump_row(t_k, x, J_cont)
             sample_states.append(x)
             if k == steps:
                 break
@@ -199,38 +238,41 @@ def _run(
             if alpha is None:
                 y = x + B @ u_i
                 if np.any(u_i != 0.0):
-                    rows += (t_k, y, 1, J_cont)
+                    jump_row(t_k, y, J_cont)
             else:
                 y = x
 
             # outside the hold window the impulse part is 0.0, and
             # u_c + 0.0 reads any -0.0 of u_c as 0.0
-            u_free = u_c + 0.0
-            u_hold = None if alpha is None else u_c + u_i / alpha
-            drive = {(d, hold): props[d][1] @ (u_hold if hold else u_free)
-                     for d, hold in drive_keys}
-            hold_cost = float(u_c @ weights.Rc @ u_c)
-            for t_end, d, within_hold in segments:
-                A_dd, _, H = props[d]
-                xi[:n] = y
-                xi[n:] = u_hold if within_hold else u_free
-                J_cont += float(xi @ H @ xi) + d * hold_cost
-                y = A_dd @ y + drive[d, within_hold]
-                rows += (t_k + t_end, y, 0, J_cont)
+            xi[:n] = y
+            xi[n : n + m] = u_c + 0.0
+            if alpha is not None:
+                xi[n + m :] = u_c + u_i / alpha
+            X = (Phi_flat @ xi).reshape(S, n)
 
-            x = y
+            Z[0, :n] = y
+            Z[1:, :n] = X[:-1]
+            Z[:, n:] = np.where(hold[:, None], xi[n + m :], xi[n : n + m])
+            quad = (Z[:, None, :] @ H @ Z[:, :, None])[:, 0, 0]
+            running[0] = J_cont
+            running[1:] = quad + lengths * float(u_c @ weights.Rc @ u_c)
+            np.cumsum(running, out=running)
+            J_cont = float(running[-1])
+            blocks.append((t_k + t_ends, X, no_flags, running[1:].copy()))
+
+            x = X[-1]
             if not np.all(np.isfinite(x)):
                 raise SimulationDivergence(f"state diverged at step {k}", step=k)
 
-    times, states, flags, running = (rows[i::4] for i in range(4))
+    times, states, flags, costs = (np.concatenate(part) for part in zip(*blocks))
     return Trajectory(
         sample_states=np.array(sample_states),
         u_c=np.array(ucs),
         u_i=np.array(uis),
-        dense_times=np.array(times),
-        dense_states=np.array(states),
-        dense_impulse_flags=np.array(flags),
-        dense_running_cost=np.array(running),
+        dense_times=times,
+        dense_states=states,
+        dense_impulse_flags=flags,
+        dense_running_cost=costs,
         J_cont=J_cont,
         J_disc=J_disc,
     )

@@ -17,8 +17,9 @@ from mrilqr.errors import DareDivergenceError, NumericalError
 SOUZA_BASE = 2.0 * np.pi / np.sqrt(23.0)
 
 
-def count_calls(monkeypatch, *names):
-    """Count calls to library functions through every module namespace binding them."""
+def count_calls(monkeypatch, *names, log=None):
+    """Count calls to library functions through every module namespace binding them;
+    with a ``log`` list, also append each call's (name, positional arguments)."""
     counts = Counter()
     modules = (mrilqr, cli, controllability, discretize, preview, riccati, simulate)
     for name in names:
@@ -26,6 +27,8 @@ def count_calls(monkeypatch, *names):
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
+            if log is not None:
+                log.append((_name, args))
             return _fn(*args, **kwargs)
 
         for mod in modules:
@@ -542,15 +545,23 @@ class TestWriter:
         assert [fmt % tuple(row) for row in rows] == self.per_cell(rows, digits)
 
     @pytest.mark.parametrize("column", [
-        [1.0, 2], [np.int64(1), 2.5], [True, 1.5], [np.bool_(False), 0], [True, False],
-        ["a", 1.0], ["a", "b"], [None, 1.0], [None, None]])
-    def test_mixed_or_non_numeric_columns_render_cell_by_cell(self, column):
+        [1.0, 2], [np.int64(1), 2.5], [True, 1.5], [np.bool_(False), 0], ["a", 1.0], [None, 1.0],
+        [True, None]])
+    def test_mixed_columns_render_cell_by_cell(self, column):
         rows = [[v, 0.5, 3] for v in column]
         assert cli._row_format(rows, 3, cli.FILE_DIGITS) is None
         sink = cli._Sink()
         sink.table("t", ["a", "b", "c"], rows)
         assert sink.to_csv() == "a,b,c\n" + "".join(
             line + "\n" for line in self.per_cell(rows, cli.FILE_DIGITS))
+
+    @pytest.mark.parametrize("column, spec", [
+        ([True, False], "%s"), ([np.bool_(False), True], "%s"), (["a", "b,c"], "%s"), ([None, None], "%.0s")])
+    def test_bool_string_and_none_columns_render_through_one_row_format(self, column, spec):
+        rows = [[v, 0.5, 3] for v in column]
+        assert cli._row_format(rows, 3, cli.FILE_DIGITS) == f"{spec},%.17g,%d"
+        assert cli._table_lines(["a", "b", "c"], rows, cli.FILE_DIGITS)[1:] == \
+            self.per_cell(rows, cli.FILE_DIGITS)
 
     def test_ragged_rows_render_cell_by_cell(self):
         rows = [[1.0, 2.0], [3.0]]
@@ -586,6 +597,70 @@ class TestWriter:
         assert [type(r["i"]) for r in doc["numeric"]] == [int] * len(numeric)
         assert doc["mixed"][0] == {"a": -0.0, "b": 1e-300, "c": 3, "d": True, "e": "mri", "f": None}
         assert doc["mixed"][1] == {"a": 2.5, "b": 7.0, "c": 4, "d": False, "e": "regular", "f": None}
+
+
+class TestEveryTable:
+    """The fast writers against their plain forms on every command's output."""
+
+    COMMANDS = [
+        # nan costs and unconverged cells
+        ["sweep", "--scenario", "souza", "--T-grid", "20:5:60", "--mode", "all", "--N", "0,3"],
+        ["sweep", "--scenario", "rotation", "--T-grid", "0.5:0.5:7", "--mode", "all", "--N", "0,1"],
+        ["controllability", "--scenario", "souza", "--T-max", "20"],
+        ["controllability", "--scenario", "rotation", "--T-max", "13"],
+        # a real spectrum has no candidate periods: an empty table
+        ["controllability", "--scenario", "{real}"],
+        ["simulate", "--scenario", "insulin", "--N", "2", "--eps", "0.1"],
+        # no output row: a y column of None
+        ["simulate", "--scenario", "souza", "--mode", "open_loop", "--steps", "4"],
+        ["discretize", "--scenario", "insulin"],
+        ["lqr", "--scenario", "souza", "--mode", "mri"],
+        ["preview", "--scenario", "insulin", "--N", "3"],
+    ]
+
+    @pytest.fixture(scope="class")
+    def sinks(self, tmp_path_factory):
+        sinks = []
+        emit = cli._Sink.emit
+
+        def captured(sink, out_path, fmt):
+            sinks.append(sink)
+            return emit(sink, out_path, fmt)
+
+        tmp = tmp_path_factory.mktemp("tables")
+        real = tmp / "real.json"
+        real.write_text(json.dumps({"name": "real", "A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [1.0]],
+                                    "Q": [[1.0, 0.0], [0.0, 1.0]], "Rc": [[1.0]], "Ri": [[1.0]], "T": 1.0}))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli._Sink, "emit", captured)
+            for argv in self.COMMANDS:
+                argv = [a.format(real=real) for a in argv]
+                assert cli.main(argv + ["--out", str(tmp / "o.csv")]) == 0, argv
+        return dict(zip((argv[0] + " " + argv[2].strip("{}") for argv in self.COMMANDS), sinks))
+
+    @pytest.mark.parametrize("digits", [cli.CONSOLE_DIGITS, cli.FILE_DIGITS])
+    def test_row_format_matches_cell_by_cell(self, sinks, digits):
+        tables = [table for sink in sinks.values() for table in sink.tables.values()]
+        header, rows = sinks["controllability souza"].tables["candidates"]
+        # None margins, in a column of their own and mixed with floats
+        tables.append((header, [[*row[:-1], None] for row in rows]))
+        tables.append((header, [[*row[:-1], None if i % 2 else row[-1]] for i, row in enumerate(rows)]))
+        assert any(np.isnan(row[3]) for row in sinks["sweep souza"].tables["sweep"][1])
+        for header, rows in tables:
+            assert cli._table_lines(header, rows, digits)[1:] == TestWriter.per_cell(rows, digits)
+        for name in ("sweep souza", "sweep rotation", "controllability souza", "controllability rotation"):
+            for header, rows in sinks[name].tables.values():
+                assert cli._row_format(rows, len(header), digits) is not None, name
+
+    def test_json_matches_the_indenting_encoder(self, sinks):
+        texts = {name: sink.to_json() for name, sink in sinks.items()}
+        for name, sink in sinks.items():
+            assert texts[name] == json.dumps(sink.json_doc(), indent=2, sort_keys=True) + "\n", name
+        assert "NaN" in texts["sweep souza"] and "null" in texts["simulate souza"]
+        assert '"candidates": []' in texts["controllability real"]
+        doc = {"s": 'a "quoted"\n{line}', "x": float("nan"), "n": None, "i": 2**70, "t": True,
+               "M": [[1.0, -0.0], [float("inf"), 5e-324]], "e": [], "rows": [{"b": None, "a": "},\n      {"}]}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 class TestSimulateTable:
@@ -630,8 +705,11 @@ class TestSimulateTable:
 
 class TestDesignReuse:
     def test_sweep_designs_once_per_period_and_mode(self, tmp_path, monkeypatch):
-        # each mode's period grid is one stacked solve with a cell per period
-        counts = count_calls(monkeypatch, "solve_dare", "sample_plant", "cost_matrices")
+        # the period grid is sampled in one stacked call, and each mode's grid
+        # is one stacked solve with a cell per period
+        log = []
+        counts = count_calls(monkeypatch, "solve_dare", "sample_plant", "sample_plants", "cost_matrices",
+                             log=log)
         batches = []
         batched = riccati.design_batch
 
@@ -643,7 +721,8 @@ class TestDesignReuse:
         periods = 4
         assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "0.5:0.5:2.0",
                          "--mode", "all", "--N", "0,1,3", "--out", str(tmp_path / "s.csv")]) == 0
-        assert counts == {"sample_plant": periods, "cost_matrices": periods}
+        assert counts == {"sample_plants": 1, "cost_matrices": periods}
+        assert [list(args[1]) for name, args in log if name == "sample_plants"] == [[0.5, 1.0, 1.5, 2.0]]
         assert batches == [("regular", periods), ("impulsive", periods), ("mri", periods)]
 
     def test_simulate_with_preview_solves_once(self, tmp_path, monkeypatch):
@@ -653,16 +732,18 @@ class TestDesignReuse:
         assert counts["solve_dare"] == 1
 
     def test_controllability_samples_once_per_candidate(self, tmp_path, monkeypatch):
-        counts = count_calls(monkeypatch, "sample_plant", "kalman_controllable")
+        log = []
+        counts = count_calls(monkeypatch, "sample_plant", "sample_plants", "kalman_controllable", log=log)
         souza = cli.load_scenario("souza")
-        candidates = len(controllability.candidate_pathological_periods(souza.A, 5.0))
-        assert candidates > 0
+        candidates = controllability.candidate_pathological_periods(souza.A, 5.0)
+        assert candidates
         assert cli.main(["controllability", "--scenario", "souza", "--T-max", "5",
                          "--out", str(tmp_path / "c.csv")]) == 0
-        # one sampled model per candidate and one at the scenario period; the
-        # continuous pair is checked once, each candidate's hold and impulse pairs once
-        assert counts == {"sample_plant": candidates + 1,
-                          "kalman_controllable": 1 + 2 * candidates}
+        # one stacked sampling call over the candidates and the scenario period;
+        # the continuous pair is checked once, the sampled pairs on the stack
+        assert counts == {"sample_plants": 1, "kalman_controllable": 1}
+        assert [list(args[1]) for name, args in log if name == "sample_plants"] == \
+            [[c.period for c in candidates] + [souza.T]]
 
 
 class TestDisturbanceColumns:

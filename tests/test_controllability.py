@@ -11,6 +11,7 @@ from mrilqr import (
     candidate_pathological_periods,
     is_pathological,
     kalman_controllable,
+    period_reports,
     reduced_hautus_mri,
     resonant_eigenvalues,
     sample_plant,
@@ -268,3 +269,106 @@ class TestPathologicalPeriodOracle:
                    if not reduced_hautus_mri(rotation_plant, c.period).controllable]
         assert len(flagged) == 2
         assert np.allclose(zeros, flagged, rtol=0.0, atol=1e-6)
+
+
+def documented_resonance(A, T):
+    """The resonance rule of ``resonant_eigenvalues``, pair by pair."""
+    eigs = np.sort_complex(np.linalg.eigvals(A).astype(complex))
+    out = []
+    for mu in eigs:
+        for gamma in eigs:
+            gap = mu.imag - gamma.imag
+            if gap == 0.0 or abs(mu.real - gamma.real) > 1e-8 * (1.0 + abs(mu)):
+                continue
+            x = T * gap / (2.0 * np.pi)
+            if round(x) != 0 and abs(x - round(x)) <= 1e-8 * (1.0 + T):
+                out.append(mu)
+                break
+    return out
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def hautus_reference(plant, T):
+    """(failures, margin) of the reduced kernel test, one 2-D matrix per resonant mu."""
+    m = sample_plant(plant, T)
+    A_d_norm = np.linalg.norm(m.A_d, 2)
+    AtB_block = m.B_d.T / max(1.0, np.linalg.norm(m.B_d, 2))
+    failures, margin = [], np.inf
+    for mu in resonant_eigenvalues(plant.A, T):
+        shift = np.exp(mu * T)
+        M = np.vstack([(m.A_d.T - shift * np.eye(plant.n)) / max(1.0, A_d_norm, abs(shift)),
+                       AtB_block, plant.B.T])
+        s = np.linalg.svd(np.block([[M.real, -M.imag], [M.imag, M.real]]), compute_uv=False)
+        margin = min(margin, s[-1])
+        kdim = 2 * plant.n - np.count_nonzero(s > 1e-9 * s[0])
+        if kdim:
+            failures.append((mu, kdim // 2))
+    return tuple(failures), margin
+
+
+def reports_against_solo(plant, periods):
+    """``period_reports`` over the periods, each equal bit for bit to the solo
+    calls and to a reduced kernel test on 2-D matrices."""
+    reports = period_reports(plant, periods)
+    assert [r.period for r in reports] == [float(T) for T in periods]
+    for T, r in zip(periods, reports):
+        solo = reduced_hautus_mri(plant, T)
+        assert (r.mri.controllable, r.mri.resonant, r.mri.failures) == \
+            (solo.controllable, solo.resonant, solo.failures)
+        assert bits(r.mri.margin) == bits(solo.margin)
+        failures, margin = hautus_reference(plant, T)
+        assert r.mri.failures == failures and bits(r.mri.margin) == bits(margin)
+        assert r.pathological_regular is is_pathological(plant, T, "regular")
+        assert r.pathological_impulsive is is_pathological(plant, T, "impulsive")
+        assert np.allclose(sorted(r.mri.resonant, key=lambda z: (z.real, z.imag)),
+                           documented_resonance(plant.A, T), rtol=1e-9)
+    return reports
+
+
+class TestPeriodReports:
+    def test_souza_up_to_fifty(self, souza_plant):
+        candidates = [c.period for c in candidate_pathological_periods(souza_plant.A, 50.0)]
+        reports = reports_against_solo(souza_plant, [*candidates, 1.0, 2.5, SOUZA_BASE + 1e-7])
+        assert len(candidates) == 38
+        assert all(r.pathological_regular and r.pathological_impulsive for r in reports[:38])
+        # no resonance away from the candidates: no kernel test and an infinite margin
+        assert [r.mri.margin for r in reports[38:]] == [np.inf] * 3
+
+    def test_rotation_up_to_two_hundred(self, rotation_plant):
+        candidates = candidate_pathological_periods(rotation_plant.A, 200.0)
+        reports = reports_against_solo(rotation_plant, [c.period for c in candidates])
+        assert [c.multiple for c, r in zip(candidates, reports) if not r.mri.controllable] == \
+            list(range(2, 63, 2))
+
+    def test_insulin_is_rejected_like_the_solo_calls(self, insulin_plant):
+        # the insulin pair is not controllable: every entry point raises the same error
+        for call in (lambda: period_reports(insulin_plant, [5.0, 20.0]),
+                     lambda: reduced_hautus_mri(insulin_plant, 20.0),
+                     lambda: is_pathological(insulin_plant, 20.0, "regular")):
+            with pytest.raises(UncontrollablePlantError, match="not controllable"):
+                call()
+
+    def test_random_plant_with_equal_real_part_pairs(self):
+        # n = 4, m = 2: two rotation blocks a I + w J share the real part a
+        rng = np.random.default_rng(36)
+        D = np.zeros((4, 4))
+        for k, w in enumerate((1.3, 2.9)):
+            D[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[-0.2, -w], [w, -0.2]]
+        S = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+        plant = ContinuousPlant(S @ D @ np.linalg.inv(S), rng.normal(size=(4, 2)))
+        candidates = [c.period for c in candidate_pathological_periods(plant.A, 30.0)]
+        reports = reports_against_solo(plant, [*candidates, *rng.uniform(0.2, 10.0, size=5)])
+        assert len(candidates) > 10
+        assert all(r.mri.resonant for r in reports[:len(candidates)])
+
+    def test_an_overflowing_period_fails_the_stack(self, souza_plant):
+        with pytest.raises(NumericalError, match="overflowed at T = 1500.0"):
+            period_reports(souza_plant, [1.0, 1500.0, 2.0])
+        with pytest.raises(NumericalError, match="overflowed at T = 1500.0"):
+            reduced_hautus_mri(souza_plant, 1500.0)
+
+    def test_no_periods(self, souza_plant):
+        assert period_reports(souza_plant, []) == []

@@ -1,4 +1,4 @@
-"""Property tests: closed-loop simulation of random multi-input plants."""
+"""Property tests: simulation of random multi-input plants."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -10,8 +10,14 @@ from mrilqr import (
     InputPolicy,
     NumericalError,
     design,
+    sample_plant,
     simulate_closed_loop,
+    simulate_inputs,
 )
+
+from mrilqr.discretize import constant_input_gram
+
+from conftest import random_stable_plant, relerr
 
 
 @st.composite
@@ -67,3 +73,77 @@ def test_held_impulses_converge_first_order_in_epsilon(loop):
     assume(errors[-1] > 1e-9 * (1.0 + np.linalg.norm(exact)))
     for smaller, larger in zip(errors[1:], errors[:-1]):
         assert 0.4 <= smaller / larger <= 0.6
+
+
+@st.composite
+def interval_runs(draw):
+    """Random stable plant (n <= 4, m <= 2) with random inputs, substeps and hold.
+
+    epsilon is None (exact impulses), a free value, or j / substeps, so that
+    the hold cut lands on a substep cut.
+    """
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    substeps = draw(st.integers(1, 6))
+    T = draw(st.floats(0.2, 3.0))
+    hold = draw(st.sampled_from(["exact", "free", "cut"]))
+    if hold == "cut" and substeps > 1:
+        epsilon = draw(st.integers(1, substeps - 1)) / substeps
+    elif hold == "exact":
+        epsilon = None
+    else:
+        epsilon = draw(st.floats(0.02, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plant = random_stable_plant(rng, n, m, margin=0.2)
+    C = rng.normal(size=(n, n))
+    weights = CostWeights(C.T @ C, np.eye(m), np.eye(m))
+    steps = 3
+    return (plant, weights, T, substeps, epsilon, rng.normal(size=(steps, m)),
+            rng.normal(size=(steps, m)), rng.normal(size=n))
+
+
+def one_shot(plant, weights, x, u, s):
+    """State s after x under the constant input u by one sampled model, and
+    the state and hold cost over those s by one Gram integral."""
+    model = sample_plant(plant, s)
+    xi = np.concatenate([x, u])
+    cost = xi @ constant_input_gram(plant, weights.Q, s) @ xi + s * (u @ weights.Rc @ u)
+    return model.A_d @ x + model.B_d @ u, cost
+
+
+@SETTINGS
+@given(interval_runs())
+def test_interval_maps_match_one_shot_propagation(run):
+    # each segment end's state and running cost, from one exponential and one
+    # Gram integral over the time since the interval start (or the hold cut)
+    plant, weights, T, substeps, epsilon, u_c, u_i, x0 = run
+    traj = simulate_inputs(plant, weights, T, u_c, u_i, x0=x0, substeps=substeps, epsilon=epsilon)
+    steps = len(u_c)
+    ends = np.flatnonzero(traj.dense_impulse_flags == 0)[1:]
+    S = len(ends) // steps
+    assert S * steps == len(ends)
+    scale = 1.0 + abs(traj.J_cont)
+    for i, row in enumerate(ends):
+        k = i // S
+        s = traj.dense_times[row] - k * T
+        x = traj.sample_states[k]
+        J = (traj.dense_running_cost[ends[i - i % S - 1]] if k else 0.0) + u_i[k] @ weights.Ri @ u_i[k]
+        if epsilon is None:
+            expected, cost = one_shot(plant, weights, x + plant.B @ u_i[k], u_c[k], s)
+        else:
+            alpha = epsilon * T
+            u_hold = u_c[k] + u_i[k] / alpha
+            # a hold inside the leading alpha carries u_c's hold cost, not u_hold's
+            hold_correction = u_c[k] @ weights.Rc @ u_c[k] - u_hold @ weights.Rc @ u_hold
+            if s <= alpha + 1e-12 * T:
+                expected, cost = one_shot(plant, weights, x, u_hold, s)
+                cost += s * hold_correction
+            else:
+                # from the hold cut, through the free input
+                x_alpha, cost = one_shot(plant, weights, x, u_hold, alpha)
+                expected, rest = one_shot(plant, weights, x_alpha, u_c[k], s - alpha)
+                cost += rest + alpha * hold_correction
+        assert relerr(traj.dense_states[row], expected) <= 1e-10, (k, s)
+        assert abs(traj.dense_running_cost[row] - (J + cost)) <= 1e-9 * scale, (k, s)
+    if epsilon is None:
+        assert abs(traj.J_cont - traj.J_disc) <= 1e-9 * abs(traj.J_disc)
