@@ -26,7 +26,7 @@ import numpy as np
 from . import preview as preview_mod
 from . import riccati, simulate
 from .controllability import candidate_pathological_periods, period_reports
-from .discretize import MODES, ContinuousPlant, CostWeights, cost_matrices, input_channels, sample_plant, sample_plants
+from .discretize import MODES, ContinuousPlant, CostWeights, cost_matrices, input_channels, sample_plant
 from .errors import NumericalError, DareDivergenceError
 from .numkernel import as_matrix, spectral_radius
 
@@ -441,19 +441,18 @@ def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     T_grid = _parse_grid(args.T_grid).tolist()
     modes = MODES if args.mode == "all" else (args.mode,)
     N_list = [p for p in args.N.split(",") if p != ""]
-    for p in N_list:
+    for p in N_list or [args.N]:  # a list without entries is one bad entry
         if not p.strip().lstrip("+").isdecimal():
             raise ValueError(f"--N takes comma-separated integers >= 0, got the entry {p!r}")
     N_list = [int(p) for p in N_list]
     plant, weights, bt = scenario.plant(), scenario.weights(), scenario.disturbance_column()
-    models, costs = sample_plants(plant, T_grid), [cost_matrices(plant, weights, T) for T in T_grid]
-    sweeps = {mode: _sweep_rows(riccati.design_batch(models, costs, mode), N_list, bt) for mode in modes}
+    sweeps = [_sweep_rows(cells, N_list, bt) for cells in riccati.design_batch(plant, weights, T_grid, modes)]
     rows = []
     for i, T in enumerate(T_grid):
-        for mode in modes:
-            if isinstance(sweeps[mode][i], Exception):
-                raise sweeps[mode][i]
-            rows.extend([T, mode, N, *cell] for N, cell in zip(N_list, sweeps[mode][i]))
+        for mode, sweep in zip(modes, sweeps):
+            if isinstance(sweep[i], Exception):
+                raise sweep[i]
+            rows.extend([T, mode, N, *cell] for N, cell in zip(N_list, sweep[i]))
     sink.table("sweep", ["T", "mode", "N", "cost", "converged", "iterations"], rows)
 
 
@@ -527,10 +526,11 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"--T-grid expects start:step:stop, got {text!r}")
     start, step, stop = (float(p) for p in parts)
+    if not np.isfinite([start, step, stop]).all():
+        raise ValueError(f"--T-grid takes finite numbers, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"--T-grid needs step > 0 and stop >= start, got {text!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    return start + step * np.arange(int(np.floor((stop - start) / step + 1e-9)) + 1)
 
 
 @functools.cache

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import numkernel
 from .errors import NumericalError
-from .numkernel import as_matrix
+from .numkernel import _sym, as_matrix
 
 __all__ = [
     "ContinuousPlant",
@@ -163,8 +163,9 @@ def sample_plant(plant: ContinuousPlant, T: float) -> SampledModel:
     return sample_plants(plant, [T])[0]
 
 
-def constant_input_gram(plant: ContinuousPlant, Q: np.ndarray, h: float) -> np.ndarray:
-    """State cost of the response to a constant input, as a form in (x, u).
+def constant_input_gram(plant: ContinuousPlant, Q: np.ndarray, h) -> np.ndarray:
+    """State cost of the response to a constant input, as a form in (x, u),
+    over one hold length h or each of a 1-D array of them.
 
     With the augmented generator E = [[A, B], [0, 0]], e^{Es} maps the
     start (x, u) of a hold to (x(s), u), so
@@ -181,6 +182,33 @@ def constant_input_gram(plant: ContinuousPlant, Q: np.ndarray, h: float) -> np.n
     return numkernel.expm_gram_integral(E, Qbar, h)
 
 
+def _cost_stack(plant: ContinuousPlant, weights: CostWeights, periods) -> list[SampledCost]:
+    """``cost_matrices`` at each period, from one stacked Gram integral; raises
+    NumericalError naming the first period in order whose cost overflows."""
+    Ts = [_check_period(T) for T in periods]
+    if weights.Q.shape[0] != plant.n:
+        raise ValueError(f"Q has shape {weights.Q.shape}, expected ({plant.n}, {plant.n})")
+    if weights.Rc.shape[0] != plant.m:
+        raise ValueError(f"Rc has shape {weights.Rc.shape}, expected ({plant.m}, {plant.m})")
+    n, m = plant.n, plant.m
+    # Columns of [e^{As}, int_0^s e^{At} dt B, e^{As} B] as images of e^{Es}.
+    L = np.zeros((n + m, n + 2 * m))
+    L[:n, :n] = np.eye(n)
+    L[n:, n : n + m] = np.eye(m)
+    L[:n, n + m :] = plant.B
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _sym(L.T @ constant_input_gram(plant, weights.Q, np.array(Ts)) @ L)
+    finite = np.isfinite(G).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"the equivalent cost overflowed at T = {Ts[int(np.argmin(finite))]!r}")
+
+    R_d = G[:, n:, n:].copy()
+    R_d[:, :m, :m] += np.array(Ts)[:, None, None] * weights.Rc
+    R_d[:, m:, m:] += weights.Ri
+    R_d = _sym(R_d)
+    return [SampledCost(Q_d=G[i, :n, :n], S_d=G[i, :n, n:], R_d=R_d[i]) for i in range(len(Ts))]
+
+
 def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> SampledCost:
     """Exact discrete-equivalent cost matrices over one sampling interval.
 
@@ -195,30 +223,9 @@ def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> Sam
     where L stacks the constant selectors of [e^{As}, int e B, e^{As} B].
     The quadratic input penalties contribute the additive block
     diag(T Rc, Ri) to R_d. Raises NumericalError when the Gram integral
-    overflows.
+    overflows. This is the stacked builder of a period grid on one period.
     """
-    T = _check_period(T)
-    if weights.Q.shape[0] != plant.n:
-        raise ValueError(f"Q has shape {weights.Q.shape}, expected ({plant.n}, {plant.n})")
-    if weights.Rc.shape[0] != plant.m:
-        raise ValueError(f"Rc has shape {weights.Rc.shape}, expected ({plant.m}, {plant.m})")
-    n, m = plant.n, plant.m
-    # Columns of [e^{As}, int_0^s e^{At} dt B, e^{As} B] as images of e^{Es}.
-    L = np.zeros((n + m, n + 2 * m))
-    L[:n, :n] = np.eye(n)
-    L[n:, n : n + m] = np.eye(m)
-    L[:n, n + m :] = plant.B
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = constant_input_gram(plant, weights.Q, T)
-        G = L.T @ H @ L
-        G = 0.5 * (G + G.T)
-    if not np.isfinite(G).all():
-        raise NumericalError(f"the equivalent cost overflowed at T = {T!r}")
-
-    R_d = G[n:, n:].copy()
-    R_d[:m, :m] += T * weights.Rc
-    R_d[m:, m:] += weights.Ri
-    return SampledCost(Q_d=G[:n, :n], S_d=G[:n, n:], R_d=0.5 * (R_d + R_d.T))
+    return _cost_stack(plant, weights, [T])[0]
 
 
 def input_channels(mode: str, m: int) -> slice:

@@ -74,7 +74,7 @@ def expm_block_integrals(A, B, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A_d, Atilde, Atilde @ B
 
 
-def expm_gram_integral(A, W, T: float) -> np.ndarray:
+def expm_gram_integral(A, W, T) -> np.ndarray:
     """Exact Gram integral int_0^T e^{A's} W e^{As} ds.
 
     Computed from one exponential of the block matrix [[-A', W], [0, A]]:
@@ -83,33 +83,39 @@ def expm_gram_integral(A, W, T: float) -> np.ndarray:
     ||A||*T, so the integral is evaluated on a sub-interval with
     ||A||*h <= 2 and doubled through the exact composition
     H(2t) = H(t) + Phi(t)' H(t) Phi(t). W must be symmetric; the result
-    is symmetrized to remove roundoff asymmetry.
+    is symmetrized to remove roundoff asymmetry. T is one duration or a
+    1-D array of them, as for ``expm_block_integrals``; each duration takes
+    its own number of doublings and gives the bits of a single duration.
     """
     A = _square(A, "A")
     W = _square(W, "W")
     n = A.shape[0]
     if W.shape[0] != n:
         raise ValueError(f"W has shape {W.shape}, expected {A.shape}")
-    if not (T > 0.0):
+    T = np.asarray(T, dtype=float)
+    if not np.all(T > 0.0):
         raise ValueError(f"duration T must be positive, got {T}")
 
-    scale = float(np.linalg.norm(A, "fro")) * T
-    doublings = max(0, min(60, int(np.ceil(np.log2(max(scale, 1e-300) / 2.0)))))
-    h = T / (1 << doublings)
+    Ts = T.reshape(-1)
+    norm = float(np.linalg.norm(A, "fro"))
+    doublings = np.array([max(0, min(60, int(np.ceil(np.log2(max(norm * t, 1e-300) / 2.0)))))
+                          for t in Ts.tolist()], dtype=int)
+    h = Ts / np.ldexp(1.0, doublings)
 
     Z = np.zeros((2 * n, 2 * n))
     Z[:n, :n] = -A.T
     Z[:n, n:] = W
     Z[n:, n:] = A
-    E = scipy.linalg.expm(Z * h)
-    H = E[n:, n:].T @ E[:n, n:]
-    H = 0.5 * (H + H.T)
-    Phi = E[n:, n:]
-    for _ in range(doublings):
-        H = H + Phi.T @ H @ Phi
-        H = 0.5 * (H + H.T)
-        Phi = Phi @ Phi
-    return H
+    E = scipy.linalg.expm(Z * h[:, None, None])
+    H = _sym(_T(E[:, n:, n:]) @ E[:, :n, n:])
+    Phi = E[:, n:, n:]
+    for k in range(int(doublings.max(initial=0))):
+        # only the durations with more than k doublings take this one
+        on = doublings > k
+        Hk, Phik = H[on], Phi[on]
+        H[on] = _sym(Hk + _T(Phik) @ Hk @ Phik)
+        Phi[on] = Phik @ Phik
+    return H if T.ndim else H[0]
 
 
 def eigenvalues(M) -> np.ndarray:

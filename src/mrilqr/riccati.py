@@ -13,13 +13,13 @@ returns the stationary feedback gain
 
     K = -(R + B' P B)^{-1} (B' P A_d + S').
 
-Every stage runs on a stack of equally sized problems at once: the
-entry checks, the cross-term elimination, the doubling (each problem
-with its own stop rule), the residual test and the gain. Only the policy
-polish runs per problem, on the few iterates that need it. Each problem
-keeps its own failure status. ``design_batch`` solves the cells of a
-period grid as one stack; ``solve_dare`` is a stack of one, and a
-cell's result does not depend on the stack it was solved in.
+Every stage runs on a stack of problems: the doubling (each problem with
+its own stop rule) once on the whole stack, the other stages once per
+input width. Only the policy polish runs per problem, on the few
+iterates that need it, and each problem keeps its own failure status.
+``design_batch`` solves every (mode, period) cell of a period grid as one
+stack; ``solve_dare`` is a stack of one, and a cell's result does not
+depend on the stack it was solved in.
 
 With the mixed hold+impulse input selection the gain rows split as the
 hold gain (first m rows) followed by the impulse gain.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from . import numkernel
+from . import discretize, numkernel
 from .numkernel import _T, _cellwise, _fro, _sym
 from .discretize import ContinuousPlant, CostWeights, SampledCost, SampledModel, cost_matrices, restrict_input_mode, sample_plant
 from .errors import DareDivergenceError, NumericalError
@@ -339,43 +339,61 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
 
 
 def _solve_stack(problems) -> list[RiccatiSolution | ValueError | NumericalError]:
-    """Solve (A_d, B_sel, Q_d, S_sel, R_sel) problems of equal shapes as one stack.
+    """Solve (A_d, B_sel, Q_d, S_sel, R_sel) problems of one state dimension as one stack.
 
     Each entry is the problem's solution or the first error ``solve_dare``
-    raises for it. Every stage runs on the stack except the policy polish,
-    which runs per problem on the iterates that miss the residual test. A
-    problem that fails stays in the stack, as zeros where its data means
-    nothing, and its results are dropped.
+    raises for it. The entry checks, the cross-term elimination, the
+    residual test and the gain run once per group of equally shaped
+    problems (one group per input width); the doubling, n x n in every
+    group, runs once on all groups together. A problem that fails stays in
+    its stack, as zeros where its data means nothing, and its results are
+    dropped.
     """
-    if not problems:
-        return []
-    try:
-        (A_d, B, Q_d, S, R), failed = _checked(problems)
-        (Ahat, G, Qhat, blow_up, kernel_dims), more = _eliminate_cross_term(A_d, B, Q_d, S, R)
-    except ValueError as exc:  # a shape all problems share
-        return [exc] * len(problems)
-    failed = {**more, **failed}
-    for j in failed:
-        Ahat[j] = G[j] = Qhat[j] = 0.0
-    P, iterations, failures = _doubling(Ahat, G, Qhat, blow_up)
-    failed = {**{j: exc for j, exc in enumerate(failures) if exc is not None}, **failed}
-    residual, more = _residuals(P, A_d, B, Q_d, S, R)
-    overflow = {j: NumericalError("overflow: the Riccati residual of the doubling iterate is not finite")
-                for j in np.flatnonzero(~np.isfinite(residual))}
-    failed = {**overflow, **more, **failed}
-    for j in np.flatnonzero(~_converged(P, residual)):
-        if j not in failed:
-            try:
-                P[j], residual[j] = _policy_polish(P[j], residual[j], A_d[j], B[j], Q_d[j], S[j], R[j])
-            except NumericalError as exc:
-                failed[j] = exc
-    with np.errstate(over="ignore", invalid="ignore"):  # a failed problem's gain may overflow
-        K, more = _gain(P, A_d, B, S, R)
-    failed = {**more, **failed}
-    converged = _converged(P, residual)
-    return [failed.get(j) or RiccatiSolution(
-        P=P[j], K=K[j], residual=float(residual[j]), iterations=int(iterations[j]),
-        converged=bool(converged[j]), qhat_kernel_dim=int(kernel_dims[j])) for j in range(len(problems))]
+    groups: dict[tuple, list[int]] = {}
+    for i, problem in enumerate(problems):
+        groups.setdefault(tuple(np.shape(X) for X in problem), []).append(i)
+    results: list = [None] * len(problems)
+    prepared = []
+    for index in groups.values():
+        try:
+            (A_d, B, Q_d, S, R), failed = _checked([problems[i] for i in index])
+            (Ahat, G, Qhat, blow_up, kernel_dims), more = _eliminate_cross_term(A_d, B, Q_d, S, R)
+        except ValueError as exc:  # a shape all problems of the group share
+            for i in index:
+                results[i] = exc
+            continue
+        failed = {**more, **failed}
+        for j in failed:
+            Ahat[j] = G[j] = Qhat[j] = 0.0
+        prepared.append((index, (A_d, B, Q_d, S, R), (Ahat, G, Qhat, blow_up), kernel_dims, failed))
+    if not prepared:
+        return results
+    P_all, iterations_all, failures = _doubling(*map(np.concatenate, zip(*(p[2] for p in prepared))))
+    first = 0
+    for index, (A_d, B, Q_d, S, R), _, kernel_dims, failed in prepared:
+        cells = slice(first, first + len(index))
+        first += len(index)
+        P, iterations = P_all[cells], iterations_all[cells]
+        failed = {**{j: exc for j, exc in enumerate(failures[cells]) if exc is not None}, **failed}
+        residual, more = _residuals(P, A_d, B, Q_d, S, R)
+        overflow = {j: NumericalError("overflow: the Riccati residual of the doubling iterate is not finite")
+                    for j in np.flatnonzero(~np.isfinite(residual))}
+        failed = {**overflow, **more, **failed}
+        for j in np.flatnonzero(~_converged(P, residual)):
+            if j not in failed:
+                try:
+                    P[j], residual[j] = _policy_polish(P[j], residual[j], A_d[j], B[j], Q_d[j], S[j], R[j])
+                except NumericalError as exc:
+                    failed[j] = exc
+        with np.errstate(over="ignore", invalid="ignore"):  # a failed problem's gain may overflow
+            K, more = _gain(P, A_d, B, S, R)
+        failed = {**more, **failed}
+        converged = _converged(P, residual)
+        for j, i in enumerate(index):
+            results[i] = failed.get(j) or RiccatiSolution(
+                P=P[j], K=K[j], residual=float(residual[j]), iterations=int(iterations[j]),
+                converged=bool(converged[j]), qhat_kernel_dim=int(kernel_dims[j]))
+    return results
 
 
 def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
@@ -448,21 +466,29 @@ def design_sampled(model: SampledModel, cost: SampledCost, mode: str) -> MriLqrD
                         B_sel=B_sel, S_sel=S_sel, R_sel=R_sel, solution=sol)
 
 
-def design_batch(models, costs, mode: str) -> list[MriLqrDesign | ValueError | NumericalError]:
-    """``design_sampled`` of one plant at several periods, solved as one stack.
-
-    ``models`` and ``costs`` pair up period by period. Each entry is that
-    period's design, equal bit for bit to the one ``design_sampled``
-    returns, or the ValueError or NumericalError it raises. One period
-    failing does not stop the others.
-    """
-    selected = [restrict_input_mode(model, cost, mode) for model, cost in zip(models, costs)]
+def _design_cells(models, costs, modes) -> list[list[MriLqrDesign | ValueError | NumericalError]]:
+    """``design_sampled`` of each pair of ``models`` and ``costs`` in each mode,
+    solved as one stack: one list per mode, with one entry per pair."""
+    cells = [(mode, model, cost, *restrict_input_mode(model, cost, mode))
+             for mode in modes for model, cost in zip(models, costs)]
     results = _solve_stack([(model.A_d, B_sel, cost.Q_d, S_sel, R_sel)
-                            for model, cost, (B_sel, S_sel, R_sel) in zip(models, costs, selected)])
-    return [sol if isinstance(sol, Exception) else
-            MriLqrDesign(mode=mode, model=model, cost=cost,
-                         B_sel=B_sel, S_sel=S_sel, R_sel=R_sel, solution=sol)
-            for model, cost, (B_sel, S_sel, R_sel), sol in zip(models, costs, selected, results)]
+                            for _, model, cost, B_sel, S_sel, R_sel in cells])
+    designs = [sol if isinstance(sol, Exception) else MriLqrDesign(*cell, solution=sol)
+               for cell, sol in zip(cells, results)]
+    return [designs[k * len(models):(k + 1) * len(models)] for k in range(len(modes))]
+
+
+def design_batch(plant: ContinuousPlant, weights: CostWeights, periods,
+                 modes) -> list[list[MriLqrDesign | ValueError | NumericalError]]:
+    """``design`` of one plant at each period in each mode: one ``sample_plants``
+    call, one stacked Gram integral for the costs, one stacked solve.
+
+    One list per mode, with one entry per period: that cell's design, bit for
+    bit the one ``design`` returns, or the ValueError or NumericalError its
+    solve raises. A model or cost that overflows raises for the whole grid.
+    """
+    return _design_cells(discretize.sample_plants(plant, periods), discretize._cost_stack(plant, weights, periods),
+                         modes)
 
 
 def design(plant: ContinuousPlant, weights: CostWeights, T: float, mode: str = "mri") -> MriLqrDesign:

@@ -178,6 +178,22 @@ class TestExitCodes:
         assert cli.main(["discretize", "--scenario", "missing.json"]) == 1
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["1:1:inf", "1:inf:2", "nan:1:2"])
+    def test_sweep_rejects_a_grid_entry_that_is_not_finite(self, grid, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--scenario", "souza", "--T-grid", grid, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"input error: --T-grid takes finite numbers, got {grid!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizons", [",", "", ",,"])
+    def test_sweep_rejects_a_horizon_list_without_entries(self, horizons, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "1:1:2", "--N", horizons,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"input error: --N takes comma-separated integers >= 0, got the entry {horizons!r}\n")
+        assert not out.exists()
+
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["discretize"])
@@ -705,25 +721,38 @@ class TestSimulateTable:
 
 class TestDesignReuse:
     def test_sweep_designs_once_per_period_and_mode(self, tmp_path, monkeypatch):
-        # the period grid is sampled in one stacked call, and each mode's grid
-        # is one stacked solve with a cell per period
+        # one design_batch call is the whole pipeline: the period grid is
+        # sampled in one stacked call, its costs come from one stacked Gram
+        # integral, and the cells of all three modes are one stacked solve
+        # with a single doubling
         log = []
         counts = count_calls(monkeypatch, "solve_dare", "sample_plant", "sample_plants", "cost_matrices",
                              log=log)
-        batches = []
-        batched = riccati.design_batch
+        calls = []
 
-        def design_batch(models, costs, mode):
-            batches.append((mode, len(models)))
-            return batched(models, costs, mode)
+        def recorded(module, name, record):
+            fn = getattr(module, name)
 
-        monkeypatch.setattr(riccati, "design_batch", design_batch)
-        periods = 4
+            def wrapper(*args):
+                result = fn(*args)
+                calls.append((name, record(*args, result)))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recorded(riccati, "design_batch", lambda plant, weights, periods, modes, result:
+                 (list(periods), [(mode, len(cells)) for mode, cells in zip(modes, result)]))
+        recorded(discretize, "_cost_stack", lambda plant, weights, periods, result: list(periods))
+        recorded(riccati, "_solve_stack", lambda problems, result: len(problems))
+        recorded(riccati, "_doubling", lambda *args: len(args[0]))
+        periods = [0.5, 1.0, 1.5, 2.0]
         assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "0.5:0.5:2.0",
                          "--mode", "all", "--N", "0,1,3", "--out", str(tmp_path / "s.csv")]) == 0
-        assert counts == {"sample_plants": 1, "cost_matrices": periods}
-        assert [list(args[1]) for name, args in log if name == "sample_plants"] == [[0.5, 1.0, 1.5, 2.0]]
-        assert batches == [("regular", periods), ("impulsive", periods), ("mri", periods)]
+        assert counts == {"sample_plants": 1}
+        assert [list(args[1]) for name, args in log if name == "sample_plants"] == [periods]
+        cells = 3 * len(periods)
+        assert calls == [("_cost_stack", periods), ("_doubling", cells), ("_solve_stack", cells),
+                         ("design_batch", (periods, [(mode, len(periods)) for mode in discretize.MODES]))]
 
     def test_simulate_with_preview_solves_once(self, tmp_path, monkeypatch):
         counts = count_calls(monkeypatch, "solve_dare")

@@ -10,7 +10,9 @@ from mrilqr import (
     cost_matrices,
     restrict_input_mode,
     sample_plant,
+    sample_plants,
 )
+from mrilqr.discretize import _cost_stack
 
 from conftest import quadrature_cost_matrices, random_stable_plant, relerr
 
@@ -106,6 +108,13 @@ class TestSamplePlant:
         with pytest.raises(NumericalError, match="sampled model"):
             sample_plant(souza_plant, 1500.0)
 
+    def test_a_period_grid_names_its_first_overflowing_period(self, souza_plant, souza_weights):
+        # in grid order, not the longest or the shortest overflowing period
+        with pytest.raises(NumericalError, match=r"the sampled model overflowed at T = 1600\.0$"):
+            sample_plants(souza_plant, [1.0, 1600.0, 2.0, 1500.0])
+        with pytest.raises(NumericalError, match=r"the equivalent cost overflowed at T = 900\.0$"):
+            _cost_stack(souza_plant, souza_weights, [1.0, 900.0, 2.0, 800.0])
+
 
 class TestCostMatrices:
     def test_scalar_integrator_closed_form(self):
@@ -124,6 +133,21 @@ class TestCostMatrices:
         assert np.all(c.Q_d == 0.0)
         assert np.all(c.S_d == 0.0)
         assert relerr(c.R_d, np.diag([1.7 * 2.0, 3.0])) < 1e-14
+
+    def test_period_grid_equals_single_periods(self, souza_plant, souza_weights):
+        # one stacked Gram integral over periods taking 0 to 6 doublings gives
+        # each period's cost bit for bit, in the memory order of a single period
+        rng = np.random.default_rng(22)
+        plant = random_stable_plant(rng, 3, 2)
+        C = rng.normal(size=(3, 3))
+        weights = CostWeights(C.T @ C, np.diag([0.5, 2.0]), np.diag([1.5, 0.3]))
+        for p, w in ((souza_plant, souza_weights), (plant, weights)):
+            periods = [0.05, 0.3, 1.0, 2.5, 7.0, 13.0]
+            for T, got in zip(periods, _cost_stack(p, w, periods), strict=True):
+                ref = cost_matrices(p, w, T)
+                for name in ("Q_d", "S_d", "R_d"):
+                    a, b = getattr(got, name), getattr(ref, name)
+                    assert a.tobytes() == b.tobytes() and a.strides == b.strides, (T, name)
 
     def test_souza_against_quadrature(self, souza_plant, souza_weights):
         c = cost_matrices(souza_plant, souza_weights, 1.0)

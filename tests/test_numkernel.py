@@ -136,6 +136,26 @@ class TestGramIntegral:
             0.0, 0.9, epsabs=1e-13, epsrel=1e-13)
         assert relerr(got, oracle) < 1e-10
 
+    def test_stacked_durations_equal_single_calls(self):
+        # ||A||_F = 1, so ||A||_F T straddles 2, 4 and 8: the durations take
+        # 0, 0, 1, 1, 2, 2, 3 and 4 doublings of their sub-interval
+        rng = np.random.default_rng(14)
+        A = rng.normal(size=(3, 3))
+        A /= np.linalg.norm(A, "fro")
+        W = rng.normal(size=(3, 3))
+        W = W.T @ W
+        T = np.array([0.5, 1.99, 2.01, 3.99, 4.01, 7.99, 8.01, 20.0])
+        stack = expm_gram_integral(A, W, T)
+        assert stack.shape == (len(T), 3, 3)
+        for t, H in zip(T, stack):
+            assert H.tobytes() == expm_gram_integral(A, W, float(t)).tobytes(), t
+        # an array of one duration is a stack of one
+        assert expm_gram_integral(A, W, T[:1]).shape == (1, 3, 3)
+
+    def test_stacked_durations_must_be_positive(self):
+        with pytest.raises(ValueError, match="duration T must be positive"):
+            expm_gram_integral(np.eye(2), np.eye(2), [1.0, 0.0, 2.0])
+
 
 def hand_paired_eigenvalues(M) -> np.ndarray:
     """Reference spectrum that pairs conjugates by hand: each upper-half

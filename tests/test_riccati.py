@@ -23,9 +23,9 @@ from mrilqr import (
     sample_plant,
     solve_dare,
 )
-from mrilqr.discretize import SampledCost
+from mrilqr.discretize import MODES, SampledCost
 from mrilqr.numkernel import spectral_radius
-from mrilqr.riccati import design_batch, design_sampled
+from mrilqr.riccati import _design_cells, design_batch, design_sampled
 
 from conftest import closed_loop_cost_matrix, random_controllable_plant, random_stable_plant, relerr
 
@@ -253,24 +253,30 @@ def same_bits(a, b) -> bool:
 
 def batch_against_solo(models, costs, mode) -> Counter:
     """Assert each cell of one batched design equals its solo ``design_sampled``
-    bit for bit, or fails with the same error; count the outcomes."""
+    bit for bit, or fails with the same error; count the outcomes.
+
+    ``mode`` is one mode, or a tuple of modes solved as one stack whose
+    outcomes are counted together."""
+    modes = (mode,) if isinstance(mode, str) else mode
     outcomes = Counter()
-    for model, cost, cell in zip(models, costs, design_batch(models, costs, mode), strict=True):
-        try:
-            solo = design_sampled(model, cost, mode)
-        except (ValueError, NumericalError) as exc:
-            assert type(cell) is type(exc) and str(cell) == str(exc), (model.T, cell, exc)
-            if isinstance(exc, DareDivergenceError):
-                assert cell.iterations == exc.iterations
-                assert same_bits(cell.last_iterate, exc.last_iterate)
-            outcomes[type(exc).__name__] += 1
-            continue
-        got, ref = cell.solution, solo.solution
-        assert same_bits(got.P, ref.P) and same_bits(got.K, ref.K), model.T
-        assert same_bits(got.residual, ref.residual), model.T
-        assert (got.iterations, got.converged, got.qhat_kernel_dim) == \
-            (ref.iterations, ref.converged, ref.qhat_kernel_dim), model.T
-        outcomes["converged" if got.converged else "not converged"] += 1
+    for mode, cells in zip(modes, _design_cells(models, costs, modes), strict=True):
+        for model, cost, cell in zip(models, costs, cells, strict=True):
+            try:
+                solo = design_sampled(model, cost, mode)
+            except (ValueError, NumericalError) as exc:
+                assert type(cell) is type(exc) and str(cell) == str(exc), (model.T, mode, cell, exc)
+                if isinstance(exc, DareDivergenceError):
+                    assert cell.iterations == exc.iterations
+                    assert same_bits(cell.last_iterate, exc.last_iterate)
+                outcomes[type(exc).__name__] += 1
+                continue
+            got, ref = cell.solution, solo.solution
+            assert cell.mode == mode
+            assert same_bits(got.P, ref.P) and same_bits(got.K, ref.K), (model.T, mode)
+            assert same_bits(got.residual, ref.residual), (model.T, mode)
+            assert (got.iterations, got.converged, got.qhat_kernel_dim) == \
+                (ref.iterations, ref.converged, ref.qhat_kernel_dim), (model.T, mode)
+            outcomes["converged" if got.converged else "not converged"] += 1
     return outcomes
 
 
@@ -315,13 +321,40 @@ def sampled_grid(plant, weights, periods):
             [cost_matrices(plant, weights, T) for T in periods])
 
 
+def souza_grid_periods():
+    """The souza sweep grid and the neighbours of k 2 pi / sqrt(23)."""
+    near = [k * SOUZA_BASE + d for k in (1, 2, 3)
+            for d in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6)]
+    return [*(0.2 + 0.05 * np.arange(97)), *near]
+
+
+def rotation_grid_periods():
+    near = [k * np.pi + d for k in (1, 2, 3, 4) for d in (0.0, 1e-7, -1e-7)]
+    return [*np.linspace(0.25, 13.0, 52), *near]
+
+
+ROTATION_WEIGHTS = CostWeights(np.eye(2), [[1.0]], [[1.0]])
+
+
+def mixed_outcome_grid(souza_plant, souza_weights):
+    """mri: converging, not converging, Qhat cancelling to roundoff,
+    converging, a singular doubling solve, a plant without inputs and an
+    indefinite Qhat far from roundoff."""
+    models, costs = sampled_grid(souza_plant, souza_weights, [1.0, 20.0, 45.0, 2.0, 100.0])
+    model, cost = models[0], costs[0]
+    # an unstable A_d without inputs is not stabilizable: the doubling diverges
+    models.append(dataclasses.replace(model, B_d=0.0 * model.B_d, B_i=0.0 * model.B_i))
+    costs.append(cost)
+    # an indefinite Qhat far from roundoff is a bad input
+    models.append(model)
+    costs.append(SampledCost(-np.eye(2), np.zeros_like(cost.S_d), cost.R_d))
+    return models, costs
+
+
 class TestDesignBatch:
     @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
     def test_souza_grid_and_near_pathological_periods(self, souza_plant, souza_weights, mode):
-        near = [k * SOUZA_BASE + d for k in (1, 2, 3)
-                for d in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6)]
-        periods = [*(0.2 + 0.05 * np.arange(97)), *near]
-        outcomes = batch_against_solo(*sampled_grid(souza_plant, souza_weights, periods), mode)
+        outcomes = batch_against_solo(*sampled_grid(souza_plant, souza_weights, souza_grid_periods()), mode)
         assert outcomes["converged"] > 90
         if mode == "regular":
             # the hold-only design diverges at and next to k 2 pi / sqrt(23)
@@ -329,10 +362,8 @@ class TestDesignBatch:
 
     @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
     def test_rotation_grid_across_multiples_of_pi(self, rotation_plant, mode):
-        weights = CostWeights(np.eye(2), [[1.0]], [[1.0]])
-        near = [k * np.pi + d for k in (1, 2, 3, 4) for d in (0.0, 1e-7, -1e-7)]
-        periods = [*np.linspace(0.25, 13.0, 52), *near]
-        outcomes = batch_against_solo(*sampled_grid(rotation_plant, weights, periods), mode)
+        periods = rotation_grid_periods()
+        outcomes = batch_against_solo(*sampled_grid(rotation_plant, ROTATION_WEIGHTS, periods), mode)
         assert outcomes["converged"] > 40
         # both single channels lose controllability at multiples of 2 pi
         if mode != "mri":
@@ -344,17 +375,7 @@ class TestDesignBatch:
         assert batch_against_solo(*grid, mode) == {"converged": 4}
 
     def test_mixed_outcomes_fail_cell_by_cell(self, souza_plant, souza_weights):
-        # mri: converging, not converging, Qhat cancelling to roundoff,
-        # converging, a singular doubling solve
-        models, costs = sampled_grid(souza_plant, souza_weights, [1.0, 20.0, 45.0, 2.0, 100.0])
-        model, cost = models[0], costs[0]
-        # an unstable A_d without inputs is not stabilizable: the doubling diverges
-        models.append(dataclasses.replace(model, B_d=0.0 * model.B_d, B_i=0.0 * model.B_i))
-        costs.append(cost)
-        # an indefinite Qhat far from roundoff is a bad input
-        models.append(model)
-        costs.append(SampledCost(-np.eye(2), np.zeros_like(cost.S_d), cost.R_d))
-        assert batch_against_solo(models, costs, "mri") == {
+        assert batch_against_solo(*mixed_outcome_grid(souza_plant, souza_weights), "mri") == {
             "converged": 2, "not converged": 1, "DareDivergenceError": 1,
             "NumericalError": 2, "ValueError": 1}
 
@@ -372,6 +393,43 @@ class TestDesignBatch:
         assert batch_against_solo(*grid, "regular") == {"converged": 2, "NumericalError": 1}
         grid = sampled_grid(souza_plant, souza_weights, [1.0, 700.0, 2.0])
         assert batch_against_solo(*grid, "impulsive") == {"converged": 2, "NumericalError": 1}
+
+    def test_every_grid_as_one_three_mode_stack(
+            self, souza_plant, souza_weights, rotation_plant, insulin_plant, insulin_weights):
+        # the three modes' cells in one stack, in two input widths and one
+        # doubling: each cell still equals its solo design or fails alike, so
+        # the stack counts what the three single-mode stacks count
+        grids = [sampled_grid(souza_plant, souza_weights, souza_grid_periods()),
+                 sampled_grid(rotation_plant, ROTATION_WEIGHTS, rotation_grid_periods()),
+                 sampled_grid(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0]),
+                 mixed_outcome_grid(souza_plant, souza_weights),
+                 sampled_grid(souza_plant, souza_weights, [1.0, SOUZA_BASE, 80.0, 2.0, 100.0, 300.0, 700.0])]
+        for models, costs in grids:
+            outcomes = batch_against_solo(models, costs, MODES)
+            assert outcomes == sum((batch_against_solo(models, costs, mode) for mode in MODES), Counter())
+            assert outcomes.total() == 3 * len(models)
+
+    def test_design_batch_is_the_grid_pipeline(self, souza_plant, souza_weights):
+        # design_batch samples, builds the costs and solves every (mode, period)
+        # cell in one stack; each cell is design's result at that period
+        periods = [0.5, 1.0, SOUZA_BASE, 2.0, 80.0]
+        modes = ("mri", "regular")
+        batch = design_batch(souza_plant, souza_weights, periods, modes)
+        assert [len(cells) for cells in batch] == [len(periods)] * len(modes)
+        for mode, cells in zip(modes, batch):
+            for T, cell in zip(periods, cells):
+                try:
+                    solo = design(souza_plant, souza_weights, T, mode)
+                except NumericalError as exc:
+                    assert type(cell) is type(exc) and str(cell) == str(exc), (T, mode)
+                    continue
+                assert (cell.mode, cell.model.T) == (mode, T)
+                for got, ref in ((cell.cost, solo.cost), (cell.model, solo.model), (cell.solution, solo.solution)):
+                    for field in dataclasses.fields(ref):
+                        assert same_bits(getattr(got, field.name), getattr(ref, field.name)), (T, mode, field)
+        # a cost that overflows raises for the whole grid, naming its first period
+        with pytest.raises(NumericalError, match=r"the equivalent cost overflowed at T = 800\.0$"):
+            design_batch(souza_plant, souza_weights, [1.0, 800.0, 2.0, 900.0], MODES)
 
 
     def test_stacked_doubling_equals_the_two_dimensional_recursion(
@@ -403,7 +461,7 @@ def post_solve_against_solo(models, costs, mode, b, horizons=(0, 1, 3)) -> Count
     2-D ``closed_loop_G`` and ``gamma_and_cost``: G and Jstar bit for bit,
     or the same first error. Counts the outcomes of both."""
     outcomes = batch_against_solo(models, costs, mode)
-    cells = [(model, cost, d) for model, cost, d in zip(models, costs, design_batch(models, costs, mode))
+    cells = [(model, cost, d) for model, cost, d in zip(models, costs, _design_cells(models, costs, [mode])[0])
              if not isinstance(d, Exception)]
     G, Jstar, failed = preview.preview_costs([d for _, _, d in cells], b, horizons)
     for j, (model, cost, _) in enumerate(cells):
