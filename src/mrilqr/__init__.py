@@ -25,7 +25,6 @@ from .discretize import (
     SampledCost,
     SampledModel,
     cost_matrices,
-    restrict_input_mode,
     sample_plant,
     sample_plants,
 )
@@ -35,25 +34,14 @@ from .errors import (
     SimulationDivergence,
     UncontrollablePlantError,
 )
-from .numkernel import (
-    eigenvalues,
-    expm_block_integrals,
-    expm_gram_integral,
-    null_space_dim,
-)
 from .preview import (
     PreviewPlan,
-    closed_loop_G,
-    feedforward_sequence,
-    gamma_and_cost,
     preview_plan,
 )
 from .riccati import (
     MriLqrDesign,
     RiccatiSolution,
-    dare_residual,
     design,
-    solve_dare,
 )
 from .simulate import (
     DisturbanceSpec,

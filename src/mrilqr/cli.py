@@ -74,15 +74,16 @@ class ScenarioConfig:
         return self.Btilde[:, 0]
 
 
-# scalar scenario field -> (JSON type, value when absent, flag that overrides it, least value)
+# scalar scenario field -> (JSON type, value when absent, flag that overrides it,
+# (test of a given value, what the test asks for) or None)
 _SCENARIO_SCALARS = {
-    "T": (float, 0.0, "T", None),
-    "N": (int, 0, "N", 0),
-    "mode": (str, "mri", "mode", None),
+    "T": (float, 0.0, "T", (lambda T: 0.0 < T < np.inf, "a positive sampling period")),
+    "N": (int, 0, "N", (lambda N: N >= 0, ">= 0")),
+    "mode": (str, "mri", "mode", (SIMULATE_MODES.__contains__, f"one of {SIMULATE_MODES}")),
     "epsilon": (float, None, "eps", None),
     "saturate_nonnegative": (bool, False, "saturate", None),
-    "horizon_steps": (int, None, "steps", 1),
-    "substeps": (int, 32, "substeps", 1),
+    "horizon_steps": (int, None, "steps", (lambda k: k >= 1, ">= 1")),
+    "substeps": (int, 32, "substeps", (lambda k: k >= 1, ">= 1")),
     "disturbance_scale": (float, 1.0, None, None),
 }
 
@@ -154,13 +155,9 @@ def load_scenario(spec: str) -> ScenarioConfig:
 
     scalars = {key: _scalar(label, key, raw.get(key, absent), tp, absent)
                for key, (tp, absent, _, _) in _SCENARIO_SCALARS.items()}
-    for key, (_, _, _, least) in _SCENARIO_SCALARS.items():
-        if least is not None and scalars[key] is not None and scalars[key] < least:
-            raise ValueError(f"{label}: field {key!r} must be >= {least}, got {scalars[key]}")
-    if scalars["mode"] not in SIMULATE_MODES:
-        raise ValueError(f"{label}: field 'mode' must be one of {SIMULATE_MODES}, got {scalars['mode']!r}")
-    if not (scalars["T"] > 0.0):
-        raise ValueError(f"{label}: field 'T' must be a positive sampling period")
+    for key, (_, _, _, rule) in _SCENARIO_SCALARS.items():
+        if rule is not None and scalars[key] is not None and not rule[0](scalars[key]):
+            raise ValueError(f"{label}: field {key!r} must be {rule[1]}, got {scalars[key]!r}")
     out_row = matrix("output_row", required=False)
 
     return ScenarioConfig(_scalar(label, "name", raw.get("name", label), str, label), A, B,
@@ -530,7 +527,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"--T-grid takes finite numbers, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"--T-grid needs step > 0 and stop >= start, got {text!r}")
-    return start + step * np.arange(int(np.floor((stop - start) / step + 1e-9)) + 1)
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if not count < np.iinfo(np.intp).max:  # inf when (stop - start) / step overflows
+        raise ValueError(f"--T-grid gives {count:g} periods, more than numpy can index, got {text!r}")
+    return start + step * np.arange(int(count))
 
 
 @functools.cache

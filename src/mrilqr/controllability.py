@@ -145,7 +145,9 @@ def resonant_eigenvalues(A, T: float) -> tuple[complex, ...]:
     T = float(T)
     if not (T > 0.0):
         raise ValueError(f"period must be positive, got {T}")
-    eigs = numkernel.eigenvalues(A)
+    if T == np.inf:
+        raise ValueError(f"period must be finite, got {T}")
+    eigs = numkernel.eigenvalues(numkernel._square(A))
     return tuple(map(complex, eigs[_resonance(eigs, [T])[0]]))
 
 
@@ -286,8 +288,10 @@ def candidate_pathological_periods(A, T_max: float) -> list[PathologicalCandidat
     """
     if not (T_max > 0.0):
         raise ValueError(f"T_max must be positive, got {T_max}")
+    if T_max == np.inf:
+        raise ValueError(f"T_max must be finite, got {T_max}")
     tol = _RESONANCE_RTOL
-    eigs = numkernel.eigenvalues(A)
+    eigs = numkernel.eigenvalues(numkernel._square(A))
     scale = 1.0 + float(np.max(np.abs(eigs), initial=0.0))
 
     # (base period, per-multiple flag) per resonating eigenvalue pair

@@ -136,6 +136,8 @@ def _check_period(T: float) -> float:
     T = float(T)
     if not (T > MIN_PERIOD):
         raise ValueError(f"sampling period must exceed {MIN_PERIOD}, got {T}")
+    if T == np.inf:
+        raise ValueError(f"sampling period must be finite, got {T}")
     return T
 
 

@@ -3,6 +3,9 @@
 Matrices are plain ``numpy.ndarray`` objects in row-major order. All
 functions are pure: they never mutate their arguments and return freshly
 allocated arrays, so results are safe to share across threads.
+
+``as_matrix``, ``_square``, ``check_psd`` and ``check_pd`` check data where
+it enters the package; the kernels trust their arguments.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ __all__ = [
     "expm_block_integrals",
     "expm_gram_integral",
     "eigenvalues",
-    "null_space_dim",
 ]
 
 #: Relative threshold separating numerically zero singular values from
@@ -57,18 +59,11 @@ def expm_block_integrals(A, B, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is a stack with one matrix per duration, each bit for bit the one a
     single duration gives (scipy's ``expm`` works slice by slice).
     """
-    A = _square(A, "A")
-    B = as_matrix(B, "B")
     n = A.shape[0]
-    if B.shape[0] != n:
-        raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
-    T = np.asarray(T, dtype=float)
-    if not np.all(T > 0.0):
-        raise ValueError(f"duration T must be positive, got {T}")
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n] = A
     M[:n, n:] = np.eye(n)
-    E = scipy.linalg.expm(M * T[..., None, None])
+    E = scipy.linalg.expm(M * np.asarray(T, dtype=float)[..., None, None])
     A_d = E[..., :n, :n]
     Atilde = E[..., :n, n:]
     return A_d, Atilde, Atilde @ B
@@ -87,15 +82,8 @@ def expm_gram_integral(A, W, T) -> np.ndarray:
     1-D array of them, as for ``expm_block_integrals``; each duration takes
     its own number of doublings and gives the bits of a single duration.
     """
-    A = _square(A, "A")
-    W = _square(W, "W")
     n = A.shape[0]
-    if W.shape[0] != n:
-        raise ValueError(f"W has shape {W.shape}, expected {A.shape}")
     T = np.asarray(T, dtype=float)
-    if not np.all(T > 0.0):
-        raise ValueError(f"duration T must be positive, got {T}")
-
     Ts = T.reshape(-1)
     norm = float(np.linalg.norm(A, "fro"))
     doublings = np.array([max(0, min(60, int(np.ceil(np.log2(max(norm * t, 1e-300) / 2.0)))))
@@ -130,7 +118,7 @@ def eigenvalues(M) -> np.ndarray:
     sorted by (real part, imaginary part).
     """
     # numpy returns a real array when every eigenvalue is real
-    out = np.linalg.eigvals(_square(M)).astype(complex)
+    out = np.linalg.eigvals(M).astype(complex)
     scale = 1.0 + float(np.max(np.abs(out), initial=0.0))
     out.imag[np.abs(out.imag) <= 1e-9 * scale] = 0.0
     return out[np.lexsort((out.imag, out.real))]
@@ -148,14 +136,9 @@ def _svd_kernel(M) -> tuple[np.ndarray, np.ndarray]:
     return s, M.shape[-1] - np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
 
 
-def null_space_dim(M) -> int:
-    """Dimension of the numerical kernel of a rectangular matrix; see ``_svd_kernel``."""
-    return int(_svd_kernel(as_matrix(M))[1])
-
-
 def spectral_radius(M) -> float:
     """Largest eigenvalue modulus of a square matrix."""
-    return float(np.max(np.abs(np.linalg.eigvals(_square(M)))))
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def _symmetric(M, name: str) -> np.ndarray:
@@ -245,28 +228,17 @@ def _cho_solve(A, rhs, what: str) -> np.ndarray:
     return dpotrs(c, rhs, lower=0)[0]
 
 
-def solve_pd(M, rhs, what: str = "system") -> np.ndarray:
-    """Solve M x = rhs for symmetric positive definite M via Cholesky.
-
-    M is symmetrized first; see ``_cho_solve``. NumericalError for a
-    non-finite M or rhs (only an overflow upstream produces one) and for
-    an M that is not numerically positive definite.
-    """
-    M = np.asarray(M, dtype=float)
-    A = 0.5 * (M + M.T)
-    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
-        raise NumericalError(f"overflow: non-finite entries in {what} or its right-hand side")
-    return _cho_solve(A, rhs, what)
-
-
 def solve_pd_stack(M, rhs, what: str = "system") -> tuple[np.ndarray, dict[int, NumericalError]]:
-    """``solve_pd`` on each cell of stacks M (k, n, n) and rhs (k, n) or (k, n, p).
+    """Solve M x = rhs via Cholesky for each cell of stacks M (k, n, n),
+    symmetrized first, and rhs (k, n) or (k, n, p).
 
     The symmetrization and the finiteness test run on the stacks, the
-    Cholesky solve once per cell, so each solution has the bits and the
-    memory order of ``solve_pd``; numpy's stacked Cholesky solve sums in
-    another order. Returns the solutions and the NumericalError of each
-    cell that fails, by index; a failed cell's solution is zero.
+    Cholesky solve once per cell (``_cho_solve``), so each solution has the
+    bits and the memory order of a stack of one; numpy's stacked Cholesky
+    solve sums in another order. Returns the solutions and the
+    NumericalError of each cell whose M or rhs is not finite (only an
+    overflow upstream makes one) or whose M is not numerically positive
+    definite, by index; a failed cell's solution is zero.
     """
     M, rhs = np.asarray(M, dtype=float), np.asarray(rhs, dtype=float)
     A = _sym(M)

@@ -14,6 +14,9 @@ with G the optimal closed loop. The achievable cost has the closed form
     M = B R^{-1} B' (I + P B R^{-1} B')^{-1}
 
 so preview strictly helps whenever P Btilde is not in the kernel of M.
+
+``preview_plan`` checks Btilde and N; the kernels behind it trust the
+arrays of a finished design.
 """
 
 from __future__ import annotations
@@ -83,8 +86,7 @@ def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
     eps * cond(R_d). The better-conditioned gain form is returned.
     This is ``sweep``'s stacked closed loop on a stack of one.
     """
-    A_d, B, S, R, P = (numkernel.as_matrix(X, name)[None] for X, name in
-                       ((A_d, "A_d"), (B_di, "B_di"), (S_d, "S_d"), (R_d, "R_d"), (P, "P")))
+    A_d, B, S, R, P = (X[None] for X in (A_d, B_di, S_d, R_d, P))
     K, gain_failed = riccati._gain(P, A_d, B, S, R)
     if gain_failed:  # no disagreement is measured without a gain
         K[0] = np.nan
@@ -96,24 +98,22 @@ def feedforward_sequence(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, .
     """Feedforward inputs f_0..f_{N-1} driving the pre-disturbance steps.
 
     f_k = -(R + B'PB)^{-1} B' (G')^{N-k-1} P Btilde. Powers of G' are
-    built by repeated multiplication; N is small in practice.
+    built by repeated multiplication; N is small in practice. The N
+    solves with R + B'PB run as one ``solve_pd_stack`` call.
     """
-    if N < 0:
-        raise ValueError(f"preview horizon must be >= 0, got {N}")
     if N == 0:
         return ()
-    B = numkernel.as_matrix(B_di, "B_di")
-    P = numkernel.as_matrix(P, "P")
-    R = numkernel.as_matrix(R_d, "R_d")
-    b = np.asarray(Btilde, dtype=float).reshape(-1)
-    M = R + B.T @ P @ B
+    M = R_d + B_di.T @ P @ B_di
 
     # w_e = (G')^e P Btilde for e = 0..N-1; f_k uses exponent N-k-1.
-    w = P @ b
-    ws = [w]
+    ws = [P @ np.asarray(Btilde, dtype=float).reshape(-1)]
     for _ in range(N - 1):
         ws.append(G.T @ ws[-1])
-    return tuple(-numkernel.solve_pd(M, B.T @ ws[N - 1 - k], "R + B'PB") for k in range(N))
+    X, failed = numkernel.solve_pd_stack(np.broadcast_to(M, (N, *M.shape)),
+                                         np.stack([B_di.T @ w for w in ws[::-1]]), "R + B'PB")
+    if failed:
+        raise failed[min(failed)]
+    return tuple(-X)
 
 
 def _gamma_and_cost(P, G, B, R, b, N: int):
@@ -151,10 +151,7 @@ def gamma_and_cost(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, float]:
     I + P B R^{-1} B' raises NumericalError. This is ``sweep``'s stacked
     preview cost on a stack of one.
     """
-    if N < 0:
-        raise ValueError(f"preview horizon must be >= 0, got {N}")
-    B, P, R = (numkernel.as_matrix(X, name)[None] for X, name in ((B_di, "B_di"), (P, "P"), (R_d, "R_d")))
-    Gamma, Jstar, failed = _gamma_and_cost(P, np.asarray(G, dtype=float)[None], B, R,
+    Gamma, Jstar, failed = _gamma_and_cost(P[None], G[None], B_di[None], R_d[None],
                                            np.asarray(Btilde, dtype=float).reshape(-1), N)
     return numkernel._single(Gamma, failed), float(Jstar[0])
 
@@ -180,9 +177,17 @@ def preview_costs(designs, Btilde, horizons) -> tuple[np.ndarray, np.ndarray, di
 
 
 def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
-    """Preview quantities on top of a finished design (usually mode mri)."""
+    """Preview quantities on top of a finished design (usually mode mri),
+    for a disturbance Btilde of n finite entries and an integer N >= 0."""
     P = des.solution.P
+    b = np.asarray(Btilde, dtype=float).reshape(-1)
+    if b.size != len(P) or not np.isfinite(b).all():
+        raise ValueError(f"Btilde must be a vector of {len(P)} finite entries, got {b.tolist()}")
+    if not isinstance(N, (int, np.integer)):
+        raise ValueError(f"preview horizon N must be an integer, got {N!r}")
+    if N < 0:
+        raise ValueError(f"preview horizon must be >= 0, got {N}")
     G = closed_loop_G(des.model.A_d, des.B_sel, des.S_sel, des.R_sel, P)
-    ff = feedforward_sequence(P, G, des.B_sel, des.R_sel, Btilde, N)
-    Gamma, Jstar = gamma_and_cost(P, G, des.B_sel, des.R_sel, Btilde, N)
+    ff = feedforward_sequence(P, G, des.B_sel, des.R_sel, b, N)
+    Gamma, Jstar = gamma_and_cost(P, G, des.B_sel, des.R_sel, b, N)
     return PreviewPlan(N=N, K=des.solution.K, feedforward=ff, G=G, Gamma=Gamma, Jstar=Jstar)

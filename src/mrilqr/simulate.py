@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from . import numkernel
-from .discretize import MODES, ContinuousPlant, CostWeights, constant_input_gram, cost_matrices, input_channels
+from .discretize import MODES, ContinuousPlant, CostWeights, _check_period, constant_input_gram, cost_matrices, input_channels
 from .errors import SimulationDivergence
 
 __all__ = [
@@ -173,7 +173,7 @@ def _run(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    T = float(T)
+    T = _check_period(T)
     alpha = None
     if epsilon is not None:
         if not (0.0 < epsilon < 1.0):
@@ -358,6 +358,8 @@ def impulse_hold_matrix(plant: ContinuousPlant, T: float, epsilon: float) -> np.
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not (T > 0.0):
         raise ValueError(f"period must be positive, got {T}")
+    if T == np.inf:
+        raise ValueError(f"period must be finite, got {T}")
     alpha = epsilon * T
     _, Atilde_a, _ = numkernel.expm_block_integrals(plant.A, plant.B, alpha)
     return scipy.linalg.expm(plant.A * (T - alpha)) @ Atilde_a @ plant.B / alpha
@@ -365,7 +367,7 @@ def impulse_hold_matrix(plant: ContinuousPlant, T: float, epsilon: float) -> np.
 
 def certified_horizon(A_cl, cost_scale: float, tol: float = 1e-10, cap: int = 100_000) -> int:
     """Steps K with rho(A_cl)^{2K} * cost_scale below tol, capped at 10^5."""
-    rho = numkernel.spectral_radius(A_cl)
+    rho = numkernel.spectral_radius(numkernel._square(A_cl))
     if not (0.0 < rho < 1.0):
         return cap
     scale = max(abs(cost_scale), 1.0)

@@ -23,7 +23,7 @@ def count_calls(monkeypatch, *names, log=None):
     counts = Counter()
     modules = (mrilqr, cli, controllability, discretize, preview, riccati, simulate)
     for name in names:
-        fn = getattr(mrilqr, name)
+        fn = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
@@ -104,6 +104,7 @@ class TestScenarioLoading:
         ({"mode": 3}, "field 'mode' must be a string, got 3"),
         ({"T": 0}, "field 'T' must be a positive sampling period"),
         ({"T": -1.0}, "field 'T' must be a positive sampling period"),
+        ({"T": float("inf")}, "field 'T' must be a positive sampling period, got inf"),
         ({"T": None}, "field 'T' must be a number, got null"),
         ({"T": [1.0]}, r"field 'T' must be a number, got \[1.0\]"),
         ({"T": True}, "field 'T' must be a number, got true"),
@@ -183,6 +184,29 @@ class TestExitCodes:
         out = tmp_path / "s.csv"
         assert cli.main(["sweep", "--scenario", "souza", "--T-grid", grid, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"input error: --T-grid takes finite numbers, got {grid!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, count", [("0:1e-310:1e300", "inf"), ("1:1e-300:2", "1e+300")])
+    def test_sweep_rejects_a_grid_with_more_periods_than_numpy_can_index(self, grid, count, tmp_path, capsys):
+        # the count is checked before any array is built; the first grid's
+        # (stop - start) / step overflows
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--scenario", "souza", "--T-grid", grid, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"input error: --T-grid gives {count} periods, more than numpy can index, got {grid!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["controllability", "--T-max", "inf"], "T_max must be finite, got inf"),
+        (["lqr", "--T", "inf"], "sampling period must be finite, got inf"),
+        (["discretize", "--T", "inf"], "sampling period must be finite, got inf"),
+    ], ids=["controllability", "lqr", "discretize"])
+    def test_an_infinite_period_is_an_input_error(self, argv, message, tmp_path, capsys):
+        # an infinite period or T_max is an input fault, not an overflow
+        # of the model or an endless list of candidate periods
+        out = tmp_path / "o.csv"
+        assert cli.main([argv[0], "--scenario", "souza", *argv[1:], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("horizons", [",", "", ",,"])

@@ -65,6 +65,26 @@ class TestResonantEigenvalues:
         with pytest.raises(ValueError):
             resonant_eigenvalues(souza_plant.A, 0.0)
 
+    def test_rejects_an_infinite_period(self, souza_plant):
+        # an infinite period is an input fault, not a resonance test on nan
+        with pytest.raises(ValueError, match="period must be finite, got inf"):
+            resonant_eigenvalues(souza_plant.A, np.inf)
+
+
+@pytest.mark.parametrize("A, message", [
+    (np.zeros((2, 3)), r"must be square, got shape \(2, 3\)"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "has non-finite entries"),
+    ([[np.inf, 0.0], [0.0, 1.0]], "has non-finite entries"),
+], ids=["non-square", "nan", "inf"])
+@pytest.mark.parametrize("entry", [
+    lambda A: candidate_pathological_periods(A, 5.0),
+    lambda A: resonant_eigenvalues(A, 1.0),
+], ids=["candidates", "resonant"])
+def test_entries_check_the_state_matrix(entry, A, message):
+    # the spectrum kernel behind these entries trusts its argument
+    with pytest.raises(ValueError, match=message):
+        entry(A)
+
 
 class TestReducedHautus:
     def test_souza_mri_controllable_at_pathological_period(self, souza_plant):
@@ -166,6 +186,11 @@ class TestCandidatePeriods:
     def test_nonpositive_horizon_rejected(self, souza_plant, T_max):
         with pytest.raises(ValueError, match=f"T_max must be positive, got {T_max}"):
             candidate_pathological_periods(souza_plant.A, T_max)
+
+    def test_infinite_horizon_rejected(self, souza_plant):
+        # an infinite T_max would list multiples of the base period without end
+        with pytest.raises(ValueError, match="T_max must be finite, got inf"):
+            candidate_pathological_periods(souza_plant.A, np.inf)
 
     def test_rotation_candidates_flagged(self, rotation_plant):
         cands = candidate_pathological_periods(rotation_plant.A, 7.0)

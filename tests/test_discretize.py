@@ -8,11 +8,10 @@ from mrilqr import (
     CostWeights,
     NumericalError,
     cost_matrices,
-    restrict_input_mode,
     sample_plant,
     sample_plants,
 )
-from mrilqr.discretize import _cost_stack
+from mrilqr.discretize import _cost_stack, restrict_input_mode
 
 from conftest import quadrature_cost_matrices, random_stable_plant, relerr
 
@@ -53,6 +52,42 @@ class TestTypes:
     def test_mismatched_shapes_are_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+
+class TestEntryChecks:
+    """The exponential and Gram kernels trust their arguments; the plant,
+    the weights and the period checks at the sampling entries reject what
+    they no longer check."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ContinuousPlant(np.zeros((2, 3)), np.zeros((2, 1))), r"A must be square, got \(2, 3\)"),
+        (lambda: ContinuousPlant([[np.nan, 0.0], [0.0, 1.0]], np.zeros((2, 1))), "A has non-finite entries"),
+        (lambda: ContinuousPlant(np.eye(2), np.ones((3, 1))), "B has 3 rows, expected 2"),
+        (lambda: ContinuousPlant(np.eye(2), [[np.inf], [1.0]]), "B has non-finite entries"),
+        (lambda: cost_matrices(ContinuousPlant(np.eye(2), np.ones((2, 1))),
+                               CostWeights(np.eye(3), [[1.0]], [[1.0]]), 1.0),
+         r"Q has shape \(3, 3\), expected \(2, 2\)"),
+    ], ids=["A-non-square", "A-non-finite", "B-rows", "B-non-finite", "Q-vs-states"])
+    def test_malformed_data_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("T, message", [
+        (0.0, "sampling period must exceed 1e-12, got 0.0"),
+        (-1.0, "sampling period must exceed 1e-12, got -1.0"),
+        (np.nan, "sampling period must exceed 1e-12, got nan"),
+        # an infinite period is an input fault, not an overflow of the model or the cost
+        (np.inf, "sampling period must be finite, got inf"),
+    ])
+    @pytest.mark.parametrize("entry", [
+        lambda p, w, T: sample_plant(p, T),
+        lambda p, w, T: sample_plants(p, [1.0, T, 2.0]),
+        lambda p, w, T: cost_matrices(p, w, T),
+        lambda p, w, T: _cost_stack(p, w, [1.0, T, 2.0]),
+    ], ids=["sample_plant", "sample_plants", "cost_matrices", "cost_stack"])
+    def test_periods_are_checked_where_they_enter(self, souza_plant, souza_weights, entry, T, message):
+        with pytest.raises(ValueError, match=message):
+            entry(souza_plant, souza_weights, T)
 
 
 class TestSamplePlant:

@@ -2,19 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mrilqr import (
     DisturbanceSpec,
     InputPolicy,
     certified_horizon,
-    closed_loop_G,
     design,
-    feedforward_sequence,
-    gamma_and_cost,
     preview_plan,
     simulate_closed_loop,
 )
 from mrilqr.numkernel import spectral_radius
+from mrilqr.preview import closed_loop_G, feedforward_sequence, gamma_and_cost
 
 from conftest import relerr
 
@@ -73,10 +72,19 @@ class TestFeedforward:
         expected = -np.linalg.solve(M, d.B_sel.T @ P @ bt)
         assert relerr(f0, expected) < 1e-12
 
-    def test_negative_horizon_rejected(self, souza_plant, souza_weights):
+    def test_stacked_solves_equal_one_solve_per_step(self, souza_plant, souza_weights):
+        # the N solves with R + B'PB run as one stack; each has the bits of its own solve
         d, P, G = mri_design(souza_plant, souza_weights, 1.0)
-        with pytest.raises(ValueError):
-            feedforward_sequence(P, G, d.B_sel, d.R_sel, [1.0, 1.0], -1)
+        bt = np.array([1.0, -2.0])
+        M = d.R_sel + d.B_sel.T @ P @ d.B_sel
+        c = scipy.linalg.cho_factor(0.5 * (M + M.T))
+        ws = [P @ bt]
+        for _ in range(3):
+            ws.append(G.T @ ws[-1])
+        ff = feedforward_sequence(P, G, d.B_sel, d.R_sel, bt, 4)
+        assert len(ff) == 4
+        for k, f in enumerate(ff):
+            assert np.array_equal(f, -scipy.linalg.cho_solve(c, d.B_sel.T @ ws[3 - k])), k
 
 
 class TestGammaAndCost:
@@ -86,12 +94,6 @@ class TestGammaAndCost:
         Gamma, Jstar = gamma_and_cost(P, G, d.B_sel, d.R_sel, bt, 0)
         assert np.all(Gamma == 0.0)
         assert abs(Jstar - bt @ P @ bt) < 1e-12
-
-    @pytest.mark.parametrize("N", [-1, -4])
-    def test_negative_horizon_rejected(self, souza_plant, souza_weights, N):
-        d, P, G = mri_design(souza_plant, souza_weights, 1.0)
-        with pytest.raises(ValueError, match=f"preview horizon must be >= 0, got {N}"):
-            gamma_and_cost(P, G, d.B_sel, d.R_sel, [1.0, 1.0], N)
 
     def test_single_step_core_is_symmetric_psd(self, souza_plant, souza_weights):
         d, P, G = mri_design(souza_plant, souza_weights, 1.0)
@@ -141,6 +143,29 @@ class TestGammaAndCost:
             _, J_pert, _ = simulate_preview(
                 souza_plant, souza_weights, T, bt, N, perturbed, P, G)
             assert J_pert >= J_opt - 1e-10
+
+
+class TestPreviewPlanChecks:
+    """``preview_plan`` checks Btilde and N; the kernels behind it do not."""
+
+    @pytest.mark.parametrize("N", [-1, -4])
+    def test_negative_horizon_rejected(self, souza_plant, souza_weights, N):
+        d = design(souza_plant, souza_weights, 1.0, "mri")
+        with pytest.raises(ValueError, match=f"preview horizon must be >= 0, got {N}"):
+            preview_plan(d, [1.0, 1.0], N)
+
+    @pytest.mark.parametrize("Btilde, N, message", [
+        # a malformed disturbance or horizon is an input fault, never a nan
+        # cost, an overflow NumericalError or an error from inside numpy
+        ([np.nan, 1.0], 0, r"Btilde must be a vector of 2 finite entries, got \[nan, 1.0\]"),
+        ([np.nan, 1.0], 2, "Btilde must be a vector of 2 finite entries"),
+        ([1.0, 1.0, 1.0], 1, "Btilde must be a vector of 2 finite entries"),
+        ([1.0, 1.0], 1.5, "preview horizon N must be an integer, got 1.5"),
+    ], ids=["nan-N0", "nan-N2", "three-entries", "fractional-N"])
+    def test_malformed_input_is_rejected(self, souza_plant, souza_weights, Btilde, N, message):
+        d = design(souza_plant, souza_weights, 1.0, "mri")
+        with pytest.raises(ValueError, match=message):
+            preview_plan(d, Btilde, N)
 
 
 class TestAdjointChain:

@@ -12,20 +12,16 @@ from mrilqr import (
     CostWeights,
     DareDivergenceError,
     NumericalError,
-    closed_loop_G,
     cost_matrices,
-    dare_residual,
     design,
-    gamma_and_cost,
     preview,
-    restrict_input_mode,
     riccati,
     sample_plant,
-    solve_dare,
 )
-from mrilqr.discretize import MODES, SampledCost
+from mrilqr.discretize import MODES, SampledCost, restrict_input_mode
+from mrilqr.preview import closed_loop_G, gamma_and_cost
 from mrilqr.numkernel import spectral_radius
-from mrilqr.riccati import _design_cells, design_batch, design_sampled
+from mrilqr.riccati import _design_cells, dare_residual, design_batch, design_sampled, solve_dare
 
 from conftest import closed_loop_cost_matrix, random_controllable_plant, random_stable_plant, relerr
 
