@@ -530,7 +530,10 @@ def _parse_grid(text: str) -> np.ndarray:
     count = np.floor((stop - start) / step + 1e-9) + 1
     if not count < np.iinfo(np.intp).max:  # inf when (stop - start) / step overflows
         raise ValueError(f"--T-grid gives {count:g} periods, more than numpy can index, got {text!r}")
-    return start + step * np.arange(int(count))
+    try:
+        return start + step * np.arange(int(count))
+    except (ValueError, MemoryError):  # numpy cannot allocate the grid
+        raise ValueError(f"--T-grid gives {count:g} periods, more than fit in memory, got {text!r}") from None
 
 
 @functools.cache

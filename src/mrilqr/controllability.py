@@ -284,7 +284,8 @@ def candidate_pathological_periods(A, T_max: float) -> list[PathologicalCandidat
     emitted period is flagged as requiring its own test; otherwise one
     representative decides the whole family. Eigenvalues match within
     1e-8 relative to the spectrum's scale. Periods arising from several
-    pairs are deduplicated, keeping any flag.
+    pairs are deduplicated, keeping any flag. A T_max spanning more
+    multiples than numpy can index or memory can hold is a ValueError.
     """
     if not (T_max > 0.0):
         raise ValueError(f"T_max must be positive, got {T_max}")
@@ -314,19 +315,20 @@ def candidate_pathological_periods(A, T_max: float) -> list[PathologicalCandidat
                     flag = _ratio_is_rational(b2 / b1)
             families.append((base, flag))
 
-    candidates: list[PathologicalCandidate] = []
-    for base, flag in families:
-        ell = 1
-        while ell * base <= T_max * (1.0 + 1e-12):
-            candidates.append(
-                PathologicalCandidate(
-                    period=ell * base,
-                    base_period=base,
-                    multiple=ell,
-                    needs_per_multiple_test=flag,
-                )
-            )
-            ell += 1
+    # each family's multiples, counted (with a spare for the quotient's rounding) before they are listed
+    limit = T_max * (1.0 + 1e-12)
+    with np.errstate(over="ignore"):
+        counts = [np.floor(limit / base) + 1.0 for base, _ in families]
+    total = sum(counts, 0.0)
+    if not total < np.iinfo(np.intp).max:
+        raise ValueError(f"T_max = {T_max!r} spans {total:g} multiples of its base periods, more than numpy can index")
+    try:
+        periods = [np.arange(1, int(count) + 1) * base for (base, _), count in zip(families, counts)]
+    except (ValueError, MemoryError):  # numpy cannot allocate the multiples
+        raise ValueError(f"T_max = {T_max!r} spans {total:g} multiples of its base periods, more than fit in memory") from None
+    candidates = [PathologicalCandidate(period=period, base_period=base, multiple=ell, needs_per_multiple_test=flag)
+                  for (base, flag), multiples in zip(families, periods)
+                  for ell, period in enumerate(multiples[multiples <= limit], start=1)]
 
     # Deduplicate periods from different pairs (conjugate pairs always
     # produce duplicates); a flagged duplicate wins.

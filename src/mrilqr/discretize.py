@@ -108,8 +108,9 @@ class CostWeights:
         if Rc.shape != Ri.shape:
             raise ValueError(f"Rc {Rc.shape} and Ri {Ri.shape} must have equal shape")
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "Rc", 0.5 * (Rc + Rc.T))
-        object.__setattr__(self, "Ri", 0.5 * (Ri + Ri.T))
+        # halves first, so a weight near the float maximum does not overflow
+        object.__setattr__(self, "Rc", 0.5 * Rc + 0.5 * Rc.T)
+        object.__setattr__(self, "Ri", 0.5 * Ri + 0.5 * Ri.T)
 
 
 @dataclass(frozen=True)
@@ -200,14 +201,13 @@ def _cost_stack(plant: ContinuousPlant, weights: CostWeights, periods) -> list[S
     L[:n, n + m :] = plant.B
     with np.errstate(over="ignore", invalid="ignore"):
         G = _sym(L.T @ constant_input_gram(plant, weights.Q, np.array(Ts)) @ L)
-    finite = np.isfinite(G).all(axis=(1, 2))
+        R_d = G[:, n:, n:].copy()
+        R_d[:, :m, :m] += np.array(Ts)[:, None, None] * weights.Rc
+        R_d[:, m:, m:] += weights.Ri
+        R_d = _sym(R_d)
+    finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(R_d).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(f"the equivalent cost overflowed at T = {Ts[int(np.argmin(finite))]!r}")
-
-    R_d = G[:, n:, n:].copy()
-    R_d[:, :m, :m] += np.array(Ts)[:, None, None] * weights.Rc
-    R_d[:, m:, m:] += weights.Ri
-    R_d = _sym(R_d)
     return [SampledCost(Q_d=G[i, :n, :n], S_d=G[i, :n, n:], R_d=R_d[i]) for i in range(len(Ts))]
 
 
@@ -225,7 +225,7 @@ def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> Sam
     where L stacks the constant selectors of [e^{As}, int e B, e^{As} B].
     The quadratic input penalties contribute the additive block
     diag(T Rc, Ri) to R_d. Raises NumericalError when the Gram integral
-    overflows. This is the stacked builder of a period grid on one period.
+    or R_d overflows. This is the stacked builder of a period grid on one period.
     """
     return _cost_stack(plant, weights, [T])[0]
 

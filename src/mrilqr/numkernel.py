@@ -147,7 +147,7 @@ def _symmetric(M, name: str) -> np.ndarray:
     # for finite A this is np.allclose(A, A.T, rtol=0, atol=...) at a fraction of its cost
     if not float(np.abs(A - A.T).max()) <= 1e-12 * (1.0 + float(np.abs(A).max())):
         raise ValueError(f"{name} is not symmetric")
-    return 0.5 * (A + A.T)
+    return 0.5 * A + 0.5 * A.T  # halves first, so an entry near the float maximum does not overflow
 
 
 def check_psd(M, name: str = "matrix") -> None:

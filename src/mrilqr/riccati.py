@@ -13,13 +13,13 @@ returns the stationary feedback gain
 
     K = -(R + B' P B)^{-1} (B' P A_d + S').
 
-Every stage runs on a stack of problems: the doubling (each problem with
-its own stop rule) once on the whole stack, the other stages once per
-input width. Only the policy polish runs per problem, on the few
-iterates that need it, and each problem keeps its own failure status.
-``design_batch`` solves every (mode, period) cell of a period grid as one
-stack; ``solve_dare`` is a stack of one, and a cell's result does not
-depend on the stack it was solved in.
+``design_batch`` is the synthesis pipeline: it samples the plant at each
+period, builds the costs and solves every (mode, period) cell as one
+stack, and ``design`` is its one-cell call; ``solve_dare`` checks
+hand-made matrices and solves them as a stack of one. The doubling (each
+problem with its own stop rule) runs once on the stack, the other stages
+once per input width, the policy polish only on the iterates that need
+it; each problem keeps its own failure status, whatever its stack.
 
 With the mixed hold+impulse input selection the gain rows split as the
 hold gain (first m rows) followed by the impulse gain.
@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dtrtrs
 
 from . import discretize, numkernel
 from .numkernel import _T, _cellwise, _fro, _sym
-from .discretize import ContinuousPlant, CostWeights, SampledCost, SampledModel, cost_matrices, restrict_input_mode, sample_plant
+from .discretize import ContinuousPlant, CostWeights, SampledCost, SampledModel, restrict_input_mode
 from .errors import DareDivergenceError, NumericalError
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "solve_dare",
     "dare_residual",
     "design",
-    "design_sampled",
     "design_batch",
 ]
 
@@ -263,47 +262,22 @@ def _doubling(A, G, H, blow_up):
     return P_out, iterations, failures
 
 
-def _check_problem(A_d, B_sel, Q_d, S_sel, R_sel) -> None:
-    """ValueError unless the five matrices are finite, non-empty 2-D arrays
-    and R_sel is symmetric positive definite."""
-    numkernel.check_pd(numkernel.as_matrix(R_sel, "R_sel"), "R_sel")
-    for M, name in ((A_d, "A_d"), (B_sel, "B_sel"), (Q_d, "Q_d"), (S_sel, "S_sel")):
-        numkernel.as_matrix(M, name)
-
-
-def _checked(problems):
-    """The five matrices of equally shaped problems as float stacks (k, ., .),
-    and the ValueError of each problem that ``_check_problem`` rejects.
-
-    The test runs on the stacks; only the rare rejected problems are
-    checked again one by one, to word their errors, and stay in the stacks
-    as zeros. A shape error, which every problem shares, is raised.
-    """
-    k = len(problems)
-    stacks = [np.asarray([problem[j] for problem in problems], dtype=float) for j in range(5)]
-    stacks = [X if X.ndim == 3 else X.reshape(k, *np.atleast_2d(X[0]).shape) for X in stacks]
-    R = stacks[4]
-    if any(X.ndim != 3 or 0 in X.shape for X in stacks) or R.shape[1] != R.shape[2]:
-        _check_problem(*problems[0])
-    with np.errstate(invalid="ignore"):
-        ok = np.logical_and.reduce([np.isfinite(X).all(axis=(1, 2)) for X in stacks])
-        # numkernel.check_pd's symmetry test and Cholesky factorization
-        ok &= np.abs(R - _T(R)).max(axis=(1, 2)) <= 1e-12 * (1.0 + np.abs(R).max(axis=(1, 2)))
-        ok[list(_cellwise(np.linalg.cholesky, _sym(R))[1])] = False
-    failed = {}
-    for i in np.flatnonzero(~ok):
-        try:
-            _check_problem(*problems[i])
-        except ValueError as exc:
-            failed[int(i)] = exc
-            for X in stacks:  # a rejected problem stays in the stack as zeros
-                X[i] = 0.0
-    return stacks, failed
+def _check_problem(A_d, B_sel, Q_d, S_sel, R_sel) -> list[np.ndarray]:
+    """The five matrices of ``solve_dare`` as float arrays, or its ValueError."""
+    R = numkernel.as_matrix(R_sel, "R_sel")
+    numkernel.check_pd(R, "R_sel")
+    names = ("A_d", "B_sel", "Q_d", "S_sel", "R_sel")
+    A, B, Q, S = (numkernel.as_matrix(M, name) for M, name in zip((A_d, B_sel, Q_d, S_sel), names))
+    n, p = A.shape[0], B.shape[1]
+    for M, name, shape in zip((A, B, Q, S, R), names, ((n, n), (n, p), (n, n), (n, p), (p, p))):
+        if M.shape != shape:
+            raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
+    return [A, B, Q, S, R]
 
 
 def _eliminate_cross_term(A_d, B, Q_d, S, R):
     """(Ahat, G, Qhat, blow-up bound, Qhat kernel dimension) of each cell of
-    checked stacks, and the error of each cell that fails.
+    trusted stacks, and the error of each cell that fails.
 
     A cell fails with ValueError for an indefinite Qhat and NumericalError
     for one that lost definiteness to roundoff or whose norm overflows;
@@ -341,33 +315,28 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
 def _solve_stack(problems) -> list[RiccatiSolution | ValueError | NumericalError]:
     """Solve (A_d, B_sel, Q_d, S_sel, R_sel) problems of one state dimension as one stack.
 
-    Each entry is the problem's solution or the first error ``solve_dare``
-    raises for it. The entry checks, the cross-term elimination, the
+    The problems are trusted: float arrays of agreeing shapes, R_sel
+    positive definite. Each entry is the problem's solution or the first
+    error ``solve_dare`` raises for it. The cross-term elimination, the
     residual test and the gain run once per group of equally shaped
     problems (one group per input width); the doubling, n x n in every
     group, runs once on all groups together. A problem that fails stays in
     its stack, as zeros where its data means nothing, and its results are
     dropped.
     """
+    if not problems:
+        return []
     groups: dict[tuple, list[int]] = {}
     for i, problem in enumerate(problems):
-        groups.setdefault(tuple(np.shape(X) for X in problem), []).append(i)
+        groups.setdefault(tuple(X.shape for X in problem), []).append(i)
     results: list = [None] * len(problems)
     prepared = []
     for index in groups.values():
-        try:
-            (A_d, B, Q_d, S, R), failed = _checked([problems[i] for i in index])
-            (Ahat, G, Qhat, blow_up, kernel_dims), more = _eliminate_cross_term(A_d, B, Q_d, S, R)
-        except ValueError as exc:  # a shape all problems of the group share
-            for i in index:
-                results[i] = exc
-            continue
-        failed = {**more, **failed}
+        A_d, B, Q_d, S, R = (np.stack([problems[i][j] for i in index]) for j in range(5))
+        (Ahat, G, Qhat, blow_up, kernel_dims), failed = _eliminate_cross_term(A_d, B, Q_d, S, R)
         for j in failed:
             Ahat[j] = G[j] = Qhat[j] = 0.0
         prepared.append((index, (A_d, B, Q_d, S, R), (Ahat, G, Qhat, blow_up), kernel_dims, failed))
-    if not prepared:
-        return results
     P_all, iterations_all, failures = _doubling(*map(np.concatenate, zip(*(p[2] for p in prepared))))
     first = 0
     for index, (A_d, B, Q_d, S, R), _, kernel_dims, failed in prepared:
@@ -399,8 +368,10 @@ def _solve_stack(problems) -> list[RiccatiSolution | ValueError | NumericalError
 def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     """Structure-preserving doubling (SDA) for the cross-term DARE.
 
-    Preconditions: R_sel symmetric positive definite and
-    Qhat = Q_d - S R^{-1} S' positive semidefinite (it is a Gram-matrix
+    The one entry for hand-made matrices: ValueError unless the five are
+    finite, non-empty 2-D arrays, A_d and Q_d n x n, B_sel and S_sel n x p,
+    and R_sel p x p symmetric positive definite (checked first). Qhat =
+    Q_d - S R^{-1} S' must be positive semidefinite (it is a Gram-matrix
     Schur complement for costs coming from ``cost_matrices``). A Qhat
     whose negative eigenvalue lies within 1e-10 of the size of Q_d and
     S R^{-1} S' lost definiteness to roundoff in their cancellation and
@@ -432,10 +403,10 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     polished by policy iteration, which keeps its result only where it
     lowers the residual.
 
-    This is ``design_batch``'s stacked solve on a stack of one, so both
-    give the same bits for the same problem.
+    The checked problem runs through ``design_batch``'s stacked solve as a
+    stack of one, so both give the same bits for the same problem.
     """
-    (result,) = _solve_stack([(A_d, B_sel, Q_d, S_sel, R_sel)])
+    (result,) = _solve_stack([_check_problem(A_d, B_sel, Q_d, S_sel, R_sel)])
     if isinstance(result, Exception):
         raise result
     return result
@@ -454,21 +425,18 @@ class MriLqrDesign:
     solution: RiccatiSolution
 
 
-def design_sampled(model: SampledModel, cost: SampledCost, mode: str) -> MriLqrDesign:
-    """Restrict a sampled model and cost to one input mode and solve.
+def design_batch(plant: ContinuousPlant, weights: CostWeights, periods,
+                 modes) -> list[list[MriLqrDesign | ValueError | NumericalError]]:
+    """The synthesis pipeline of one plant at each period in each mode: one
+    ``sample_plants`` call, one stacked Gram integral for the costs, the
+    input selection of each (mode, period) cell, one stacked solve.
 
-    The model and cost serve all three modes, so callers designing
-    several modes at one period sample and build the cost once.
+    One list per mode, with one entry per period: that cell's design, or
+    the ValueError or NumericalError its solve raises. A bad period or
+    mode, or a model or cost that overflows, raises for the whole grid.
     """
-    B_sel, S_sel, R_sel = restrict_input_mode(model, cost, mode)
-    sol = solve_dare(model.A_d, B_sel, cost.Q_d, S_sel, R_sel)
-    return MriLqrDesign(mode=mode, model=model, cost=cost,
-                        B_sel=B_sel, S_sel=S_sel, R_sel=R_sel, solution=sol)
-
-
-def _design_cells(models, costs, modes) -> list[list[MriLqrDesign | ValueError | NumericalError]]:
-    """``design_sampled`` of each pair of ``models`` and ``costs`` in each mode,
-    solved as one stack: one list per mode, with one entry per pair."""
+    models = discretize.sample_plants(plant, periods)
+    costs = discretize._cost_stack(plant, weights, periods)
     cells = [(mode, model, cost, *restrict_input_mode(model, cost, mode))
              for mode in modes for model, cost in zip(models, costs)]
     results = _solve_stack([(model.A_d, B_sel, cost.Q_d, S_sel, R_sel)
@@ -478,19 +446,10 @@ def _design_cells(models, costs, modes) -> list[list[MriLqrDesign | ValueError |
     return [designs[k * len(models):(k + 1) * len(models)] for k in range(len(modes))]
 
 
-def design_batch(plant: ContinuousPlant, weights: CostWeights, periods,
-                 modes) -> list[list[MriLqrDesign | ValueError | NumericalError]]:
-    """``design`` of one plant at each period in each mode: one ``sample_plants``
-    call, one stacked Gram integral for the costs, one stacked solve.
-
-    One list per mode, with one entry per period: that cell's design, bit for
-    bit the one ``design`` returns, or the ValueError or NumericalError its
-    solve raises. A model or cost that overflows raises for the whole grid.
-    """
-    return _design_cells(discretize.sample_plants(plant, periods), discretize._cost_stack(plant, weights, periods),
-                         modes)
-
-
 def design(plant: ContinuousPlant, weights: CostWeights, T: float, mode: str = "mri") -> MriLqrDesign:
-    """Sample, build the equivalent cost, restrict the input mode, solve."""
-    return design_sampled(sample_plant(plant, T), cost_matrices(plant, weights, T), mode)
+    """``design_batch`` at the single period T in one mode: sample, build the
+    equivalent cost, restrict the input mode, solve; the cell's error is raised."""
+    ((cell,),) = design_batch(plant, weights, [T], [mode])
+    if isinstance(cell, Exception):
+        raise cell
+    return cell

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from argparse import Namespace
 from collections import Counter
 from itertools import cycle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,43 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--T-grid", "1:1e-17:2"], "--T-grid gives 1e+17 periods, more than fit in memory, got '1:1e-17:2'"),
+        (["controllability", "--T-max", "1e300"],
+         "T_max = 1e+300 spans 7.6328e+299 multiples of its base periods, more than numpy can index"),
+        (["controllability", "--T-max", "1e9"],
+         "T_max = 1000000000.0 spans 7.6328e+08 multiples of its base periods, more than fit in memory"),
+    ], ids=["T-grid", "T-max-index", "T-max-memory"])
+    def test_a_list_too_long_to_build_is_an_input_error(self, argv, message, tmp_path):
+        # in a child process under a 1 GB address-space limit and a time
+        # limit: the grid and the candidate list are counted before they are
+        # built, and a failed allocation is an input error, not a traceback
+        out = tmp_path / "o.csv"
+        run = subprocess.run(
+            ["bash", "-c", 'ulimit -v 1000000 && exec timeout 60 "$@"', "bash", sys.executable, "-m", "mrilqr.cli",
+             argv[0], "--scenario", "souza", *argv[1:], "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}, capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (1, f"input error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weights, T", [({"Rc": [[1e300]]}, 1e10), ({"Ri": [[1e308]]}, 1.0)],
+                             ids=["T-Rc", "Ri"])
+    @pytest.mark.parametrize("argv", [["discretize"], *(["lqr", "--mode", mode] for mode in discretize.MODES)],
+                             ids=" ".join)
+    def test_an_overflowing_input_weight_is_a_numerical_failure(self, weights, T, argv, tmp_path, capsys):
+        # T Rc or Ri + Ri' passes the double range in R_d: the cost builder
+        # raises for every command and mode, without a RuntimeWarning, and the
+        # stored weight is the finite one the scenario gives
+        scenario = tmp_path / "big.json"
+        scenario.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]], "Q": [[1.0]], "Rc": [[1.0]], "Ri": [[1.0]],
+                                        "T": T, **weights}))
+        key, value = next(iter(weights.items()))
+        assert getattr(cli.load_scenario(str(scenario)).weights(), key).tolist() == value
+        out = tmp_path / "o.csv"
+        assert cli.main([argv[0], "--scenario", str(scenario), *argv[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"numerical failure: the equivalent cost overflowed at T = {T!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
         (["controllability", "--T-max", "inf"], "T_max must be finite, got inf"),
         (["lqr", "--T", "inf"], "sampling period must be finite, got inf"),
         (["discretize", "--T", "inf"], "sampling period must be finite, got inf"),
@@ -329,10 +370,8 @@ class TestExitCodes:
         b = sc.Btilde[:, 0]
         failed = []
         for T, mode, N, cost, converged, iterations in rows:
-            model = discretize.sample_plant(sc.plant(), float(T))
-            cost_blocks = discretize.cost_matrices(sc.plant(), sc.weights(), float(T))
             try:
-                sol = riccati.design_sampled(model, cost_blocks, mode).solution
+                sol = riccati.design(sc.plant(), sc.weights(), float(T), mode).solution
                 solo = (b @ sol.P @ b, sol.converged, sol.iterations)
             except DareDivergenceError as exc:
                 solo = (b @ exc.last_iterate @ b, False, exc.iterations)
@@ -779,10 +818,13 @@ class TestDesignReuse:
                          ("design_batch", (periods, [(mode, len(periods)) for mode in discretize.MODES]))]
 
     def test_simulate_with_preview_solves_once(self, tmp_path, monkeypatch):
-        counts = count_calls(monkeypatch, "solve_dare")
+        # one stacked solve of one problem
+        log = []
+        counts = count_calls(monkeypatch, "_solve_stack", log=log)
         assert cli.main(["simulate", "--scenario", "insulin", "--N", "2",
                          "--out", str(tmp_path / "t.csv")]) == 0
-        assert counts["solve_dare"] == 1
+        assert counts == {"_solve_stack": 1}
+        assert [len(args[0]) for _, args in log] == [1]
 
     def test_controllability_samples_once_per_candidate(self, tmp_path, monkeypatch):
         log = []

@@ -192,6 +192,29 @@ class TestCandidatePeriods:
         with pytest.raises(ValueError, match="T_max must be finite, got inf"):
             candidate_pathological_periods(souza_plant.A, np.inf)
 
+    def test_a_horizon_with_more_multiples_than_numpy_can_index_is_rejected(self, souza_plant):
+        # the multiples are counted before any is listed, so this returns at once
+        with pytest.raises(ValueError, match=r"^T_max = 1e\+300 spans 7\.6328e\+299 multiples of its base periods, "
+                                             r"more than numpy can index$"):
+            candidate_pathological_periods(souza_plant.A, 1e300)
+
+    @pytest.mark.parametrize("T_max", [
+        SOUZA_BASE, 3.0 * SOUZA_BASE, 3.0 * SOUZA_BASE * (1 + 2e-12), 7.5 * SOUZA_BASE, 1e4,
+        # the bound T_max (1 + 1e-12) is 1 * base exactly; its quotient by
+        # base rounds to 48, below the 49 multiples within it
+        1.3101347027372625, 64.19660043412586])
+    def test_multiples_are_those_a_one_by_one_listing_gives(self, souza_plant, T_max):
+        # ell * base for ell = 1, 2, ... while it stays within T_max (1 + 1e-12),
+        # bit for bit, where the bound meets a multiple or the quotient rounds
+        cands = candidate_pathological_periods(souza_plant.A, T_max)
+        base = cands[0].base_period
+        expected, ell = [], 1
+        while ell * base <= T_max * (1.0 + 1e-12):
+            expected.append((ell * base, base, ell, False))
+            ell += 1
+        got = [(c.period, c.base_period, c.multiple, c.needs_per_multiple_test) for c in cands]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
     def test_rotation_candidates_flagged(self, rotation_plant):
         cands = candidate_pathological_periods(rotation_plant.A, 7.0)
         periods = [c.period for c in cands]

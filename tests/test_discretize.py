@@ -1,5 +1,7 @@
 """Sampled model and discrete-equivalent cost against closed forms and quadrature."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,14 @@ class TestTypes:
     def test_weights_reject_indefinite_q(self):
         with pytest.raises(ValueError):
             CostWeights(Q=[[-1.0]], Rc=[[1.0]], Ri=[[1.0]])
+
+    def test_weights_near_the_float_maximum_are_stored_as_given(self):
+        # symmetrized as halves, so Ri + Ri' does not overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = CostWeights(Q=[[1.0]], Rc=[[1.7e308, 1e308], [1e308, 1.7e308]], Ri=[[1e308, 0.0], [0.0, 1.0]])
+        assert w.Rc.tolist() == [[1.7e308, 1e308], [1e308, 1.7e308]]
+        assert w.Ri.tolist() == [[1e308, 0.0], [0.0, 1.0]]
 
     def test_weights_reject_semidefinite_r(self):
         with pytest.raises(ValueError):
@@ -225,6 +235,15 @@ class TestCostMatrices:
                 w = np.linalg.eigvalsh(Q_d - prev)
                 assert w[0] > -1e-10 * (1.0 + abs(w[-1]))
             prev = Q_d
+
+    def test_an_overflowing_input_block_raises(self):
+        # T Rc = 1e310 is not a double: R_d overflows after the Gram integral,
+        # and the builder says so, without a RuntimeWarning
+        plant = ContinuousPlant([[-1.0]], [[1.0]])
+        with pytest.raises(NumericalError, match=r"^the equivalent cost overflowed at T = 10000000000\.0$"):
+            cost_matrices(plant, CostWeights([[1.0]], [[1e300]], [[1.0]]), 1e10)
+        with pytest.raises(NumericalError, match=r"^the equivalent cost overflowed at T = 1\.0$"):
+            _cost_stack(plant, CostWeights([[1.0]], [[1.0]], [[1e308]]), [1.0])
 
     def test_dimension_mismatch_raises(self, souza_plant):
         w = CostWeights(np.eye(3), [[1.0]], [[1.0]])

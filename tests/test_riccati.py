@@ -21,7 +21,7 @@ from mrilqr import (
 from mrilqr.discretize import MODES, SampledCost, restrict_input_mode
 from mrilqr.preview import closed_loop_G, gamma_and_cost
 from mrilqr.numkernel import spectral_radius
-from mrilqr.riccati import _design_cells, dare_residual, design_batch, design_sampled, solve_dare
+from mrilqr.riccati import _solve_stack, dare_residual, design_batch, solve_dare
 
 from conftest import closed_loop_cost_matrix, random_controllable_plant, random_stable_plant, relerr
 
@@ -124,9 +124,35 @@ class TestSolveDare:
             assert sol.iterations == ref.iterations
             assert relerr(sol.P, ref.P) < 1e-10
 
-    def test_rejects_indefinite_r(self):
-        with pytest.raises(ValueError):
-            solve_dare(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), -np.eye(2))
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: {"A_d": p["A_d"] + [[np.nan, 0.0], [0.0, 0.0]]}, "A_d has non-finite entries"),
+        (lambda p: {"Q_d": [[1.0, np.inf], [-np.inf, 1.0]]}, "Q_d has non-finite entries"),
+        (lambda p: {"R_sel": [[np.inf]]}, "R_sel has non-finite entries"),
+        (lambda p: {"B_sel": np.zeros((2, 0))}, "B_sel must have at least one row and column"),
+        (lambda p: {"S_sel": p["S_sel"][None]}, "S_sel must be 2-D, got shape (1, 2, 1)"),
+        (lambda p: {"R_sel": [[1.0, 0.0]]}, "R_sel must be square, got shape (1, 2)"),
+        (lambda p: {"A_d": p["A_d"][:, :1]}, "A_d has shape (2, 1), expected (2, 2)"),
+        (lambda p: {"R_sel": [[1.0, 0.5], [0.0, 1.0]]}, "R_sel is not symmetric"),
+        (lambda p: {"R_sel": -p["R_sel"]}, "R_sel is not positive definite"),
+        (lambda p: {"B_sel": np.vstack([p["B_sel"], 1.0])}, "B_sel has shape (3, 1), expected (2, 1)"),
+        (lambda p: {"Q_d": np.eye(3)}, "Q_d has shape (3, 3), expected (2, 2)"),
+        (lambda p: {"S_sel": np.hstack([p["S_sel"]] * 2)}, "S_sel has shape (2, 2), expected (2, 1)"),
+        (lambda p: {"R_sel": np.eye(2)}, "R_sel has shape (2, 2), expected (1, 1)"),
+        # R_sel is checked first
+        (lambda p: {"A_d": p["A_d"] * np.nan, "R_sel": -p["R_sel"]}, "R_sel is not positive definite"),
+        (lambda p: {"B_sel": np.ones((3, 1)), "R_sel": [[0.0]]}, "R_sel is not positive definite"),
+    ], ids=["A_d-non-finite", "Q_d-non-finite", "R_sel-non-finite", "B_sel-empty", "S_sel-3-D", "R_sel-non-square",
+            "A_d-non-square", "R_sel-asymmetric", "R_sel-indefinite", "B_sel-rows", "Q_d-shape", "S_sel-columns",
+            "R_sel-shape", "A_d-and-R_sel", "B_sel-and-R_sel"])
+    def test_entry_rejects_malformed_matrices(self, souza_plant, souza_weights, change, message):
+        # solve_dare is the one entry for hand-made matrices; each rejection
+        # is a ValueError with its message, made before any solve (here on
+        # the hold-only souza problem, n = 2 and p = 1)
+        d = design(souza_plant, souza_weights, 1.0, "regular")
+        problem = dict(A_d=d.model.A_d, B_sel=d.B_sel, Q_d=d.cost.Q_d, S_sel=d.S_sel, R_sel=d.R_sel)
+        with pytest.raises(ValueError) as err:
+            solve_dare(**{**problem, **change(problem)})
+        assert (type(err.value), str(err.value)) == (ValueError, message)
 
     def test_rejects_indefinite_q(self):
         # far from roundoff of the cost blocks: a bad input, not a numerical failure
@@ -247,33 +273,48 @@ def same_bits(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def batch_against_solo(models, costs, mode) -> Counter:
-    """Assert each cell of one batched design equals its solo ``design_sampled``
-    bit for bit, or fails with the same error; count the outcomes.
+def same_outcome(got, solve) -> str:
+    """Assert ``got``, a stacked cell's solution or error, equals the solution
+    ``solve()`` returns bit for bit, or is the error it raises; name the outcome."""
+    try:
+        ref = solve()
+    except (ValueError, NumericalError) as exc:
+        assert type(got) is type(exc) and str(got) == str(exc), (got, exc)
+        if isinstance(exc, DareDivergenceError):
+            assert got.iterations == exc.iterations
+            assert same_bits(got.last_iterate, exc.last_iterate)
+        return type(exc).__name__
+    assert not isinstance(got, Exception), got
+    assert same_bits(got.P, ref.P) and same_bits(got.K, ref.K)
+    assert same_bits(got.residual, ref.residual)
+    assert (got.iterations, got.converged, got.qhat_kernel_dim) == \
+        (ref.iterations, ref.converged, ref.qhat_kernel_dim)
+    return "converged" if got.converged else "not converged"
+
+
+def batch_against_solo(plant, weights, periods, mode) -> Counter:
+    """Assert each cell of one ``design_batch`` equals its solo ``design`` bit
+    for bit, or fails with the same error; count the outcomes.
 
     ``mode`` is one mode, or a tuple of modes solved as one stack whose
     outcomes are counted together."""
     modes = (mode,) if isinstance(mode, str) else mode
     outcomes = Counter()
-    for mode, cells in zip(modes, _design_cells(models, costs, modes), strict=True):
-        for model, cost, cell in zip(models, costs, cells, strict=True):
-            try:
-                solo = design_sampled(model, cost, mode)
-            except (ValueError, NumericalError) as exc:
-                assert type(cell) is type(exc) and str(cell) == str(exc), (model.T, mode, cell, exc)
-                if isinstance(exc, DareDivergenceError):
-                    assert cell.iterations == exc.iterations
-                    assert same_bits(cell.last_iterate, exc.last_iterate)
-                outcomes[type(exc).__name__] += 1
-                continue
-            got, ref = cell.solution, solo.solution
-            assert cell.mode == mode
-            assert same_bits(got.P, ref.P) and same_bits(got.K, ref.K), (model.T, mode)
-            assert same_bits(got.residual, ref.residual), (model.T, mode)
-            assert (got.iterations, got.converged, got.qhat_kernel_dim) == \
-                (ref.iterations, ref.converged, ref.qhat_kernel_dim), (model.T, mode)
-            outcomes["converged" if got.converged else "not converged"] += 1
+    for mode, cells in zip(modes, design_batch(plant, weights, periods, modes), strict=True):
+        for T, cell in zip(periods, cells, strict=True):
+            if not isinstance(cell, Exception):
+                assert (cell.mode, cell.model.T) == (mode, T)
+                cell = cell.solution
+            outcomes[same_outcome(cell, lambda: design(plant, weights, T, mode).solution)] += 1
     return outcomes
+
+
+def stack_against_solo(problems) -> Counter:
+    """Assert the stacked solve of hand-made (A_d, B_sel, Q_d, S_sel, R_sel)
+    problems gives each the bits or the error of its ``solve_dare``; count
+    the outcomes."""
+    return Counter(same_outcome(got, lambda: solve_dare(*problem))
+                   for problem, got in zip(problems, _solve_stack(problems), strict=True))
 
 
 def reference_doubling(A_d, B, Q_d, S, R):
@@ -317,6 +358,16 @@ def sampled_grid(plant, weights, periods):
             [cost_matrices(plant, weights, T) for T in periods])
 
 
+def problems_of(models, costs, modes) -> list:
+    """The (A_d, B_sel, Q_d, S_sel, R_sel) problem of each model and cost in each of ``modes``."""
+    problems = []
+    for mode in modes:
+        for model, cost in zip(models, costs):
+            B_sel, S_sel, R_sel = restrict_input_mode(model, cost, mode)
+            problems.append((model.A_d, B_sel, cost.Q_d, S_sel, R_sel))
+    return problems
+
+
 def souza_grid_periods():
     """The souza sweep grid and the neighbours of k 2 pi / sqrt(23)."""
     near = [k * SOUZA_BASE + d for k in (1, 2, 3)
@@ -332,10 +383,11 @@ def rotation_grid_periods():
 ROTATION_WEIGHTS = CostWeights(np.eye(2), [[1.0]], [[1.0]])
 
 
-def mixed_outcome_grid(souza_plant, souza_weights):
-    """mri: converging, not converging, Qhat cancelling to roundoff,
-    converging, a singular doubling solve, a plant without inputs and an
-    indefinite Qhat far from roundoff."""
+def mixed_outcome_problems(souza_plant, souza_weights, modes) -> list:
+    """The souza problems at T = 1, 20, 45, 2 and 100 in each of ``modes`` (in
+    mri: converging, not converging, Qhat cancelling to roundoff, converging,
+    a singular doubling solve), then two hand-made ones: a plant without
+    inputs and an indefinite Qhat far from roundoff."""
     models, costs = sampled_grid(souza_plant, souza_weights, [1.0, 20.0, 45.0, 2.0, 100.0])
     model, cost = models[0], costs[0]
     # an unstable A_d without inputs is not stabilizable: the doubling diverges
@@ -344,13 +396,13 @@ def mixed_outcome_grid(souza_plant, souza_weights):
     # an indefinite Qhat far from roundoff is a bad input
     models.append(model)
     costs.append(SampledCost(-np.eye(2), np.zeros_like(cost.S_d), cost.R_d))
-    return models, costs
+    return problems_of(models, costs, modes)
 
 
 class TestDesignBatch:
     @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
     def test_souza_grid_and_near_pathological_periods(self, souza_plant, souza_weights, mode):
-        outcomes = batch_against_solo(*sampled_grid(souza_plant, souza_weights, souza_grid_periods()), mode)
+        outcomes = batch_against_solo(souza_plant, souza_weights, souza_grid_periods(), mode)
         assert outcomes["converged"] > 90
         if mode == "regular":
             # the hold-only design diverges at and next to k 2 pi / sqrt(23)
@@ -359,7 +411,7 @@ class TestDesignBatch:
     @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
     def test_rotation_grid_across_multiples_of_pi(self, rotation_plant, mode):
         periods = rotation_grid_periods()
-        outcomes = batch_against_solo(*sampled_grid(rotation_plant, ROTATION_WEIGHTS, periods), mode)
+        outcomes = batch_against_solo(rotation_plant, ROTATION_WEIGHTS, periods, mode)
         assert outcomes["converged"] > 40
         # both single channels lose controllability at multiples of 2 pi
         if mode != "mri":
@@ -367,43 +419,46 @@ class TestDesignBatch:
 
     @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
     def test_insulin_periods(self, insulin_plant, insulin_weights, mode):
-        grid = sampled_grid(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0])
-        assert batch_against_solo(*grid, mode) == {"converged": 4}
+        assert batch_against_solo(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0], mode) == {"converged": 4}
 
     def test_mixed_outcomes_fail_cell_by_cell(self, souza_plant, souza_weights):
-        assert batch_against_solo(*mixed_outcome_grid(souza_plant, souza_weights), "mri") == {
+        assert stack_against_solo(mixed_outcome_problems(souza_plant, souza_weights, ["mri"])) == {
             "converged": 2, "not converged": 1, "DareDivergenceError": 1,
             "NumericalError": 2, "ValueError": 1}
 
     def test_hold_only_failures_in_the_doubling(self, souza_plant, souza_weights):
         # converging, diverging, an indefinite Cholesky factor, converging,
         # a singular solve
-        grid = sampled_grid(souza_plant, souza_weights, [1.0, SOUZA_BASE, 80.0, 2.0, 100.0])
-        assert batch_against_solo(*grid, "regular") == {
+        periods = [1.0, SOUZA_BASE, 80.0, 2.0, 100.0]
+        assert batch_against_solo(souza_plant, souza_weights, periods, "regular") == {
             "converged": 2, "DareDivergenceError": 1, "NumericalError": 2}
 
     def test_overflowing_cells_fail_alone(self, souza_plant, souza_weights):
         # at T = 300 the hold-only iterate's residual overflows, and at
         # T = 700 the norm of the impulse-only Qhat does
-        grid = sampled_grid(souza_plant, souza_weights, [1.0, 300.0, 2.0])
-        assert batch_against_solo(*grid, "regular") == {"converged": 2, "NumericalError": 1}
-        grid = sampled_grid(souza_plant, souza_weights, [1.0, 700.0, 2.0])
-        assert batch_against_solo(*grid, "impulsive") == {"converged": 2, "NumericalError": 1}
+        outcomes = batch_against_solo(souza_plant, souza_weights, [1.0, 300.0, 2.0], "regular")
+        assert outcomes == {"converged": 2, "NumericalError": 1}
+        outcomes = batch_against_solo(souza_plant, souza_weights, [1.0, 700.0, 2.0], "impulsive")
+        assert outcomes == {"converged": 2, "NumericalError": 1}
 
     def test_every_grid_as_one_three_mode_stack(
             self, souza_plant, souza_weights, rotation_plant, insulin_plant, insulin_weights):
         # the three modes' cells in one stack, in two input widths and one
         # doubling: each cell still equals its solo design or fails alike, so
         # the stack counts what the three single-mode stacks count
-        grids = [sampled_grid(souza_plant, souza_weights, souza_grid_periods()),
-                 sampled_grid(rotation_plant, ROTATION_WEIGHTS, rotation_grid_periods()),
-                 sampled_grid(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0]),
-                 mixed_outcome_grid(souza_plant, souza_weights),
-                 sampled_grid(souza_plant, souza_weights, [1.0, SOUZA_BASE, 80.0, 2.0, 100.0, 300.0, 700.0])]
-        for models, costs in grids:
-            outcomes = batch_against_solo(models, costs, MODES)
-            assert outcomes == sum((batch_against_solo(models, costs, mode) for mode in MODES), Counter())
-            assert outcomes.total() == 3 * len(models)
+        grids = [(souza_plant, souza_weights, souza_grid_periods()),
+                 (rotation_plant, ROTATION_WEIGHTS, rotation_grid_periods()),
+                 (insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0]),
+                 (souza_plant, souza_weights, [1.0, SOUZA_BASE, 80.0, 2.0, 100.0, 300.0, 700.0])]
+        for plant, weights, periods in grids:
+            outcomes = batch_against_solo(plant, weights, periods, MODES)
+            assert outcomes == sum((batch_against_solo(plant, weights, periods, mode) for mode in MODES), Counter())
+            assert outcomes.total() == 3 * len(periods)
+        # and the hand-made problems, in one stack and mode by mode
+        outcomes = stack_against_solo(mixed_outcome_problems(souza_plant, souza_weights, MODES))
+        assert outcomes == sum((stack_against_solo(mixed_outcome_problems(souza_plant, souza_weights, [mode]))
+                                for mode in MODES), Counter())
+        assert outcomes.total() == 3 * 7
 
     def test_design_batch_is_the_grid_pipeline(self, souza_plant, souza_weights):
         # design_batch samples, builds the costs and solves every (mode, period)
@@ -433,17 +488,17 @@ class TestDesignBatch:
         # stacked LAPACK calls, matmuls and norms give each cell the bits of
         # the 2-D calls: the doubling count always matches, and an iterate
         # that passes the residual test is returned unpolished, bit for bit
-        grids = [sampled_grid(souza_plant, souza_weights, 0.2 + 0.1 * np.arange(48)),
-                 sampled_grid(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0])]
+        grids = [(souza_plant, souza_weights, 0.2 + 0.1 * np.arange(48)),
+                 (insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0])]
         unpolished = 0
-        for models, costs in grids:
+        for plant, weights, periods in grids:
             for mode in ("regular", "impulsive", "mri"):
-                for model, cost in zip(models, costs):
-                    d = design_sampled(model, cost, mode)
-                    sol = d.solution
-                    P, k = reference_doubling(model.A_d, d.B_sel, cost.Q_d, d.S_sel, d.R_sel)
+                for T in periods:
+                    d = design(plant, weights, T, mode)
+                    sol, A_d, Q_d = d.solution, d.model.A_d, d.cost.Q_d
+                    P, k = reference_doubling(A_d, d.B_sel, Q_d, d.S_sel, d.R_sel)
                     assert P is not None and sol.iterations == k
-                    res = dare_residual(P, model.A_d, d.B_sel, cost.Q_d, d.S_sel, d.R_sel)
+                    res = dare_residual(P, A_d, d.B_sel, Q_d, d.S_sel, d.R_sel)
                     if res <= 1e-9 * (1.0 + np.linalg.norm(P, "fro")):
                         assert same_bits(sol.P, P)
                         unpolished += 1
@@ -451,27 +506,26 @@ class TestDesignBatch:
         assert unpolished > 140
 
 
-def post_solve_against_solo(models, costs, mode, b, horizons=(0, 1, 3)) -> Counter:
+def post_solve_against_solo(plant, weights, periods, mode, b, horizons=(0, 1, 3)) -> Counter:
     """``batch_against_solo``, then the stacked closed loop and preview costs
-    of every design of the batch against ``design_sampled`` followed by the
-    2-D ``closed_loop_G`` and ``gamma_and_cost``: G and Jstar bit for bit,
-    or the same first error. Counts the outcomes of both."""
-    outcomes = batch_against_solo(models, costs, mode)
-    cells = [(model, cost, d) for model, cost, d in zip(models, costs, _design_cells(models, costs, [mode])[0])
-             if not isinstance(d, Exception)]
-    G, Jstar, failed = preview.preview_costs([d for _, _, d in cells], b, horizons)
-    for j, (model, cost, _) in enumerate(cells):
-        solo = design_sampled(model, cost, mode)
+    of every design of the batch against ``design`` followed by the 2-D
+    ``closed_loop_G`` and ``gamma_and_cost``: G and Jstar bit for bit, or
+    the same first error. Counts the outcomes of both."""
+    outcomes = batch_against_solo(plant, weights, periods, mode)
+    designs = [d for d in design_batch(plant, weights, periods, [mode])[0] if not isinstance(d, Exception)]
+    G, Jstar, failed = preview.preview_costs(designs, b, horizons)
+    for j, d in enumerate(designs):
+        solo = design(plant, weights, d.model.T, mode)
         P = solo.solution.P
         try:
-            G_solo = closed_loop_G(model.A_d, solo.B_sel, solo.S_sel, solo.R_sel, P)
+            G_solo = closed_loop_G(solo.model.A_d, solo.B_sel, solo.S_sel, solo.R_sel, P)
             J_solo = [gamma_and_cost(P, G_solo, solo.B_sel, solo.R_sel, b, N)[1] for N in horizons]
         except NumericalError as exc:
-            assert type(failed[j]) is type(exc) and str(failed[j]) == str(exc), (model.T, exc)
+            assert type(failed[j]) is type(exc) and str(failed[j]) == str(exc), (d.model.T, exc)
             outcomes[f"preview: {str(exc).split(' by ')[0].split(':')[0]}"] += 1
             continue
-        assert j not in failed, (model.T, failed.get(j))
-        assert same_bits(G[j], G_solo) and same_bits(Jstar[j], J_solo), model.T
+        assert j not in failed, (d.model.T, failed.get(j))
+        assert same_bits(G[j], G_solo) and same_bits(Jstar[j], J_solo), d.model.T
         outcomes["previewed"] += 1
     return outcomes
 
@@ -485,8 +539,8 @@ class TestStackedPostSolve:
         near = [k * SOUZA_BASE + d for k in (1, 2, 3)
                 for d in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6)]
         periods = [*(0.2 + 0.05 * np.arange(97)), *near]
-        grid = sampled_grid(souza_plant, souza_weights, periods)
-        outcomes = post_solve_against_solo(*grid, mode, souza_plant.Btilde[:, 0], (0, 1, 3, 10))
+        outcomes = post_solve_against_solo(souza_plant, souza_weights, periods, mode,
+                                           souza_plant.Btilde[:, 0], (0, 1, 3, 10))
         assert outcomes["previewed"] > 90
 
     @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
@@ -494,13 +548,13 @@ class TestStackedPostSolve:
         weights = CostWeights(np.eye(2), [[1.0]], [[1.0]])
         near = [k * np.pi + d for k in (1, 2, 3, 4) for d in (0.0, 1e-7, -1e-7)]
         periods = [*np.linspace(0.25, 13.0, 52), *near]
-        grid = sampled_grid(rotation_plant, weights, periods)
-        assert post_solve_against_solo(*grid, mode, rotation_plant.Btilde[:, 0])["previewed"] > 40
+        assert post_solve_against_solo(rotation_plant, weights, periods, mode,
+                                       rotation_plant.Btilde[:, 0])["previewed"] > 40
 
     @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
     def test_insulin_periods(self, insulin_plant, insulin_weights, mode):
-        grid = sampled_grid(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0])
-        outcomes = post_solve_against_solo(*grid, mode, insulin_plant.Btilde[:, 0], (0, 1, 3, 10))
+        outcomes = post_solve_against_solo(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0], mode,
+                                           insulin_plant.Btilde[:, 0], (0, 1, 3, 10))
         assert outcomes == {"converged": 4, "previewed": 4}
 
     @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
@@ -511,30 +565,28 @@ class TestStackedPostSolve:
         plant = random_controllable_plant(rng, 3, 2)
         C = rng.normal(size=(3, 3))
         weights = CostWeights(C.T @ C, np.diag([0.5, 2.0]), np.diag([1.5, 0.3]))
-        grid = sampled_grid(plant, weights, np.linspace(0.1, 6.0, 24))
-        outcomes = post_solve_against_solo(*grid, mode, plant.Btilde[:, 0], (0, 1, 2, 5))
+        outcomes = post_solve_against_solo(plant, weights, np.linspace(0.1, 6.0, 24), mode,
+                                           plant.Btilde[:, 0], (0, 1, 2, 5))
         assert outcomes["previewed"] == 24
 
     def test_mixed_failures_in_one_stack(self, souza_plant, souza_weights):
         # hold-only: converging, diverging, a singular I + B R^-1 B' P in the
-        # closed loop (T = 50) and in the preview core (T = 55), converging;
-        # then an indefinite Qhat far from roundoff, an indefinite R and a
-        # non-finite Q_d, which the entry checks reject
-        models, costs = sampled_grid(souza_plant, souza_weights, [1.0, SOUZA_BASE, 50.0, 55.0, 2.0])
-        cost = costs[0]
-        for bad in (SampledCost(-np.eye(2), np.zeros_like(cost.S_d), cost.R_d),
-                    SampledCost(cost.Q_d, cost.S_d, -cost.R_d),
-                    SampledCost(np.array([[1.0, np.inf], [-np.inf, 1.0]]), cost.S_d, cost.R_d)):
-            models.append(models[0])
-            costs.append(bad)
-        outcomes = post_solve_against_solo(models, costs, "regular", souza_plant.Btilde[:, 0])
+        # closed loop (T = 50) and in the preview core (T = 55), converging
+        periods = [1.0, SOUZA_BASE, 50.0, 55.0, 2.0]
+        outcomes = post_solve_against_solo(souza_plant, souza_weights, periods, "regular", souza_plant.Btilde[:, 0])
         assert outcomes == {
-            "converged": 2, "not converged": 2, "DareDivergenceError": 1, "ValueError": 3,
+            "converged": 2, "not converged": 2, "DareDivergenceError": 1,
             "previewed": 2, "preview: singular I + B R^{-1} B' P": 1,
             "preview: singular (I + P B R^{-1} B')'": 1}
+        # the same problems and a hand-made indefinite Qhat far from roundoff
+        models, costs = sampled_grid(souza_plant, souza_weights, periods)
+        models.append(models[0])
+        costs.append(SampledCost(-np.eye(2), np.zeros_like(costs[0].S_d), costs[0].R_d))
+        assert stack_against_solo(problems_of(models, costs, ["regular"])) == {
+            "converged": 2, "not converged": 2, "DareDivergenceError": 1, "ValueError": 1}
         # mri: closed-loop forms that disagree, and a Qhat cancelling to roundoff
-        grid = sampled_grid(souza_plant, souza_weights, [1.0, 25.0, 45.0, 2.0])
-        outcomes = post_solve_against_solo(*grid, "mri", souza_plant.Btilde[:, 0])
+        outcomes = post_solve_against_solo(souza_plant, souza_weights, [1.0, 25.0, 45.0, 2.0], "mri",
+                                           souza_plant.Btilde[:, 0])
         assert outcomes == {"converged": 2, "not converged": 1, "NumericalError": 1,
                             "previewed": 2, "preview: closed-loop forms disagree": 1}
 
