@@ -202,12 +202,6 @@ def _plain(v):
     return _JSON_VALUE[_kind(type(v))](v)
 
 
-def _plain_column(column):
-    """``_plain`` of each cell of a column, with one type rule lookup for a column of one kind."""
-    kinds = {_kind(tp) for tp in set(map(type, column))}
-    return map(_JSON_VALUE[kinds.pop()] if len(kinds) == 1 else _plain, column)
-
-
 def _row_format(rows, width: int, digits: int) -> str | None:
     """One %-format string for every row of a table whose columns each hold
     one kind; None when a row is not ``width`` cells long or a column mixes
@@ -236,23 +230,6 @@ def _table_lines(header, rows, digits: int) -> list[str]:
     return [",".join(header), *body]
 
 
-def _json_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` through the C encoder, which
-    an indent turns off. The values are scalars or lists of scalar lists or
-    flat dicts, so each is one call whose item separator carries the inner
-    indent; the outer separators are then rewritten, which is safe because a
-    raw newline only stands between items (JSON strings escape theirs)."""
-    items = []
-    for key in sorted(doc):
-        text = json.dumps(doc[key], sort_keys=True, separators=(",\n      ", ": "))
-        if isinstance(doc[key], list) and doc[key]:
-            open_, close = text[1], text[-2]
-            body = text[2:-2].replace(f"{close},\n      {open_}", f"\n    {close},\n    {open_}\n      ")
-            text = f"[\n    {open_}\n      {body}\n    {close}\n  ]"
-        items.append(f"{json.dumps(key)}: {text}")
-    return "{\n  " + ",\n  ".join(items) + "\n}" if items else "{}"
-
-
 class _Sink:
     """Accumulates scalars, matrices and tables and renders them to console, CSV or JSON.
 
@@ -261,8 +238,7 @@ class _Sink:
     ``FILE_DIGITS`` significant digits, None as an empty field (null in
     JSON). A table whose every column holds one kind renders through one
     %-format string per row, built from its column kinds; a table with a
-    mixed column renders cell by cell, to the same text. JSON is written
-    through the C encoder (``_json_text``).
+    mixed column renders cell by cell, to the same text.
     """
 
     def __init__(self):
@@ -311,11 +287,11 @@ class _Sink:
             doc[name] = M.tolist()
         for name, (header, rows) in self.tables.items():
             # rows as long as the header, as every table of the commands is
-            doc[name] = [dict(zip(header, row)) for row in zip(*map(_plain_column, zip(*rows)))]
+            doc[name] = [dict(zip(header, map(_plain, row))) for row in rows]
         return doc
 
     def to_json(self) -> str:
-        return _json_text(self.json_doc()) + "\n"
+        return json.dumps(self.json_doc(), indent=2, sort_keys=True) + "\n"
 
     def emit(self, out_path: str | None, fmt: str):
         if out_path is None:
@@ -404,14 +380,15 @@ def cmd_preview(scenario: ScenarioConfig, args, sink: _Sink) -> None:
 
 
 def _sweep_rows(cells, N_list, b) -> list:
-    """(cost, converged, iterations) of each of one mode's ``design_batch``
-    cells for each horizon in N_list, or the cell's ValueError.
+    """(cost, converged, iterations) of each ``design_batch`` cell for each
+    horizon in N_list, or the cell's ValueError.
 
     A diverged solve reports its last iterate's cost for every horizon, any
     other numerical failure a nan cost with 0 iterations, and an unconverged
     design (whose preview cost can fall far below zero), a failed closed-loop
     check or a singular preview solve the feedback-only cost for every N > 0,
-    all with converged=False. The converged designs' preview is one stacked call.
+    all with converged=False. The preview of the converged designs of one
+    input width, whatever their mode, is one stacked call.
     """
     rows: list = []
     for cell in cells:
@@ -425,9 +402,10 @@ def _sweep_rows(cells, N_list, b) -> list:
             sol = cell.solution
             rows.append([(float(b @ sol.P @ b), sol.converged, sol.iterations)] * len(N_list))
     previewed = [i for i, cell in enumerate(cells) if not isinstance(cell, Exception) and cell.solution.converged]
-    if previewed and any(N_list):
-        _, costs, failed = preview_mod.preview_costs([cells[i] for i in previewed], b, N_list)
-        for j, i in enumerate(previewed):
+    for width in {cells[i].B_sel.shape[1] for i in previewed} if any(N_list) else ():
+        group = [i for i in previewed if cells[i].B_sel.shape[1] == width]
+        _, costs, failed = preview_mod.preview_costs([cells[i] for i in group], b, N_list)
+        for j, i in enumerate(group):
             feedback = J, _, iterations = rows[i][0]
             rows[i] = [feedback if N == 0 else (J, False, iterations) if j in failed else
                        (float(costs[j, k]), True, iterations) for k, N in enumerate(N_list)]
@@ -443,7 +421,9 @@ def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
             raise ValueError(f"--N takes comma-separated integers >= 0, got the entry {p!r}")
     N_list = [int(p) for p in N_list]
     plant, weights, bt = scenario.plant(), scenario.weights(), scenario.disturbance_column()
-    sweeps = [_sweep_rows(cells, N_list, bt) for cells in riccati.design_batch(plant, weights, T_grid, modes)]
+    batch = riccati.design_batch(plant, weights, T_grid, modes)
+    flat = _sweep_rows([cell for cells in batch for cell in cells], N_list, bt)
+    sweeps = [flat[k * len(T_grid) : (k + 1) * len(T_grid)] for k in range(len(modes))]
     rows = []
     for i, T in enumerate(T_grid):
         for mode, sweep in zip(modes, sweeps):

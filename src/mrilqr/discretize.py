@@ -201,10 +201,9 @@ def _cost_stack(plant: ContinuousPlant, weights: CostWeights, periods) -> list[S
     L[:n, n + m :] = plant.B
     with np.errstate(over="ignore", invalid="ignore"):
         G = _sym(L.T @ constant_input_gram(plant, weights.Q, np.array(Ts)) @ L)
-        R_d = G[:, n:, n:].copy()
+        R_d = G[:, n:, n:].copy()  # exactly symmetric, and stays so with the symmetric weights added
         R_d[:, :m, :m] += np.array(Ts)[:, None, None] * weights.Rc
         R_d[:, m:, m:] += weights.Ri
-        R_d = _sym(R_d)
     finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(R_d).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(f"the equivalent cost overflowed at T = {Ts[int(np.argmin(finite))]!r}")

@@ -171,7 +171,7 @@ def _T(M) -> np.ndarray:
 
 
 def _sym(M) -> np.ndarray:
-    return 0.5 * (M + _T(M))
+    return 0.5 * M + 0.5 * _T(M)  # halves first, so an entry near the float maximum does not overflow
 
 
 def _fro(X) -> np.ndarray:

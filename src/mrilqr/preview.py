@@ -4,16 +4,18 @@ The disturbance enters as a state jump of Btilde at sampling instant N.
 When the controller knows this in advance, the optimal inputs over the
 first N steps add a feedforward term to the stationary feedback:
 
-    v_k = K x_k - (R + B'PB)^{-1} B' (G')^{N-k-1} P Btilde,  k < N
-    v_k = K x_k,                                             k >= N
+    v_k = K x_k - (R + B'PB)^{-1} B' w_{N-k-1},  w_e = (G')^e P Btilde,  k < N
+    v_k = K x_k,                                                      k >= N
 
-with G the optimal closed loop. The achievable cost has the closed form
+with G the optimal closed loop. The solve of exponent e lowers the cost
+by d_e = (B'w_e)' (R + B'PB)^{-1} B'w_e, so one recursion gives every horizon:
 
-    Jstar = Btilde' P Btilde - Btilde' P Gamma P Btilde
-    Gamma = sum_{i=0}^{N-1} G^i M (G')^i,
-    M = B R^{-1} B' (I + P B R^{-1} B')^{-1}
+    Jstar(N) = Btilde'P Btilde - (d_0 + ... + d_{N-1})
+             = Btilde'P Btilde - Btilde'P Gamma P Btilde,
+    Gamma = sum_{i=0}^{N-1} G^i M (G')^i,  M = B (R + B'PB)^{-1} B',
 
-so preview strictly helps whenever P Btilde is not in the kernel of M.
+the paper's closed form, which is evaluated only where Gamma is reported.
+Preview strictly helps whenever B'P Btilde is nonzero.
 
 ``preview_plan`` checks Btilde and N; the kernels behind it trust the
 arrays of a finished design.
@@ -94,66 +96,56 @@ def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
     return numkernel._single(G, {**gain_failed, **failed})
 
 
+def _preview(P, G, B, R, b, N: int):
+    """The feedforward f_0..f_{N-1} (k, N, p) of stacks of k designs and their
+    Jstar at each horizon 0..N (k, N + 1) for one Btilde b, and the
+    NumericalError of each cell that fails, by index. Each exponent
+    is one vector solve per cell, so x_e = (R + B'PB)^{-1} B'w_e and its drop
+    (B'w_e)'x_e have the same bits whatever N."""
+    k, p = len(P), B.shape[-1]
+    Bw = np.empty((k, N, p))
+    Pb = w = P @ b[..., None]
+    for e in range(N):
+        if e:
+            w = _T(G) @ w
+        Bw[:, e] = (_T(B) @ w)[..., 0]
+    X, failed = numkernel.solve_pd_stack(np.repeat(R + _T(B) @ P @ B, N, axis=0), Bw.reshape(-1, p), "R + B'PB")
+    X = X.reshape(k, N, p)
+    drops = np.zeros((k, N + 1))
+    drops[:, 1:] = (Bw * X).sum(axis=-1)
+    Jstar = (_T(b[..., None]) @ Pb)[:, 0] - np.cumsum(drops, axis=1)
+    return -X[:, ::-1], Jstar, {i // N: exc for i, exc in failed.items()}
+
+
+def _gamma(P, G, B, R, N: int) -> np.ndarray:
+    """Gamma = sum_{i=0}^{N-1} G^i M (G')^i with the core M = B (R + B'PB)^{-1} B',
+    for a design whose R + B'PB factors; symmetrized to kill roundoff asymmetry."""
+    M = B @ numkernel._cho_solve(_sym(R + B.T @ P @ B), B.T, "R + B'PB")
+    Gamma, Gk = np.zeros(P.shape), np.eye(len(P))
+    for i in range(N):
+        if i:
+            Gk = G @ Gk
+        Gamma += Gk @ M @ Gk.T
+    return _sym(Gamma)
+
+
 def feedforward_sequence(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, ...]:
-    """Feedforward inputs f_0..f_{N-1} driving the pre-disturbance steps.
-
-    f_k = -(R + B'PB)^{-1} B' (G')^{N-k-1} P Btilde. Powers of G' are
-    built by repeated multiplication; N is small in practice. The N
-    solves with R + B'PB run as one ``solve_pd_stack`` call.
+    """Feedforward inputs f_0..f_{N-1} driving the pre-disturbance steps,
+    f_k = -(R + B'PB)^{-1} B' (G')^{N-k-1} P Btilde; the N solves with
+    R + B'PB run as one ``solve_pd_stack`` call.
     """
-    if N == 0:
-        return ()
-    M = R_d + B_di.T @ P @ B_di
-
-    # w_e = (G')^e P Btilde for e = 0..N-1; f_k uses exponent N-k-1.
-    ws = [P @ np.asarray(Btilde, dtype=float).reshape(-1)]
-    for _ in range(N - 1):
-        ws.append(G.T @ ws[-1])
-    X, failed = numkernel.solve_pd_stack(np.broadcast_to(M, (N, *M.shape)),
-                                         np.stack([B_di.T @ w for w in ws[::-1]]), "R + B'PB")
-    if failed:
-        raise failed[min(failed)]
-    return tuple(-X)
-
-
-def _gamma_and_cost(P, G, B, R, b, N: int):
-    """``gamma_and_cost`` on stacks, for one Btilde b or one per cell and
-    N >= 0; and the NumericalError of each cell that fails, by index."""
-    n = P.shape[-1]
-    Gamma = np.zeros(P.shape)
-    failed = {}
-    if N > 0:
-        RinvBt, failed = numkernel.solve_pd_stack(R, _T(B), "R_d")
-        X = B @ RinvBt
-        # M = X (I + P X)^{-1}, symmetric by the push-through identity.
-        M, singular = _cellwise(np.linalg.solve, _T(np.eye(n) + P @ X), X)
-        failed = {**{j: NumericalError(f"singular (I + P B R^{{-1}} B')': {exc}") for j, exc in singular.items()},
-                  **failed}
-        M = _sym(_T(M))
-        Gk = np.eye(n)
-        for i in range(N):
-            Gamma += _sym(Gk @ M @ _T(Gk))
-            if i < N - 1:
-                Gk = G @ Gk
-        Gamma = _sym(Gamma)
-    b = b[..., None]
-    Pb = P @ b
-    return Gamma, (_T(b) @ Pb - _T(Pb) @ Gamma @ Pb)[:, 0, 0], failed
+    ff, _, failed = _preview(P[None], G[None], B_di[None], R_d[None], np.asarray(Btilde, dtype=float).reshape(-1), N)
+    return tuple(numkernel._single(ff, failed))
 
 
 def gamma_and_cost(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, float]:
-    """Preview benefit matrix Gamma and the closed-form optimal cost.
-
-    Gamma accumulates sum_{i=0}^{N-1} G^i M (G')^i with the symmetric
-    psd core M = B R^{-1} B' (I + P B R^{-1} B')^{-1}; every term is
-    symmetrized to kill roundoff asymmetry. The cost is
-    Btilde'P Btilde - Btilde'P Gamma P Btilde. A singular
-    I + P B R^{-1} B' raises NumericalError. This is ``sweep``'s stacked
-    preview cost on a stack of one.
+    """Preview benefit matrix Gamma and the optimal cost Jstar(N) of the
+    feedforward recursion, which is ``preview_costs``'s on a stack of one;
+    a failed solve with R + B'PB raises NumericalError.
     """
-    Gamma, Jstar, failed = _gamma_and_cost(P[None], G[None], B_di[None], R_d[None],
-                                           np.asarray(Btilde, dtype=float).reshape(-1), N)
-    return numkernel._single(Gamma, failed), float(Jstar[0])
+    _, Jstar, failed = _preview(P[None], G[None], B_di[None], R_d[None], np.asarray(Btilde, dtype=float).reshape(-1), N)
+    Jstar = float(numkernel._single(Jstar, failed)[N])
+    return _gamma(P, G, B_di, R_d, N), Jstar
 
 
 def preview_costs(designs, Btilde, horizons) -> tuple[np.ndarray, np.ndarray, dict[int, NumericalError]]:
@@ -162,18 +154,15 @@ def preview_costs(designs, Btilde, horizons) -> tuple[np.ndarray, np.ndarray, di
     failed design, by index.
 
     The closed loop takes each solution's K, which ``closed_loop_G``
-    derives again, so each cost has the bits of ``closed_loop_G`` followed
-    by ``gamma_and_cost``.
+    derives again, and one feedforward recursion to the longest horizon
+    gives every horizon's cost, so each cost has the bits of
+    ``closed_loop_G`` followed by ``gamma_and_cost``.
     """
     A_d, B, S, R, P, K = (np.stack(X) for X in zip(*(
         (d.model.A_d, d.B_sel, d.S_sel, d.R_sel, d.solution.P, d.solution.K) for d in designs)))
     G, failed = _closed_loop(A_d, B, S, R, P, K)
-    costs = []
-    for N in horizons:
-        _, Jstar, failed_N = _gamma_and_cost(P, G, B, R, np.asarray(Btilde, dtype=float), N)
-        failed = {**failed_N, **failed}
-        costs.append(Jstar)
-    return G, np.stack(costs, axis=-1), failed
+    _, Jstar, failed_N = _preview(P, G, B, R, np.asarray(Btilde, dtype=float), max(horizons))
+    return G, Jstar[:, list(horizons)], {**failed_N, **failed}
 
 
 def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
@@ -187,7 +176,8 @@ def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
         raise ValueError(f"preview horizon N must be an integer, got {N!r}")
     if N < 0:
         raise ValueError(f"preview horizon must be >= 0, got {N}")
-    G = closed_loop_G(des.model.A_d, des.B_sel, des.S_sel, des.R_sel, P)
-    ff = feedforward_sequence(P, G, des.B_sel, des.R_sel, b, N)
-    Gamma, Jstar = gamma_and_cost(P, G, des.B_sel, des.R_sel, b, N)
-    return PreviewPlan(N=N, K=des.solution.K, feedforward=ff, G=G, Gamma=Gamma, Jstar=Jstar)
+    B, R = des.B_sel, des.R_sel
+    G = closed_loop_G(des.model.A_d, B, des.S_sel, R, P)
+    ff, Jstar, failed = _preview(P[None], G[None], B[None], R[None], b, N)
+    return PreviewPlan(N=N, K=des.solution.K, feedforward=tuple(numkernel._single(ff, failed)), G=G,
+                       Gamma=_gamma(P, G, B, R, N), Jstar=float(Jstar[0, N]))

@@ -219,14 +219,13 @@ class TestExitCodes:
         assert (run.returncode, run.stderr) == (1, f"input error: {message}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("weights, T", [({"Rc": [[1e300]]}, 1e10), ({"Ri": [[1e308]]}, 1.0)],
-                             ids=["T-Rc", "Ri"])
+    @pytest.mark.parametrize("weights, T", [({"Rc": [[1e300]]}, 1e10)], ids=["T-Rc"])
     @pytest.mark.parametrize("argv", [["discretize"], *(["lqr", "--mode", mode] for mode in discretize.MODES)],
                              ids=" ".join)
     def test_an_overflowing_input_weight_is_a_numerical_failure(self, weights, T, argv, tmp_path, capsys):
-        # T Rc or Ri + Ri' passes the double range in R_d: the cost builder
-        # raises for every command and mode, without a RuntimeWarning, and the
-        # stored weight is the finite one the scenario gives
+        # T Rc passes the double range in R_d: the cost builder raises for
+        # every command and mode, without a RuntimeWarning, and the stored
+        # weight is the finite one the scenario gives
         scenario = tmp_path / "big.json"
         scenario.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]], "Q": [[1.0]], "Rc": [[1.0]], "Ri": [[1.0]],
                                         "T": T, **weights}))
@@ -236,6 +235,23 @@ class TestExitCodes:
         assert cli.main([argv[0], "--scenario", str(scenario), *argv[1:], "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"numerical failure: the equivalent cost overflowed at T = {T!r}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["discretize"], *(["lqr", "--mode", mode] for mode in discretize.MODES),
+                                      ["preview", "--N", "2"], ["sweep", "--T-grid", "1:1:2", "--N", "0,2"]],
+                             ids=" ".join)
+    def test_a_representable_input_weight_is_not_an_overflow(self, argv, tmp_path, capsys):
+        # Ri = 1e308 is a double, and so is R_d: every command succeeds without
+        # a RuntimeWarning, and the impulse gain is the tiny one it implies
+        scenario = tmp_path / "big.json"
+        scenario.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]], "Btilde": [[1.0]], "Q": [[1.0]],
+                                        "Rc": [[1.0]], "Ri": [[1e308]], "T": 1.0}))
+        out = tmp_path / "o.csv"
+        assert cli.main([argv[0], "--scenario", str(scenario), *argv[1:], "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if argv[-1] == "mri":
+            fields = {tuple(f[:4]): f[4] for f in (line.split(",") for line in out.read_text().splitlines())}
+            assert fields[("scalar", "converged", "", "")] == "true"
+            assert -1e-308 < float(fields[("matrix", "K_i", "0", "0")]) < 0.0
 
     @pytest.mark.parametrize("argv, message", [
         (["controllability", "--T-max", "inf"], "T_max must be finite, got inf"),
@@ -322,9 +338,8 @@ class TestExitCodes:
         assert header == plain.read_text().splitlines()[0]
         assert len(rows) == 54
         assert rows[::2] == plain.read_text().splitlines()[1:]
-        # the hold-only cells at T = 50 (closed-loop form) and T = 55 (preview
-        # benefit) meet a singular I + B R^-1 B' P: their N = 3 rows carry the
-        # feedback cost, not converged
+        # the hold-only designs at T = 50 and T = 55 are unconverged: their
+        # N = 3 rows carry the feedback cost, not converged
         cells = {tuple(r.split(",")[:3]): r.split(",")[3:] for r in rows}
         for T in ("50", "55"):
             cost, _, iterations = cells[(T, "regular", "0")]
@@ -336,13 +351,15 @@ class TestExitCodes:
             if N == "3" and converged == "false":
                 zero_cost, _, zero_iterations = cells[(T, mode, "0")]
                 assert (cost, iterations) == (zero_cost, zero_iterations)
+        # T = 50 meets a singular I + B R^-1 B' P in the closed loop; T = 55's
+        # R + B'PB factors, and its preview cost is the far negative kind
         sc = cli.load_scenario("souza")
         d50, d55 = (design(sc.plant(), sc.weights(), T, "regular") for T in (50.0, 55.0))
+        assert not d50.solution.converged and not d55.solution.converged
         with pytest.raises(NumericalError, match=r"^singular I \+ B R\^\{-1\} B' P: "):
             preview.closed_loop_G(d50.model.A_d, d50.B_sel, d50.S_sel, d50.R_sel, d50.solution.P)
         G = preview.closed_loop_G(d55.model.A_d, d55.B_sel, d55.S_sel, d55.R_sel, d55.solution.P)
-        with pytest.raises(NumericalError, match=r"^singular \(I \+ P B R\^\{-1\} B'\)': "):
-            preview.gamma_and_cost(d55.solution.P, G, d55.B_sel, d55.R_sel, sc.Btilde[:, 0], 3)
+        assert preview.gamma_and_cost(d55.solution.P, G, d55.B_sel, d55.R_sel, sc.Btilde[:, 0], 3)[1] < -1e40
 
     @pytest.mark.parametrize("call, message", [
         (lambda sc: cli._parse_grid("1:2"), "--T-grid expects start:step:stop, got '1:2'"),
@@ -737,9 +754,6 @@ class TestEveryTable:
             assert texts[name] == json.dumps(sink.json_doc(), indent=2, sort_keys=True) + "\n", name
         assert "NaN" in texts["sweep souza"] and "null" in texts["simulate souza"]
         assert '"candidates": []' in texts["controllability real"]
-        doc = {"s": 'a "quoted"\n{line}', "x": float("nan"), "n": None, "i": 2**70, "t": True,
-               "M": [[1.0, -0.0], [float("inf"), 5e-324]], "e": [], "rows": [{"b": None, "a": "},\n      {"}]}
-        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 class TestSimulateTable:

@@ -242,8 +242,14 @@ class TestCostMatrices:
         plant = ContinuousPlant([[-1.0]], [[1.0]])
         with pytest.raises(NumericalError, match=r"^the equivalent cost overflowed at T = 10000000000\.0$"):
             cost_matrices(plant, CostWeights([[1.0]], [[1e300]], [[1.0]]), 1e10)
-        with pytest.raises(NumericalError, match=r"^the equivalent cost overflowed at T = 1\.0$"):
-            _cost_stack(plant, CostWeights([[1.0]], [[1.0]], [[1e308]]), [1.0])
+
+    def test_a_representable_input_block_is_kept(self):
+        # Ri = 1e308 is a double and so is R_d, which the symmetric Gram block
+        # plus the symmetric weights make exactly symmetric without a halving
+        plant = ContinuousPlant([[-1.0]], [[1.0]])
+        (cost,) = _cost_stack(plant, CostWeights([[1.0]], [[1.0]], [[1e308]]), [1.0])
+        assert np.isfinite(cost.R_d).all() and np.array_equal(cost.R_d, cost.R_d.T)
+        assert cost.R_d[1, 1] == 1e308
 
     def test_dimension_mismatch_raises(self, souza_plant):
         w = CostWeights(np.eye(3), [[1.0]], [[1.0]])

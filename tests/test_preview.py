@@ -1,4 +1,7 @@
-"""Preview synthesis: closed-form cost vs simulation, adjoint chain, monotonicity."""
+"""Preview synthesis: closed-form cost vs simulation and exact arithmetic,
+adjoint chain, monotonicity."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +15,9 @@ from mrilqr import (
     preview_plan,
     simulate_closed_loop,
 )
+from mrilqr import preview
 from mrilqr.numkernel import spectral_radius
-from mrilqr.preview import closed_loop_G, feedforward_sequence, gamma_and_cost
+from mrilqr.preview import closed_loop_G, feedforward_sequence, gamma_and_cost, preview_costs
 
 from conftest import relerr
 
@@ -143,6 +147,106 @@ class TestGammaAndCost:
             _, J_pert, _ = simulate_preview(
                 souza_plant, souza_weights, T, bt, N, perturbed, P, G)
             assert J_pert >= J_opt - 1e-10
+
+
+def exact(M):
+    return [[Fraction(float(v)) for v in row] for row in np.atleast_2d(M)]
+
+
+def exact_mul(X, Y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def exact_T(X):
+    return [list(col) for col in zip(*X)]
+
+
+def exact_add(X, Y, sign=1):
+    return [[a + sign * b for a, b in zip(r, q)] for r, q in zip(X, Y)]
+
+
+def exact_solve(A, Y):
+    """A^{-1} Y by Gauss-Jordan elimination on fractions."""
+    n = len(A)
+    rows = [list(r) + list(y) for r, y in zip(A, Y)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if rows[i][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[c])]
+    return [r[n:] for r in rows]
+
+
+def exact_gamma_and_cost(d, b, N):
+    """Gamma and Jstar in exact arithmetic on the design's float P, A_d, B,
+    S and R: G from the gain form, the paper's closed form with the core
+    B (R + B'PB)^{-1} B'."""
+    P, A, B, S, R = (exact(X) for X in (d.solution.P, d.model.A_d, d.B_sel, d.S_sel, d.R_sel))
+    b = exact(np.reshape(b, (-1, 1)))
+    W = exact_add(R, exact_mul(exact_mul(exact_T(B), P), B))
+    G = exact_add(A, exact_mul(B, exact_solve(W, exact_add(exact_mul(exact_mul(exact_T(B), P), A), exact_T(S)))), -1)
+    core = exact_mul(B, exact_solve(W, exact_T(B)))
+    Gk = exact(np.eye(len(P)))
+    Gamma = exact(np.zeros((len(P), len(P))))
+    for i in range(N):
+        if i:
+            Gk = exact_mul(G, Gk)
+        Gamma = exact_add(Gamma, exact_mul(exact_mul(Gk, core), exact_T(Gk)))
+    Pb = exact_mul(P, b)
+    Jstar = exact_mul(exact_T(b), Pb)[0][0] - exact_mul(exact_mul(exact_T(Pb), Gamma), Pb)[0][0]
+    return np.array(Gamma, dtype=float), float(Jstar)
+
+
+class TestExactOracle:
+    """Jstar and every entry of Gamma within 1e-9 relative of exact arithmetic
+    on the design's own matrices."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+    def test_souza(self, souza_plant, souza_weights, N):
+        self.check(souza_plant, souza_weights, 1.0, N)
+
+    def test_insulin(self, insulin_plant, insulin_weights):
+        # the old core (I + P B R^{-1} B')^{-1} lost 3e-8 here
+        self.check(insulin_plant, insulin_weights, 20.0, 3)
+
+    @staticmethod
+    def check(plant, weights, T, N):
+        d, P, G = mri_design(plant, weights, T)
+        b = plant.Btilde[:, 0]
+        Gamma, Jstar = gamma_and_cost(P, G, d.B_sel, d.R_sel, b, N)
+        Gamma_exact, J_exact = exact_gamma_and_cost(d, b, N)
+        assert abs(Jstar - J_exact) <= 1e-9 * abs(J_exact)
+        assert np.all(np.abs(Gamma - Gamma_exact) <= 1e-9 * np.abs(Gamma_exact))
+        plan = preview_plan(d, b, N)
+        assert plan.Jstar == Jstar and np.array_equal(plan.Gamma, Gamma)
+
+
+class TestOneRecursion:
+    def test_costs_at_every_horizon_equal_the_solo_cost(self, souza_plant, souza_weights,
+                                                        insulin_plant, insulin_weights, monkeypatch):
+        # one feedforward recursion to the longest horizon gives each horizon
+        # the bits of a recursion that stops there
+        calls = []
+        recursion = preview._preview
+        monkeypatch.setattr(preview, "_preview", lambda *args: calls.append(args[-1]) or recursion(*args))
+        horizons = (0, 1, 3, 10)
+        for plant, weights, periods in ((souza_plant, souza_weights, (0.5, 1.0, 2.0)),
+                                        (insulin_plant, insulin_weights, (5.0, 20.0))):
+            designs = [design(plant, weights, T, "mri") for T in periods]
+            b = plant.Btilde[:, 0]
+            calls.clear()
+            G, Jstar, failed = preview_costs(designs, b, horizons)
+            assert calls == [10] and not failed
+            for j, d in enumerate(designs):
+                for k, N in enumerate(horizons):
+                    assert Jstar[j, k] == gamma_and_cost(d.solution.P, G[j], d.B_sel, d.R_sel, b, N)[1]
+                calls.clear()
+                plan = preview_plan(d, b, 3)
+                assert calls == [3]
+                assert [f.tobytes() for f in plan.feedforward] == \
+                    [f.tobytes() for f in feedforward_sequence(d.solution.P, G[j], d.B_sel, d.R_sel, b, 3)]
 
 
 class TestPreviewPlanChecks:

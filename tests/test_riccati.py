@@ -507,10 +507,11 @@ class TestDesignBatch:
 
 
 def post_solve_against_solo(plant, weights, periods, mode, b, horizons=(0, 1, 3)) -> Counter:
-    """``batch_against_solo``, then the stacked closed loop and preview costs
-    of every design of the batch against ``design`` followed by the 2-D
-    ``closed_loop_G`` and ``gamma_and_cost``: G and Jstar bit for bit, or
-    the same first error. Counts the outcomes of both."""
+    """``batch_against_solo``, then the stacked closed loop and the preview
+    costs of every design of the batch, one feedforward recursion to the
+    longest horizon, against ``design`` followed by the 2-D ``closed_loop_G``
+    and one ``gamma_and_cost`` per horizon: G and Jstar bit for bit, or the
+    same first error. Counts the outcomes of both."""
     outcomes = batch_against_solo(plant, weights, periods, mode)
     designs = [d for d in design_batch(plant, weights, periods, [mode])[0] if not isinstance(d, Exception)]
     G, Jstar, failed = preview.preview_costs(designs, b, horizons)
@@ -571,13 +572,13 @@ class TestStackedPostSolve:
 
     def test_mixed_failures_in_one_stack(self, souza_plant, souza_weights):
         # hold-only: converging, diverging, a singular I + B R^-1 B' P in the
-        # closed loop (T = 50) and in the preview core (T = 55), converging
+        # closed loop (T = 50), an unconverged design whose R + B'PB still
+        # factors (T = 55), converging
         periods = [1.0, SOUZA_BASE, 50.0, 55.0, 2.0]
         outcomes = post_solve_against_solo(souza_plant, souza_weights, periods, "regular", souza_plant.Btilde[:, 0])
         assert outcomes == {
             "converged": 2, "not converged": 2, "DareDivergenceError": 1,
-            "previewed": 2, "preview: singular I + B R^{-1} B' P": 1,
-            "preview: singular (I + P B R^{-1} B')'": 1}
+            "previewed": 3, "preview: singular I + B R^{-1} B' P": 1}
         # the same problems and a hand-made indefinite Qhat far from roundoff
         models, costs = sampled_grid(souza_plant, souza_weights, periods)
         models.append(models[0])
