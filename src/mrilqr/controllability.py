@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numkernel
 from .numkernel import _T
-from .discretize import ContinuousPlant, input_channels, sample_plants
+from .discretize import ContinuousPlant, _sample_stack, input_channels
 from .errors import NumericalError, UncontrollablePlantError
 
 __all__ = [
@@ -163,13 +163,6 @@ def _real_doubling(M: np.ndarray) -> np.ndarray:
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
-def _sampled(plant: ContinuousPlant, periods) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stacks (T, A_d, B_d, B_i) of the plant sampled at each period, from one ``sample_plants`` call."""
-    models = sample_plants(plant, periods)
-    return (np.array([m.T for m in models]),
-            *(np.stack([getattr(m, name) for m in models]) for name in ("A_d", "B_d", "B_i")))
-
-
 def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> list[ControllabilityReport]:
     """``reduced_hautus_mri`` at each period of the sampled stacks.
 
@@ -186,7 +179,7 @@ def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> list[Controllability
     A_d_norm = np.linalg.svd(A_d, compute_uv=False).max(axis=-1)
     B_d_norm = np.linalg.svd(B_d, compute_uv=False).max(axis=-1)
     AtB_block = _T(B_d) / np.maximum(1.0, B_d_norm)[:, None, None]
-    shift = np.exp(mus * T[at])
+    shift = np.exp(mus * np.asarray(T)[at])
     scale = np.maximum(np.maximum(1.0, A_d_norm[at]), np.abs(shift))
     stacked = np.concatenate(
         [
@@ -236,15 +229,15 @@ def reduced_hautus_mri(plant: ContinuousPlant, T: float) -> ControllabilityRepor
     ``period_reports``.
     """
     _require_controllable(plant)
-    T, A_d, B_d, _ = _sampled(plant, [T])
-    return _hautus_reports(plant, T, A_d, B_d)[0]
+    Ts, A_d, _, B_d, _ = _sample_stack(plant, [T])
+    return _hautus_reports(plant, Ts, A_d, B_d)[0]
 
 
 def is_pathological(plant: ContinuousPlant, T: float, mode: str) -> bool:
     """True when the sampled pair for the given input mode loses controllability
     (the Kalman rank test of the sampled pair, as a stack of one)."""
     _require_controllable(plant)
-    _, A_d, B_d, B_i = _sampled(plant, [T])
+    _, A_d, _, B_d, B_i = _sample_stack(plant, [T])
     return bool(_pathological(plant, A_d, B_d, B_i, mode)[0])
 
 
@@ -252,7 +245,7 @@ def period_reports(plant: ContinuousPlant, periods) -> list[PeriodReport]:
     """Controllability of the plant sampled at each period, on one stack.
 
     The continuous pair is checked once (UncontrollablePlantError), the
-    periods are sampled in one ``sample_plants`` call, and each report
+    periods are sampled in one stacked exponential, and each report
     equals the solo ``is_pathological`` and ``reduced_hautus_mri`` calls
     at its period bit for bit. A numerical failure at any period raises
     its NumericalError for the whole stack.
@@ -260,7 +253,7 @@ def period_reports(plant: ContinuousPlant, periods) -> list[PeriodReport]:
     _require_controllable(plant)
     if len(periods) == 0:
         return []
-    T, A_d, B_d, B_i = _sampled(plant, periods)
+    T, A_d, _, B_d, B_i = _sample_stack(plant, periods)
     mri = _hautus_reports(plant, T, A_d, B_d)
     regular = _pathological(plant, A_d, B_d, B_i, "regular")
     impulsive = _pathological(plant, A_d, B_d, B_i, "impulsive")

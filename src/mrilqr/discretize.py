@@ -142,23 +142,26 @@ def _check_period(T: float) -> float:
     return T
 
 
-def sample_plants(plant: ContinuousPlant, periods) -> list[SampledModel]:
-    """Exact ZOH + impulse discretization of the plant at each period.
-
-    One stacked exponential covers every period; each model is bit for
-    bit the one a single period gives. Raises NumericalError, naming the
-    first period in order whose exponentials overflow.
-    """
+def _sample_stack(plant: ContinuousPlant, periods) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The checked periods and the (A_d, Atilde, B_d, B_i) stacks of the plant
+    sampled at each, from one stacked exponential; raises NumericalError,
+    naming the first period in order whose exponentials overflow."""
     Ts = [_check_period(T) for T in periods]
     with np.errstate(over="ignore", invalid="ignore"):
         A_d, Atilde, B_d = numkernel.expm_block_integrals(plant.A, plant.B, Ts)
         B_i = A_d @ plant.B
-    finite = np.ones(len(Ts), dtype=bool)
-    for M in (A_d, Atilde, B_d, B_i):
-        finite &= np.isfinite(M).all(axis=(1, 2))
+    finite = np.logical_and.reduce([np.isfinite(M).all(axis=(1, 2)) for M in (A_d, Atilde, B_d, B_i)])
     if not finite.all():
         raise NumericalError(f"the sampled model overflowed at T = {Ts[int(np.argmin(finite))]!r}")
-    return [SampledModel(T=T, A_d=A_d[i], Atilde=Atilde[i], B_d=B_d[i], B_i=B_i[i]) for i, T in enumerate(Ts)]
+    return Ts, A_d, Atilde, B_d, B_i
+
+
+def sample_plants(plant: ContinuousPlant, periods) -> list[SampledModel]:
+    """Exact ZOH + impulse discretization of the plant at each period: the list
+    view of one stacked exponential (``_sample_stack``, whose NumericalError it
+    raises), each model bit for bit the one a single period gives."""
+    Ts, *stacks = _sample_stack(plant, periods)
+    return [SampledModel(T, *(X[i] for X in stacks)) for i, T in enumerate(Ts)]
 
 
 def sample_plant(plant: ContinuousPlant, T: float) -> SampledModel:
@@ -185,9 +188,10 @@ def constant_input_gram(plant: ContinuousPlant, Q: np.ndarray, h) -> np.ndarray:
     return numkernel.expm_gram_integral(E, Qbar, h)
 
 
-def _cost_stack(plant: ContinuousPlant, weights: CostWeights, periods) -> list[SampledCost]:
-    """``cost_matrices`` at each period, from one stacked Gram integral; raises
-    NumericalError naming the first period in order whose cost overflows."""
+def _cost_stack(plant: ContinuousPlant, weights: CostWeights, periods) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (Q_d, S_d, R_d) stacks of ``cost_matrices`` at each period, from one
+    stacked Gram integral; raises NumericalError naming the first period in
+    order whose cost overflows."""
     Ts = [_check_period(T) for T in periods]
     if weights.Q.shape[0] != plant.n:
         raise ValueError(f"Q has shape {weights.Q.shape}, expected ({plant.n}, {plant.n})")
@@ -207,7 +211,7 @@ def _cost_stack(plant: ContinuousPlant, weights: CostWeights, periods) -> list[S
     finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(R_d).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(f"the equivalent cost overflowed at T = {Ts[int(np.argmin(finite))]!r}")
-    return [SampledCost(Q_d=G[i, :n, :n], S_d=G[i, :n, n:], R_d=R_d[i]) for i in range(len(Ts))]
+    return G[:, :n, :n], G[:, :n, n:], R_d
 
 
 def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> SampledCost:
@@ -226,7 +230,7 @@ def cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float) -> Sam
     diag(T Rc, Ri) to R_d. Raises NumericalError when the Gram integral
     or R_d overflows. This is the stacked builder of a period grid on one period.
     """
-    return _cost_stack(plant, weights, [T])[0]
+    return SampledCost(*(X[0] for X in _cost_stack(plant, weights, [T])))
 
 
 def input_channels(mode: str, m: int) -> slice:
@@ -241,13 +245,14 @@ def input_channels(mode: str, m: int) -> slice:
     return slice(m if mode == "impulsive" else 0, m if mode == "regular" else 2 * m)
 
 
-def restrict_input_mode(
-    model: SampledModel, cost: SampledCost, mode: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B_sel, S_sel, R_sel) of one controller variant; see ``input_channels``.
+def _select_inputs(mode: str, B_d, B_i, S_d, R_d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B_sel, S_sel, R_sel) of one mode, from one model and cost or from stacks
+    of them, as contiguous copies: the last bits of the Riccati solution
+    follow the memory layout of B_sel. See ``input_channels``."""
+    ch = input_channels(mode, B_d.shape[-1])
+    return np.concatenate([B_d, B_i], axis=-1)[..., ch].copy(), S_d[..., ch].copy(), R_d[..., ch, ch].copy()
 
-    B_sel is a contiguous copy, because the last bits of the Riccati
-    solution follow the memory layout of B_sel.
-    """
-    ch = input_channels(mode, model.B_d.shape[1])
-    return np.hstack([model.B_d, model.B_i])[:, ch].copy(), cost.S_d[:, ch], cost.R_d[ch, ch]
+
+def restrict_input_mode(model: SampledModel, cost: SampledCost, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B_sel, S_sel, R_sel) of one controller variant; see ``_select_inputs``."""
+    return _select_inputs(mode, model.B_d, model.B_i, cost.S_d, cost.R_d)

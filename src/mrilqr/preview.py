@@ -103,8 +103,10 @@ def _preview(P, G, B, R, b, N: int):
     is one vector solve per cell, so x_e = (R + B'PB)^{-1} B'w_e and its drop
     (B'w_e)'x_e have the same bits whatever N."""
     k, p = len(P), B.shape[-1]
-    Bw = np.empty((k, N, p))
     Pb = w = P @ b[..., None]
+    if N == 0:
+        return np.empty((k, 0, p)), (_T(b[..., None]) @ Pb)[:, 0], {}
+    Bw = np.empty((k, N, p))
     for e in range(N):
         if e:
             w = _T(G) @ w
@@ -120,6 +122,8 @@ def _preview(P, G, B, R, b, N: int):
 def _gamma(P, G, B, R, N: int) -> np.ndarray:
     """Gamma = sum_{i=0}^{N-1} G^i M (G')^i with the core M = B (R + B'PB)^{-1} B',
     for a design whose R + B'PB factors; symmetrized to kill roundoff asymmetry."""
+    if N == 0:
+        return np.zeros(P.shape)
     M = B @ numkernel._cho_solve(_sym(R + B.T @ P @ B), B.T, "R + B'PB")
     Gamma, Gk = np.zeros(P.shape), np.eye(len(P))
     for i in range(N):
@@ -166,8 +170,9 @@ def preview_costs(designs, Btilde, horizons) -> tuple[np.ndarray, np.ndarray, di
 
 
 def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
-    """Preview quantities on top of a finished design (usually mode mri),
-    for a disturbance Btilde of n finite entries and an integer N >= 0."""
+    """Preview quantities on top of a converged design (usually mode mri), for
+    a disturbance Btilde of n finite entries and an integer N >= 0. The closed
+    loop takes the design's gain; an unconverged design raises NumericalError."""
     P = des.solution.P
     b = np.asarray(Btilde, dtype=float).reshape(-1)
     if b.size != len(P) or not np.isfinite(b).all():
@@ -176,8 +181,10 @@ def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
         raise ValueError(f"preview horizon N must be an integer, got {N!r}")
     if N < 0:
         raise ValueError(f"preview horizon must be >= 0, got {N}")
-    B, R = des.B_sel, des.R_sel
-    G = closed_loop_G(des.model.A_d, B, des.S_sel, R, P)
+    if not des.solution.converged:
+        raise NumericalError("no preview on a design that did not converge")
+    B, R, K = des.B_sel, des.R_sel, des.solution.K
+    G = numkernel._single(*_closed_loop(*(X[None] for X in (des.model.A_d, B, des.S_sel, R, P, K))))
     ff, Jstar, failed = _preview(P[None], G[None], B[None], R[None], b, N)
-    return PreviewPlan(N=N, K=des.solution.K, feedforward=tuple(numkernel._single(ff, failed)), G=G,
+    return PreviewPlan(N=N, K=K, feedforward=tuple(numkernel._single(ff, failed)), G=G,
                        Gamma=_gamma(P, G, B, R, N), Jstar=float(Jstar[0, N]))

@@ -13,13 +13,12 @@ returns the stationary feedback gain
 
     K = -(R + B' P B)^{-1} (B' P A_d + S').
 
-``design_batch`` is the synthesis pipeline: it samples the plant at each
-period, builds the costs and solves every (mode, period) cell as one
-stack, and ``design`` is its one-cell call; ``solve_dare`` checks
-hand-made matrices and solves them as a stack of one. The doubling (each
-problem with its own stop rule) runs once on the stack, the other stages
-once per input width, the policy polish only on the iterates that need
-it; each problem keeps its own failure status, whatever its stack.
+``design_batch`` is the synthesis pipeline, on period stacks from sampler
+to solver, and ``design`` its one-cell call; ``solve_dare`` solves checked
+hand-made matrices as a stack of one. The doubling (each problem with its
+own stop rule) runs once on all cells, the other stages once per mode, the
+policy polish only on the iterates that need it; each problem keeps its
+own failure status, whatever its stack.
 
 With the mixed hold+impulse input selection the gain rows split as the
 hold gain (first m rows) followed by the impulse gain.
@@ -34,7 +33,7 @@ from scipy.linalg.lapack import dtrtrs
 
 from . import discretize, numkernel
 from .numkernel import _T, _cellwise, _fro, _sym
-from .discretize import ContinuousPlant, CostWeights, SampledCost, SampledModel, restrict_input_mode
+from .discretize import ContinuousPlant, CostWeights, SampledCost, SampledModel
 from .errors import DareDivergenceError, NumericalError
 
 __all__ = [
@@ -57,10 +56,10 @@ _X0 = 1e-12
 class RiccatiSolution:
     """Stationary solution P with its gain and convergence diagnostics.
 
-    residual is the Frobenius norm of the Riccati defect evaluated on
-    the original (cross-term) equation. qhat_kernel_dim > 0 signals that
-    the effective state weight Qhat is singular, in which case positive
-    definiteness of P is not guaranteed by controllability alone.
+    residual is the Frobenius norm of the Riccati defect evaluated on the
+    original (cross-term) equation; for converged see ``solve_dare``.
+    qhat_kernel_dim > 0 signals that the effective state weight Qhat is
+    singular, so controllability alone does not make P positive definite.
     """
 
     P: np.ndarray
@@ -312,36 +311,27 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
     return (Ahat, G, Qhat, DIVERGENCE_FACTOR * np.maximum(1.0, qhat_norm), kernel_dims), failed
 
 
-def _solve_stack(problems) -> list[RiccatiSolution | ValueError | NumericalError]:
-    """Solve (A_d, B_sel, Q_d, S_sel, R_sel) problems of one state dimension as one stack.
+def _solve_stack(groups) -> list[list[RiccatiSolution | ValueError | NumericalError]]:
+    """Solve groups of (A_d, B_sel, Q_d, S_sel, R_sel) stacks of one state dimension.
 
     The problems are trusted: float arrays of agreeing shapes, R_sel
-    positive definite. Each entry is the problem's solution or the first
-    error ``solve_dare`` raises for it. The cross-term elimination, the
-    residual test and the gain run once per group of equally shaped
-    problems (one group per input width); the doubling, n x n in every
-    group, runs once on all groups together. A problem that fails stays in
-    its stack, as zeros where its data means nothing, and its results are
-    dropped.
+    positive definite. One list per group holds each problem's solution or
+    the first error ``solve_dare`` raises for it. The doubling runs once on
+    all groups together, the other stages once per group. A problem that
+    fails stays in its stack, as zeros where its data means nothing, and
+    its results are dropped.
     """
-    if not problems:
+    if not groups:
         return []
-    groups: dict[tuple, list[int]] = {}
-    for i, problem in enumerate(problems):
-        groups.setdefault(tuple(X.shape for X in problem), []).append(i)
-    results: list = [None] * len(problems)
-    prepared = []
-    for index in groups.values():
-        A_d, B, Q_d, S, R = (np.stack([problems[i][j] for i in index]) for j in range(5))
-        (Ahat, G, Qhat, blow_up, kernel_dims), failed = _eliminate_cross_term(A_d, B, Q_d, S, R)
+    eliminated = [_eliminate_cross_term(*group) for group in groups]
+    for (Ahat, G, Qhat, _, _), failed in eliminated:
         for j in failed:
             Ahat[j] = G[j] = Qhat[j] = 0.0
-        prepared.append((index, (A_d, B, Q_d, S, R), (Ahat, G, Qhat, blow_up), kernel_dims, failed))
-    P_all, iterations_all, failures = _doubling(*map(np.concatenate, zip(*(p[2] for p in prepared))))
-    first = 0
-    for index, (A_d, B, Q_d, S, R), _, kernel_dims, failed in prepared:
-        cells = slice(first, first + len(index))
-        first += len(index)
+    P_all, iterations_all, failures = _doubling(*map(np.concatenate, zip(*(e[0][:4] for e in eliminated))))
+    results, first = [], 0
+    for (A_d, B, Q_d, S, R), ((*_, kernel_dims), failed) in zip(groups, eliminated):
+        cells = slice(first, first + len(A_d))
+        first += len(A_d)
         P, iterations = P_all[cells], iterations_all[cells]
         failed = {**{j: exc for j, exc in enumerate(failures[cells]) if exc is not None}, **failed}
         residual, more = _residuals(P, A_d, B, Q_d, S, R)
@@ -356,12 +346,16 @@ def _solve_stack(problems) -> list[RiccatiSolution | ValueError | NumericalError
                     failed[j] = exc
         with np.errstate(over="ignore", invalid="ignore"):  # a failed problem's gain may overflow
             K, more = _gain(P, A_d, B, S, R)
+            A_cl = A_d + B @ K
         failed = {**more, **failed}
-        converged = _converged(P, residual)
-        for j, i in enumerate(index):
-            results[i] = failed.get(j) or RiccatiSolution(
-                P=P[j], K=K[j], residual=float(residual[j]), iterations=int(iterations[j]),
-                converged=bool(converged[j]), qhat_kernel_dim=int(kernel_dims[j]))
+        # a converged gain stabilizes; the closed loops of failed cells are left out
+        stable = np.isfinite(A_cl).all(axis=(-2, -1))
+        stable[list(failed)] = False
+        stable[stable] = np.abs(np.linalg.eigvals(A_cl[stable])).max(axis=-1) < 1.0
+        converged = _converged(P, residual) & stable
+        results.append([failed.get(j) or RiccatiSolution(
+            P=P[j], K=K[j], residual=float(residual[j]), iterations=int(iterations[j]),
+            converged=bool(converged[j]), qhat_kernel_dim=int(kernel_dims[j])) for j in range(len(A_d))])
     return results
 
 
@@ -397,16 +391,16 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     iterate growing past 1e12 times the scale of Qhat raises
     DareDivergenceError carrying that finite-horizon cost.
 
-    The returned residual is evaluated on the original cross-term
-    equation, and ``converged`` is true exactly when it is at most 1e-9
-    relative to 1 + ||P||_F. Only an iterate that misses this test is
-    polished by policy iteration, which keeps its result only where it
-    lowers the residual.
+    The residual is evaluated on the original cross-term equation. Only an
+    iterate whose residual exceeds 1e-9 relative to 1 + ||P||_F is polished
+    by policy iteration, which keeps its result only where it lowers the
+    residual. ``converged`` is true exactly when the residual passes that
+    test and the gain stabilizes: rho(A_d + B_sel K) < 1.
 
     The checked problem runs through ``design_batch``'s stacked solve as a
     stack of one, so both give the same bits for the same problem.
     """
-    (result,) = _solve_stack([_check_problem(A_d, B_sel, Q_d, S_sel, R_sel)])
+    ((result,),) = _solve_stack([[X[None].copy() for X in _check_problem(A_d, B_sel, Q_d, S_sel, R_sel)]])
     if isinstance(result, Exception):
         raise result
     return result
@@ -427,23 +421,24 @@ class MriLqrDesign:
 
 def design_batch(plant: ContinuousPlant, weights: CostWeights, periods,
                  modes) -> list[list[MriLqrDesign | ValueError | NumericalError]]:
-    """The synthesis pipeline of one plant at each period in each mode: one
-    ``sample_plants`` call, one stacked Gram integral for the costs, the
-    input selection of each (mode, period) cell, one stacked solve.
+    """The synthesis pipeline of one plant at each period in each mode, on
+    stacks from sampler to solver: one stacked exponential samples the
+    periods, one stacked Gram integral builds their costs, each mode
+    selects its inputs once on the stacks, and one stacked solve takes
+    every (mode, period) cell.
 
     One list per mode, with one entry per period: that cell's design, or
     the ValueError or NumericalError its solve raises. A bad period or
     mode, or a model or cost that overflows, raises for the whole grid.
     """
-    models = discretize.sample_plants(plant, periods)
-    costs = discretize._cost_stack(plant, weights, periods)
-    cells = [(mode, model, cost, *restrict_input_mode(model, cost, mode))
-             for mode in modes for model, cost in zip(models, costs)]
-    results = _solve_stack([(model.A_d, B_sel, cost.Q_d, S_sel, R_sel)
-                            for _, model, cost, B_sel, S_sel, R_sel in cells])
-    designs = [sol if isinstance(sol, Exception) else MriLqrDesign(*cell, solution=sol)
-               for cell, sol in zip(cells, results)]
-    return [designs[k * len(models):(k + 1) * len(models)] for k in range(len(modes))]
+    Ts, A_d, Atilde, B_d, B_i = discretize._sample_stack(plant, periods)
+    Q_d, S_d, R_d = discretize._cost_stack(plant, weights, periods)
+    selected = [discretize._select_inputs(mode, B_d, B_i, S_d, R_d) for mode in modes]
+    results = _solve_stack([(A_d, B, Q_d, S, R) for B, S, R in selected])
+    sampled = [(SampledModel(T, A_d[i], Atilde[i], B_d[i], B_i[i]), SampledCost(Q_d[i], S_d[i], R_d[i]))
+               for i, T in enumerate(Ts)]
+    return [[sol if isinstance(sol, Exception) else MriLqrDesign(mode, *sampled[i], B[i], S[i], R[i], sol)
+             for i, sol in enumerate(cells)] for mode, (B, S, R), cells in zip(modes, selected, results)]
 
 
 def design(plant: ContinuousPlant, weights: CostWeights, T: float, mode: str = "mri") -> MriLqrDesign:

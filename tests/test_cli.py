@@ -329,6 +329,24 @@ class TestExitCodes:
             f"input error: --N takes comma-separated integers >= 0, got the entry {bad!r}\n")
         assert not out.exists()
 
+    def test_a_non_stabilizing_design_is_unconverged_and_not_previewed(self, tmp_path, capsys):
+        # an unstable mode a = 1e-3 that the cost (Q = 0) does not see: the
+        # residual test passes on P near 0, whose closed loop is unstable, so
+        # lqr reports converged = false, and preview and simulate --N > 0
+        # refuse to preview the design
+        scenario = tmp_path / "hidden.json"
+        scenario.write_text(json.dumps({"A": [[1e-3]], "B": [[1.0]], "Btilde": [[1.0]], "Q": [[0.0]],
+                                        "Rc": [[1.0]], "Ri": [[1.0]], "T": 1.0}))
+        out = tmp_path / "o.csv"
+        assert cli.main(["lqr", "--scenario", str(scenario), "--out", str(out)]) == 0
+        fields = {tuple(f[:4]): f[4] for f in (line.split(",") for line in out.read_text().splitlines())}
+        assert fields[("scalar", "converged", "", "")] == "false"
+        assert float(fields[("scalar", "closed_loop_spectral_radius", "", "")]) > 1.0
+        for argv in (["preview", "--N", "2"], ["simulate", "--N", "2"]):
+            assert cli.main([*argv, "--scenario", str(scenario), "--out", str(tmp_path / "p.csv")]) == 2, argv
+            assert capsys.readouterr().err == "numerical failure: no preview on a design that did not converge\n"
+            assert not (tmp_path / "p.csv").exists()
+
     def test_singular_preview_solve_keeps_the_sweep(self, tmp_path):
         grid = ["sweep", "--scenario", "souza", "--T-grid", "20:5:60", "--mode", "all"]
         both, plain = tmp_path / "both.csv", tmp_path / "plain.csv"
@@ -800,11 +818,11 @@ class TestDesignReuse:
     def test_sweep_designs_once_per_period_and_mode(self, tmp_path, monkeypatch):
         # one design_batch call is the whole pipeline: the period grid is
         # sampled in one stacked call, its costs come from one stacked Gram
-        # integral, and the cells of all three modes are one stacked solve
-        # with a single doubling
+        # integral, and the cells of all three modes are one stacked solve,
+        # one group of stacks per mode, with a single doubling
         log = []
-        counts = count_calls(monkeypatch, "solve_dare", "sample_plant", "sample_plants", "cost_matrices",
-                             log=log)
+        counts = count_calls(monkeypatch, "solve_dare", "sample_plant", "sample_plants", "_sample_stack",
+                             "cost_matrices", log=log)
         calls = []
 
         def recorded(module, name, record):
@@ -820,15 +838,14 @@ class TestDesignReuse:
         recorded(riccati, "design_batch", lambda plant, weights, periods, modes, result:
                  (list(periods), [(mode, len(cells)) for mode, cells in zip(modes, result)]))
         recorded(discretize, "_cost_stack", lambda plant, weights, periods, result: list(periods))
-        recorded(riccati, "_solve_stack", lambda problems, result: len(problems))
+        recorded(riccati, "_solve_stack", lambda groups, result: [len(A_d) for A_d, *_ in groups])
         recorded(riccati, "_doubling", lambda *args: len(args[0]))
         periods = [0.5, 1.0, 1.5, 2.0]
         assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "0.5:0.5:2.0",
                          "--mode", "all", "--N", "0,1,3", "--out", str(tmp_path / "s.csv")]) == 0
-        assert counts == {"sample_plants": 1}
-        assert [list(args[1]) for name, args in log if name == "sample_plants"] == [periods]
-        cells = 3 * len(periods)
-        assert calls == [("_cost_stack", periods), ("_doubling", cells), ("_solve_stack", cells),
+        assert counts == {"_sample_stack": 1}
+        assert [list(args[1]) for name, args in log if name == "_sample_stack"] == [periods]
+        assert calls == [("_cost_stack", periods), ("_doubling", 3 * len(periods)), ("_solve_stack", [len(periods)] * 3),
                          ("design_batch", (periods, [(mode, len(periods)) for mode in discretize.MODES]))]
 
     def test_simulate_with_preview_solves_once(self, tmp_path, monkeypatch):
@@ -842,7 +859,8 @@ class TestDesignReuse:
 
     def test_controllability_samples_once_per_candidate(self, tmp_path, monkeypatch):
         log = []
-        counts = count_calls(monkeypatch, "sample_plant", "sample_plants", "kalman_controllable", log=log)
+        counts = count_calls(monkeypatch, "sample_plant", "sample_plants", "_sample_stack", "kalman_controllable",
+                             log=log)
         souza = cli.load_scenario("souza")
         candidates = controllability.candidate_pathological_periods(souza.A, 5.0)
         assert candidates
@@ -850,8 +868,8 @@ class TestDesignReuse:
                          "--out", str(tmp_path / "c.csv")]) == 0
         # one stacked sampling call over the candidates and the scenario period;
         # the continuous pair is checked once, the sampled pairs on the stack
-        assert counts == {"sample_plants": 1, "kalman_controllable": 1}
-        assert [list(args[1]) for name, args in log if name == "sample_plants"] == \
+        assert counts == {"_sample_stack": 1, "kalman_controllable": 1}
+        assert [list(args[1]) for name, args in log if name == "_sample_stack"] == \
             [[c.period for c in candidates] + [souza.T]]
 
 

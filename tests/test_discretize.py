@@ -188,10 +188,11 @@ class TestCostMatrices:
         weights = CostWeights(C.T @ C, np.diag([0.5, 2.0]), np.diag([1.5, 0.3]))
         for p, w in ((souza_plant, souza_weights), (plant, weights)):
             periods = [0.05, 0.3, 1.0, 2.5, 7.0, 13.0]
-            for T, got in zip(periods, _cost_stack(p, w, periods), strict=True):
+            stacks = _cost_stack(p, w, periods)
+            for i, T in enumerate(periods):
                 ref = cost_matrices(p, w, T)
-                for name in ("Q_d", "S_d", "R_d"):
-                    a, b = getattr(got, name), getattr(ref, name)
+                for name, stack in zip(("Q_d", "S_d", "R_d"), stacks, strict=True):
+                    a, b = stack[i], getattr(ref, name)
                     assert a.tobytes() == b.tobytes() and a.strides == b.strides, (T, name)
 
     def test_souza_against_quadrature(self, souza_plant, souza_weights):
@@ -247,9 +248,9 @@ class TestCostMatrices:
         # Ri = 1e308 is a double and so is R_d, which the symmetric Gram block
         # plus the symmetric weights make exactly symmetric without a halving
         plant = ContinuousPlant([[-1.0]], [[1.0]])
-        (cost,) = _cost_stack(plant, CostWeights([[1.0]], [[1.0]], [[1e308]]), [1.0])
-        assert np.isfinite(cost.R_d).all() and np.array_equal(cost.R_d, cost.R_d.T)
-        assert cost.R_d[1, 1] == 1e308
+        _, _, (R_d,) = _cost_stack(plant, CostWeights([[1.0]], [[1.0]], [[1e308]]), [1.0])
+        assert np.isfinite(R_d).all() and np.array_equal(R_d, R_d.T)
+        assert R_d[1, 1] == 1e308
 
     def test_dimension_mismatch_raises(self, souza_plant):
         w = CostWeights(np.eye(3), [[1.0]], [[1.0]])

@@ -10,12 +10,13 @@ import scipy.linalg
 from mrilqr import (
     DisturbanceSpec,
     InputPolicy,
+    NumericalError,
     certified_horizon,
     design,
     preview_plan,
     simulate_closed_loop,
 )
-from mrilqr import preview
+from mrilqr import numkernel, preview, riccati
 from mrilqr.numkernel import spectral_radius
 from mrilqr.preview import closed_loop_G, feedforward_sequence, gamma_and_cost, preview_costs
 
@@ -270,6 +271,39 @@ class TestPreviewPlanChecks:
         d = design(souza_plant, souza_weights, 1.0, "mri")
         with pytest.raises(ValueError, match=message):
             preview_plan(d, Btilde, N)
+
+
+class TestPreviewPlanOnTheDesign:
+    def test_an_unconverged_design_has_no_preview(self, souza_plant, souza_weights):
+        # hold-only souza at T = 55 does not converge; its preview cost
+        # would fall far below zero
+        d = design(souza_plant, souza_weights, 55.0, "regular")
+        assert not d.solution.converged
+        with pytest.raises(NumericalError, match="^no preview on a design that did not converge$"):
+            preview_plan(d, [1.0, 1.0], 3)
+
+    @pytest.mark.parametrize("N", [0, 3])
+    def test_the_design_gain_and_no_solve_for_N_0(self, souza_plant, souza_weights, N, monkeypatch):
+        # the closed loop takes the design's K (no gain is solved again) and
+        # gives closed_loop_G's bits; N = 0 makes no solve with R + B'PB
+        d = design(souza_plant, souza_weights, 1.0, "mri")
+        b = np.array([1.0, 1.0])
+        gains, solves = [], []
+        gain, cho_solve = riccati._gain, numkernel._cho_solve
+        monkeypatch.setattr(riccati, "_gain", lambda *args: gains.append(1) or gain(*args))
+        monkeypatch.setattr(numkernel, "_cho_solve", lambda A, rhs, what: solves.append(what) or cho_solve(A, rhs, what))
+        plan = preview_plan(d, b, N)
+        assert not gains
+        # one solve per feedforward exponent, one for Gamma's core
+        assert solves.count("R + B'PB") == (N + 1 if N else 0)
+        monkeypatch.undo()
+        P = d.solution.P
+        G = closed_loop_G(d.model.A_d, d.B_sel, d.S_sel, d.R_sel, P)
+        Gamma, Jstar = gamma_and_cost(P, G, d.B_sel, d.R_sel, b, N)
+        assert plan.G.tobytes() == G.tobytes() and plan.Gamma.tobytes() == Gamma.tobytes()
+        assert plan.Jstar == Jstar
+        if N == 0:
+            assert plan.feedforward == () and not plan.Gamma.any() and plan.Jstar == pytest.approx(b @ P @ b, rel=1e-14)
 
 
 class TestAdjointChain:

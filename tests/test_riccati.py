@@ -269,6 +269,50 @@ class TestNearPathologicalPeriods:
             assert relerr(sol.P, P) < 1e-8
 
 
+#: Plants with an unstable mode the cost does not see, at their period: the
+#: scalar a = 1e-3 and a = 0.02 (B = Btilde = 1, Q = 0) and diag(1e-4, -1)
+#: with Q = diag(0, 1). The doubling's step rule stops after one doubling
+#: near P = 0, a solution of the equation whose gain does not stabilize.
+HIDDEN_UNSTABLE = {
+    "a=1e-3": (ContinuousPlant([[1e-3]], [[1.0]], [[1.0]]), CostWeights([[0.0]], [[1.0]], [[1.0]]), 1.0),
+    "a=0.02": (ContinuousPlant([[0.02]], [[1.0]], [[1.0]]), CostWeights([[0.0]], [[1.0]], [[1.0]]), 1.0),
+    "diag(1e-4,-1)": (ContinuousPlant(np.diag([1e-4, -1.0]), [[1.0], [1.0]], [[1.0], [1.0]]),
+                      CostWeights(np.diag([0.0, 1.0]), [[1.0]], [[1.0]]), 0.5),
+}
+
+
+class TestStabilizingClaim:
+    """``converged`` also requires a stabilizing gain, rho(A_d + B_sel K) < 1."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", HIDDEN_UNSTABLE)
+    def test_a_non_stabilizing_solution_is_not_converged(self, name, mode):
+        plant, weights, T = HIDDEN_UNSTABLE[name]
+        d = design(plant, weights, T, mode)
+        sol = d.solution
+        # the residual test alone passes; the closed loop is unstable
+        assert sol.residual <= 1e-9 * (1.0 + np.linalg.norm(sol.P, "fro"))
+        assert spectral_radius(d.model.A_d + d.B_sel @ sol.K) > 1.0
+        assert not sol.converged
+        # the stabilizing solution exists: scipy's gain stabilizes
+        A_d, B, S, R = d.model.A_d, d.B_sel, d.S_sel, d.R_sel
+        P_ref = scipy.linalg.solve_discrete_are(A_d, B, d.cost.Q_d, R, s=S)
+        K_ref = -np.linalg.solve(R + B.T @ P_ref @ B, B.T @ P_ref @ A_d + S.T)
+        assert spectral_radius(A_d + B @ K_ref) < 1.0
+        # the stacked solve of the three modes reads the same
+        assert batch_against_solo(plant, weights, [T, 2.0 * T], MODES) == {"not converged": 6}
+
+    def test_a_more_unstable_hidden_mode_still_converges(self):
+        # at a = 0.05 the iterate leaves 1e-12 within the step rule and the
+        # doubling reaches the stabilizing solution
+        plant = ContinuousPlant([[0.05]], [[1.0]], [[1.0]])
+        d = design(plant, CostWeights([[0.0]], [[1.0]], [[1.0]]), 1.0, "mri")
+        assert d.solution.converged
+        assert spectral_radius(d.model.A_d + d.B_sel @ d.solution.K) < 1.0
+        P_ref = scipy.linalg.solve_discrete_are(d.model.A_d, d.B_sel, d.cost.Q_d, d.R_sel, s=d.S_sel)
+        assert relerr(d.solution.P, P_ref) < 1e-8
+
+
 def same_bits(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -309,12 +353,13 @@ def batch_against_solo(plant, weights, periods, mode) -> Counter:
     return outcomes
 
 
-def stack_against_solo(problems) -> Counter:
-    """Assert the stacked solve of hand-made (A_d, B_sel, Q_d, S_sel, R_sel)
-    problems gives each the bits or the error of its ``solve_dare``; count
-    the outcomes."""
-    return Counter(same_outcome(got, lambda: solve_dare(*problem))
-                   for problem, got in zip(problems, _solve_stack(problems), strict=True))
+def stack_against_solo(groups) -> Counter:
+    """Assert the stacked solve of groups of hand-made (A_d, B_sel, Q_d, S_sel,
+    R_sel) stacks gives each problem the bits or the error of its
+    ``solve_dare``; count the outcomes."""
+    return Counter(same_outcome(got, lambda: solve_dare(*(X[j] for X in group)))
+                   for group, cells in zip(groups, _solve_stack(groups), strict=True)
+                   for j, got in enumerate(cells))
 
 
 def reference_doubling(A_d, B, Q_d, S, R):
@@ -358,14 +403,16 @@ def sampled_grid(plant, weights, periods):
             [cost_matrices(plant, weights, T) for T in periods])
 
 
-def problems_of(models, costs, modes) -> list:
-    """The (A_d, B_sel, Q_d, S_sel, R_sel) problem of each model and cost in each of ``modes``."""
-    problems = []
+def groups_of(models, costs, modes) -> list:
+    """One group of (A_d, B_sel, Q_d, S_sel, R_sel) stacks per mode of ``modes``,
+    with the problem of each model and cost, selected one cell at a time."""
+    A_d, Q_d = np.stack([model.A_d for model in models]), np.stack([cost.Q_d for cost in costs])
+    groups = []
     for mode in modes:
-        for model, cost in zip(models, costs):
-            B_sel, S_sel, R_sel = restrict_input_mode(model, cost, mode)
-            problems.append((model.A_d, B_sel, cost.Q_d, S_sel, R_sel))
-    return problems
+        B_sel, S_sel, R_sel = (np.stack(X) for X in zip(*(restrict_input_mode(model, cost, mode)
+                                                           for model, cost in zip(models, costs))))
+        groups.append((A_d, B_sel, Q_d, S_sel, R_sel))
+    return groups
 
 
 def souza_grid_periods():
@@ -383,11 +430,11 @@ def rotation_grid_periods():
 ROTATION_WEIGHTS = CostWeights(np.eye(2), [[1.0]], [[1.0]])
 
 
-def mixed_outcome_problems(souza_plant, souza_weights, modes) -> list:
-    """The souza problems at T = 1, 20, 45, 2 and 100 in each of ``modes`` (in
-    mri: converging, not converging, Qhat cancelling to roundoff, converging,
-    a singular doubling solve), then two hand-made ones: a plant without
-    inputs and an indefinite Qhat far from roundoff."""
+def mixed_outcome_groups(souza_plant, souza_weights, modes) -> list:
+    """One group per mode of ``modes`` of the souza problems at T = 1, 20, 45, 2
+    and 100 (in mri: converging, not converging, Qhat cancelling to roundoff,
+    converging, a singular doubling solve), then two hand-made ones: a plant
+    without inputs and an indefinite Qhat far from roundoff."""
     models, costs = sampled_grid(souza_plant, souza_weights, [1.0, 20.0, 45.0, 2.0, 100.0])
     model, cost = models[0], costs[0]
     # an unstable A_d without inputs is not stabilizable: the doubling diverges
@@ -396,7 +443,7 @@ def mixed_outcome_problems(souza_plant, souza_weights, modes) -> list:
     # an indefinite Qhat far from roundoff is a bad input
     models.append(model)
     costs.append(SampledCost(-np.eye(2), np.zeros_like(cost.S_d), cost.R_d))
-    return problems_of(models, costs, modes)
+    return groups_of(models, costs, modes)
 
 
 class TestDesignBatch:
@@ -422,7 +469,7 @@ class TestDesignBatch:
         assert batch_against_solo(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0], mode) == {"converged": 4}
 
     def test_mixed_outcomes_fail_cell_by_cell(self, souza_plant, souza_weights):
-        assert stack_against_solo(mixed_outcome_problems(souza_plant, souza_weights, ["mri"])) == {
+        assert stack_against_solo(mixed_outcome_groups(souza_plant, souza_weights, ["mri"])) == {
             "converged": 2, "not converged": 1, "DareDivergenceError": 1,
             "NumericalError": 2, "ValueError": 1}
 
@@ -455,8 +502,8 @@ class TestDesignBatch:
             assert outcomes == sum((batch_against_solo(plant, weights, periods, mode) for mode in MODES), Counter())
             assert outcomes.total() == 3 * len(periods)
         # and the hand-made problems, in one stack and mode by mode
-        outcomes = stack_against_solo(mixed_outcome_problems(souza_plant, souza_weights, MODES))
-        assert outcomes == sum((stack_against_solo(mixed_outcome_problems(souza_plant, souza_weights, [mode]))
+        outcomes = stack_against_solo(mixed_outcome_groups(souza_plant, souza_weights, MODES))
+        assert outcomes == sum((stack_against_solo(mixed_outcome_groups(souza_plant, souza_weights, [mode]))
                                 for mode in MODES), Counter())
         assert outcomes.total() == 3 * 7
 
@@ -583,7 +630,7 @@ class TestStackedPostSolve:
         models, costs = sampled_grid(souza_plant, souza_weights, periods)
         models.append(models[0])
         costs.append(SampledCost(-np.eye(2), np.zeros_like(costs[0].S_d), costs[0].R_d))
-        assert stack_against_solo(problems_of(models, costs, ["regular"])) == {
+        assert stack_against_solo(groups_of(models, costs, ["regular"])) == {
             "converged": 2, "not converged": 2, "DareDivergenceError": 1, "ValueError": 1}
         # mri: closed-loop forms that disagree, and a Qhat cancelling to roundoff
         outcomes = post_solve_against_solo(souza_plant, souza_weights, [1.0, 25.0, 45.0, 2.0], "mri",
