@@ -15,8 +15,10 @@ class DareDivergenceError(NumericalError):
     """The Riccati doubling diverged (pair not stabilizable).
 
     Carries the last iterate, the value-iteration cost of a horizon of
-    2^iterations periods, so sweep-style callers can still report a
-    best-effort cost alongside a warning; iterations counts doublings.
+    2^iterations periods (from 0 where Qhat is positive definite, from
+    1e-12 I where it has a kernel), so sweep-style callers can still
+    report a best-effort cost alongside a warning; iterations counts
+    doublings.
     """
 
     def __init__(self, message: str, last_iterate=None, iterations: int = 0):

@@ -99,9 +99,11 @@ def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
 def _preview(P, G, B, R, b, N: int):
     """The feedforward f_0..f_{N-1} (k, N, p) of stacks of k designs and their
     Jstar at each horizon 0..N (k, N + 1) for one Btilde b, and the
-    NumericalError of each cell that fails, by index. Each exponent
-    is one vector solve per cell, so x_e = (R + B'PB)^{-1} B'w_e and its drop
-    (B'w_e)'x_e have the same bits whatever N."""
+    NumericalError of each cell that fails, by index. Each cell factors
+    R + B'PB once and solves for its N exponents as the N columns of one
+    right-hand side; a column of that solve has the bits of its own vector
+    solve, so x_e = (R + B'PB)^{-1} B'w_e and its drop (B'w_e)'x_e have the
+    same bits whatever N."""
     k, p = len(P), B.shape[-1]
     Pb = w = P @ b[..., None]
     if N == 0:
@@ -111,12 +113,12 @@ def _preview(P, G, B, R, b, N: int):
         if e:
             w = _T(G) @ w
         Bw[:, e] = (_T(B) @ w)[..., 0]
-    X, failed = numkernel.solve_pd_stack(np.repeat(R + _T(B) @ P @ B, N, axis=0), Bw.reshape(-1, p), "R + B'PB")
-    X = X.reshape(k, N, p)
+    X, failed = numkernel.solve_pd_stack(R + _T(B) @ P @ B, _T(Bw), "R + B'PB")
+    X = np.ascontiguousarray(_T(X))
     drops = np.zeros((k, N + 1))
     drops[:, 1:] = (Bw * X).sum(axis=-1)
     Jstar = (_T(b[..., None]) @ Pb)[:, 0] - np.cumsum(drops, axis=1)
-    return -X[:, ::-1], Jstar, {i // N: exc for i, exc in failed.items()}
+    return -X[:, ::-1], Jstar, failed
 
 
 def _gamma(P, G, B, R, N: int) -> np.ndarray:
@@ -135,8 +137,8 @@ def _gamma(P, G, B, R, N: int) -> np.ndarray:
 
 def feedforward_sequence(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, ...]:
     """Feedforward inputs f_0..f_{N-1} driving the pre-disturbance steps,
-    f_k = -(R + B'PB)^{-1} B' (G')^{N-k-1} P Btilde; the N solves with
-    R + B'PB run as one ``solve_pd_stack`` call.
+    f_k = -(R + B'PB)^{-1} B' (G')^{N-k-1} P Btilde; R + B'PB is factored
+    once, for the N right-hand sides together.
     """
     ff, _, failed = _preview(P[None], G[None], B_di[None], R_d[None], np.asarray(Btilde, dtype=float).reshape(-1), N)
     return tuple(numkernel._single(ff, failed))

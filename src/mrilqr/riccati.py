@@ -124,9 +124,12 @@ def _smith_lyapunov(A_cl, F) -> np.ndarray:
 
 
 def _psd_factor(M) -> np.ndarray:
-    """F with F'F = M for a symmetric M (or each of a stack), negative eigenvalues clipped to zero."""
-    w, V = np.linalg.eigh(_sym(M))
-    return np.sqrt(np.clip(w, 0.0, None))[..., :, None] * _T(V)
+    """F with F'F = M for a symmetric M (or each of a stack), negative eigenvalues clipped to zero.
+
+    ``eigh`` reads one triangle, so M must be symmetric to the bit.
+    """
+    w, V = np.linalg.eigh(M)
+    return np.sqrt(np.maximum(w, 0.0))[..., :, None] * _T(V)
 
 
 def _policy_polish(P, residual: float, A_d, B, Q_d, S, R):
@@ -143,7 +146,7 @@ def _policy_polish(P, residual: float, A_d, B, Q_d, S, R):
     """
     best_P, best_res = P, residual
     n = A_d.shape[0]
-    J = _psd_factor(np.block([[Q_d, S], [S.T, R]]))
+    J = _psd_factor(_sym(np.block([[Q_d, S], [S.T, R]])))
     for _ in range(12):
         K = numkernel._single(*_gain(best_P[None], A_d[None], B[None], S[None], R[None]))
         A_cl = A_d + B @ K
@@ -172,74 +175,98 @@ def _solve_lower(L, Z) -> np.ndarray:
     stacked form loops over the cells at several times the cost. A
     Cholesky factor has a positive diagonal, so the solve cannot fail.
     """
-    return np.stack([dtrtrs(l.T, z, lower=0, trans=1)[0] for l, z in zip(L, Z)])
+    X = np.empty(Z.shape)
+    for i in range(len(L)):
+        X[i] = dtrtrs(L[i].T, Z[i], lower=0, trans=1)[0]
+    return X
 
 
-def _doubling_step(A, G, H):
+def _doubling_step(A, G, H, I):
     """(A_k, G_k, H_k) -> (A_{k+1}, G_{k+1}, H_{k+1}) on stacks; see ``solve_dare``.
 
-    Also returns the NumericalError of each cell whose solve or Cholesky
-    factorization failed, by its index in the stack.
+    I is the n x n identity. Also returns the NumericalError of each cell
+    whose solve or Cholesky factorization failed, by its index in the stack.
+    H stays symmetric to the bit: Qhat is symmetrized, and numpy forms Y'Y
+    symmetric.
     """
     n = A.shape[-1]
-    I = np.eye(n)
     H_half = _psd_factor(H)
     WinvAG, singular = _cellwise(np.linalg.solve, I + G @ H, np.concatenate([A, G], axis=-1))
     L, indefinite = _cellwise(np.linalg.cholesky, I + H_half @ G @ _T(H_half))
-    # the solve comes first, so a cell where both fail reports the solve
-    failed = {i: NumericalError("indefinite I + H^{1/2} G H^{1/2} in the Riccati doubling")
-              for i in indefinite}
-    failed.update((i, _singular(exc)) for i, exc in singular.items())
+    failed = {}
+    if singular or indefinite:
+        # the solve comes first, so a cell where both fail reports the solve
+        failed = {i: NumericalError("indefinite I + H^{1/2} G H^{1/2} in the Riccati doubling")
+                  for i in indefinite}
+        failed.update((i, _singular(exc)) for i, exc in singular.items())
     Y = _solve_lower(L, H_half @ A)
     G_next = G + A @ WinvAG[..., n:] @ _T(A)
     return A @ WinvAG[..., :n], _sym(G_next), H + _T(Y) @ Y, failed
 
 
-def _value_iterate(A, G, H):
-    """H + A' X0 (I + G X0)^{-1} A with X0 = 1e-12 I, on stacks.
+def _value_iterate(A, G, H, I):
+    """H + A' X0 (I + G X0)^{-1} A with X0 = 1e-12 I, on stacks, I the identity.
 
     After k doublings this is the value iterate 2^k Riccati steps from X0.
     Also returns the NumericalError of each cell whose solve failed.
     """
-    X, singular = _cellwise(np.linalg.solve, np.eye(A.shape[-1]) + _X0 * G, A)
+    X, singular = _cellwise(np.linalg.solve, I + _X0 * G, A)
     return _sym(H + _X0 * _T(A) @ X), {i: _singular(exc) for i, exc in singular.items()}
 
 
-def _doubling(A, G, H, blow_up):
+def _iterate(A, G, H, seeded, I):
+    """The iterate P_k of each cell of stacks, and the NumericalError of each
+    failed seed solve, by index: the value iterate from X0 where ``seeded``,
+    H_k itself, the value iterate from 0, elsewhere."""
+    if not seeded.any():
+        return H, {}
+    cells = np.flatnonzero(seeded)
+    P = H.copy()
+    P[cells], failed = _value_iterate(A[cells], G[cells], H[cells], I)
+    return P, {int(cells[j]): exc for j, exc in failed.items()}
+
+
+def _doubling(A, G, H, blow_up, seeded):
     """The doubling on stacks (k, n, n) of (Ahat, G, Qhat), until every cell stops.
 
-    Returns each cell's iterate, its number of doublings and its failure:
-    None, a NumericalError, or a DareDivergenceError once the iterate
-    passes the cell's ``blow_up`` bound. A cell leaves the stack when it
-    meets the step rule, passes its bound or fails, so its result and
-    doubling count are those of a stack of one.
+    ``seeded`` marks the cells whose iterate starts from X0 = 1e-12 I (those
+    whose Qhat has a kernel); the others start from 0. Returns each cell's
+    iterate, its number of doublings and its failure: None, a
+    NumericalError, or a DareDivergenceError once the iterate passes the
+    cell's ``blow_up`` bound. A cell leaves the stack when it meets the
+    step rule, passes its bound or fails, so its result and doubling count
+    are those of a stack of one.
     """
     k = len(A)
+    I = np.eye(A.shape[-1])
     P_out = np.zeros_like(H)
     iterations = np.zeros(k, dtype=int)
     failures: list[NumericalError | None] = [None] * k
-    live = np.arange(k)
+    live, bound = np.arange(k), blow_up
     # a cell that overflows shows as a non-finite norm, which the divergence
     # test reads, and a failed cell runs on with placeholder values until it
     # is dropped, so numpy's overflow warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
-        P, failed = _value_iterate(A, G, H)
+        P, failed = _iterate(A, G, H, seeded, I)
         stop = np.zeros(k, dtype=bool)
         for it in range(1, _MAX_DOUBLINGS + 2):
             # drop the cells that failed or stopped in the last doubling
             for j, exc in failed.items():
                 failures[live[j]] = exc
                 stop[j] = True
-            keep = ~stop
-            live, A, G, H, P = live[keep], A[keep], G[keep], H[keep], P[keep]
+            if stop.any():
+                keep = ~stop
+                live, A, G, H, P = live[keep], A[keep], G[keep], H[keep], P[keep]
+                bound, seeded = bound[keep], seeded[keep]
             if not live.size or it > _MAX_DOUBLINGS:
                 break
-            A, G, H, failed = _doubling_step(A, G, H)
-            Pn, vi_failed = _value_iterate(A, G, H)
-            # a cell's first failure is the one it reports
-            failed = {**vi_failed, **failed}
+            A, G, H, failed = _doubling_step(A, G, H, I)
+            Pn, seed_failed = _iterate(A, G, H, seeded, I)
+            if seed_failed:
+                # a cell's first failure is the one it reports
+                failed = {**seed_failed, **failed}
             norm = _fro(Pn)
-            diverged = (norm > blow_up[live]) | ~np.isfinite(norm)
+            diverged = (norm > bound) | ~np.isfinite(norm)
             stop = diverged | (_fro(Pn - P) <= STEP_RTOL * np.maximum(1.0, norm))
             for j in np.flatnonzero(stop):
                 if j in failed:
@@ -327,7 +354,9 @@ def _solve_stack(groups) -> list[list[RiccatiSolution | ValueError | NumericalEr
     for (Ahat, G, Qhat, _, _), failed in eliminated:
         for j in failed:
             Ahat[j] = G[j] = Qhat[j] = 0.0
-    P_all, iterations_all, failures = _doubling(*map(np.concatenate, zip(*(e[0][:4] for e in eliminated))))
+    # only a Qhat with a kernel needs the seed X0 to reach the stabilizing solution
+    Ahat, G, Qhat, blow_up, kernel_dims = map(np.concatenate, zip(*(e[0] for e in eliminated)))
+    P_all, iterations_all, failures = _doubling(Ahat, G, Qhat, blow_up, kernel_dims > 0)
     results, first = [], 0
     for (A_d, B, Q_d, S, R), ((*_, kernel_dims), failed) in zip(groups, eliminated):
         cells = slice(first, first + len(A_d))
@@ -383,9 +412,13 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
 
     the last as H_k + Y'Y with Y = L^{-1} H^{1/2} A_k and L the Cholesky
     factor of I + H^{1/2} G_k H^{1/2}, which is positive semidefinite by
-    construction. The iterate P_k = H_k + A_k' X0 (I + G_k X0)^{-1} A_k,
-    X0 = 1e-12 I, is exactly the value iterate after 2^k Riccati steps
-    from X0, and ``iterations`` counts doublings. The loop stops when the
+    construction. The iterate P_k is exactly the value iterate after 2^k
+    Riccati steps, and ``iterations`` counts doublings. Where Qhat is
+    positive definite the cost sees every mode, the steps start from 0
+    and P_k = H_k. Where Qhat has a numerical kernel (``qhat_kernel_dim``
+    > 0) they start from X0 = 1e-12 I, so that the iterate can find an
+    unstable mode the cost does not see, and
+    P_k = H_k + A_k' X0 (I + G_k X0)^{-1} A_k. The loop stops when the
     Frobenius change of P_k falls below 1e-13 relative (with an absolute
     floor for P -> 0), or after 64 doublings, a horizon of 2^64 steps. An
     iterate growing past 1e12 times the scale of Qhat raises

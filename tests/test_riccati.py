@@ -12,6 +12,7 @@ from mrilqr import (
     CostWeights,
     DareDivergenceError,
     NumericalError,
+    cli,
     cost_matrices,
     design,
     preview,
@@ -95,18 +96,25 @@ class TestSolveDare:
         assert err.value.last_iterate is not None
         assert err.value.iterations > 0
 
-    def test_last_iterate_is_the_value_iterate_of_its_horizon(self, souza_plant, souza_weights):
-        # k doublings span 2^k Riccati steps from 1e-12 I
+    @pytest.mark.parametrize("Q, X0, kernel_dim", [([[1.0, 0.0], [0.0, 0.0]], 0.0, 0), (np.zeros((2, 2)), 1e-12, 2)],
+                             ids=["kernel-free", "kernel"])
+    def test_last_iterate_is_the_value_iterate_of_its_horizon(self, souza_plant, Q, X0, kernel_dim):
+        # k doublings span 2^k Riccati steps, from 0 where Qhat is positive
+        # definite (the souza weights) and from 1e-12 I where it has a kernel
+        # (Q = 0)
+        weights = CostWeights(Q, [[1.0]], [[1.0]])
         model = sample_plant(souza_plant, SOUZA_BASE)
-        cost = cost_matrices(souza_plant, souza_weights, SOUZA_BASE)
+        cost = cost_matrices(souza_plant, weights, SOUZA_BASE)
         B, S, R = restrict_input_mode(model, cost, "regular")
+        (*_, kernel_dims), _ = riccati._eliminate_cross_term(*(X[None] for X in (model.A_d, B, cost.Q_d, S, R)))
+        assert kernel_dims.tolist() == [kernel_dim]
         with pytest.raises(DareDivergenceError) as err:
             solve_dare(model.A_d, B, cost.Q_d, S, R)
         k = err.value.iterations
         # the hold-only cost grows ~e^{1.3} per step, past 1e12 within 64 steps
         assert 0 < k <= 64 and 2**k <= 64
         A = model.A_d
-        P = 1e-12 * np.eye(2)
+        P = X0 * np.eye(2)
         for _ in range(2**k):
             W = A.T @ P @ B + S
             P = A.T @ P @ A + cost.Q_d - W @ np.linalg.solve(R + B.T @ P @ B, W.T)
@@ -364,7 +372,8 @@ def stack_against_solo(groups) -> Counter:
 
 def reference_doubling(A_d, B, Q_d, S, R):
     """The documented doubling as 2-D calls, one problem at a time:
-    (last iterate or None when it diverges, doublings)."""
+    (last iterate or None when it diverges, doublings). Its iterate starts
+    from 1e-12 I where Qhat has a kernel and from 0 elsewhere."""
     n = A_d.shape[0]
     RinvBSt = scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (R + R.T)), np.hstack([B.T, S.T]))
     A = A_d - B @ RinvBSt[:, n:]
@@ -373,8 +382,13 @@ def reference_doubling(A_d, B, Q_d, S, R):
     G = B @ RinvBSt[:, :n]
     G = 0.5 * (G + G.T)
     blow_up = 1e12 * max(1.0, float(np.linalg.norm(H, "fro")))
+    eigs = np.linalg.eigvalsh(H)
+    seeded = np.any(np.abs(eigs) <= 1e-10 * (1.0 + np.abs(eigs).max()))
 
     def value_iterate(A, G, H):
+        # from 1e-12 I where Qhat has a kernel, from 0 elsewhere
+        if not seeded:
+            return H
         P = H + 1e-12 * A.T @ np.linalg.solve(np.eye(n) + 1e-12 * G, A)
         return 0.5 * (P + P.T)
 
@@ -473,6 +487,29 @@ class TestDesignBatch:
             "converged": 2, "not converged": 1, "DareDivergenceError": 1,
             "NumericalError": 2, "ValueError": 1}
 
+    def test_kernel_and_kernel_free_cells_in_one_group(self, souza_plant, souza_weights, monkeypatch):
+        # only the cells whose Qhat has a kernel (here Q = 0) start from
+        # X0 = 1e-12 I; in one group with kernel-free cells each keeps its
+        # solo bits
+        periods = [1.0, 2.0, 0.5]
+        models, costs = sampled_grid(souza_plant, souza_weights, periods)
+        _, zero_costs = sampled_grid(souza_plant, CostWeights(np.zeros((2, 2)), [[1.0]], [[1.0]]), periods)
+        groups = groups_of([m for m in models for _ in range(2)],
+                           [c for pair in zip(costs, zero_costs) for c in pair], ["mri"])
+        assert [sol.qhat_kernel_dim for sol in _solve_stack(groups)[0]] == [0, 2] * 3
+        assert stack_against_solo(groups) == {"converged": 6}
+        # a failing seed solve (forced by the seed X0 = -1, which makes
+        # I + X0 G = diag(0, 1) singular for G = diag(1, 0)) fails its own
+        # cell; the kernel-free cells with the same G make no seed solve
+        monkeypatch.setattr(riccati, "_X0", -1.0)
+        Q = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
+        hand_made = (np.stack([0.5 * np.eye(2)] * 3), np.array([[[1.0], [0.0]]] * 3), Q,
+                     np.zeros((3, 2, 1)), np.ones((3, 1, 1)))
+        cells = _solve_stack([hand_made])[0]
+        assert isinstance(cells[1], NumericalError) and str(cells[1]).startswith("singular system in the Riccati doubling")
+        kernel_free = [tuple(X[::2] for X in groups[0])]
+        assert stack_against_solo([hand_made, *kernel_free]) == {"converged": 5, "NumericalError": 1}
+
     def test_hold_only_failures_in_the_doubling(self, souza_plant, souza_weights):
         # converging, diverging, an indefinite Cholesky factor, converging,
         # a singular solve
@@ -551,6 +588,29 @@ class TestDesignBatch:
                         unpolished += 1
         # 153 of these 156 iterates pass unpolished
         assert unpolished > 140
+
+
+def seed_solves(monkeypatch) -> list:
+    """The number of cells of each seed solve (each ``_value_iterate`` call), as they happen."""
+    sizes = []
+    value_iterate = riccati._value_iterate
+    monkeypatch.setattr(riccati, "_value_iterate", lambda A, *rest: sizes.append(len(A)) or value_iterate(A, *rest))
+    return sizes
+
+
+class TestSeedOnlyWhereQhatHasAKernel:
+    def test_the_souza_sweep_makes_no_seed_solve(self, tmp_path, monkeypatch):
+        sizes = seed_solves(monkeypatch)
+        assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "0.2:0.05:5", "--mode", "all",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert sizes == []
+
+    def test_an_insulin_design_seeds_every_doubling(self, insulin_plant, insulin_weights, monkeypatch):
+        sizes = seed_solves(monkeypatch)
+        sol = design(insulin_plant, insulin_weights, 20.0, "mri").solution
+        assert sol.qhat_kernel_dim > 0
+        # one seed solve for the first iterate, then one after each doubling
+        assert sizes == [1] * (sol.iterations + 1)
 
 
 def post_solve_against_solo(plant, weights, periods, mode, b, horizons=(0, 1, 3)) -> Counter:

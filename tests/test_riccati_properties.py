@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mrilqr import ContinuousPlant, CostWeights, NumericalError, design
+from mrilqr import ContinuousPlant, CostWeights, NumericalError, design, discretize, riccati
 from mrilqr.discretize import MODES
 from mrilqr.numkernel import spectral_radius
 
@@ -109,6 +109,54 @@ def test_converged_with_hidden_modes_is_the_stabilizing_solution(problem):
     P_ref = scipy.linalg.solve_discrete_are(d.model.A_d, d.B_sel, d.cost.Q_d, d.R_sel, s=d.S_sel)
     error = float(np.linalg.norm(d.solution.P - P_ref, "fro"))
     assert error <= 1e-8 * float(np.linalg.norm(P_ref, "fro")) + 2.0 * forward_error_bound(d)
+
+
+@st.composite
+def positive_definite_qhat_grids(draw):
+    """Random plant with a positive definite state weight Q = C'C + q I, and
+    a grid of up to four periods up to 12; ||A||_2 up to 1.5 makes many
+    plants unstable, over horizons of up to 2^64 such periods, and one
+    plant in five has no working input, so an unstable one diverges."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.sampled_from([1, 2, 3]))
+    a_norm = draw(st.floats(0.05, 1.5))
+    inputs = draw(st.sampled_from([0.0, 1.0, 1.0, 1.0, 1.0]))
+    periods = draw(st.lists(st.floats(0.2, 12.0), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(n, n))
+    A *= a_norm / max(np.linalg.norm(A, 2), 1e-12)
+    C = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+    weights = CostWeights(C.T @ C + 10.0 ** rng.uniform(-3, 0) * np.eye(n),
+                          np.diag(10.0 ** rng.uniform(-1, 1, m)), np.diag(10.0 ** rng.uniform(-1, 1, m)))
+    return ContinuousPlant(A, inputs * rng.normal(size=(n, m))), weights, periods
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(positive_definite_qhat_grids())
+def test_kernel_free_cells_need_no_seed(problem):
+    # the iterate from 0 and the one from X0 = 1e-12 I stop at the same
+    # doubling with the same outcome where Qhat is positive definite, and
+    # their limits agree to roundoff
+    plant, weights, periods = problem
+    try:
+        _, A_d, _, B_d, B_i = discretize._sample_stack(plant, periods)
+        Q_d, S_d, R_d = discretize._cost_stack(plant, weights, periods)
+    except NumericalError:
+        assume(False)
+    cells = []
+    for mode in MODES:
+        B, S, R = discretize._select_inputs(mode, B_d, B_i, S_d, R_d)
+        stacks, failed = riccati._eliminate_cross_term(A_d, B, Q_d, S, R)
+        cells += [tuple(X[j] for X in stacks) for j in range(len(periods)) if j not in failed]
+    assume(cells)
+    Ahat, G, Qhat, blow_up, kernel_dims = (np.array(X) for X in zip(*cells))
+    assume(not kernel_dims.all())
+    P, iterations, failures = riccati._doubling(Ahat, G, Qhat, blow_up, kernel_dims > 0)
+    P_seeded, iterations_seeded, failures_seeded = riccati._doubling(Ahat, G, Qhat, blow_up, np.ones(len(Ahat), bool))
+    assert iterations.tolist() == iterations_seeded.tolist()
+    assert [(type(f), str(f)) for f in failures] == [(type(f), str(f)) for f in failures_seeded]
+    for j in np.flatnonzero([f is None for f in failures]):
+        assert relerr(P[j], P_seeded[j]) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", [0, 7, 12])
