@@ -326,7 +326,7 @@ def cmd_controllability(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     *reports, at_T = period_reports(plant, [c.period for c in candidates] + [scenario.T])
     rows = [[c.period, c.base_period, c.multiple, c.needs_per_multiple_test,
              r.pathological_regular, r.pathological_impulsive, not r.mri.controllable,
-             r.mri.margin if np.isfinite(r.mri.margin) else None] for c, r in zip(candidates, reports)]
+             r.mri.margin] for c, r in zip(candidates, reports)]
     sink.table("candidates", ["period", "base_period", "multiple", "needs_per_multiple_test", "pathological_regular",
                               "pathological_impulsive", "pathological_mri", "mri_margin"], rows)
     sink.scalar("scenario_T", scenario.T)

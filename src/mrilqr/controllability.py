@@ -19,13 +19,12 @@ sampled pair is controllable with no kernel test at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import numkernel
 from .numkernel import _T
-from .discretize import ContinuousPlant, _sample_stack, input_channels
+from .discretize import ContinuousPlant, _check_period, _sample_stack, input_channels
 from .errors import NumericalError, UncontrollablePlantError
 
 __all__ = [
@@ -120,33 +119,37 @@ def kalman_controllable(A, B) -> bool:
     return bool(_full_rank(A[None], B[None])[0])
 
 
+def _pair_table(eigs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The one eigenvalue-collision rule: the symmetric mask (n, n) of the
+    pairs whose real parts agree within tol = 1e-8 (1 + max |lambda|), the
+    spectrum's scale (at which ``numkernel.eigenvalues`` makes near-real
+    eigenvalues real), and whose imaginary parts are further apart; and tol."""
+    tol = _RESONANCE_RTOL * (1.0 + float(np.max(np.abs(eigs), initial=0.0)))
+    paired = (np.abs(eigs.real[:, None] - eigs.real[None, :]) <= tol) & \
+        (np.abs(eigs.imag[:, None] - eigs.imag[None, :]) > tol)
+    return paired, tol
+
+
 def _resonance(eigs: np.ndarray, periods) -> np.ndarray:
     """Mask (k, n) of the eigenvalues that resonate at each period; see ``resonant_eigenvalues``."""
-    tol = _RESONANCE_RTOL
     T = np.asarray(periods, dtype=float)[:, None, None]
     # [i, j] pairs mu = eigs[i] with gamma = eigs[j]
-    gap = eigs.imag[:, None] - eigs.imag[None, :]
-    paired = (gap != 0.0) & (np.abs(eigs.real[:, None] - eigs.real[None, :]) <= tol * (1.0 + np.abs(eigs))[:, None])
-    x = T * gap / (2.0 * np.pi)
+    x = T * (eigs.imag[:, None] - eigs.imag[None, :]) / (2.0 * np.pi)
     ell = np.rint(x)
-    return (paired & (ell != 0.0) & (np.abs(x - ell) <= tol * (1.0 + T))).any(axis=-1)
+    return (_pair_table(eigs)[0] & (ell != 0.0) & (np.abs(x - ell) <= _RESONANCE_RTOL * (1.0 + T))).any(axis=-1)
 
 
 def resonant_eigenvalues(A, T: float) -> tuple[complex, ...]:
     """Eigenvalues of A with an exponential collision at period T.
 
-    mu resonates when some other eigenvalue gamma has a real part
-    within tol*(1+|mu|) of mu's and T*Im(mu-gamma)/(2 pi) within
-    tol*(1+T) of a nonzero integer, tol = 1e-8. Distinct real
-    eigenvalues never resonate: their exponentials only coincide
-    through the imaginary part. Returned in the order of
-    ``numkernel.eigenvalues``.
+    mu resonates when some other eigenvalue gamma pairs with it (real
+    parts within tol (1 + max |lambda|), imaginary parts further apart,
+    tol = 1e-8: the rule behind ``candidate_pathological_periods`` too)
+    and T Im(mu - gamma) / (2 pi) lies within tol (1 + T) of a nonzero
+    integer. Distinct real eigenvalues never resonate. T is checked like
+    a sampling period. Returned in the order of ``numkernel.eigenvalues``.
     """
-    T = float(T)
-    if not (T > 0.0):
-        raise ValueError(f"period must be positive, got {T}")
-    if T == np.inf:
-        raise ValueError(f"period must be finite, got {T}")
+    T = _check_period(T)
     eigs = numkernel.eigenvalues(numkernel._square(A))
     return tuple(map(complex, eigs[_resonance(eigs, [T])[0]]))
 
@@ -261,22 +264,18 @@ def period_reports(plant: ContinuousPlant, periods) -> list[PeriodReport]:
             for t, r, i, report in zip(T, regular, impulsive, mri)]
 
 
-def _ratio_is_rational(x: float) -> bool:
-    f = Fraction(float(x)).limit_denominator(1000)
-    return bool(abs(x - float(f)) <= _RESONANCE_RTOL * (1.0 + abs(x)))
-
-
 def candidate_pathological_periods(A, T_max: float) -> list[PathologicalCandidate]:
     """All sampling periods up to T_max at which a resonance can occur.
 
-    Every eigenvalue pair a + i b1, a + i b2 with equal real parts and
-    b1 != b2 contributes the base period 2 pi / |b2 - b1| and all its
-    integer multiples up to T_max. For a family with a = 0 whose
+    Every eigenvalue pair a + i b1, a + i b2 that ``resonant_eigenvalues``
+    pairs (real parts within 1e-8 (1 + max |lambda|), imaginary parts
+    further apart) contributes the base period 2 pi / |b2 - b1| and all
+    its integer multiples up to T_max, so each listed period has a
+    resonant pair. For a family with a = 0 (to the same tolerance) whose
     imaginary parts have a rational ratio (including a zero member), the
     kernel test outcome can change from multiple to multiple, so each
     emitted period is flagged as requiring its own test; otherwise one
-    representative decides the whole family. Eigenvalues match within
-    1e-8 relative to the spectrum's scale. Periods arising from several
+    representative decides the whole family. Periods arising from several
     pairs are deduplicated, keeping any flag. A T_max spanning more
     multiples than numpy can index or memory can hold is a ValueError.
     """
@@ -284,44 +283,36 @@ def candidate_pathological_periods(A, T_max: float) -> list[PathologicalCandidat
         raise ValueError(f"T_max must be positive, got {T_max}")
     if T_max == np.inf:
         raise ValueError(f"T_max must be finite, got {T_max}")
-    tol = _RESONANCE_RTOL
     eigs = numkernel.eigenvalues(numkernel._square(A))
-    scale = 1.0 + float(np.max(np.abs(eigs), initial=0.0))
+    paired, tol = _pair_table(eigs)
 
-    # (base period, per-multiple flag) per resonating eigenvalue pair
-    families: list[tuple[float, bool]] = []
-    for i in range(len(eigs)):
-        for j in range(i + 1, len(eigs)):
-            lam, gam = eigs[i], eigs[j]
-            if abs(lam.real - gam.real) > tol * scale:
-                continue
-            gap = abs(lam.imag - gam.imag)
-            if gap <= tol * scale:
-                continue
-            base = 2.0 * np.pi / gap
-            flag = False
-            if abs(lam.real) <= tol * scale:
-                b1, b2 = lam.imag, gam.imag
-                if abs(b1) <= tol * scale or abs(b2) <= tol * scale:
-                    flag = True
-                else:
-                    flag = _ratio_is_rational(b2 / b1)
-            families.append((base, flag))
+    # one family per pair i < j: its base period, and its flag (b2 / b1 within
+    # 1e-8 (1 + |b2 / b1|) of a fraction with denominator at most 1000)
+    lam, gam = (eigs[k] for k in np.nonzero(np.triu(paired, 1)))
+    bases = 2.0 * np.pi / np.abs(lam.imag - gam.imag)
+    zero = (np.abs(lam.imag) <= tol) | (np.abs(gam.imag) <= tol)
+    x, q = (gam.imag / np.where(zero, 1.0, lam.imag))[:, None], np.arange(1, 1001)
+    rational = (np.abs(x - np.rint(x * q) / q) <= _RESONANCE_RTOL * (1.0 + np.abs(x))).any(axis=-1)
+    flags = (np.abs(lam.real) <= tol) & (zero | rational)
 
     # each family's multiples, counted (with a spare for the quotient's rounding) before they are listed
     limit = T_max * (1.0 + 1e-12)
     with np.errstate(over="ignore"):
-        counts = [np.floor(limit / base) + 1.0 for base, _ in families]
-    total = sum(counts, 0.0)
+        counts = np.floor(limit / bases) + 1.0
+    total = float(counts.sum())
     if not total < np.iinfo(np.intp).max:
         raise ValueError(f"T_max = {T_max!r} spans {total:g} multiples of its base periods, more than numpy can index")
+    sizes = counts.astype(np.intp)
     try:
-        periods = [np.arange(1, int(count) + 1) * base for (base, _), count in zip(families, counts)]
+        family = np.repeat(np.arange(len(sizes)), sizes)
+        ell = np.arange(1, len(family) + 1) - (np.cumsum(sizes) - sizes)[family]
+        periods = ell * bases[family]
     except (ValueError, MemoryError):  # numpy cannot allocate the multiples
         raise ValueError(f"T_max = {T_max!r} spans {total:g} multiples of its base periods, more than fit in memory") from None
-    candidates = [PathologicalCandidate(period=period, base_period=base, multiple=ell, needs_per_multiple_test=flag)
-                  for (base, flag), multiples in zip(families, periods)
-                  for ell, period in enumerate(multiples[multiples <= limit], start=1)]
+    within = periods <= limit
+    f = family[within]
+    candidates = list(map(PathologicalCandidate, periods[within].tolist(), bases[f].tolist(), ell[within].tolist(),
+                          flags[f].tolist()))
 
     # Deduplicate periods from different pairs (conjugate pairs always
     # produce duplicates); a flagged duplicate wins.

@@ -76,7 +76,8 @@ def expm_gram_integral(A, W, T) -> np.ndarray:
     if its exponential is [[F1, G2], [0, F3]] then the integral equals
     F3' G2. The -A' block makes that exponential badly scaled for large
     ||A||*T, so the integral is evaluated on a sub-interval with
-    ||A||*h <= 2 and doubled through the exact composition
+    ||A||*h <= 2 (below the cap of 60 doublings; an overflowing ||A||*T
+    is a NumericalError) and doubled through the exact composition
     H(2t) = H(t) + Phi(t)' H(t) Phi(t). W must be symmetric; the result
     is symmetrized to remove roundoff asymmetry. T is one duration or a
     1-D array of them, as for ``expm_block_integrals``; each duration takes
@@ -85,9 +86,11 @@ def expm_gram_integral(A, W, T) -> np.ndarray:
     n = A.shape[0]
     T = np.asarray(T, dtype=float)
     Ts = T.reshape(-1)
-    norm = float(np.linalg.norm(A, "fro"))
-    doublings = np.array([max(0, min(60, int(np.ceil(np.log2(max(norm * t, 1e-300) / 2.0)))))
-                          for t in Ts.tolist()], dtype=int)
+    with np.errstate(over="ignore"):
+        spans = float(np.linalg.norm(A, "fro")) * Ts
+    if not np.isfinite(spans).all():
+        raise NumericalError("||A|| T overflowed in the Gram integral")
+    doublings = np.array([max(0, min(60, int(np.ceil(np.log2(max(s, 1e-300) / 2.0))))) for s in spans.tolist()], dtype=int)
     h = Ts / np.ldexp(1.0, doublings)
 
     Z = np.zeros((2 * n, 2 * n))

@@ -144,6 +144,13 @@ def _interval_maps(plant: ContinuousPlant, weights: CostWeights, segments):
     return Phi, H
 
 
+def _hold_length(T: float, epsilon: float) -> float:
+    """The hold length epsilon T of the impulse approximation, for a checked period."""
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"approx mode needs epsilon in (0, 1), got {epsilon}")
+    return epsilon * T
+
+
 def _run(
     plant: ContinuousPlant,
     weights: CostWeights,
@@ -174,11 +181,7 @@ def _run(
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     T = _check_period(T)
-    alpha = None
-    if epsilon is not None:
-        if not (0.0 < epsilon < 1.0):
-            raise ValueError(f"approx mode needs epsilon in (0, 1), got {epsilon}")
-        alpha = epsilon * T
+    alpha = None if epsilon is None else _hold_length(T, epsilon)
 
     n, m = plant.n, plant.m
     B = plant.B
@@ -354,13 +357,8 @@ def impulse_hold_matrix(plant: ContinuousPlant, T: float, epsilon: float) -> np.
     epsilon -> 0 it converges (first order) to the exact impulse map
     e^{AT} B.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not (T > 0.0):
-        raise ValueError(f"period must be positive, got {T}")
-    if T == np.inf:
-        raise ValueError(f"period must be finite, got {T}")
-    alpha = epsilon * T
+    T = _check_period(T)
+    alpha = _hold_length(T, epsilon)
     _, Atilde_a, _ = numkernel.expm_block_integrals(plant.A, plant.B, alpha)
     return scipy.linalg.expm(plant.A * (T - alpha)) @ Atilde_a @ plant.B / alpha
 

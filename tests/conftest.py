@@ -37,6 +37,15 @@ def rotation_plant() -> ContinuousPlant:
 
 
 @pytest.fixture
+def near_resonant_plant() -> ContinuousPlant:
+    """Eigenvalues 5e-8 +- i, +-2i and -100. The real parts of 5e-8 + i and
+    -2i agree within 1e-8 of the spectrum's scale 1 + 100, not within
+    1e-8 (1 + |mu|); the pair collides at the multiples of 2 pi / 3."""
+    A = scipy.linalg.block_diag([[5e-8, -1.0], [1.0, 5e-8]], [[0.0, -2.0], [2.0, 0.0]], [[-100.0]])
+    return ContinuousPlant(A, [[1.0], [2.0], [1.0], [3.0], [1.0]])
+
+
+@pytest.fixture
 def insulin_plant() -> ContinuousPlant:
     return ContinuousPlant(
         A=np.diag([-0.0167, -0.01, -0.0083, -0.0143, -0.0091, -0.008]),
@@ -126,3 +135,48 @@ def relerr(got, expected) -> float:
     expected = np.asarray(expected, dtype=float)
     denom = max(np.linalg.norm(expected.ravel()), 1e-300)
     return float(np.linalg.norm((got - expected).ravel()) / denom)
+
+
+def kalman_sigma_min(A, B, T, mode):
+    """sigma_min / sigma_max of the sampled Kalman matrix, from scipy alone.
+
+    One exponential of [[A, B], [0, 0]] T gives e^{AT} and the hold map
+    int_0^T e^{As} ds B; the impulse map is e^{AT} B.
+    """
+    n, m = B.shape
+    M = np.zeros((n + m, n + m))
+    M[:n, :n], M[:n, n:] = A, B
+    E = scipy.linalg.expm(M * T)
+    A_d, B_d = E[:n, :n], E[:n, n:]
+    cols = {"regular": B_d, "impulsive": A_d @ B, "mri": np.hstack([B_d, A_d @ B])}[mode]
+    blocks = [cols]
+    for _ in range(n - 1):
+        blocks.append(A_d @ blocks[-1])
+    s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    return s[n - 1] / s[0]
+
+
+def kalman_zeros(A, B, mode, T_max, h=0.01):
+    """Periods in (0, T_max] where the sampled Kalman matrix loses rank.
+
+    Scans a grid of step h, then bisects each local minimum of
+    sigma_min on the sign of its slope; a refined minimum below 1e-8
+    is a zero (the other minima of souza and rotation sit above 3e-2).
+    """
+    grid = np.arange(h, T_max + h / 2, h)
+    f = [kalman_sigma_min(A, B, T, mode) for T in grid]
+    zeros = []
+    for i in range(1, len(grid) - 1):
+        if not (f[i] <= f[i - 1] and f[i] <= f[i + 1]):
+            continue
+        lo, hi = grid[i - 1], grid[i + 1]
+        while hi - lo > 1e-11:
+            mid = 0.5 * (lo + hi)
+            if kalman_sigma_min(A, B, mid + 1e-12, mode) > kalman_sigma_min(A, B, mid - 1e-12, mode):
+                hi = mid
+            else:
+                lo = mid
+        T = 0.5 * (lo + hi)
+        if kalman_sigma_min(A, B, T, mode) < 1e-8:
+            zeros.append(T)
+    return zeros

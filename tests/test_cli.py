@@ -304,6 +304,17 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_an_overflowing_gram_span_is_a_numerical_failure(self, tmp_path, capsys):
+        # ||A||_F T of the cost's Gram integral is not finite: no doubling count
+        scenario = tmp_path / "stiff.json"
+        scenario.write_text(json.dumps({"A": [[-1e300, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]],
+                                        "Q": [[1.0, 0.0], [0.0, 1.0]], "Rc": [[1.0]], "Ri": [[1.0]], "T": 1.0}))
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--mode", "open_loop", "--steps", "2",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "numerical failure: ||A|| T overflowed in the Gram integral\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("T, mode", [("600", "impulsive"), ("700", "impulsive"), ("300", "regular")])
     def test_long_period_overflow_is_a_numerical_failure(self, T, mode, tmp_path, capsys):
         # the impulse-only Qhat's norm overflows at T = 600 and 700, the
@@ -593,6 +604,21 @@ class TestOutputs:
         for r in rows:
             assert r[4] == "true"   # hold-only pathological
             assert r[6] == "false"  # mixed stays controllable
+
+    def test_every_candidate_has_a_kernel_margin(self, tmp_path, near_resonant_plant):
+        scenario = tmp_path / "near.json"
+        scenario.write_text(json.dumps({"name": "near", "A": near_resonant_plant.A.tolist(),
+                                        "B": near_resonant_plant.B.tolist(), "Q": np.eye(5).tolist(),
+                                        "Rc": [[1.0]], "Ri": [[1.0]], "T": 1.0}))
+        out = tmp_path / "c.csv"
+        assert cli.main(["controllability", "--scenario", str(scenario), "--T-max", "7", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        header = lines.index(next(l for l in lines if l.startswith("period,")))
+        rows = [l.split(",") for l in lines[header + 1:]]
+        assert len(rows) == 6 and all(r[7] for r in rows)
+        # 2 pi / 3 and 4 pi / 3 come from the pair 5e-8 + i, -2i alone
+        assert [float(r[7]) for r in rows if float(r[1]) == pytest.approx(2.0 * np.pi / 3.0)] == \
+            pytest.approx([0.647, 0.647], abs=1e-3)
 
     def test_simulate_traj_csv(self, tmp_path):
         out = tmp_path / "t.csv"

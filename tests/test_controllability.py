@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from mrilqr import (
     ContinuousPlant,
@@ -17,7 +16,7 @@ from mrilqr import (
     sample_plant,
 )
 
-from conftest import random_controllable_plant
+from conftest import kalman_zeros, random_controllable_plant
 
 SOUZA_BASE = 2.0 * np.pi / np.sqrt(23.0)
 
@@ -64,6 +63,10 @@ class TestResonantEigenvalues:
     def test_rejects_nonpositive_period(self, souza_plant):
         with pytest.raises(ValueError):
             resonant_eigenvalues(souza_plant.A, 0.0)
+
+    def test_rejects_a_period_no_sampler_takes(self, souza_plant):
+        with pytest.raises(ValueError, match="sampling period must exceed 1e-12, got 1e-13"):
+            resonant_eigenvalues(souza_plant.A, 1e-13)
 
     def test_rejects_an_infinite_period(self, souza_plant):
         # an infinite period is an input fault, not a resonance test on nan
@@ -249,51 +252,6 @@ class TestCandidatePeriods:
                     assert any(abs(T - p) <= 1e-6 * (1 + T) for p in periods)
 
 
-def kalman_sigma_min(A, B, T, mode):
-    """sigma_min / sigma_max of the sampled Kalman matrix, from scipy alone.
-
-    One exponential of [[A, B], [0, 0]] T gives e^{AT} and the hold map
-    int_0^T e^{As} ds B; the impulse map is e^{AT} B.
-    """
-    n, m = B.shape
-    M = np.zeros((n + m, n + m))
-    M[:n, :n], M[:n, n:] = A, B
-    E = scipy.linalg.expm(M * T)
-    A_d, B_d = E[:n, :n], E[:n, n:]
-    cols = {"regular": B_d, "impulsive": A_d @ B, "mri": np.hstack([B_d, A_d @ B])}[mode]
-    blocks = [cols]
-    for _ in range(n - 1):
-        blocks.append(A_d @ blocks[-1])
-    s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    return s[n - 1] / s[0]
-
-
-def kalman_zeros(A, B, mode, T_max, h=0.01):
-    """Periods in (0, T_max] where the sampled Kalman matrix loses rank.
-
-    Scans a grid of step h, then bisects each local minimum of
-    sigma_min on the sign of its slope; a refined minimum below 1e-8
-    is a zero (the other minima of souza and rotation sit above 3e-2).
-    """
-    grid = np.arange(h, T_max + h / 2, h)
-    f = [kalman_sigma_min(A, B, T, mode) for T in grid]
-    zeros = []
-    for i in range(1, len(grid) - 1):
-        if not (f[i] <= f[i - 1] and f[i] <= f[i + 1]):
-            continue
-        lo, hi = grid[i - 1], grid[i + 1]
-        while hi - lo > 1e-11:
-            mid = 0.5 * (lo + hi)
-            if kalman_sigma_min(A, B, mid + 1e-12, mode) > kalman_sigma_min(A, B, mid - 1e-12, mode):
-                hi = mid
-            else:
-                lo = mid
-        T = 0.5 * (lo + hi)
-        if kalman_sigma_min(A, B, T, mode) < 1e-8:
-            zeros.append(T)
-    return zeros
-
-
 class TestPathologicalPeriodOracle:
     """Candidate periods and the rank decisions against an independent sigma_min scan."""
 
@@ -322,11 +280,12 @@ class TestPathologicalPeriodOracle:
 def documented_resonance(A, T):
     """The resonance rule of ``resonant_eigenvalues``, pair by pair."""
     eigs = np.sort_complex(np.linalg.eigvals(A).astype(complex))
+    tol = 1e-8 * (1.0 + np.abs(eigs).max())
     out = []
     for mu in eigs:
         for gamma in eigs:
             gap = mu.imag - gamma.imag
-            if gap == 0.0 or abs(mu.real - gamma.real) > 1e-8 * (1.0 + abs(mu)):
+            if abs(gap) <= tol or abs(mu.real - gamma.real) > tol:
                 continue
             x = T * gap / (2.0 * np.pi)
             if round(x) != 0 and abs(x - round(x)) <= 1e-8 * (1.0 + T):
@@ -411,6 +370,17 @@ class TestPeriodReports:
         reports = reports_against_solo(plant, [*candidates, *rng.uniform(0.2, 10.0, size=5)])
         assert len(candidates) > 10
         assert all(r.mri.resonant for r in reports[:len(candidates)])
+
+    def test_pairs_near_equal_on_the_spectrum_scale_are_tested(self, near_resonant_plant):
+        # every candidate period gets a kernel test, the pair 5e-8 + i, -2i included
+        candidates = candidate_pathological_periods(near_resonant_plant.A, 7.0)
+        reports = reports_against_solo(near_resonant_plant, [c.period for c in candidates])
+        assert all(r.mri.resonant and np.isfinite(r.mri.margin) for r in reports)
+        colliding = [r for c, r in zip(candidates, reports) if np.isclose(c.base_period, 2.0 * np.pi / 3.0)]
+        assert [r.period for r in colliding] == pytest.approx([2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
+        for r in colliding:
+            assert np.allclose(sorted(r.mri.resonant, key=lambda z: z.imag), [-2j, 5e-8 - 1j, 5e-8 + 1j, 2j])
+            assert r.mri.controllable and r.mri.margin == pytest.approx(0.647, abs=1e-3)
 
     def test_an_overflowing_period_fails_the_stack(self, souza_plant):
         with pytest.raises(NumericalError, match="overflowed at T = 1500.0"):

@@ -121,6 +121,36 @@ class TestGramIntegral:
             0.0, 0.9, epsabs=1e-13, epsrel=1e-13)
         assert relerr(got, oracle) < 1e-10
 
+    def test_stiff_normal_matrix_against_the_closed_form(self):
+        # A = V diag(lam) V' with lam from -1e-3 to -1e4: the integral is
+        # V [W~_ij (e^{(lam_i + lam_j) T} - 1) / (lam_i + lam_j)] V', W~ = V' W V;
+        # at T = 1e12 the sub-interval is halved 52 times, near the cap of 60
+        rng = np.random.default_rng(15)
+        lam = -np.logspace(-3, 4, 5)
+        V = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+        W = rng.normal(size=(5, 5))
+        W = W @ W.T
+        rate = lam[:, None] + lam[None, :]
+        T = np.logspace(-3, 12, 31)
+        for t, H in zip(T, expm_gram_integral(V @ np.diag(lam) @ V.T, W, T)):
+            exact = V @ (V.T @ W @ V * np.expm1(rate * t) / rate) @ V.T
+            assert np.abs(H - exact).max() <= 1e-9 * np.abs(exact).max(), t
+
+    @pytest.mark.parametrize("T", [5.0, 20.0, 60.0])
+    def test_non_normal_matrix_against_quadrature(self, T):
+        # ||A|| T reaches 3000: the doubled sub-intervals carry the transient of the 50 coupling
+        A = np.array([[0.5, 50.0], [0.0, -0.3]])
+        got = expm_gram_integral(A, np.eye(2), T)
+        oracle, _ = quad_vec(lambda s: scipy.linalg.expm(A.T * s) @ scipy.linalg.expm(A * s),
+                             0.0, T, epsabs=0.0, epsrel=1e-14, limit=2000)
+        assert np.abs(got - oracle).max() <= 1e-11 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("A, T", [([[-1e300, 0.0], [0.0, -1.0]], 1.0), ([[-1e200, 0.0], [0.0, -1.0]], 1e200)],
+                             ids=["norm", "product"])
+    def test_an_overflowing_norm_times_duration_is_a_numerical_error(self, A, T):
+        with pytest.raises(NumericalError, match=r"\|\|A\|\| T overflowed in the Gram integral"):
+            expm_gram_integral(np.array(A), np.eye(2), T)
+
     def test_stacked_durations_equal_single_calls(self):
         # ||A||_F = 1, so ||A||_F T straddles 2, 4 and 8: the durations take
         # 0, 0, 1, 1, 2, 2, 3 and 4 doublings of their sub-interval

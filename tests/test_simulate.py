@@ -127,9 +127,13 @@ class TestBasics:
         (lambda p, w: DisturbanceSpec(-1, [1.0, 0.0]), "impulse_step must be >= 0"),
         (lambda p, w: DisturbanceSpec(0, [1.0, np.inf]), "non-finite"),
         (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((3, 1)), np.zeros((2, 1))), "equal shapes"),
-        (lambda p, w: impulse_hold_matrix(p, 0.0, 0.5), "period must be positive"),
-        (lambda p, w: impulse_hold_matrix(p, -1.0, 0.5), "period must be positive"),
+        (lambda p, w: impulse_hold_matrix(p, 0.0, 0.5), "sampling period must exceed 1e-12, got 0.0"),
+        (lambda p, w: impulse_hold_matrix(p, -1.0, 0.5), "sampling period must exceed 1e-12, got -1.0"),
         (lambda p, w: impulse_hold_matrix(p, np.inf, 0.5), "period must be finite, got inf"),
+        # the hold map takes the samplers' period rule and the runs' epsilon rule
+        (lambda p, w: impulse_hold_matrix(p, 5e-324, 0.5), "sampling period must exceed 1e-12, got 5e-324"),
+        (lambda p, w: impulse_hold_matrix(p, 1e-13, 0.5), "sampling period must exceed 1e-12, got 1e-13"),
+        (lambda p, w: impulse_hold_matrix(p, 1.0, 1.0), r"approx mode needs epsilon in \(0, 1\), got 1.0"),
         # the period of a run is checked where it enters, not by the exponential kernel
         (lambda p, w: simulate_closed_loop(p, w, 0.0, InputPolicy(np.zeros((2, 2)))),
          "sampling period must exceed 1e-12, got 0.0"),
@@ -139,8 +143,8 @@ class TestBasics:
         (lambda p, w: certified_horizon([[np.nan, 0.0], [0.0, 0.5]], 1.0), "has non-finite entries"),
     ], ids=["steps", "substeps", "x0-size", "policy-mode", "gain-shape", "negative-step",
             "non-finite-direction", "unequal-sequences", "zero-period", "negative-period",
-            "infinite-hold-period", "zero-run-period", "infinite-run-period", "A_cl-non-square",
-            "A_cl-non-finite"])
+            "infinite-hold-period", "subnormal-hold-period", "tiny-hold-period", "hold-epsilon",
+            "zero-run-period", "infinite-run-period", "A_cl-non-square", "A_cl-non-finite"])
     def test_invalid_arguments_are_rejected(self, souza_plant, souza_weights, call, message):
         with pytest.raises(ValueError, match=message):
             call(souza_plant, souza_weights)
