@@ -1,19 +1,22 @@
 """Controllability diagnosis for the sampled models.
 
 Sampling a controllable continuous pair (A, B) can destroy
-controllability at special ("pathological") periods T. For the model
-with both hold and impulse channels controllability only has to be
-checked at eigenvalues of A that collide under the exponential map,
-i.e. at mu in sigma(A) having a partner gamma != mu with equal real
-part and (mu - gamma) T in 2 i pi Z. For every such mu the stacked
-matrix
+controllability at special ("pathological") periods T. For every input
+mode controllability only has to be checked at eigenvalues of A that
+collide under the exponential map, i.e. at mu in sigma(A) having a
+partner gamma != mu with equal real part and (mu - gamma) T in
+2 i pi Z. For every such mu the stacked matrix
 
     [ A_d' - e^{mu T} I ]
     [   (Atilde B)'     ]
     [        B'         ]
 
-must have a trivial kernel. When no eigenvalue pair resonates at T the
-sampled pair is controllable with no kernel test at all.
+keeps the rows of the mode's channels (``input_channels``: the hold row
+block, the impulse row block or both) and must have a trivial kernel.
+The impulse channel may test B' in place of B_i' = B' A_d': on the
+kernel of A_d' - e^{mu T} I the two differ by the factor e^{mu T} != 0.
+When no eigenvalue pair resonates at T the sampled pair is controllable
+with no kernel test at all.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import numkernel
 from .numkernel import _T
-from .discretize import ContinuousPlant, _check_period, _sample_stack, input_channels
+from .discretize import MODES, ContinuousPlant, _check_period, _sample_stack, input_channels
 from .errors import NumericalError, UncontrollablePlantError
 
 __all__ = [
@@ -45,7 +48,7 @@ _RESONANCE_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class ControllabilityReport:
-    """Outcome of the reduced kernel test for one (plant, T) in mri mode.
+    """Outcome of the reduced kernel test for one (plant, T) and input mode.
 
     resonant holds the tested eigenvalues (see ``resonant_eigenvalues``);
     failures lists (mu, complex kernel dimension) for every tested
@@ -66,7 +69,8 @@ class PeriodReport:
 
     pathological_regular and pathological_impulsive are
     ``is_pathological`` of the single-channel modes; mri is
-    ``reduced_hautus_mri``.
+    ``reduced_hautus_mri``. All three come from one reduced kernel test,
+    which differs between modes only by the rows it keeps.
     """
 
     period: float
@@ -91,21 +95,6 @@ class PathologicalCandidate:
     needs_per_multiple_test: bool
 
 
-def _full_rank(A, B) -> np.ndarray:
-    """Kalman rank test of each pair of stacks A (k, n, n), B (k, n, p).
-
-    Raises NumericalError when the powers overflow in any pair.
-    """
-    blocks = [B]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(A.shape[-1] - 1):
-            blocks.append(A @ blocks[-1])
-    C = np.concatenate(blocks, axis=-1)
-    if not np.isfinite(C).all():
-        raise NumericalError("the controllability matrix [B, AB, ...] overflowed")
-    return numkernel._svd_kernel(_T(C))[1] == 0
-
-
 def kalman_controllable(A, B) -> bool:
     """Rank test: [B, AB, ..., A^{n-1}B] has full row rank n.
 
@@ -116,7 +105,14 @@ def kalman_controllable(A, B) -> bool:
     n = A.shape[0]
     if A.shape[1] != n or B.shape[0] != n:
         raise ValueError(f"inconsistent shapes A {A.shape}, B {B.shape}")
-    return bool(_full_rank(A[None], B[None])[0])
+    blocks = [B]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n - 1):
+            blocks.append(A @ blocks[-1])
+    C = np.hstack(blocks)
+    if not np.isfinite(C).all():
+        raise NumericalError("the controllability matrix [B, AB, ...] overflowed")
+    return bool(numkernel._svd_kernel(C.T)[1] == 0)
 
 
 def _pair_table(eigs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -156,9 +152,7 @@ def resonant_eigenvalues(A, T: float) -> tuple[complex, ...]:
 
 def _require_controllable(plant: ContinuousPlant) -> None:
     if not kalman_controllable(plant.A, plant.B):
-        raise UncontrollablePlantError(
-            "hypothesis violated: the continuous pair (A, B) is not controllable"
-        )
+        raise UncontrollablePlantError("hypothesis violated: the continuous pair (A, B) is not controllable")
 
 
 def _real_doubling(M: np.ndarray) -> np.ndarray:
@@ -166,12 +160,20 @@ def _real_doubling(M: np.ndarray) -> np.ndarray:
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
-def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> list[ControllabilityReport]:
-    """``reduced_hautus_mri`` at each period of the sampled stacks.
+def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> tuple[dict[str, np.ndarray], list[ControllabilityReport]]:
+    """The reduced kernel test of every mode at each period of the sampled
+    stacks: per mode, the mask of periods whose sampled pair loses
+    controllability, and the ``reduced_hautus_mri`` reports.
 
-    The spectrum of A is computed once, the norms of the A_d and B_d
-    stacks take one stacked SVD each, and one stacked SVD covers the
-    kernel test of every (period, resonant eigenvalue) pair.
+    The spectrum of A is computed once, and the norms of the A_d and B_d
+    stacks take one stacked SVD each. The blocks of each (period,
+    resonant eigenvalue) pair are built once; a mode's matrix is the
+    A_d' - e^{mu T} I block over the input rows its ``input_channels``
+    slice selects, and one stacked SVD per mode covers every (period,
+    eigenvalue). A singular value counts as zero at or below
+    ``RANK_RTOL`` max(1, the largest): the blocks are scaled to at most
+    unit size, and a hold block that cancels to roundoff (rotation at
+    T = 2 pi k) has no large singular value to measure roundoff against.
     """
     n, m = plant.n, plant.m
     eigs = numkernel.eigenvalues(plant.A)
@@ -181,40 +183,25 @@ def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> list[Controllability
     mus = eigs[which]
     A_d_norm = np.linalg.svd(A_d, compute_uv=False).max(axis=-1)
     B_d_norm = np.linalg.svd(B_d, compute_uv=False).max(axis=-1)
-    AtB_block = _T(B_d) / np.maximum(1.0, B_d_norm)[:, None, None]
     shift = np.exp(mus * np.asarray(T)[at])
     scale = np.maximum(np.maximum(1.0, A_d_norm[at]), np.abs(shift))
-    stacked = np.concatenate(
-        [
-            (_T(A_d)[at] - shift[:, None, None] * np.eye(n)) / scale[:, None, None],
-            AtB_block[at],
-            np.broadcast_to(plant.B.T, (len(at), m, n)),
-        ],
-        axis=1,
-    )
-    if not np.isfinite(stacked).all():
+    A_block = (_T(A_d)[at] - shift[:, None, None] * np.eye(n)) / scale[:, None, None]
+    # the (Atilde B)' rows of the hold channel over the B' rows of the impulse channel
+    inputs = np.concatenate([_T(B_d)[at] / np.maximum(1.0, B_d_norm[at])[:, None, None],
+                             np.broadcast_to(plant.B.T, (len(at), m, n))], axis=1)
+    if not (np.isfinite(A_block).all() and np.isfinite(inputs).all()):
         raise NumericalError("the reduced Hautus matrix overflowed")
-    s, kdim = numkernel._svd_kernel(_real_doubling(stacked))
+    tests = {mode: numkernel._svd_kernel(_real_doubling(
+        np.concatenate([A_block, inputs[:, input_channels(mode, m)]], axis=1)), floor=1.0) for mode in MODES}
+    lost = {mode: np.bincount(at, kdim, len(T)) > 0 for mode, (_, kdim) in tests.items()}
+    s, kdim = tests["mri"]
     margin = np.full(len(T), np.inf)
     np.minimum.at(margin, at, s[:, -1])
     failures: list[list] = [[] for _ in T]
     for j in np.flatnonzero(kdim):
         failures[at[j]].append((complex(mus[j]), int(kdim[j]) // 2))
-    return [
-        ControllabilityReport(
-            controllable=not f,
-            resonant=tuple(map(complex, eigs[mask])),
-            failures=tuple(f),
-            margin=float(g),
-        )
-        for f, mask, g in zip(failures, resonant, margin)
-    ]
-
-
-def _pathological(plant: ContinuousPlant, A_d, B_d, B_i, mode: str) -> np.ndarray:
-    """``is_pathological`` of the given mode at each period of the sampled stacks."""
-    channels = input_channels(mode, plant.m)
-    return ~_full_rank(A_d, np.concatenate([B_d, B_i], axis=-1)[..., channels])
+    return lost, [ControllabilityReport(not f, tuple(map(complex, eigs[mask])), tuple(f), float(g))
+                  for f, mask, g in zip(failures, resonant, margin)]
 
 
 def reduced_hautus_mri(plant: ContinuousPlant, T: float) -> ControllabilityReport:
@@ -233,15 +220,18 @@ def reduced_hautus_mri(plant: ContinuousPlant, T: float) -> ControllabilityRepor
     """
     _require_controllable(plant)
     Ts, A_d, _, B_d, _ = _sample_stack(plant, [T])
-    return _hautus_reports(plant, Ts, A_d, B_d)[0]
+    return _hautus_reports(plant, Ts, A_d, B_d)[1][0]
 
 
 def is_pathological(plant: ContinuousPlant, T: float, mode: str) -> bool:
-    """True when the sampled pair for the given input mode loses controllability
-    (the Kalman rank test of the sampled pair, as a stack of one)."""
+    """True when the sampled pair for the given input mode loses controllability:
+    the reduced kernel test of ``reduced_hautus_mri`` on the rows of the mode's
+    channels, as a stack of one. For mode mri it is ``not
+    reduced_hautus_mri(plant, T).controllable``."""
+    input_channels(mode, plant.m)  # a ValueError for an unknown mode
     _require_controllable(plant)
-    _, A_d, _, B_d, B_i = _sample_stack(plant, [T])
-    return bool(_pathological(plant, A_d, B_d, B_i, mode)[0])
+    Ts, A_d, _, B_d, _ = _sample_stack(plant, [T])
+    return bool(_hautus_reports(plant, Ts, A_d, B_d)[0][mode][0])
 
 
 def period_reports(plant: ContinuousPlant, periods) -> list[PeriodReport]:
@@ -256,12 +246,10 @@ def period_reports(plant: ContinuousPlant, periods) -> list[PeriodReport]:
     _require_controllable(plant)
     if len(periods) == 0:
         return []
-    T, A_d, _, B_d, B_i = _sample_stack(plant, periods)
-    mri = _hautus_reports(plant, T, A_d, B_d)
-    regular = _pathological(plant, A_d, B_d, B_i, "regular")
-    impulsive = _pathological(plant, A_d, B_d, B_i, "impulsive")
+    T, A_d, _, B_d, _ = _sample_stack(plant, periods)
+    lost, mri = _hautus_reports(plant, T, A_d, B_d)
     return [PeriodReport(float(t), bool(r), bool(i), report)
-            for t, r, i, report in zip(T, regular, impulsive, mri)]
+            for t, r, i, report in zip(T, lost["regular"], lost["impulsive"], mri)]
 
 
 def candidate_pathological_periods(A, T_max: float) -> list[PathologicalCandidate]:

@@ -142,6 +142,15 @@ def _check_period(T: float) -> float:
     return T
 
 
+def _check_count(k, name: str, least: int) -> None:
+    """The one rule of step counts, sample indices and horizons: a Python or
+    numpy integer, never a bool, of at least ``least``; else a ValueError."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {k!r}")
+    if k < least:
+        raise ValueError(f"{name} must be >= {least}, got {k}")
+
+
 def _sample_stack(plant: ContinuousPlant, periods) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The checked periods and the (A_d, Atilde, B_d, B_i) stacks of the plant
     sampled at each, from one stacked exponential; raises NumericalError,

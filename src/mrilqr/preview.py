@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel, riccati
+from .discretize import _check_count
 from .numkernel import _T, _cellwise, _fro, _sym
 from .errors import NumericalError
 
@@ -179,10 +180,7 @@ def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
     b = np.asarray(Btilde, dtype=float).reshape(-1)
     if b.size != len(P) or not np.isfinite(b).all():
         raise ValueError(f"Btilde must be a vector of {len(P)} finite entries, got {b.tolist()}")
-    if not isinstance(N, (int, np.integer)):
-        raise ValueError(f"preview horizon N must be an integer, got {N!r}")
-    if N < 0:
-        raise ValueError(f"preview horizon must be >= 0, got {N}")
+    _check_count(N, "preview horizon N", 0)
     if not des.solution.converged:
         raise NumericalError("no preview on a design that did not converge")
     B, R, K = des.B_sel, des.R_sel, des.solution.K

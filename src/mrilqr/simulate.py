@@ -27,7 +27,8 @@ import numpy as np
 import scipy.linalg
 
 from . import numkernel
-from .discretize import MODES, ContinuousPlant, CostWeights, _check_period, constant_input_gram, cost_matrices, input_channels
+from .discretize import (MODES, ContinuousPlant, CostWeights, _check_count, _check_period, constant_input_gram, cost_matrices,
+                         input_channels)
 from .errors import SimulationDivergence
 
 __all__ = [
@@ -68,14 +69,14 @@ class InputPolicy:
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    """State jump of ``direction`` applied at sample index impulse_step."""
+    """State jump of ``direction`` applied at sample index impulse_step, an
+    integer from 0 to the run's steps; direction has the plant's n entries."""
 
     impulse_step: int
     direction: np.ndarray
 
     def __post_init__(self):
-        if self.impulse_step < 0:
-            raise ValueError("impulse_step must be >= 0")
+        _check_count(self.impulse_step, "impulse_step", 0)
         d = np.asarray(self.direction, dtype=float).reshape(-1)
         if not np.all(np.isfinite(d)):
             raise ValueError("disturbance direction has non-finite entries")
@@ -176,10 +177,8 @@ def _run(
     running cost. The step's end state is its last dense row. Dense rows
     are kept in per-step blocks and joined once at the end.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    _check_count(steps, "steps", 1)
+    _check_count(substeps, "substeps", 1)
     T = _check_period(T)
     alpha = None if epsilon is None else _hold_length(T, epsilon)
 
@@ -188,6 +187,10 @@ def _run(
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.size != n:
         raise ValueError(f"x0 has size {x.size}, expected {n}")
+    if disturbance is not None and disturbance.direction.size != n:
+        raise ValueError(f"disturbance direction has size {disturbance.direction.size}, expected {n}")
+    if disturbance is not None and disturbance.impulse_step > steps:
+        raise ValueError(f"disturbance impulse_step must be <= steps = {steps}, got {disturbance.impulse_step}")
 
     segments = _interval_segments(T, substeps, alpha)
     S = len(segments)

@@ -266,6 +266,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"input error: {message}\n"
         assert not out.exists()
 
+    def test_a_disturbance_past_the_run_is_an_input_error(self, tmp_path, capsys):
+        # the disturbance step N = 5 matches no sample index of a 3-step run
+        out = tmp_path / "t.csv"
+        assert cli.main(["simulate", "--scenario", "insulin", "--N", "5", "--steps", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "input error: disturbance impulse_step must be <= steps = 3, got 5\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("horizons", [",", "", ",,"])
     def test_sweep_rejects_a_horizon_list_without_entries(self, horizons, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -619,6 +626,21 @@ class TestOutputs:
         # 2 pi / 3 and 4 pi / 3 come from the pair 5e-8 + i, -2i alone
         assert [float(r[7]) for r in rows if float(r[1]) == pytest.approx(2.0 * np.pi / 3.0)] == \
             pytest.approx([0.647, 0.647], abs=1e-3)
+        # there both single channels stay controllable; at the multiples of pi / 2 both lose it
+        assert [r[4:6] for r in rows] == [["true", "true"], ["false", "false"], ["true", "true"],
+                                          ["false", "false"], ["true", "true"], ["true", "true"]]
+
+    def test_souza_report_up_to_a_thousand(self, tmp_path, capsys):
+        # e^{AT} reaches e^{500} there; the kernel test reads only blocks scaled
+        # to unit size and forms no power of e^{AT}
+        out = tmp_path / "c.csv"
+        assert cli.main(["controllability", "--scenario", "souza", "--T-max", "1000", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, header, rows = read_cli_csv(out)
+        flags = [[r[header.index(name)] for name in ("pathological_regular", "pathological_impulsive",
+                                                    "pathological_mri")] for r in rows]
+        assert len(rows) == 763 and flags == [["true", "true", "false"]] * 763
+        assert min(float(r[header.index("mri_margin")]) for r in rows) > 0.4
 
     def test_simulate_traj_csv(self, tmp_path):
         out = tmp_path / "t.csv"

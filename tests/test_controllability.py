@@ -16,6 +16,8 @@ from mrilqr import (
     sample_plant,
 )
 
+from mrilqr.discretize import MODES
+
 from conftest import kalman_zeros, random_controllable_plant
 
 SOUZA_BASE = 2.0 * np.pi / np.sqrt(23.0)
@@ -169,6 +171,14 @@ class TestIsPathological:
         plant = ContinuousPlant(np.eye(2), np.zeros((2, 1)))
         with pytest.raises(UncontrollablePlantError):
             is_pathological(plant, 1.0, "regular")
+
+    @pytest.mark.parametrize("T", [0.2, 0.3, 0.5, 1.0, 2.5])
+    def test_a_decayed_fast_mode_loses_no_channel(self, near_resonant_plant, T):
+        # e^{-100 T} shrinks the impulse map's fast direction towards roundoff,
+        # but no eigenvalue pair collides at these periods, so no mode loses
+        # controllability (a Kalman rank of [B_i, A_d B_i, ...] reads it as lost)
+        for mode in MODES:
+            assert not is_pathological(near_resonant_plant, T, mode), mode
 
 
 class TestCandidatePeriods:
@@ -349,6 +359,10 @@ class TestPeriodReports:
         reports = reports_against_solo(rotation_plant, [c.period for c in candidates])
         assert [c.multiple for c, r in zip(candidates, reports) if not r.mri.controllable] == \
             list(range(2, 63, 2))
+        # A_d = +-I at every multiple of pi: one channel cannot reach both directions.
+        # At 2 pi k the hold block cancels to roundoff too, and only a rank rule
+        # with a unit floor reads that as lost
+        assert all(r.pathological_regular and r.pathological_impulsive for r in reports)
 
     def test_insulin_is_rejected_like_the_solo_calls(self, insulin_plant):
         # the insulin pair is not controllable: every entry point raises the same error
@@ -381,6 +395,8 @@ class TestPeriodReports:
         for r in colliding:
             assert np.allclose(sorted(r.mri.resonant, key=lambda z: z.imag), [-2j, 5e-8 - 1j, 5e-8 + 1j, 2j])
             assert r.mri.controllable and r.mri.margin == pytest.approx(0.647, abs=1e-3)
+            # the collision costs neither single channel its controllability
+            assert not r.pathological_regular and not r.pathological_impulsive
 
     def test_an_overflowing_period_fails_the_stack(self, souza_plant):
         with pytest.raises(NumericalError, match="overflowed at T = 1500.0"):

@@ -1,5 +1,6 @@
-"""Property tests: the reduced Hautus test agrees with Kalman on the sampled
-pair, and the candidate periods are where the sampled Kalman matrix can lose rank."""
+"""Property tests: the reduced Hautus test of every input mode agrees with the
+Kalman rank of that mode's sampled pair, and the candidate periods are where
+the sampled Kalman matrix can lose rank."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -12,7 +13,9 @@ from mrilqr import (
     kalman_controllable,
     reduced_hautus_mri,
     resonant_eigenvalues,
+    sample_plant,
 )
+from mrilqr.discretize import MODES, input_channels
 
 from conftest import kalman_zeros
 
@@ -54,9 +57,15 @@ def resonant_plants(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(resonant_plants())
 def test_reduced_hautus_agrees_with_kalman(case):
+    # each mode's verdict against the Kalman rank of its own sampled pair (A_d, B_sel)
     plant, periods = case
     for T in periods:
-        assert reduced_hautus_mri(plant, T).controllable == (not is_pathological(plant, T, "mri"))
+        model = sample_plant(plant, T)
+        B_mixed = np.hstack([model.B_d, model.B_i])
+        kalman = {mode: kalman_controllable(model.A_d, B_mixed[:, input_channels(mode, plant.m)]) for mode in MODES}
+        for mode, controllable in kalman.items():
+            assert is_pathological(plant, T, mode) is (not controllable), (mode, T)
+        assert reduced_hautus_mri(plant, T).controllable is kalman["mri"]
 
 
 @st.composite

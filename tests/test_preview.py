@@ -256,7 +256,7 @@ class TestPreviewPlanChecks:
     @pytest.mark.parametrize("N", [-1, -4])
     def test_negative_horizon_rejected(self, souza_plant, souza_weights, N):
         d = design(souza_plant, souza_weights, 1.0, "mri")
-        with pytest.raises(ValueError, match=f"preview horizon must be >= 0, got {N}"):
+        with pytest.raises(ValueError, match=f"preview horizon N must be >= 0, got {N}"):
             preview_plan(d, [1.0, 1.0], N)
 
     @pytest.mark.parametrize("Btilde, N, message", [
@@ -266,7 +266,8 @@ class TestPreviewPlanChecks:
         ([np.nan, 1.0], 2, "Btilde must be a vector of 2 finite entries"),
         ([1.0, 1.0, 1.0], 1, "Btilde must be a vector of 2 finite entries"),
         ([1.0, 1.0], 1.5, "preview horizon N must be an integer, got 1.5"),
-    ], ids=["nan-N0", "nan-N2", "three-entries", "fractional-N"])
+        ([1.0, 1.0], True, "preview horizon N must be an integer, got True"),
+    ], ids=["nan-N0", "nan-N2", "three-entries", "fractional-N", "bool-N"])
     def test_malformed_input_is_rejected(self, souza_plant, souza_weights, Btilde, N, message):
         d = design(souza_plant, souza_weights, 1.0, "mri")
         with pytest.raises(ValueError, match=message):

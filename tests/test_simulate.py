@@ -141,13 +141,39 @@ class TestBasics:
          "sampling period must be finite, got inf"),
         (lambda p, w: certified_horizon(np.zeros((2, 3)), 1.0), r"must be square, got shape \(2, 3\)"),
         (lambda p, w: certified_horizon([[np.nan, 0.0], [0.0, 0.5]], 1.0), "has non-finite entries"),
+        # a disturbance step no sample index meets, or a jump of the wrong size, is
+        # an input fault, never a silently dropped disturbance or a numpy error
+        (lambda p, w: DisturbanceSpec(1.5, [1.0, 0.0]), "impulse_step must be an integer, got 1.5"),
+        (lambda p, w: DisturbanceSpec(True, [1.0, 0.0]), "impulse_step must be an integer, got True"),
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2))), steps=2.0),
+         "steps must be an integer, got 2.0"),
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2))), substeps=True),
+         "substeps must be an integer, got True"),
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2))), steps=3,
+                                           disturbance=DisturbanceSpec(4, [1.0, 0.0])),
+         "disturbance impulse_step must be <= steps = 3, got 4"),
+        (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((2, 1)), np.zeros((2, 1)),
+                                      disturbance=DisturbanceSpec(3, [1.0, 0.0])),
+         "disturbance impulse_step must be <= steps = 2, got 3"),
+        (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((2, 1)), np.zeros((2, 1)),
+                                      disturbance=DisturbanceSpec(0, [1.0, 0.0, 0.0])),
+         "disturbance direction has size 3, expected 2"),
     ], ids=["steps", "substeps", "x0-size", "policy-mode", "gain-shape", "negative-step",
             "non-finite-direction", "unequal-sequences", "zero-period", "negative-period",
             "infinite-hold-period", "subnormal-hold-period", "tiny-hold-period", "hold-epsilon",
-            "zero-run-period", "infinite-run-period", "A_cl-non-square", "A_cl-non-finite"])
+            "zero-run-period", "infinite-run-period", "A_cl-non-square", "A_cl-non-finite",
+            "fractional-step", "bool-step", "fractional-steps", "bool-substeps", "step-past-closed-loop",
+            "step-past-inputs", "direction-size"])
     def test_invalid_arguments_are_rejected(self, souza_plant, souza_weights, call, message):
         with pytest.raises(ValueError, match=message):
             call(souza_plant, souza_weights)
+
+    def test_a_numpy_integer_step_is_an_integer(self, souza_plant, souza_weights):
+        def run(step):
+            return simulate_inputs(souza_plant, souza_weights, 1.0, np.ones((3, 1)), np.ones((3, 1)),
+                                   substeps=2, disturbance=DisturbanceSpec(step, [0.5, -1.0]))
+
+        assert np.array_equal(run(np.int64(2)).dense_states, run(2).dense_states)
 
 
 class TestCostAccumulation:
