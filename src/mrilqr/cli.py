@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -74,10 +75,13 @@ class ScenarioConfig:
         return self.Btilde[:, 0]
 
 
+# the value when absent of a field the scenario must give
+_REQUIRED = object()
+
 # scalar scenario field -> (JSON type, value when absent, flag that overrides it,
 # (test of a given value, what the test asks for) or None)
 _SCENARIO_SCALARS = {
-    "T": (float, 0.0, "T", (lambda T: 0.0 < T < np.inf, "a positive sampling period")),
+    "T": (float, _REQUIRED, "T", (lambda T: 0.0 < T < np.inf, "a positive sampling period")),
     "N": (int, 0, "N", (lambda N: N >= 0, ">= 0")),
     "mode": (str, "mri", "mode", (SIMULATE_MODES.__contains__, f"one of {SIMULATE_MODES}")),
     "epsilon": (float, None, "eps", None),
@@ -93,6 +97,8 @@ _JSON_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
 def _scalar(label: str, key: str, value, tp: type, absent):
     """Field ``key`` as ``tp``: a number accepts integers, an integer takes 2.0
     but not 1.5, a bool is never a number, and null only stands for None."""
+    if value is _REQUIRED:
+        raise ValueError(f"{label}: missing required field {key!r}")
     if value is None and absent is None:
         return None
     kind = type(value)
@@ -142,8 +148,16 @@ def load_scenario(spec: str) -> ScenarioConfig:
 
     A = matrix("A")
     B = matrix("B")
+
+    def row(key):
+        """An optional field that must be one row of n entries."""
+        M = matrix(key, required=False)
+        if M is not None and M.shape != (1, A.shape[0]):
+            raise ValueError(f"{label}: field {key!r} must be one row of {A.shape[0]} entries, got shape {M.shape}")
+        return M
+
     Btilde = matrix("Btilde", required=False)
-    C = matrix("Ctilde", required=False)
+    C = row("Ctilde")
     if "Q" in raw:
         Q = matrix("Q")
     elif C is not None:
@@ -158,7 +172,7 @@ def load_scenario(spec: str) -> ScenarioConfig:
     for key, (_, _, _, rule) in _SCENARIO_SCALARS.items():
         if rule is not None and scalars[key] is not None and not rule[0](scalars[key]):
             raise ValueError(f"{label}: field {key!r} must be {rule[1]}, got {scalars[key]!r}")
-    out_row = matrix("output_row", required=False)
+    out_row = row("output_row")
 
     return ScenarioConfig(_scalar(label, "name", raw.get("name", label), str, label), A, B,
                           np.zeros((A.shape[0], 1)) if Btilde is None else Btilde, Q, Rc, Ri,
@@ -194,11 +208,13 @@ def _cell(v, digits: int) -> str:
     return _spec(kind, digits) % (_BOOL_TEXT[v] if kind == "bool" else v,)
 
 
-_JSON_VALUE = {"bool": bool, "int": int, "float": float, "none": lambda v: None, "str": str}
+_JSON_VALUE = {"bool": bool, "int": int, "float": lambda v: float(v) if math.isfinite(v) else None,
+               "none": lambda v: None, "str": str}
 
 
 def _plain(v):
-    """A cell as the JSON value it stands for."""
+    """A cell as the JSON value it stands for; a non-finite float, which JSON
+    cannot hold, as null."""
     return _JSON_VALUE[_kind(type(v))](v)
 
 
@@ -236,9 +252,10 @@ class _Sink:
     One type rule (``_kind``) decides how every cell reads: bools as
     true/false, integers in full, floats to ``CONSOLE_DIGITS`` or
     ``FILE_DIGITS`` significant digits, None as an empty field (null in
-    JSON). A table whose every column holds one kind renders through one
-    %-format string per row, built from its column kinds; a table with a
-    mixed column renders cell by cell, to the same text.
+    JSON, as is a non-finite float). A table whose every column holds one
+    kind renders through one %-format string per row, built from its
+    column kinds; a table with a mixed column renders cell by cell, to the
+    same text.
     """
 
     def __init__(self):
@@ -284,7 +301,7 @@ class _Sink:
     def json_doc(self) -> dict:
         doc: dict[str, object] = {k: _plain(v) for k, v in self.scalars.items()}
         for name, M in self.matrices.items():
-            doc[name] = M.tolist()
+            doc[name] = [list(map(_plain, row)) for row in M.tolist()]
         for name, (header, rows) in self.tables.items():
             # rows as long as the header, as every table of the commands is
             doc[name] = [dict(zip(header, map(_plain, row))) for row in rows]

@@ -98,7 +98,11 @@ class PathologicalCandidate:
 def kalman_controllable(A, B) -> bool:
     """Rank test: [B, AB, ..., A^{n-1}B] has full row rank n.
 
-    Raises NumericalError when the powers overflow.
+    The matrix is scaled by the power of two that puts its largest entry
+    in [1, 2), so its largest singular value is at least 1 and the rank
+    rule of ``numkernel._svd_kernel`` reads it relative to that value; a
+    power-of-two scale is exact, so the verdict is that of the unscaled
+    matrix. Raises NumericalError when the powers overflow.
     """
     A = numkernel.as_matrix(A, "A")
     B = numkernel.as_matrix(B, "B")
@@ -112,7 +116,8 @@ def kalman_controllable(A, B) -> bool:
     C = np.hstack(blocks)
     if not np.isfinite(C).all():
         raise NumericalError("the controllability matrix [B, AB, ...] overflowed")
-    return bool(numkernel._svd_kernel(C.T)[1] == 0)
+    exponent = np.frexp(np.abs(C).max())[1]
+    return bool(numkernel._svd_kernel(np.ldexp(C.T, 1 - exponent))[1] == 0)
 
 
 def _pair_table(eigs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -150,11 +155,6 @@ def resonant_eigenvalues(A, T: float) -> tuple[complex, ...]:
     return tuple(map(complex, eigs[_resonance(eigs, [T])[0]]))
 
 
-def _require_controllable(plant: ContinuousPlant) -> None:
-    if not kalman_controllable(plant.A, plant.B):
-        raise UncontrollablePlantError("hypothesis violated: the continuous pair (A, B) is not controllable")
-
-
 def _real_doubling(M: np.ndarray) -> np.ndarray:
     """Real 2x block matrix (of each matrix of a stack) whose kernel dimension doubles the complex one."""
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
@@ -170,10 +170,17 @@ def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> tuple[dict[str, np.n
     resonant eigenvalue) pair are built once; a mode's matrix is the
     A_d' - e^{mu T} I block over the input rows its ``input_channels``
     slice selects, and one stacked SVD per mode covers every (period,
-    eigenvalue). A singular value counts as zero at or below
-    ``RANK_RTOL`` max(1, the largest): the blocks are scaled to at most
-    unit size, and a hold block that cancels to roundoff (rotation at
-    T = 2 pi k) has no large singular value to measure roundoff against.
+    eigenvalue). Complex kernels are decided on the real doubling
+    [[Re, -Im], [Im, Re]], whose kernel is trivial iff the complex kernel
+    is. The A_d' - e^{mu T} I block is divided by max(1, ||A_d||,
+    |e^{mu T}|) and the (Atilde B)' block by max(1, ||Atilde B||): scaling
+    a row block keeps the kernel, and stops entries growing like
+    e^{Re(mu) T} from setting the rank threshold. The scales come from the
+    block's terms, so a block that cancels to roundoff stays small. The
+    blocks are then at most of unit size, which the rank rule of
+    ``numkernel._svd_kernel`` reads against 1: a hold block that cancels
+    to roundoff (rotation at T = 2 pi k) has no large singular value to
+    measure roundoff against.
     """
     n, m = plant.n, plant.m
     eigs = numkernel.eigenvalues(plant.A)
@@ -192,7 +199,7 @@ def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> tuple[dict[str, np.n
     if not (np.isfinite(A_block).all() and np.isfinite(inputs).all()):
         raise NumericalError("the reduced Hautus matrix overflowed")
     tests = {mode: numkernel._svd_kernel(_real_doubling(
-        np.concatenate([A_block, inputs[:, input_channels(mode, m)]], axis=1)), floor=1.0) for mode in MODES}
+        np.concatenate([A_block, inputs[:, input_channels(mode, m)]], axis=1))) for mode in MODES}
     lost = {mode: np.bincount(at, kdim, len(T)) > 0 for mode, (_, kdim) in tests.items()}
     s, kdim = tests["mri"]
     margin = np.full(len(T), np.inf)
@@ -205,45 +212,33 @@ def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> tuple[dict[str, np.n
 
 
 def reduced_hautus_mri(plant: ContinuousPlant, T: float) -> ControllabilityReport:
-    """Controllability of (A_d, [B_d B_i]) via kernel tests at resonant mu only.
-
-    Requires a controllable continuous pair (raises
-    UncontrollablePlantError otherwise). Complex kernels are decided on
-    the real doubling [[Re, -Im], [Im, Re]], whose kernel is trivial iff
-    the complex kernel is. The A_d' - e^{mu T} I block is divided by
-    max(1, ||A_d||, |e^{mu T}|) and the (Atilde B)' block by
-    max(1, ||Atilde B||): scaling a row block keeps the kernel, and stops
-    entries growing like e^{Re(mu) T} from setting the rank threshold.
-    The scales come from the block's terms, so a block that cancels to
-    roundoff stays small. Runs as a stack of one through the test behind
-    ``period_reports``.
-    """
-    _require_controllable(plant)
-    Ts, A_d, _, B_d, _ = _sample_stack(plant, [T])
-    return _hautus_reports(plant, Ts, A_d, B_d)[1][0]
+    """Controllability of (A_d, [B_d B_i]) via kernel tests at resonant mu only:
+    the mri report of ``period_reports`` at T (see ``_hautus_reports``)."""
+    return period_reports(plant, [T])[0].mri
 
 
 def is_pathological(plant: ContinuousPlant, T: float, mode: str) -> bool:
     """True when the sampled pair for the given input mode loses controllability:
     the reduced kernel test of ``reduced_hautus_mri`` on the rows of the mode's
-    channels, as a stack of one. For mode mri it is ``not
+    channels, read from ``period_reports`` at T. For mode mri it is ``not
     reduced_hautus_mri(plant, T).controllable``."""
     input_channels(mode, plant.m)  # a ValueError for an unknown mode
-    _require_controllable(plant)
-    Ts, A_d, _, B_d, _ = _sample_stack(plant, [T])
-    return bool(_hautus_reports(plant, Ts, A_d, B_d)[0][mode][0])
+    report = period_reports(plant, [T])[0]
+    return {"regular": report.pathological_regular, "impulsive": report.pathological_impulsive,
+            "mri": not report.mri.controllable}[mode]
 
 
 def period_reports(plant: ContinuousPlant, periods) -> list[PeriodReport]:
     """Controllability of the plant sampled at each period, on one stack.
 
-    The continuous pair is checked once (UncontrollablePlantError), the
-    periods are sampled in one stacked exponential, and each report
-    equals the solo ``is_pathological`` and ``reduced_hautus_mri`` calls
-    at its period bit for bit. A numerical failure at any period raises
-    its NumericalError for the whole stack.
+    The one route of every controllability verdict: the continuous pair is
+    checked once (UncontrollablePlantError), the periods are sampled in one
+    stacked exponential, and ``_hautus_reports`` tests them all, so each
+    report is bit for bit the one a single period gives. A numerical
+    failure at any period raises its NumericalError for the whole stack.
     """
-    _require_controllable(plant)
+    if not kalman_controllable(plant.A, plant.B):
+        raise UncontrollablePlantError("hypothesis violated: the continuous pair (A, B) is not controllable")
     if len(periods) == 0:
         return []
     T, A_d, _, B_d, _ = _sample_stack(plant, periods)

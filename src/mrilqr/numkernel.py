@@ -127,17 +127,17 @@ def eigenvalues(M) -> np.ndarray:
     return out[np.lexsort((out.imag, out.real))]
 
 
-def _svd_kernel(M, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def _svd_kernel(M) -> tuple[np.ndarray, np.ndarray]:
     """Singular values (descending) of M, or of each matrix of a stack M, and
-    the dimension of each numerical kernel.
-
-    Singular values at or below ``RANK_RTOL`` max(floor, the largest) count
-    as zero, so an all-zero matrix has a full kernel. floor = 0 is the
-    relative rule; floor = 1 suits a matrix scaled to at most unit size.
-    numpy's SVD works slice by slice, so a stack gives each matrix's own bits.
+    the dimension of each numerical kernel, by the package's one rank rule:
+    singular values at or below ``RANK_RTOL`` max(1, the largest) count as
+    zero. An all-zero matrix has a full kernel, a matrix of at most unit size
+    is read against 1, and one with an entry of at least 1 against its
+    largest singular value. numpy's SVD works slice by slice, so a stack
+    gives each matrix's own bits.
     """
     s = np.linalg.svd(M, compute_uv=False)
-    return s, M.shape[-1] - np.count_nonzero(s > RANK_RTOL * np.maximum(floor, s[..., :1]), axis=-1)
+    return s, M.shape[-1] - np.count_nonzero(s > RANK_RTOL * np.maximum(1.0, s[..., :1]), axis=-1)
 
 
 def spectral_radius(M) -> float:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numkernel
 from .discretize import (MODES, ContinuousPlant, CostWeights, _check_count, _check_period, constant_input_gram, cost_matrices,
@@ -123,17 +122,17 @@ def _interval_maps(plant: ContinuousPlant, weights: CostWeights, segments):
 
     ``Phi[j]`` (n x (n + 2m)) takes xi = [y; u_free; u_hold], the state at
     the interval start and the two segment inputs, to the state at the end
-    of segment j. It is composed segment by segment from one propagator
-    per distinct segment length: Phi[j] = A_dd Phi[j-1] + B_dd times the
+    of segment j. It is composed segment by segment from the propagators
+    of the distinct segment lengths: Phi[j] = A_dd Phi[j-1] + B_dd times the
     selector of the segment's input. ``H[j]`` is the Gram form of segment
-    j in (segment start state, segment input); see ``constant_input_gram``.
+    j in (segment start state, segment input), from one stacked call of
+    ``constant_input_gram`` over the distinct lengths.
     """
     n, m = plant.n, plant.m
     distinct = sorted({d for _, d, _ in segments})
     A_dd, _, B_dd = numkernel.expm_block_integrals(plant.A, plant.B, distinct)
-    grams = [constant_input_gram(plant, weights.Q, d) for d in distinct]
+    grams = constant_input_gram(plant, weights.Q, distinct)
     Phi = np.empty((len(segments), n, n + 2 * m))
-    H = np.empty((len(segments), n + m, n + m))
     prev = np.eye(n, n + 2 * m)
     for j, (_, d, within_hold) in enumerate(segments):
         i = distinct.index(d)
@@ -141,8 +140,7 @@ def _interval_maps(plant: ContinuousPlant, weights: CostWeights, segments):
         cols = slice(n + m, n + 2 * m) if within_hold else slice(n, n + m)
         Phi[j][:, cols] += B_dd[i]
         prev = Phi[j]
-        H[j] = grams[i]
-    return Phi, H
+    return Phi, grams[[distinct.index(d) for _, d, _ in segments]]
 
 
 def _hold_length(T: float, epsilon: float) -> float:
@@ -356,21 +354,22 @@ def impulse_hold_matrix(plant: ContinuousPlant, T: float, epsilon: float) -> np.
     """Sampled input map of the constant-hold impulse approximation.
 
     Equals (1/a) int_0^a e^{A(T-t)} dt B with a = epsilon T, evaluated
-    exactly as e^{A(T-a)} times the running integral over [0, a]. As
-    epsilon -> 0 it converges (first order) to the exact impulse map
-    e^{AT} B.
+    exactly as e^{A(T-a)} times the running integral over [0, a], both from
+    one stacked exponential. As epsilon -> 0 it converges (first order) to
+    the exact impulse map e^{AT} B.
     """
     T = _check_period(T)
     alpha = _hold_length(T, epsilon)
-    _, Atilde_a, _ = numkernel.expm_block_integrals(plant.A, plant.B, alpha)
-    return scipy.linalg.expm(plant.A * (T - alpha)) @ Atilde_a @ plant.B / alpha
+    E, Atilde, _ = numkernel.expm_block_integrals(plant.A, plant.B, [alpha, T - alpha])
+    return E[1] @ Atilde[0] @ plant.B / alpha
 
 
 def certified_horizon(A_cl, cost_scale: float, tol: float = 1e-10, cap: int = 100_000) -> int:
-    """Steps K with rho(A_cl)^{2K} * cost_scale below tol, capped at 10^5."""
+    """Steps K with rho(A_cl)^{2K} * cost_scale below tol, capped at 10^5; rho = 0
+    gives the limit rho -> 0+, which the least positive double already reaches."""
     rho = numkernel.spectral_radius(numkernel._square(A_cl))
-    if not (0.0 < rho < 1.0):
+    if not (rho < 1.0):
         return cap
     scale = max(abs(cost_scale), 1.0)
-    K = int(np.ceil(np.log(tol / scale) / (2.0 * np.log(rho)))) + 5
+    K = int(np.ceil(np.log(tol / scale) / (2.0 * np.log(max(rho, 5e-324))))) + 5
     return int(min(max(K, 1), cap))

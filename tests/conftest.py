@@ -5,9 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import settings
 from scipy.integrate import quad_vec
 
 from mrilqr import ContinuousPlant, CostWeights
+
+# every property test draws the same examples on every run; each sets only its max_examples
+settings.register_profile("mrilqr", derandomize=True, database=None, deadline=None)
+settings.load_profile("mrilqr")
 
 
 @pytest.fixture
@@ -89,6 +94,56 @@ def random_controllable_plant(
         if kalman_controllable(A, B):
             return ContinuousPlant(A, B, rng.normal(size=(n, 1)))
     raise AssertionError("failed to sample a controllable pair")
+
+
+def kalman_relative(A, B) -> bool:
+    """Kalman rank oracle under the relative rule: the transposed matrix
+    [B, AB, ..., A^{n-1}B]' has n singular values above 1e-9 times its largest."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    blocks = [B]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    s = np.linalg.svd(np.hstack(blocks).T, compute_uv=False)
+    return int(np.count_nonzero(s > 1e-9 * s[0])) == A.shape[0]
+
+
+def wide_scale_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A random pair with n in [1, 13] and m in [1, 3] whose A and B each carry a
+    scale 10^[-6, 6]. A third of the A are integer-valued (entries in [-3, 3]),
+    and each row of B is zero with probability 0.2."""
+    n, m = int(rng.integers(1, 14)), int(rng.integers(1, 4))
+    if rng.random() < 1.0 / 3.0:
+        A = rng.integers(-3, 4, size=(n, n)).astype(float)
+    else:
+        A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6.0, 6.0)
+    B = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-6.0, 6.0)
+    B[rng.random(n) < 0.2] = 0.0
+    return A, B
+
+
+def planted_uncontrollable_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """An uncontrollable pair with n in [2, 24], m in [1, 3] and 1-4 hidden states.
+
+    In the planted basis A = [[A11, A12], [0, A22]] and B = [B1; 0], so the
+    last h states are never reached. A11 and A22 are scaled to spectral
+    norm 0.6, A12 and B1 are standard normal. Half the pairs carry a Jordan
+    block: A22 is then lambda I + N with N the ones of the superdiagonal,
+    a defective eigenvalue that PBH at computed eigenvalues can miss. A
+    random orthogonal basis hides the structure.
+    """
+    n, m = int(rng.integers(2, 25)), int(rng.integers(1, 4))
+    h = int(rng.integers(1, min(4, n - 1) + 1))
+    k = n - h
+    A11 = rng.normal(size=(k, k))
+    A22 = rng.normal() * np.eye(h) + np.eye(h, k=1) if rng.random() < 0.5 else rng.normal(size=(h, h))
+    A = np.zeros((n, n))
+    A[:k, :k] = 0.6 * A11 / np.linalg.norm(A11, 2)
+    A[:k, k:] = rng.normal(size=(k, h))
+    A[k:, k:] = 0.6 * A22 / np.linalg.norm(A22, 2)
+    B = np.zeros((n, m))
+    B[:k] = rng.normal(size=(k, m))
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return V @ A @ V.T, V @ B
 
 
 def quadrature_cost_matrices(plant: ContinuousPlant, weights: CostWeights, T: float):

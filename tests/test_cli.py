@@ -41,6 +41,15 @@ def count_calls(monkeypatch, *names, log=None):
     return counts
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects the NaN, Infinity and -Infinity tokens JSON does not define."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestScenarioLoading:
     def test_bundled_names(self):
         assert cli.bundled_scenario_names() == ["insulin", "rotation", "souza"]
@@ -104,8 +113,13 @@ class TestScenarioLoading:
         ({"A": ABSENT}, "missing required field 'A'"),
         ({"A": [[0.0, 1.0], [-6.0]]}, "field 'A': "),
         ({"Q": ABSENT}, "provide either 'Q' or a 'Ctilde' row"),
+        ({"Q": ABSENT, "Ctilde": [[1, 0, 0]]}, r"field 'Ctilde' must be one row of 2 entries, got shape \(1, 3\)"),
+        ({"Ctilde": [[1, 0], [0, 1]]}, r"field 'Ctilde' must be one row of 2 entries, got shape \(2, 2\)"),
+        ({"output_row": [[1, 0], [0, 1]]}, r"field 'output_row' must be one row of 2 entries, got shape \(2, 2\)"),
+        ({"output_row": [[1, 2, 3]]}, r"field 'output_row' must be one row of 2 entries, got shape \(1, 3\)"),
         ({"mode": "bogus"}, "field 'mode' must be one of "),
         ({"mode": 3}, "field 'mode' must be a string, got 3"),
+        ({"T": ABSENT}, "missing required field 'T'$"),
         ({"T": 0}, "field 'T' must be a positive sampling period"),
         ({"T": -1.0}, "field 'T' must be a positive sampling period"),
         ({"T": float("inf")}, "field 'T' must be a positive sampling period, got inf"),
@@ -754,11 +768,23 @@ class TestWriter:
         assert console[start:start + len(numeric)] == self.per_cell(numeric, cli.CONSOLE_DIGITS)
         assert console[-2:] == self.per_cell(mixed, cli.CONSOLE_DIGITS)
 
-        doc = json.loads(sink.to_json())
+        doc = strict_json(sink.to_json())
         assert doc["flag"] is True and doc["count"] == 5
         assert [type(r["i"]) for r in doc["numeric"]] == [int] * len(numeric)
         assert doc["mixed"][0] == {"a": -0.0, "b": 1e-300, "c": 3, "d": True, "e": "mri", "f": None}
         assert doc["mixed"][1] == {"a": 2.5, "b": 7.0, "c": 4, "d": False, "e": "regular", "f": None}
+
+
+    def test_non_finite_floats_are_null_in_json_and_kept_in_csv(self):
+        sink = cli._Sink()
+        sink.scalar("J", float("nan"))
+        sink.matrix("M", [[np.inf, 1.0], [-np.inf, np.nan]])
+        sink.table("t", ["cost", "n"], [[np.float64("nan"), 1], [2.5, 2]])
+        assert strict_json(sink.to_json()) == {"J": None, "M": [[None, 1.0], [None, None]],
+                                               "t": [{"cost": None, "n": 1}, {"cost": 2.5, "n": 2}]}
+        assert sink.to_csv().splitlines() == [
+            "section,name,row,col,value", "scalar,J,,,nan", "matrix,M,0,0,inf", "matrix,M,0,1,1",
+            "matrix,M,1,0,-inf", "matrix,M,1,1,nan", "", "cost,n", "nan,1", "2.5,2"]
 
 
 class TestEveryTable:
@@ -818,8 +844,15 @@ class TestEveryTable:
         texts = {name: sink.to_json() for name, sink in sinks.items()}
         for name, sink in sinks.items():
             assert texts[name] == json.dumps(sink.json_doc(), indent=2, sort_keys=True) + "\n", name
-        assert "NaN" in texts["sweep souza"] and "null" in texts["simulate souza"]
+        # a failed cell's nan cost is null, which JSON can hold
+        assert "NaN" not in texts["sweep souza"] and '"cost": null' in texts["sweep souza"]
+        assert "null" in texts["simulate souza"]
         assert '"candidates": []' in texts["controllability real"]
+
+
+    def test_every_json_file_is_strict_json(self, sinks):
+        for name, sink in sinks.items():
+            strict_json(sink.to_json())
 
 
 class TestSimulateTable:
@@ -919,6 +952,28 @@ class TestDesignReuse:
         assert counts == {"_sample_stack": 1, "kalman_controllable": 1}
         assert [list(args[1]) for name, args in log if name == "_sample_stack"] == \
             [[c.period for c in candidates] + [souza.T]]
+
+
+    def test_single_period_verdicts_run_through_period_reports(self, monkeypatch):
+        plant = cli.load_scenario("souza").plant()
+        counts = count_calls(monkeypatch, "period_reports", "kalman_controllable", "_sample_stack")
+        assert controllability.reduced_hautus_mri(plant, SOUZA_BASE).controllable
+        assert counts == {"period_reports": 1, "kalman_controllable": 1, "_sample_stack": 1}
+        assert controllability.is_pathological(plant, SOUZA_BASE, "regular")
+        assert counts == {"period_reports": 2, "kalman_controllable": 2, "_sample_stack": 2}
+
+    def test_simulate_takes_every_segment_gram_form_from_one_call(self, monkeypatch):
+        sc = cli.load_scenario("insulin")
+        plant, weights = sc.plant(), sc.weights()
+        # the hold cut adds segment lengths to the substep grid's
+        segments = simulate._interval_segments(sc.T, sc.substeps, 0.1 * sc.T)
+        assert len({d for _, d, _ in segments}) > 1
+        counts = count_calls(monkeypatch, "constant_input_gram")
+        _, H = simulate._interval_maps(plant, weights, segments)
+        assert counts == {"constant_input_gram": 1}
+        # each form has the bits of its own length's call
+        for (_, d, _), H_j in zip(segments, H):
+            assert np.array_equal(H_j, discretize.constant_input_gram(plant, weights.Q, d))
 
 
 class TestDisturbanceColumns:

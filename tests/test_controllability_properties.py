@@ -1,23 +1,27 @@
 """Property tests: the reduced Hautus test of every input mode agrees with the
-Kalman rank of that mode's sampled pair, and the candidate periods are where
-the sampled Kalman matrix can lose rank."""
+Kalman rank of that mode's sampled pair, the candidate periods are where
+the sampled Kalman matrix can lose rank, and the continuous gate keeps the
+relative rank rule's verdicts and rejects planted uncontrollable pairs."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrilqr import (
     ContinuousPlant,
+    UncontrollablePlantError,
     candidate_pathological_periods,
     is_pathological,
     kalman_controllable,
+    period_reports,
     reduced_hautus_mri,
     resonant_eigenvalues,
     sample_plant,
 )
 from mrilqr.discretize import MODES, input_channels
 
-from conftest import kalman_zeros
+from conftest import kalman_relative, kalman_zeros, planted_uncontrollable_pair, wide_scale_pair
 
 
 @st.composite
@@ -54,7 +58,7 @@ def resonant_plants(draw):
     return ContinuousPlant(A, B), periods
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(resonant_plants())
 def test_reduced_hautus_agrees_with_kalman(case):
     # each mode's verdict against the Kalman rank of its own sampled pair (A_d, B_sel)
@@ -113,7 +117,7 @@ def near_colliding_plants(draw):
     return ContinuousPlant(A, B), 8.0 / L, rng
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(near_colliding_plants())
 def test_candidates_are_the_only_collisions(case):
     plant, T_max, rng = case
@@ -131,3 +135,23 @@ def test_candidates_are_the_only_collisions(case):
     for mode in ("regular", "impulsive"):
         for T in kalman_zeros(plant.A, plant.B, mode, T_max, h=T_max / 200):
             assert np.abs(periods - T).min(initial=np.inf) <= 1e-6, (mode, T)
+
+
+def test_kalman_keeps_the_relative_rule_verdicts():
+    # the power-of-two scale changes no verdict of the relative rule, at any scale
+    rng = np.random.default_rng(2026)
+    verdicts = []
+    for _ in range(3000):
+        A, B = wide_scale_pair(rng)
+        verdicts.append(kalman_controllable(A, B))
+        assert verdicts[-1] is kalman_relative(A, B), (A, B)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_planted_uncontrollable_pairs_are_rejected():
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        A, B = planted_uncontrollable_pair(rng)
+        assert not kalman_controllable(A, B)
+        with pytest.raises(UncontrollablePlantError):
+            period_reports(ContinuousPlant(A, B), [1.0])

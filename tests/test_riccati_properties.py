@@ -41,7 +41,7 @@ def lqr_problems(draw):
     return ContinuousPlant(A, rng.normal(size=(n, m))), weights, T, mode
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(lqr_problems())
 def test_converged_solution_is_stabilizing_and_matches_schur(problem):
     plant, weights, T, mode = problem
@@ -92,7 +92,7 @@ def forward_error_bound(d) -> float:
     return float(np.linalg.norm(np.linalg.inv(stein), 2)) * d.solution.residual
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(hidden_mode_problems())
 def test_converged_with_hidden_modes_is_the_stabilizing_solution(problem):
     # a cost that misses a mode admits solutions of the equation that do
@@ -131,7 +131,7 @@ def positive_definite_qhat_grids(draw):
     return ContinuousPlant(A, inputs * rng.normal(size=(n, m))), weights, periods
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(positive_definite_qhat_grids())
 def test_kernel_free_cells_need_no_seed(problem):
     # the iterate from 0 and the one from X0 = 1e-12 I stop at the same

@@ -271,6 +271,14 @@ class TestCostEquivalence:
             assert gap <= 1e-6
 
 
+@pytest.mark.parametrize("tol, expected", [(1e-10, 6), (10.0, 5)])
+def test_certified_horizon_at_zero_radius_is_its_limit(tol, expected):
+    # rho = 0 is the limit rho -> 0+, never the cap of a loop that does not contract
+    for A_cl in (np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]], np.diag([1e-300, 0.0])):
+        assert certified_horizon(A_cl, 1.0, tol=tol) == expected
+    assert certified_horizon(np.eye(2), 1.0, tol=tol) == 100_000
+
+
 class TestImpulseApproximation:
     def test_static_plant_is_exact_for_any_epsilon(self):
         plant = ContinuousPlant(np.zeros((2, 2)), [[1.0], [2.0]])

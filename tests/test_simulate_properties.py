@@ -46,7 +46,7 @@ def mri_loops(draw):
     return plant, weights, T, InputPolicy(K=d.solution.K, mode="mri"), rng.normal(size=n)
 
 
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=40)
 
 
 @SETTINGS
