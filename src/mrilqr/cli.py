@@ -218,32 +218,28 @@ def _plain(v):
     return _JSON_VALUE[_kind(type(v))](v)
 
 
-def _row_format(rows, width: int, digits: int) -> str | None:
-    """One %-format string for every row of a table whose columns each hold
-    one kind; None when a row is not ``width`` cells long or a column mixes
-    kinds."""
-    if set(map(len, rows)) != {width}:
-        return None
-    specs = []
-    for column in zip(*rows):
-        kinds = {_kind(tp) for tp in set(map(type, column))}
-        if len(kinds) != 1:
-            return None
-        specs.append(_spec(kinds.pop(), digits))
-    return ",".join(specs)
+def _column(column) -> tuple[list, str | None]:
+    """A table column's cells as Python values and their one kind, None when
+    they mix kinds: an array's kind is its dtype's, a list's its cells' (``_kind``)."""
+    if isinstance(column, np.ndarray):
+        return column.tolist(), _kind(column.dtype.type)
+    kinds = {_kind(tp) for tp in set(map(type, column))}
+    return column, kinds.pop() if len(kinds) == 1 else None
 
 
-def _table_lines(header, rows, digits: int) -> list[str]:
-    """A table as its header line and one text line per row."""
-    fmt = _row_format(rows, len(header), digits)
-    if fmt is None:
-        body = (",".join(_cell(v, digits) for v in row) for row in rows)
-    elif any(_kind(type(v)) == "bool" for v in rows[0]):
-        columns = [map(_BOOL_TEXT.__getitem__, c) if _kind(type(c[0])) == "bool" else c for c in zip(*rows)]
-        body = map(fmt.__mod__, zip(*columns))
-    else:
-        body = map(fmt.__mod__, map(tuple, rows))
-    return [",".join(header), *body]
+def _table_lines(header, columns, digits: int) -> list[str]:
+    """A table as its header line and one text line per row, each row through
+    one %-format string built from the column kinds; a column that mixes
+    kinds is written cell by cell first."""
+    specs, cells = [], []
+    for values, kind in map(_column, columns):
+        if kind is None:
+            specs.append("%s")
+            cells.append([_cell(v, digits) for v in values])
+        else:
+            specs.append(_spec(kind, digits))
+            cells.append(map(_BOOL_TEXT.__getitem__, values) if kind == "bool" else values)
+    return [",".join(header), *map(",".join(specs).__mod__, zip(*cells))]
 
 
 class _Sink:
@@ -252,10 +248,10 @@ class _Sink:
     One type rule (``_kind``) decides how every cell reads: bools as
     true/false, integers in full, floats to ``CONSOLE_DIGITS`` or
     ``FILE_DIGITS`` significant digits, None as an empty field (null in
-    JSON, as is a non-finite float). A table whose every column holds one
-    kind renders through one %-format string per row, built from its
-    column kinds; a table with a mixed column renders cell by cell, to the
-    same text.
+    JSON, as is a non-finite float). A table is a list of equally long
+    columns, one per header entry: a numpy array, whose kind is read from
+    its dtype, or a list, whose kind is read from its cells. Its rows
+    render through one %-format string built from the column kinds.
     """
 
     def __init__(self):
@@ -269,8 +265,11 @@ class _Sink:
     def matrix(self, name, M):
         self.matrices[name] = np.atleast_2d(np.asarray(M, dtype=float))
 
-    def table(self, name, header, rows):
-        self.tables[name] = (header, rows)
+    def table(self, name, header, columns):
+        if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+            raise ValueError(f"table {name!r} needs {len(header)} columns of one length, got lengths "
+                             f"{list(map(len, columns))}")
+        self.tables[name] = (header, columns)
 
     def to_console(self, out=None):
         out = out or sys.stdout
@@ -280,9 +279,9 @@ class _Sink:
             out.write(f"{name} ({M.shape[0]}x{M.shape[1]}):\n")
             for row in M:
                 out.write("  " + "  ".join(_cell(v, CONSOLE_DIGITS) for v in row) + "\n")
-        for name, (header, rows) in self.tables.items():
+        for name, (header, columns) in self.tables.items():
             out.write(f"[{name}]\n")
-            out.write("".join(line + "\n" for line in _table_lines(header, rows, CONSOLE_DIGITS)))
+            out.write("".join(line + "\n" for line in _table_lines(header, columns, CONSOLE_DIGITS)))
 
     def to_csv(self) -> str:
         lines = []
@@ -292,25 +291,25 @@ class _Sink:
             lines.append(f"scalar,{name},,,{_cell(value, FILE_DIGITS)}")
         for name, M in self.matrices.items():
             lines.extend(f"matrix,{name},{i},{j},{_cell(v, FILE_DIGITS)}" for (i, j), v in np.ndenumerate(M))
-        for name, (header, rows) in self.tables.items():
+        for name, (header, columns) in self.tables.items():
             if lines:
                 lines.append("")
-            lines.extend(_table_lines(header, rows, FILE_DIGITS))
+            lines.extend(_table_lines(header, columns, FILE_DIGITS))
         return "\n".join(lines) + "\n"
 
     def json_doc(self) -> dict:
         doc: dict[str, object] = {k: _plain(v) for k, v in self.scalars.items()}
         for name, M in self.matrices.items():
             doc[name] = [list(map(_plain, row)) for row in M.tolist()]
-        for name, (header, rows) in self.tables.items():
-            # rows as long as the header, as every table of the commands is
-            doc[name] = [dict(zip(header, map(_plain, row))) for row in rows]
+        for name, (header, columns) in self.tables.items():
+            rows = zip(*(map(_plain, _column(c)[0]) for c in columns))
+            doc[name] = [dict(zip(header, row)) for row in rows]
         return doc
 
     def to_json(self) -> str:
         return json.dumps(self.json_doc(), indent=2, sort_keys=True) + "\n"
 
-    def emit(self, out_path: str | None, fmt: str):
+    def emit(self, out_path: str | None, fmt: str | None):
         if out_path is None:
             self.to_console()
         else:
@@ -341,11 +340,12 @@ def cmd_controllability(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     sink.scalar("T_max", args.T_max)
     candidates = candidate_pathological_periods(plant.A, args.T_max)
     *reports, at_T = period_reports(plant, [c.period for c in candidates] + [scenario.T])
-    rows = [[c.period, c.base_period, c.multiple, c.needs_per_multiple_test,
-             r.pathological_regular, r.pathological_impulsive, not r.mri.controllable,
-             r.mri.margin] for c, r in zip(candidates, reports)]
     sink.table("candidates", ["period", "base_period", "multiple", "needs_per_multiple_test", "pathological_regular",
-                              "pathological_impulsive", "pathological_mri", "mri_margin"], rows)
+                              "pathological_impulsive", "pathological_mri", "mri_margin"],
+               [[c.period for c in candidates], [c.base_period for c in candidates],
+                [c.multiple for c in candidates], [c.needs_per_multiple_test for c in candidates],
+                [r.pathological_regular for r in reports], [r.pathological_impulsive for r in reports],
+                [not r.mri.controllable for r in reports], [r.mri.margin for r in reports]])
     sink.scalar("scenario_T", scenario.T)
     sink.scalar("scenario_T_mri_controllable", at_T.mri.controllable)
 
@@ -446,8 +446,9 @@ def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
         for mode, sweep in zip(modes, sweeps):
             if isinstance(sweep[i], Exception):
                 raise sweep[i]
-            rows.extend([T, mode, N, *cell] for N, cell in zip(N_list, sweep[i]))
-    sink.table("sweep", ["T", "mode", "N", "cost", "converged", "iterations"], rows)
+            rows.extend((T, mode, N, *cell) for N, cell in zip(N_list, sweep[i]))
+    # every grid holds a period and every --N a horizon, so there is a row
+    sink.table("sweep", ["T", "mode", "N", "cost", "converged", "iterations"], list(map(list, zip(*rows))))
 
 
 def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
@@ -487,9 +488,8 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     ks = np.minimum(np.floor(traj.dense_times / T + 1e-9).astype(int), steps - 1)
     # y row by row, as out_row @ x: one gemv over all rows sums in another order
     y = None if out_row is None else (traj.dense_states[:, None, :] @ out_row)[:, 0]
-    columns = [traj.dense_times, *traj.dense_states.T, y, *traj.u_c[ks].T, *traj.u_i[ks].T,
-               traj.dense_running_cost, traj.dense_impulse_flags]
-    rows = list(zip(*([None] * len(ks) if c is None else c.tolist() for c in columns)))
+    columns = [traj.dense_times, *traj.dense_states.T, [None] * len(ks) if y is None else y,
+               *traj.u_c[ks].T, *traj.u_i[ks].T, traj.dense_running_cost, traj.dense_impulse_flags]
     sink.scalar("scenario", scenario.name)
     sink.scalar("T", T)
     sink.scalar("mode", mode)
@@ -499,7 +499,7 @@ def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     sink.scalar("J_disc", traj.J_disc)
     if out_row is not None:
         sink.scalar("peak_y", float(y.max()))
-    sink.table("trajectory", header, rows)
+    sink.table("trajectory", header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +545,7 @@ def _build_parser() -> _Parser:
         if with_T:
             sp.add_argument("--T", type=float, default=None, help="sampling period override")
         sp.add_argument("--out", default=None, help="output file (default: console)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--format", choices=("csv", "json"), default=None, help="file format of --out (default: csv)")
         return sp
 
     command("discretize", "sampled model and equivalent cost matrices")
@@ -577,6 +577,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.format is not None and args.out is None:
+            raise ValueError("--format applies to --out files; the console has one format")
         scenario = load_scenario(args.scenario)
         for field, (_, _, flag, _) in _SCENARIO_SCALARS.items():
             if flag is not None and getattr(args, flag, False) is None:

@@ -199,13 +199,20 @@ def constant_input_gram(plant: ContinuousPlant, Q: np.ndarray, h) -> np.ndarray:
 
 def _cost_stack(plant: ContinuousPlant, weights: CostWeights, periods) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (Q_d, S_d, R_d) stacks of ``cost_matrices`` at each period, from one
-    stacked Gram integral; raises NumericalError naming the first period in
-    order whose cost overflows."""
+    stacked Gram integral reduced by ``_gram_costs``."""
     Ts = [_check_period(T) for T in periods]
     if weights.Q.shape[0] != plant.n:
         raise ValueError(f"Q has shape {weights.Q.shape}, expected ({plant.n}, {plant.n})")
     if weights.Rc.shape[0] != plant.m:
         raise ValueError(f"Rc has shape {weights.Rc.shape}, expected ({plant.m}, {plant.m})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gram_costs(plant, weights, constant_input_gram(plant, weights.Q, np.array(Ts)), Ts)
+
+
+def _gram_costs(plant: ContinuousPlant, weights: CostWeights, H: np.ndarray, Ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (Q_d, S_d, R_d) stacks at the checked periods Ts from their
+    ``constant_input_gram`` stack H; raises NumericalError naming the first
+    period in order whose cost overflows."""
     n, m = plant.n, plant.m
     # Columns of [e^{As}, int_0^s e^{At} dt B, e^{As} B] as images of e^{Es}.
     L = np.zeros((n + m, n + 2 * m))
@@ -213,7 +220,7 @@ def _cost_stack(plant: ContinuousPlant, weights: CostWeights, periods) -> tuple[
     L[n:, n : n + m] = np.eye(m)
     L[:n, n + m :] = plant.B
     with np.errstate(over="ignore", invalid="ignore"):
-        G = _sym(L.T @ constant_input_gram(plant, weights.Q, np.array(Ts)) @ L)
+        G = _sym(L.T @ H @ L)
         R_d = G[:, n:, n:].copy()  # exactly symmetric, and stays so with the symmetric weights added
         R_d[:, :m, :m] += np.array(Ts)[:, None, None] * weights.Rc
         R_d[:, m:, m:] += weights.Ri

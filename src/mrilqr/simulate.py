@@ -9,9 +9,11 @@ cost are therefore two independently computed quantities whose match is
 limited only by matrix-exponential accuracy.
 
 The maps from an interval's start (state, free input, hold input) to
-every sub-segment end are composed once per run as one stack; each step
-then takes all its dense states, Gram increments and running costs from
-that stack in a few array operations (see ``_run``).
+every sub-segment end are composed once per run as one stack, so a step
+is one product that gives all its dense states and its end state. The
+costs and the dense rows are not built per step: after the loop, stacked
+forms over all steps give every cost term, and one sequential cumsum the
+running cost (see ``_run``).
 
 Impulses can be applied exactly (state jump at the interval start) or
 as a constant hold over the leading fraction epsilon of the interval,
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel
-from .discretize import (MODES, ContinuousPlant, CostWeights, _check_count, _check_period, constant_input_gram, cost_matrices,
+from .discretize import (MODES, ContinuousPlant, CostWeights, _check_count, _check_period, _gram_costs, constant_input_gram,
                          input_channels)
 from .errors import SimulationDivergence
 
@@ -117,21 +119,24 @@ def _interval_segments(T: float, substeps: int, alpha: float | None):
     return segments
 
 
-def _interval_maps(plant: ContinuousPlant, weights: CostWeights, segments):
-    """Maps from one interval's start to its segment ends, and each segment's Gram form.
+def _interval_maps(plant: ContinuousPlant, weights: CostWeights, segments, T: float):
+    """Maps from one interval's start to its segment ends, each segment's Gram
+    form, and the (Q_d, S_d, R_d) of the whole interval.
 
     ``Phi[j]`` (n x (n + 2m)) takes xi = [y; u_free; u_hold], the state at
     the interval start and the two segment inputs, to the state at the end
     of segment j. It is composed segment by segment from the propagators
     of the distinct segment lengths: Phi[j] = A_dd Phi[j-1] + B_dd times the
     selector of the segment's input. ``H[j]`` is the Gram form of segment
-    j in (segment start state, segment input), from one stacked call of
-    ``constant_input_gram`` over the distinct lengths.
+    j in (segment start state, segment input). One stacked call of
+    ``constant_input_gram`` over the distinct lengths and T gives every form;
+    the last is reduced to the cost with the bits of ``cost_matrices``.
     """
     n, m = plant.n, plant.m
     distinct = sorted({d for _, d, _ in segments})
     A_dd, _, B_dd = numkernel.expm_block_integrals(plant.A, plant.B, distinct)
-    grams = constant_input_gram(plant, weights.Q, distinct)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = constant_input_gram(plant, weights.Q, [*distinct, T])
     Phi = np.empty((len(segments), n, n + 2 * m))
     prev = np.eye(n, n + 2 * m)
     for j, (_, d, within_hold) in enumerate(segments):
@@ -140,7 +145,8 @@ def _interval_maps(plant: ContinuousPlant, weights: CostWeights, segments):
         cols = slice(n + m, n + 2 * m) if within_hold else slice(n, n + m)
         Phi[j][:, cols] += B_dd[i]
         prev = Phi[j]
-    return Phi, grams[[distinct.index(d) for _, d, _ in segments]]
+    cost = tuple(X[0] for X in _gram_costs(plant, weights, grams[-1:], [T]))
+    return Phi, grams[[distinct.index(d) for _, d, _ in segments]], cost
 
 
 def _hold_length(T: float, epsilon: float) -> float:
@@ -148,6 +154,12 @@ def _hold_length(T: float, epsilon: float) -> float:
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"approx mode needs epsilon in (0, 1), got {epsilon}")
     return epsilon * T
+
+
+def _forms(x, M, y):
+    """x' M y for each row pair of the stacks x and y: per pair the vector-matrix
+    product then the dot, the BLAS calls (and bits) of ``x @ M @ y``."""
+    return (x[..., None, :] @ M @ y[..., :, None])[..., 0, 0]
 
 
 def _run(
@@ -165,15 +177,18 @@ def _run(
 
     Once per run it composes the maps ``Phi`` (S x n x (n + 2m)) from an
     interval's start state y, free input u_free = u_c and hold input
-    u_hold = u_c + u_i/alpha to the state at each of the S segment ends,
-    and stacks each segment's Gram form (see ``_interval_maps``). Per step
-    it asks ``inputs_fn(k, x)`` for the inputs and adds the
-    discrete-equivalent cost and the impulse penalty; then one product
-    gives all S dense states, one stacked quadratic form all S Gram
-    increments [x_{j-1}; u_j]' H_j [x_{j-1}; u_j] (plus the hold penalty
-    d_j u_c' Rc u_c), and one sequential cumsum seeded with J_cont the
-    running cost. The step's end state is its last dense row. Dense rows
-    are kept in per-step blocks and joined once at the end.
+    u_hold = u_c + u_i/alpha to the state at each of the S segment ends
+    (see ``_interval_maps``). A step then carries only the recurrence: the
+    disturbance jump, ``inputs_fn(k, x)``, the impulse jump y = x + B u_i,
+    xi = [y; u_free; u_hold] and one product Phi xi, whose S rows are the
+    dense states and whose last row is the next state.
+
+    After the loop, stacked forms over all steps give the discrete-equivalent
+    cost terms (summed in step order into J_disc), the impulse and hold
+    penalties, and the Gram increments [x_{j-1}; u_j]' H_j [x_{j-1}; u_j] of
+    every step and segment. One sequential cumsum of them, in the order
+    they accrue and seeded with 0.0, gives J_cont and every running cost,
+    and the jump rows are inserted among the segment rows by index.
     """
     _check_count(steps, "steps", 1)
     _check_count(substeps, "substeps", 1)
@@ -181,103 +196,95 @@ def _run(
     alpha = None if epsilon is None else _hold_length(T, epsilon)
 
     n, m = plant.n, plant.m
-    B = plant.B
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    x0 = x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.size != n:
         raise ValueError(f"x0 has size {x.size}, expected {n}")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 has non-finite entries")
     if disturbance is not None and disturbance.direction.size != n:
         raise ValueError(f"disturbance direction has size {disturbance.direction.size}, expected {n}")
     if disturbance is not None and disturbance.impulse_step > steps:
         raise ValueError(f"disturbance impulse_step must be <= steps = {steps}, got {disturbance.impulse_step}")
+    jump_step = None if disturbance is None else disturbance.impulse_step
 
     segments = _interval_segments(T, substeps, alpha)
     S = len(segments)
     t_ends = np.array([t_end for t_end, _, _ in segments])
     lengths = np.array([d for _, d, _ in segments])
     hold = np.array([within_hold for _, _, within_hold in segments])
-    Phi, H = _interval_maps(plant, weights, segments)
+    Phi, H, (Q_d, S_d, R_d) = _interval_maps(plant, weights, segments, T)
     Phi_flat = Phi.reshape(S * n, n + 2 * m)
 
-    sc = cost_matrices(plant, weights, T)
-
-    # dense rows in per-step blocks of (times, states, impulse flags, J_cont)
-    blocks: list[tuple] = [(np.zeros(1), x[None].copy(), np.zeros(1, dtype=int), np.zeros(1))]
-    sample_states = []
-    ucs, uis = [], []
-    xi = np.zeros(n + 2 * m)
-    # [segment start state; segment input] of each segment
-    Z = np.empty((S, n + m))
-    no_flags = np.zeros(S, dtype=int)
-    running = np.empty(S + 1)
-    J_cont = 0.0
-    J_disc = 0.0
-
-    def jump_row(t, state, cost):
-        blocks.append((np.array([t]), state[None], np.ones(1, dtype=int), np.array([cost])))
+    # sample states x_0..x_K (post-jump), inputs [u_c, u_i], xi of every step,
+    # and the S dense states of every step
+    X = np.empty((steps + 1, n))
+    V = np.empty((steps, 2 * m))
+    XI = np.zeros((steps, n + 2 * m))
+    D = np.empty((steps, S * n))
 
     # overflow on a diverging loop is reported through the finiteness
     # check below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # the pass k == steps only applies a disturbance due at the final sample
-        for k in range(steps + 1):
-            t_k = k * T
-            if disturbance is not None and k == disturbance.impulse_step:
+        for k in range(steps):
+            if k == jump_step:
                 x = x + disturbance.direction
-                jump_row(t_k, x, J_cont)
-            sample_states.append(x)
-            if k == steps:
-                break
-
+            X[k] = x
             u_c, u_i = inputs_fn(k, x)
-            u_c = np.asarray(u_c, dtype=float).reshape(-1)
-            u_i = np.asarray(u_i, dtype=float).reshape(-1)
-            ucs.append(u_c)
-            uis.append(u_i)
-
-            v = np.concatenate([u_c, u_i])
-            J_disc += float(x @ sc.Q_d @ x + 2.0 * x @ sc.S_d @ v + v @ sc.R_d @ v)
-
-            # Impulse penalty is a per-instant sum in both impulse modes.
-            J_cont += float(u_i @ weights.Ri @ u_i)
+            V[k, :m] = u_c
+            V[k, m:] = u_i
+            xi = XI[k]
             if alpha is None:
-                y = x + B @ u_i
-                if np.any(u_i != 0.0):
-                    jump_row(t_k, y, J_cont)
+                np.add(x, plant.B @ u_i, out=xi[:n])
             else:
-                y = x
-
+                xi[:n] = x
+                xi[n + m :] = u_c + u_i / alpha
             # outside the hold window the impulse part is 0.0, and
             # u_c + 0.0 reads any -0.0 of u_c as 0.0
-            xi[:n] = y
-            xi[n : n + m] = u_c + 0.0
-            if alpha is not None:
-                xi[n + m :] = u_c + u_i / alpha
-            X = (Phi_flat @ xi).reshape(S, n)
+            np.add(u_c, 0.0, out=xi[n : n + m])
+            np.matmul(Phi_flat, xi, out=D[k])
+            x = D[k, -n:]
+        # a disturbance due at the final sample lands on the final state
+        X[steps] = x + disturbance.direction if jump_step == steps else x
 
-            Z[0, :n] = y
-            Z[1:, :n] = X[:-1]
-            Z[:, n:] = np.where(hold[:, None], xi[n + m :], xi[n : n + m])
-            quad = (Z[:, None, :] @ H @ Z[:, :, None])[:, 0, 0]
-            running[0] = J_cont
-            running[1:] = quad + lengths * float(u_c @ weights.Rc @ u_c)
-            np.cumsum(running, out=running)
-            J_cont = float(running[-1])
-            blocks.append((t_k + t_ends, X, no_flags, running[1:].copy()))
+        finite = np.isfinite(D[:, -n:]).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise SimulationDivergence(f"state diverged at step {k}", step=k)
 
-            x = X[-1]
-            if not np.all(np.isfinite(x)):
-                raise SimulationDivergence(f"state diverged at step {k}", step=k)
+        U_c, U_i = V[:, :m], V[:, m:]
+        terms = _forms(X[:-1], Q_d, X[:-1]) + _forms(2.0 * X[:-1], S_d, V) + _forms(V, R_d, V)
+        # [segment start state; segment input] of every step and segment
+        Z = np.empty((steps, S, n + m))
+        Z[:, 0, :n] = XI[:, :n]
+        Z[:, 1:, :n] = D.reshape(steps, S, n)[:, :-1]
+        Z[:, :, n:] = np.where(hold[:, None], XI[:, None, n + m :], XI[:, None, n : n + m])
+        # per step the impulse penalty, then each segment's Gram increment and hold penalty
+        accrued = np.empty((steps, S + 1))
+        accrued[:, 0] = _forms(U_i, weights.Ri, U_i)
+        accrued[:, 1:] = _forms(Z, H, Z) + lengths * _forms(U_c, weights.Rc, U_c)[:, None]
+        running = np.cumsum(np.concatenate([[0.0], accrued.ravel()]))
 
-    times, states, flags, costs = (np.concatenate(part) for part in zip(*blocks))
+    J_disc = 0.0
+    for term in terms.tolist():
+        J_disc += term
+
+    # the jump rows go before the segment rows of their step, and np.insert
+    # keeps the given order at one index: x0, the disturbance jump, the
+    # impulse jumps, each with the cost so far
+    jumps = np.array([] if jump_step is None else [jump_step], dtype=int)
+    kicks = np.flatnonzero((U_i != 0.0).any(axis=1)) if alpha is None else jumps[:0]
+    at = np.concatenate([[0], jumps * S, kicks * S])
+    t_k = np.arange(steps + 1) * T
     return Trajectory(
-        sample_states=np.array(sample_states),
-        u_c=np.array(ucs),
-        u_i=np.array(uis),
-        dense_times=times,
-        dense_states=states,
-        dense_impulse_flags=flags,
-        dense_running_cost=costs,
-        J_cont=J_cont,
+        sample_states=X,
+        u_c=U_c.copy(),
+        u_i=U_i.copy(),
+        dense_times=np.insert((t_k[:-1, None] + t_ends).ravel(), at, np.concatenate([[0.0], t_k[jumps], t_k[kicks]])),
+        dense_states=np.insert(D.reshape(-1, n), at, np.concatenate([x0[None], X[jumps], XI[kicks, :n]]), axis=0),
+        dense_impulse_flags=np.insert(np.zeros(steps * S, dtype=int), at, [0] + [1] * (at.size - 1)),
+        dense_running_cost=np.insert(running[1:].reshape(steps, S + 1)[:, 1:].ravel(), at, np.concatenate(
+            [[0.0], running[jumps * (S + 1)], running[kicks * (S + 1) + 1]])),
+        J_cont=float(running[-1]),
         J_disc=J_disc,
     )
 
@@ -285,9 +292,12 @@ def _run(
 def _policy_inputs(policy: InputPolicy, plant: ContinuousPlant):
     m = plant.m
     channels = input_channels(policy.mode, m)
-    expected = (channels.stop - channels.start, plant.n)
-    if policy.K.shape != expected:
-        raise ValueError(f"policy gain has shape {policy.K.shape}, expected {expected}")
+    width = channels.stop - channels.start
+    if policy.K.shape != (width, plant.n):
+        raise ValueError(f"policy gain has shape {policy.K.shape}, expected {(width, plant.n)}")
+    for k, f in enumerate(policy.feedforward):
+        if f.size != width or not np.isfinite(f).all():
+            raise ValueError(f"feedforward entry {k} must hold {width} finite numbers, got {f.tolist()}")
 
     def fn(k: int, x: np.ndarray):
         v = np.zeros(2 * m)
@@ -326,6 +336,16 @@ def simulate_closed_loop(
     return _run(plant, weights, T, inputs_fn, x0, steps, substeps, epsilon, disturbance)
 
 
+def _input_sequence(seq, name: str, m: int) -> np.ndarray:
+    """An open-loop input sequence as a finite (steps, m) float array."""
+    seq = np.asarray(seq, dtype=float)
+    if seq.ndim != 2 or seq.shape[1] != m:
+        raise ValueError(f"{name} must have shape (steps, {m}), got {seq.shape}")
+    if not np.isfinite(seq).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return seq
+
+
 def simulate_inputs(
     plant: ContinuousPlant,
     weights: CostWeights,
@@ -339,8 +359,8 @@ def simulate_inputs(
 ) -> Trajectory:
     """Open-loop run driven by explicit per-step input sequences; epsilon as
     in ``simulate_closed_loop``."""
-    u_c_seq = np.atleast_2d(np.asarray(u_c_seq, dtype=float))
-    u_i_seq = np.atleast_2d(np.asarray(u_i_seq, dtype=float))
+    u_c_seq = _input_sequence(u_c_seq, "u_c_seq", plant.m)
+    u_i_seq = _input_sequence(u_i_seq, "u_i_seq", plant.m)
     if u_c_seq.shape != u_i_seq.shape:
         raise ValueError("hold and impulse input sequences must have equal shapes")
 

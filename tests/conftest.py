@@ -8,7 +8,9 @@ import scipy.linalg
 from hypothesis import settings
 from scipy.integrate import quad_vec
 
-from mrilqr import ContinuousPlant, CostWeights
+from mrilqr import ContinuousPlant, CostWeights, SimulationDivergence, cost_matrices, numkernel
+from mrilqr.discretize import constant_input_gram
+from mrilqr.simulate import Trajectory, _interval_segments
 
 # every property test draws the same examples on every run; each sets only its max_examples
 settings.register_profile("mrilqr", derandomize=True, database=None, deadline=None)
@@ -235,3 +237,83 @@ def kalman_zeros(A, B, mode, T_max, h=0.01):
         if kalman_sigma_min(A, B, T, mode) < 1e-8:
             zeros.append(T)
     return zeros
+
+
+def reference_run(plant, weights, T, inputs_fn, x0, steps, substeps, epsilon, disturbance) -> Trajectory:
+    """The per-step simulation loop the stacked ``simulate._run`` must match bit
+    for bit, for valid arguments: per step, the discrete-equivalent cost from
+    ``cost_matrices``, the impulse penalty, one product for the S dense states,
+    one stacked quadratic form for the S Gram increments, and a cumsum seeded
+    with J_cont for the running cost; dense rows are kept in per-step blocks."""
+    alpha = None if epsilon is None else epsilon * T
+    n, m = plant.n, plant.m
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    segments = _interval_segments(T, substeps, alpha)
+    S = len(segments)
+    t_ends = np.array([t_end for t_end, _, _ in segments])
+    lengths = np.array([d for _, d, _ in segments])
+    hold = np.array([within_hold for _, _, within_hold in segments])
+    distinct = sorted({d for _, d, _ in segments})
+    A_dd, _, B_dd = numkernel.expm_block_integrals(plant.A, plant.B, distinct)
+    H = constant_input_gram(plant, weights.Q, distinct)[[distinct.index(d) for _, d, _ in segments]]
+    Phi = np.empty((S, n, n + 2 * m))
+    prev = np.eye(n, n + 2 * m)
+    for j, (_, d, within_hold) in enumerate(segments):
+        i = distinct.index(d)
+        Phi[j] = A_dd[i] @ prev
+        Phi[j][:, slice(n + m, n + 2 * m) if within_hold else slice(n, n + m)] += B_dd[i]
+        prev = Phi[j]
+    Phi_flat = Phi.reshape(S * n, n + 2 * m)
+    sc = cost_matrices(plant, weights, T)
+
+    blocks = [(np.zeros(1), x[None].copy(), np.zeros(1, dtype=int), np.zeros(1))]
+    sample_states, ucs, uis = [], [], []
+    xi = np.zeros(n + 2 * m)
+    Z = np.empty((S, n + m))
+    running = np.empty(S + 1)
+    J_cont = J_disc = 0.0
+
+    def jump_row(t, state, cost):
+        blocks.append((np.array([t]), state[None], np.ones(1, dtype=int), np.array([cost])))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            t_k = k * T
+            if disturbance is not None and k == disturbance.impulse_step:
+                x = x + disturbance.direction
+                jump_row(t_k, x, J_cont)
+            sample_states.append(x)
+            if k == steps:
+                break
+            u_c, u_i = (np.asarray(u, dtype=float).reshape(-1) for u in inputs_fn(k, x))
+            ucs.append(u_c)
+            uis.append(u_i)
+            v = np.concatenate([u_c, u_i])
+            J_disc += float(x @ sc.Q_d @ x + 2.0 * x @ sc.S_d @ v + v @ sc.R_d @ v)
+            J_cont += float(u_i @ weights.Ri @ u_i)
+            if alpha is None:
+                y = x + plant.B @ u_i
+                if np.any(u_i != 0.0):
+                    jump_row(t_k, y, J_cont)
+            else:
+                y = x
+            xi[:n] = y
+            xi[n : n + m] = u_c + 0.0
+            if alpha is not None:
+                xi[n + m :] = u_c + u_i / alpha
+            X = (Phi_flat @ xi).reshape(S, n)
+            Z[0, :n] = y
+            Z[1:, :n] = X[:-1]
+            Z[:, n:] = np.where(hold[:, None], xi[n + m :], xi[n : n + m])
+            running[0] = J_cont
+            running[1:] = (Z[:, None, :] @ H @ Z[:, :, None])[:, 0, 0] + lengths * float(u_c @ weights.Rc @ u_c)
+            np.cumsum(running, out=running)
+            J_cont = float(running[-1])
+            blocks.append((t_k + t_ends, X, np.zeros(S, dtype=int), running[1:].copy()))
+            x = X[-1]
+            if not np.all(np.isfinite(x)):
+                raise SimulationDivergence(f"state diverged at step {k}", step=k)
+
+    times, states, flags, costs = (np.concatenate(part) for part in zip(*blocks))
+    return Trajectory(np.array(sample_states), np.array(ucs), np.array(uis), times, states, flags, costs,
+                      J_cont, J_disc)

@@ -296,6 +296,15 @@ class TestExitCodes:
             f"input error: --N takes comma-separated integers >= 0, got the entry {horizons!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--scenario", "souza", "--T-grid", "1:1:1", "--N", "0", "--format", "json"],
+        ["discretize", "--scenario", "souza", "--format", "csv"],
+    ], ids=["json", "csv"])
+    def test_a_format_without_an_output_file_is_an_input_error(self, argv, capsys):
+        # the console has one format: a requested one is never silently dropped
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", "input error: --format applies to --out files; the console has one format\n")
+
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["discretize"])
@@ -704,6 +713,10 @@ class TestWriter:
     def per_cell(rows, digits):
         return [",".join(cli._cell(v, digits) for v in row) for row in rows]
 
+    @staticmethod
+    def columns(rows):
+        return [list(c) for c in zip(*rows)]
+
     def test_cell_text(self):
         for v in self.FLOATS:
             for digits in (cli.CONSOLE_DIGITS, cli.FILE_DIGITS):
@@ -714,37 +727,44 @@ class TestWriter:
             ["true", "false", "", "mri"]
 
     @pytest.mark.parametrize("digits", [cli.CONSOLE_DIGITS, cli.FILE_DIGITS])
-    def test_numeric_table_renders_through_one_row_format(self, digits):
-        rows = [[f, i, -f] for f, i in zip(self.FLOATS, cycle(self.INTS))]
-        fmt = cli._row_format(rows, 3, digits)
-        assert fmt == f"%.{digits}g,%d,%.{digits}g"
-        assert [fmt % tuple(row) for row in rows] == self.per_cell(rows, digits)
+    @pytest.mark.parametrize("as_arrays", [False, True])
+    def test_numeric_columns_render_through_one_row_format(self, digits, as_arrays):
+        rows = [[f, i, -f] for f, i in zip(self.FLOATS, cycle([i for i in self.INTS if abs(i) < 2**63] if as_arrays else self.INTS))]
+        columns = self.columns(rows)
+        if as_arrays:
+            # an array's kind comes from its dtype, a list's from its cells
+            columns = [np.array(columns[0]), np.array(columns[1], dtype=np.int64), np.array(columns[2])]
+        assert [cli._column(c)[1] for c in columns] == ["float", "int", "float"]
+        assert cli._table_lines(["a", "b", "c"], columns, digits)[1:] == self.per_cell(rows, digits)
 
     @pytest.mark.parametrize("column", [
         [1.0, 2], [np.int64(1), 2.5], [True, 1.5], [np.bool_(False), 0], ["a", 1.0], [None, 1.0],
         [True, None]])
     def test_mixed_columns_render_cell_by_cell(self, column):
         rows = [[v, 0.5, 3] for v in column]
-        assert cli._row_format(rows, 3, cli.FILE_DIGITS) is None
+        assert cli._column(column)[1] is None
         sink = cli._Sink()
-        sink.table("t", ["a", "b", "c"], rows)
+        sink.table("t", ["a", "b", "c"], self.columns(rows))
         assert sink.to_csv() == "a,b,c\n" + "".join(
             line + "\n" for line in self.per_cell(rows, cli.FILE_DIGITS))
 
-    @pytest.mark.parametrize("column, spec", [
-        ([True, False], "%s"), ([np.bool_(False), True], "%s"), (["a", "b,c"], "%s"), ([None, None], "%.0s")])
-    def test_bool_string_and_none_columns_render_through_one_row_format(self, column, spec):
+    @pytest.mark.parametrize("column, kind", [
+        ([True, False], "bool"), ([np.bool_(False), True], "bool"), (np.array([False, True]), "bool"),
+        (["a", "b,c"], "str"), ([None, None], "none")])
+    def test_bool_string_and_none_columns_render_through_one_row_format(self, column, kind):
         rows = [[v, 0.5, 3] for v in column]
-        assert cli._row_format(rows, 3, cli.FILE_DIGITS) == f"{spec},%.17g,%d"
-        assert cli._table_lines(["a", "b", "c"], rows, cli.FILE_DIGITS)[1:] == \
+        assert cli._column(column)[1] == kind
+        assert cli._table_lines(["a", "b", "c"], [column, [0.5, 0.5], [3, 3]], cli.FILE_DIGITS)[1:] == \
             self.per_cell(rows, cli.FILE_DIGITS)
 
-    def test_ragged_rows_render_cell_by_cell(self):
-        rows = [[1.0, 2.0], [3.0]]
-        assert cli._row_format(rows, 2, cli.FILE_DIGITS) is None
+    @pytest.mark.parametrize("columns", [[[1.0, 2.0], [3.0]], [np.zeros(2), np.zeros(3)], [[1.0], [2.0], [3.0]],
+                                         [[1.0]]], ids=["lists", "arrays", "extra-column", "missing-column"])
+    def test_columns_of_unequal_length_or_count_are_rejected(self, columns):
+        # zip would cut the table to its shortest column
         sink = cli._Sink()
-        sink.table("t", ["a", "b"], rows)
-        assert sink.to_csv() == "a,b\n1,2\n3\n"
+        with pytest.raises(ValueError, match="table 't' needs 2 columns of one length"):
+            sink.table("t", ["a", "b"], columns)
+        assert sink.tables == {}
 
     def test_every_writer_uses_one_type_rule(self):
         numeric = [[f, i] for f, i in zip(self.FLOATS, cycle(self.INTS))]
@@ -753,8 +773,8 @@ class TestWriter:
         sink = cli._Sink()
         sink.scalar("flag", np.bool_(True))
         sink.scalar("count", np.int64(5))
-        sink.table("numeric", ["f", "i"], numeric)
-        sink.table("mixed", list("abcdef"), mixed)
+        sink.table("numeric", ["f", "i"], self.columns(numeric))
+        sink.table("mixed", list("abcdef"), self.columns(mixed))
 
         csv = sink.to_csv().split("\n\n")
         assert csv[1].splitlines()[1:] == self.per_cell(numeric, cli.FILE_DIGITS)
@@ -779,7 +799,7 @@ class TestWriter:
         sink = cli._Sink()
         sink.scalar("J", float("nan"))
         sink.matrix("M", [[np.inf, 1.0], [-np.inf, np.nan]])
-        sink.table("t", ["cost", "n"], [[np.float64("nan"), 1], [2.5, 2]])
+        sink.table("t", ["cost", "n"], [np.array([np.nan, 2.5]), np.array([1, 2])])
         assert strict_json(sink.to_json()) == {"J": None, "M": [[None, 1.0], [None, None]],
                                                "t": [{"cost": None, "n": 1}, {"cost": 2.5, "n": 2}]}
         assert sink.to_csv().splitlines() == [
@@ -829,16 +849,22 @@ class TestEveryTable:
     @pytest.mark.parametrize("digits", [cli.CONSOLE_DIGITS, cli.FILE_DIGITS])
     def test_row_format_matches_cell_by_cell(self, sinks, digits):
         tables = [table for sink in sinks.values() for table in sink.tables.values()]
-        header, rows = sinks["controllability souza"].tables["candidates"]
+        header, columns = sinks["controllability souza"].tables["candidates"]
         # None margins, in a column of their own and mixed with floats
-        tables.append((header, [[*row[:-1], None] for row in rows]))
-        tables.append((header, [[*row[:-1], None if i % 2 else row[-1]] for i, row in enumerate(rows)]))
-        assert any(np.isnan(row[3]) for row in sinks["sweep souza"].tables["sweep"][1])
-        for header, rows in tables:
-            assert cli._table_lines(header, rows, digits)[1:] == TestWriter.per_cell(rows, digits)
+        tables.append((header, [*columns[:-1], [None] * len(columns[-1])]))
+        tables.append((header, [*columns[:-1], [None if i % 2 else v for i, v in enumerate(columns[-1])]]))
+        assert np.isnan(sinks["sweep souza"].tables["sweep"][1][3]).any()
+        for header, columns in tables:
+            rows = list(zip(*map(list, columns)))
+            assert cli._table_lines(header, columns, digits)[1:] == TestWriter.per_cell(rows, digits)
         for name in ("sweep souza", "sweep rotation", "controllability souza", "controllability rotation"):
-            for header, rows in sinks[name].tables.values():
-                assert cli._row_format(rows, len(header), digits) is not None, name
+            for header, columns in sinks[name].tables.values():
+                assert None not in [cli._column(c)[1] for c in columns], name
+        # the trajectory arrays reach the writer as they are
+        for name in ("simulate insulin", "simulate souza"):
+            header, columns = sinks[name].tables["trajectory"]
+            assert [isinstance(c, np.ndarray) for c in columns] == [h != "y" or name == "simulate insulin"
+                                                                    for h in header], name
 
     def test_json_matches_the_indenting_encoder(self, sinks):
         texts = {name: sink.to_json() for name, sink in sinks.items()}
@@ -969,11 +995,15 @@ class TestDesignReuse:
         segments = simulate._interval_segments(sc.T, sc.substeps, 0.1 * sc.T)
         assert len({d for _, d, _ in segments}) > 1
         counts = count_calls(monkeypatch, "constant_input_gram")
-        _, H = simulate._interval_maps(plant, weights, segments)
+        _, H, cost = simulate._interval_maps(plant, weights, segments, sc.T)
         assert counts == {"constant_input_gram": 1}
-        # each form has the bits of its own length's call
+        # each form has the bits of its own length's call, and the whole
+        # interval's cost the bits of cost_matrices at T
         for (_, d, _), H_j in zip(segments, H):
             assert np.array_equal(H_j, discretize.constant_input_gram(plant, weights.Q, d))
+        expected = discretize.cost_matrices(plant, weights, sc.T)
+        for name, M in zip(("Q_d", "S_d", "R_d"), cost):
+            assert bits(M) == bits(getattr(expected, name)), name
 
 
 class TestDisturbanceColumns:

@@ -103,7 +103,9 @@ class TestBasics:
         policy = InputPolicy(K=np.array([[1e150], [1e150]]), mode="mri")
         with pytest.raises(SimulationDivergence) as err:
             simulate_closed_loop(plant, w, 1.0, policy, x0=[1.0], steps=10, substeps=1)
-        assert err.value.step >= 0
+        # x_1 ~ 1e152 is finite, x_2 ~ 1e304 times the gain is not
+        assert err.value.step == 2
+        assert str(err.value) == "state diverged at step 2"
 
     def test_saturation_clips_at_zero(self, insulin_plant, insulin_weights):
         d = design(insulin_plant, insulin_weights, 20.0, "mri")
@@ -165,6 +167,33 @@ class TestBasics:
             "fractional-step", "bool-step", "fractional-steps", "bool-substeps", "step-past-closed-loop",
             "step-past-inputs", "direction-size"])
     def test_invalid_arguments_are_rejected(self, souza_plant, souza_weights, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(souza_plant, souza_weights)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((4, 2)), np.zeros((4, 2))),
+         r"u_c_seq must have shape \(steps, 1\), got \(4, 2\)"),
+        (lambda p, w: simulate_inputs(p, w, 1.0, [1.0, 2.0, 3.0], np.zeros((3, 1))),
+         r"u_c_seq must have shape \(steps, 1\), got \(3,\)"),
+        (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((3, 1)), np.zeros((1, 3))),
+         r"u_i_seq must have shape \(steps, 1\), got \(1, 3\)"),
+        (lambda p, w: simulate_inputs(p, w, 1.0, [[np.nan]], [[0.0]]), "u_c_seq has non-finite entries"),
+        (lambda p, w: simulate_inputs(p, w, 1.0, [[0.0]], [[-np.inf]]), "u_i_seq has non-finite entries"),
+        (lambda p, w: simulate_inputs(p, w, 1.0, [[0.0]], [[0.0]], x0=[np.nan, 0.0]), "x0 has non-finite entries"),
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2))), x0=[np.inf, 0.0]),
+         "x0 has non-finite entries"),
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2)), feedforward=(np.zeros(3),))),
+         r"feedforward entry 0 must hold 2 finite numbers, got \[0.0, 0.0, 0.0\]"),
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((1, 2)), "regular",
+                                                                  feedforward=(np.zeros(1), np.zeros(2)))),
+         r"feedforward entry 1 must hold 1 finite numbers, got \[0.0, 0.0\]"),
+        (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2)),
+                                                                  feedforward=(np.zeros(2), [np.inf, 0.0]))),
+         r"feedforward entry 1 must hold 2 finite numbers, got \[inf, 0.0\]"),
+    ], ids=["sequence-width", "sequence-1d", "impulse-sequence-width", "nan-hold", "inf-impulse", "nan-x0",
+            "inf-x0", "feedforward-width", "feedforward-regular-width", "inf-feedforward"])
+    def test_simulation_inputs_are_checked_where_they_enter(self, souza_plant, souza_weights, call, message):
+        # never a numpy shape error or a divergence at step 0
         with pytest.raises(ValueError, match=message):
             call(souza_plant, souza_weights)
 

@@ -4,20 +4,25 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dataclasses import fields
+
 from mrilqr import (
     ContinuousPlant,
     CostWeights,
+    DisturbanceSpec,
     InputPolicy,
     NumericalError,
+    Trajectory,
     design,
     sample_plant,
+    simulate,
     simulate_closed_loop,
     simulate_inputs,
 )
 
-from mrilqr.discretize import constant_input_gram
+from mrilqr.discretize import MODES, constant_input_gram
 
-from conftest import random_stable_plant, relerr
+from conftest import random_stable_plant, reference_run, relerr
 
 
 @st.composite
@@ -147,3 +152,63 @@ def test_interval_maps_match_one_shot_propagation(run):
         assert abs(traj.dense_running_cost[row] - (J + cost)) <= 1e-9 * scale, (k, s)
     if epsilon is None:
         assert abs(traj.J_cont - traj.J_disc) <= 1e-9 * abs(traj.J_disc)
+
+
+@st.composite
+def stepped_runs(draw):
+    """A random run for ``reference_run``: a stable plant with n <= 5 and m <= 2,
+    exact impulses or a hold with epsilon off or on a substep cut, a disturbance
+    at 0, mid-run, at ``steps`` or none, and either open-loop inputs with
+    zero-impulse steps and -0.0 holds or a policy of any mode with a
+    feedforward tail and saturation on or off."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    substeps, steps = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    T = draw(st.floats(0.2, 3.0))
+    hold = draw(st.sampled_from(["exact", "free", "cut"]))
+    if hold == "cut" and substeps > 1:
+        epsilon = draw(st.integers(1, substeps - 1)) / substeps
+    elif hold == "exact":
+        epsilon = None
+    else:
+        epsilon = draw(st.floats(0.02, 0.9))
+    jump = draw(st.sampled_from([None, 0, steps // 2, steps]))
+    closed = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plant = random_stable_plant(rng, n, m, margin=0.2)
+    C = rng.normal(size=(n, n))
+    weights = CostWeights(C.T @ C, np.diag(10.0 ** rng.uniform(-1, 1, m)), np.diag(10.0 ** rng.uniform(-1, 1, m)))
+    disturbance = None if jump is None else DisturbanceSpec(jump, rng.normal(size=n))
+    x0 = rng.normal(size=n)
+    if closed:
+        mode = draw(st.sampled_from(MODES))
+        width = 2 * m if mode == "mri" else m
+        feedforward = tuple(rng.normal(size=width) for _ in range(draw(st.integers(0, steps))))
+        policy = InputPolicy(0.5 * rng.normal(size=(width, n)), mode, feedforward, draw(st.booleans()))
+        inputs = policy
+    else:
+        u_c, u_i = rng.normal(size=(steps, m)), rng.normal(size=(steps, m))
+        u_i[rng.random(steps) < 0.4] = 0.0
+        u_c[rng.random(steps) < 0.2] = -0.0
+        inputs = (u_c, u_i)
+    return plant, weights, T, substeps, epsilon, steps, disturbance, x0, inputs
+
+
+@settings(max_examples=80)
+@given(stepped_runs())
+def test_stacked_run_matches_the_per_step_loop_bit_for_bit(run):
+    plant, weights, T, substeps, epsilon, steps, disturbance, x0, inputs = run
+    kw = dict(x0=x0, substeps=substeps, disturbance=disturbance, epsilon=epsilon)
+    if isinstance(inputs, InputPolicy):
+        got = simulate_closed_loop(plant, weights, T, inputs, steps=steps, **kw)
+        fn = simulate._policy_inputs(inputs, plant)
+    else:
+        got = simulate_inputs(plant, weights, T, *inputs, **kw)
+
+        def fn(k, _x):
+            return inputs[0][k], inputs[1][k]
+
+    expected = reference_run(plant, weights, T, fn, x0, steps, substeps, epsilon, disturbance)
+    for field in fields(Trajectory):
+        a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(expected, field.name))
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+        assert a.tobytes() == b.tobytes(), field.name
