@@ -26,7 +26,6 @@ from .discretize import (
     SampledModel,
     cost_matrices,
     sample_plant,
-    sample_plants,
 )
 from .errors import (
     DareDivergenceError,

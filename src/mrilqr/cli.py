@@ -587,7 +587,7 @@ def main(argv=None) -> int:
         # looked up per call, so a replaced module attribute is the one that runs
         globals()[f"cmd_{args.command}"](scenario, args, sink)
         sink.emit(args.out, args.format)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
     except NumericalError as exc:

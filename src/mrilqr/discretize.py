@@ -35,7 +35,6 @@ __all__ = [
     "SampledModel",
     "SampledCost",
     "sample_plant",
-    "sample_plants",
     "cost_matrices",
     "restrict_input_mode",
     "input_channels",
@@ -165,17 +164,11 @@ def _sample_stack(plant: ContinuousPlant, periods) -> tuple[list[float], np.ndar
     return Ts, A_d, Atilde, B_d, B_i
 
 
-def sample_plants(plant: ContinuousPlant, periods) -> list[SampledModel]:
-    """Exact ZOH + impulse discretization of the plant at each period: the list
-    view of one stacked exponential (``_sample_stack``, whose NumericalError it
-    raises), each model bit for bit the one a single period gives."""
-    Ts, *stacks = _sample_stack(plant, periods)
-    return [SampledModel(T, *(X[i] for X in stacks)) for i, T in enumerate(Ts)]
-
-
 def sample_plant(plant: ContinuousPlant, T: float) -> SampledModel:
-    """``sample_plants`` at the single period T."""
-    return sample_plants(plant, [T])[0]
+    """Exact ZOH + impulse discretization of the plant at period T: the one
+    cell of ``_sample_stack``, whose NumericalError it raises."""
+    (T,), *stacks = _sample_stack(plant, [T])
+    return SampledModel(T, *(X[0] for X in stacks))
 
 
 def constant_input_gram(plant: ContinuousPlant, Q: np.ndarray, h) -> np.ndarray:

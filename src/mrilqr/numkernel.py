@@ -140,9 +140,12 @@ def _svd_kernel(M) -> tuple[np.ndarray, np.ndarray]:
     return s, M.shape[-1] - np.count_nonzero(s > RANK_RTOL * np.maximum(1.0, s[..., :1]), axis=-1)
 
 
-def spectral_radius(M) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+def spectral_radius(M):
+    """Largest eigenvalue modulus of a square matrix, as a float, or of each
+    matrix of a stack, as an array. numpy's ``eigvals`` works slice by slice,
+    so each matrix of a stack gives its own bits."""
+    rho = np.abs(np.linalg.eigvals(M)).max(axis=-1)
+    return rho if rho.ndim else float(rho)
 
 
 def _symmetric(M, name: str) -> np.ndarray:

@@ -204,26 +204,19 @@ def _doubling_step(A, G, H, I):
     return A @ WinvAG[..., :n], _sym(G_next), H + _T(Y) @ Y, failed
 
 
-def _value_iterate(A, G, H, I):
-    """H + A' X0 (I + G X0)^{-1} A with X0 = 1e-12 I, on stacks, I the identity.
-
-    After k doublings this is the value iterate 2^k Riccati steps from X0.
-    Also returns the NumericalError of each cell whose solve failed.
-    """
-    X, singular = _cellwise(np.linalg.solve, I + _X0 * G, A)
-    return _sym(H + _X0 * _T(A) @ X), {i: _singular(exc) for i, exc in singular.items()}
-
-
 def _iterate(A, G, H, seeded, I):
-    """The iterate P_k of each cell of stacks, and the NumericalError of each
-    failed seed solve, by index: the value iterate from X0 where ``seeded``,
-    H_k itself, the value iterate from 0, elsewhere."""
+    """The iterate P_k of each cell of stacks, I the identity, and the
+    NumericalError of each failed seed solve, by index: where ``seeded`` the
+    value iterate H + A' X0 (I + G X0)^{-1} A, 2^k Riccati steps from
+    X0 = 1e-12 I after k doublings; elsewhere H_k, the value iterate from 0."""
     if not seeded.any():
         return H, {}
     cells = np.flatnonzero(seeded)
+    A = A[cells]
+    X, singular = _cellwise(np.linalg.solve, I + _X0 * G[cells], A)
     P = H.copy()
-    P[cells], failed = _value_iterate(A[cells], G[cells], H[cells], I)
-    return P, {int(cells[j]): exc for j, exc in failed.items()}
+    P[cells] = _sym(H[cells] + _X0 * _T(A) @ X)
+    return P, {int(cells[j]): _singular(exc) for j, exc in singular.items()}
 
 
 def _doubling(A, G, H, blow_up, seeded):
@@ -306,8 +299,8 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
     trusted stacks, and the error of each cell that fails.
 
     A cell fails with ValueError for an indefinite Qhat and NumericalError
-    for one that lost definiteness to roundoff or whose norm overflows;
-    see ``solve_dare``.
+    for one that lost definiteness to roundoff or whose norm overflows
+    (see ``solve_dare``); its Ahat, G and Qhat are zeros.
     """
     n = A_d.shape[-1]
     RinvBSt, failed = numkernel.solve_pd_stack(R, np.concatenate([_T(B), _T(S)], axis=-1), "R_sel")
@@ -335,6 +328,7 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
     for j in np.flatnonzero(~np.isfinite(qhat_norm)):
         failed.setdefault(j, NumericalError("overflow: the Frobenius norm of Q_d - S R^{-1} S' is not finite"))
     G = _sym(B @ RinvBSt[..., :n])
+    Ahat[list(failed)] = G[list(failed)] = Qhat[list(failed)] = 0.0
     return (Ahat, G, Qhat, DIVERGENCE_FACTOR * np.maximum(1.0, qhat_norm), kernel_dims), failed
 
 
@@ -351,9 +345,6 @@ def _solve_stack(groups) -> list[list[RiccatiSolution | ValueError | NumericalEr
     if not groups:
         return []
     eliminated = [_eliminate_cross_term(*group) for group in groups]
-    for (Ahat, G, Qhat, _, _), failed in eliminated:
-        for j in failed:
-            Ahat[j] = G[j] = Qhat[j] = 0.0
     # only a Qhat with a kernel needs the seed X0 to reach the stabilizing solution
     Ahat, G, Qhat, blow_up, kernel_dims = map(np.concatenate, zip(*(e[0] for e in eliminated)))
     P_all, iterations_all, failures = _doubling(Ahat, G, Qhat, blow_up, kernel_dims > 0)
@@ -380,7 +371,7 @@ def _solve_stack(groups) -> list[list[RiccatiSolution | ValueError | NumericalEr
         # a converged gain stabilizes; the closed loops of failed cells are left out
         stable = np.isfinite(A_cl).all(axis=(-2, -1))
         stable[list(failed)] = False
-        stable[stable] = np.abs(np.linalg.eigvals(A_cl[stable])).max(axis=-1) < 1.0
+        stable[stable] = numkernel.spectral_radius(A_cl[stable]) < 1.0
         converged = _converged(P, residual) & stable
         results.append([failed.get(j) or RiccatiSolution(
             P=P[j], K=K[j], residual=float(residual[j]), iterations=int(iterations[j]),

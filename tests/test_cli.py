@@ -233,6 +233,17 @@ class TestExitCodes:
         assert (run.returncode, run.stderr) == (1, f"input error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["preview", "--N"], ["sweep", "--T-grid", "1:1:1", "--N"], ["simulate", "--steps"]],
+                             ids=" ".join)
+    def test_a_failed_allocation_is_an_input_error(self, argv, tmp_path, capsys):
+        # 2^47 steps of a 2-state plant ask numpy for 2 PiB, past the 47-bit
+        # user address space, so the allocation fails at once
+        out = tmp_path / "o.csv"
+        assert cli.main([argv[0], "--scenario", "souza", *argv[1:], str(2**47), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("weights, T", [({"Rc": [[1e300]]}, 1e10)], ids=["T-Rc"])
     @pytest.mark.parametrize("argv", [["discretize"], *(["lqr", "--mode", mode] for mode in discretize.MODES)],
                              ids=" ".join)
@@ -928,7 +939,7 @@ class TestDesignReuse:
         # integral, and the cells of all three modes are one stacked solve,
         # one group of stacks per mode, with a single doubling
         log = []
-        counts = count_calls(monkeypatch, "solve_dare", "sample_plant", "sample_plants", "_sample_stack",
+        counts = count_calls(monkeypatch, "solve_dare", "sample_plant", "_sample_stack",
                              "cost_matrices", log=log)
         calls = []
 
@@ -966,7 +977,7 @@ class TestDesignReuse:
 
     def test_controllability_samples_once_per_candidate(self, tmp_path, monkeypatch):
         log = []
-        counts = count_calls(monkeypatch, "sample_plant", "sample_plants", "_sample_stack", "kalman_controllable",
+        counts = count_calls(monkeypatch, "sample_plant", "_sample_stack", "kalman_controllable",
                              log=log)
         souza = cli.load_scenario("souza")
         candidates = controllability.candidate_pathological_periods(souza.A, 5.0)

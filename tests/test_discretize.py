@@ -11,9 +11,8 @@ from mrilqr import (
     NumericalError,
     cost_matrices,
     sample_plant,
-    sample_plants,
 )
-from mrilqr.discretize import _cost_stack, restrict_input_mode
+from mrilqr.discretize import _cost_stack, _sample_stack, restrict_input_mode
 
 from conftest import quadrature_cost_matrices, random_stable_plant, relerr
 
@@ -91,10 +90,10 @@ class TestEntryChecks:
     ])
     @pytest.mark.parametrize("entry", [
         lambda p, w, T: sample_plant(p, T),
-        lambda p, w, T: sample_plants(p, [1.0, T, 2.0]),
+        lambda p, w, T: _sample_stack(p, [1.0, T, 2.0]),
         lambda p, w, T: cost_matrices(p, w, T),
         lambda p, w, T: _cost_stack(p, w, [1.0, T, 2.0]),
-    ], ids=["sample_plant", "sample_plants", "cost_matrices", "cost_stack"])
+    ], ids=["sample_plant", "sample_stack", "cost_matrices", "cost_stack"])
     def test_periods_are_checked_where_they_enter(self, souza_plant, souza_weights, entry, T, message):
         with pytest.raises(ValueError, match=message):
             entry(souza_plant, souza_weights, T)
@@ -156,7 +155,7 @@ class TestSamplePlant:
     def test_a_period_grid_names_its_first_overflowing_period(self, souza_plant, souza_weights):
         # in grid order, not the longest or the shortest overflowing period
         with pytest.raises(NumericalError, match=r"the sampled model overflowed at T = 1600\.0$"):
-            sample_plants(souza_plant, [1.0, 1600.0, 2.0, 1500.0])
+            _sample_stack(souza_plant, [1.0, 1600.0, 2.0, 1500.0])
         with pytest.raises(NumericalError, match=r"the equivalent cost overflowed at T = 900\.0$"):
             _cost_stack(souza_plant, souza_weights, [1.0, 900.0, 2.0, 800.0])
 

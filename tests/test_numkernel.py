@@ -320,6 +320,19 @@ def test_spectral_radius():
     assert abs(numkernel.spectral_radius(np.diag([0.5, -0.9])) - 0.9) < 1e-14
 
 
+def test_a_stack_of_spectral_radii_has_the_bits_of_each_matrix():
+    # a real spectrum beside complex ones: numpy returns the stack's
+    # eigenvalues as complex, the symmetric matrix's alone as real
+    rng = np.random.default_rng(30)
+    M = rng.normal(size=(5, 4, 4))
+    M[2] += M[2].T
+    rho = numkernel.spectral_radius(M)
+    solo = [numkernel.spectral_radius(m) for m in M]
+    assert rho.shape == (5,) and all(isinstance(r, float) for r in solo)
+    assert rho.tobytes() == np.array(solo).tobytes()
+    assert numkernel.spectral_radius(np.zeros((0, 3, 3))).shape == (0,)
+
+
 def cho_reference(M, rhs) -> np.ndarray:
     """The symmetric solve through scipy's cho_factor/cho_solve."""
     c = scipy.linalg.cho_factor(0.5 * (np.asarray(M) + np.asarray(M).T))

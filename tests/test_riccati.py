@@ -591,11 +591,28 @@ class TestDesignBatch:
 
 
 def seed_solves(monkeypatch) -> list:
-    """The number of cells of each seed solve (each ``_value_iterate`` call), as they happen."""
+    """The number of seeded cells of each ``_iterate`` call, as they happen."""
     sizes = []
-    value_iterate = riccati._value_iterate
-    monkeypatch.setattr(riccati, "_value_iterate", lambda A, *rest: sizes.append(len(A)) or value_iterate(A, *rest))
+    iterate = riccati._iterate
+    monkeypatch.setattr(riccati, "_iterate", lambda A, G, H, seeded, I:
+                        sizes.append(int(seeded.sum())) or iterate(A, G, H, seeded, I))
     return sizes
+
+
+def test_a_failed_elimination_cell_is_zeros_and_leaves_the_others(souza_plant, souza_weights):
+    # an indefinite Q_d fails its cell alone: the cell's Ahat, G and Qhat
+    # are zeros, and every other cell keeps the bits it has when none fails
+    models, costs = sampled_grid(souza_plant, souza_weights, [0.5, 1.0, 1.5])
+    groups = groups_of(models, costs, ["mri"])[0]
+    bad = [X.copy() for X in groups]
+    bad[2][1] = -np.eye(2)
+    good, none_failed = riccati._eliminate_cross_term(*groups)
+    got, failed = riccati._eliminate_cross_term(*bad)
+    assert not none_failed and list(failed) == [1] and isinstance(failed[1], ValueError)
+    # (Ahat, G, Qhat, blow-up bound, Qhat kernel dimension)
+    assert not any(X[1].any() for X in got[:3])
+    for X, Y in zip(got, good):
+        assert same_bits(X[[0, 2]], Y[[0, 2]])
 
 
 class TestSeedOnlyWhereQhatHasAKernel:
@@ -603,7 +620,7 @@ class TestSeedOnlyWhereQhatHasAKernel:
         sizes = seed_solves(monkeypatch)
         assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "0.2:0.05:5", "--mode", "all",
                          "--out", str(tmp_path / "s.csv")]) == 0
-        assert sizes == []
+        assert sizes and not any(sizes)
 
     def test_an_insulin_design_seeds_every_doubling(self, insulin_plant, insulin_weights, monkeypatch):
         sizes = seed_solves(monkeypatch)
