@@ -17,9 +17,12 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -227,12 +230,34 @@ def _column(column) -> tuple[list, str | None]:
     return column, kinds.pop() if len(kinds) == 1 else None
 
 
+def _run_starts(column: np.ndarray) -> np.ndarray:
+    """Where each run of equal consecutive cells of a numeric array starts.
+    Cells join a run when their values and sign bits are equal, so -0.0
+    never joins 0.0 and a NaN never joins anything."""
+    change = np.ones(column.size, dtype=bool)
+    change[1:] = (column[1:] != column[:-1]) | (np.signbit(column[1:]) != np.signbit(column[:-1]))
+    return np.flatnonzero(change)
+
+
 def _table_lines(header, columns, digits: int) -> list[str]:
     """A table as its header line and one text line per row, each row through
-    one %-format string built from the column kinds; a column that mixes
-    kinds is written cell by cell first."""
+    one %-format string built from the column kinds.
+
+    A numeric array column whose runs of equal consecutive cells
+    (``_run_starts``) number at most half its cells has each run formatted
+    once, and reaches the row format as preformatted %s cells; a column that
+    mixes kinds is written cell by cell first. Every other column is
+    formatted by the row format itself.
+    """
     specs, cells = [], []
-    for values, kind in map(_column, columns):
+    for column in columns:
+        kind = _kind(column.dtype.type) if isinstance(column, np.ndarray) else None
+        if kind in ("int", "float") and 2 * (starts := _run_starts(column)).size <= column.size:
+            texts = [_spec(kind, digits) % v for v in column[starts].tolist()]
+            specs.append("%s")
+            cells.append(chain.from_iterable(map(repeat, texts, np.diff(starts, append=column.size).tolist())))
+            continue
+        values, kind = _column(column)
         if kind is None:
             specs.append("%s")
             cells.append([_cell(v, digits) for v in values])
@@ -251,7 +276,10 @@ class _Sink:
     JSON, as is a non-finite float). A table is a list of equally long
     columns, one per header entry: a numpy array, whose kind is read from
     its dtype, or a list, whose kind is read from its cells. Its rows
-    render through one %-format string built from the column kinds.
+    render through one %-format string built from the column kinds; a
+    numeric array column whose runs of equal consecutive cells number at
+    most half its cells has each run formatted once (``_table_lines``).
+    A file is written over any old one in place and cut to length (``emit``).
     """
 
     def __init__(self):
@@ -310,10 +338,24 @@ class _Sink:
         return json.dumps(self.json_doc(), indent=2, sort_keys=True) + "\n"
 
     def emit(self, out_path: str | None, fmt: str | None):
+        """Render to the console, or to the file ``out_path`` in ``fmt``.
+
+        An existing file is overwritten in place and then cut to the new
+        length, not opened with O_TRUNC: on ext4, a rewrite through O_TRUNC
+        of a file that holds data was measured to stall for tens of
+        milliseconds. Only a regular file is cut; a device or FIFO cannot be
+        truncated. Nothing is fsynced.
+        """
         if out_path is None:
             self.to_console()
-        else:
-            Path(out_path).write_text(self.to_json() if fmt == "json" else self.to_csv())
+            return
+        data = (self.to_json() if fmt == "json" else self.to_csv()).encode()
+        with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.write(data)
+            f.flush()
+            info = os.fstat(f.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+                f.truncate()
 
 
 # ---------------------------------------------------------------------------

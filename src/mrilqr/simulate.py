@@ -107,19 +107,24 @@ class Trajectory:
 
 
 def _interval_segments(T: float, substeps: int, alpha: float | None):
-    """Breakpoints of one sampling interval: substep grid plus the hold cut."""
-    cuts = [j * T / substeps for j in range(substeps + 1)]
-    if alpha is not None and all(abs(alpha - c) > 1e-15 * T for c in cuts):
-        cuts.append(alpha)
-        cuts.sort()
-    segments = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        segments.append((b, b - a, alpha is not None and mid < alpha))
-    return segments
+    """Segments of one sampling interval, cut at the substep grid j T / substeps
+    and at the hold cut: their end times, lengths and hold mask as arrays.
+
+    The grid is allocated before it is filled, so a count numpy cannot hold
+    fails here; np.arange would return an empty range past the int64 range.
+    """
+    cuts = np.empty(substeps + 1)
+    np.multiply(np.arange(cuts.size), T, out=cuts)
+    cuts /= substeps
+    if alpha is not None and (np.abs(alpha - cuts) > 1e-15 * T).all():
+        # the hold cut equals no grid cut: the grid in order with it inserted
+        cuts = np.concatenate([cuts[cuts < alpha], [alpha], cuts[cuts > alpha]])
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    hold = mids < alpha if alpha is not None else np.zeros(mids.size, dtype=bool)
+    return cuts[1:], np.diff(cuts), hold
 
 
-def _interval_maps(plant: ContinuousPlant, weights: CostWeights, segments, T: float):
+def _interval_maps(plant: ContinuousPlant, weights: CostWeights, lengths, hold, T: float):
     """Maps from one interval's start to its segment ends, each segment's Gram
     form, and the (Q_d, S_d, R_d) of the whole interval.
 
@@ -133,20 +138,20 @@ def _interval_maps(plant: ContinuousPlant, weights: CostWeights, segments, T: fl
     the last is reduced to the cost with the bits of ``cost_matrices``.
     """
     n, m = plant.n, plant.m
-    distinct = sorted({d for _, d, _ in segments})
+    distinct = sorted(set(lengths.tolist()))
+    which = [distinct.index(d) for d in lengths.tolist()]
     A_dd, _, B_dd = numkernel.expm_block_integrals(plant.A, plant.B, distinct)
     with np.errstate(over="ignore", invalid="ignore"):
         grams = constant_input_gram(plant, weights.Q, [*distinct, T])
-    Phi = np.empty((len(segments), n, n + 2 * m))
+    Phi = np.empty((lengths.size, n, n + 2 * m))
     prev = np.eye(n, n + 2 * m)
-    for j, (_, d, within_hold) in enumerate(segments):
-        i = distinct.index(d)
+    for j, (i, within_hold) in enumerate(zip(which, hold.tolist())):
         Phi[j] = A_dd[i] @ prev
         cols = slice(n + m, n + 2 * m) if within_hold else slice(n, n + m)
         Phi[j][:, cols] += B_dd[i]
         prev = Phi[j]
     cost = tuple(X[0] for X in _gram_costs(plant, weights, grams[-1:], [T]))
-    return Phi, grams[[distinct.index(d) for _, d, _ in segments]], cost
+    return Phi, grams[which], cost
 
 
 def _hold_length(T: float, epsilon: float) -> float:
@@ -207,12 +212,9 @@ def _run(
         raise ValueError(f"disturbance impulse_step must be <= steps = {steps}, got {disturbance.impulse_step}")
     jump_step = None if disturbance is None else disturbance.impulse_step
 
-    segments = _interval_segments(T, substeps, alpha)
-    S = len(segments)
-    t_ends = np.array([t_end for t_end, _, _ in segments])
-    lengths = np.array([d for _, d, _ in segments])
-    hold = np.array([within_hold for _, _, within_hold in segments])
-    Phi, H, (Q_d, S_d, R_d) = _interval_maps(plant, weights, segments, T)
+    t_ends, lengths, hold = _interval_segments(T, substeps, alpha)
+    S = lengths.size
+    Phi, H, (Q_d, S_d, R_d) = _interval_maps(plant, weights, lengths, hold, T)
     Phi_flat = Phi.reshape(S * n, n + 2 * m)
 
     # sample states x_0..x_K (post-jump), inputs [u_c, u_i], xi of every step,

@@ -248,17 +248,14 @@ def reference_run(plant, weights, T, inputs_fn, x0, steps, substeps, epsilon, di
     alpha = None if epsilon is None else epsilon * T
     n, m = plant.n, plant.m
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    segments = _interval_segments(T, substeps, alpha)
-    S = len(segments)
-    t_ends = np.array([t_end for t_end, _, _ in segments])
-    lengths = np.array([d for _, d, _ in segments])
-    hold = np.array([within_hold for _, _, within_hold in segments])
-    distinct = sorted({d for _, d, _ in segments})
+    t_ends, lengths, hold = _interval_segments(T, substeps, alpha)
+    S = lengths.size
+    distinct = sorted(set(lengths.tolist()))
     A_dd, _, B_dd = numkernel.expm_block_integrals(plant.A, plant.B, distinct)
-    H = constant_input_gram(plant, weights.Q, distinct)[[distinct.index(d) for _, d, _ in segments]]
+    H = constant_input_gram(plant, weights.Q, distinct)[[distinct.index(d) for d in lengths.tolist()]]
     Phi = np.empty((S, n, n + 2 * m))
     prev = np.eye(n, n + 2 * m)
-    for j, (_, d, within_hold) in enumerate(segments):
+    for j, (d, within_hold) in enumerate(zip(lengths.tolist(), hold.tolist())):
         i = distinct.index(d)
         Phi[j] = A_dd[i] @ prev
         Phi[j][:, slice(n + m, n + 2 * m) if within_hold else slice(n, n + m)] += B_dd[i]

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from argparse import Namespace
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mrilqr
 from mrilqr import cli, controllability, design, discretize, preview, preview_plan, riccati, simulate
@@ -233,11 +236,13 @@ class TestExitCodes:
         assert (run.returncode, run.stderr) == (1, f"input error: {message}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["preview", "--N"], ["sweep", "--T-grid", "1:1:1", "--N"], ["simulate", "--steps"]],
+    @pytest.mark.parametrize("argv", [["preview", "--N"], ["sweep", "--T-grid", "1:1:1", "--N"], ["simulate", "--steps"],
+                                      ["simulate", "--substeps"]],
                              ids=" ".join)
     def test_a_failed_allocation_is_an_input_error(self, argv, tmp_path, capsys):
-        # 2^47 steps of a 2-state plant ask numpy for 2 PiB, past the 47-bit
-        # user address space, so the allocation fails at once
+        # 2^47 steps of a 2-state plant ask numpy for 2 PiB, and 2^47 substeps
+        # for a 1 PiB grid, past the 47-bit user address space, so the
+        # allocation fails at once
         out = tmp_path / "o.csv"
         assert cli.main([argv[0], "--scenario", "souza", *argv[1:], str(2**47), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -805,6 +810,86 @@ class TestWriter:
         assert doc["mixed"][0] == {"a": -0.0, "b": 1e-300, "c": 3, "d": True, "e": "mri", "f": None}
         assert doc["mixed"][1] == {"a": 2.5, "b": 7.0, "c": 4, "d": False, "e": "regular", "f": None}
 
+    RUN_COLUMNS = {
+        "signed-zero-runs": np.array([-0.0] * 3 + [0.0] * 3 + [-0.0] * 2 + [0.0]),
+        "nan-runs": np.array([np.nan] * 4 + [1.5] * 3 + [np.nan] * 2),
+        "inf-runs": np.array([np.inf] * 3 + [-np.inf] * 3 + [np.inf, np.inf]),
+        "float32-runs": np.array([0.1] * 5 + [2.0 / 3.0] * 5, dtype=np.float32),
+        "int-runs": np.array([5] * 6 + [-2] * 4 + [0] * 2, dtype=np.int64),
+        "uint64-runs": np.array([2**64 - 1] * 3 + [0] * 3, dtype=np.uint64),
+        "one-float": np.array([0.1]),
+        "one-int": np.array([7]),
+        "empty-float": np.array([], dtype=float),
+        "empty-int": np.array([], dtype=np.int64),
+        "half-runs": np.array([0.25, 0.25, 1e-300, 1e-300]),
+        "over-half-runs": np.array([0.25, 0.25, 1e-300, -1e-300]),
+        "no-runs": np.array(FLOATS[:-1], dtype=float),
+    }
+
+    @pytest.mark.parametrize("digits", [cli.CONSOLE_DIGITS, cli.FILE_DIGITS])
+    @pytest.mark.parametrize("name", list(RUN_COLUMNS))
+    def test_runs_of_array_cells_render_as_per_cell(self, name, digits):
+        column = self.RUN_COLUMNS[name]
+        # beside a column without runs and a list column
+        columns = [column, np.arange(column.size) / 3.0, [0.5] * column.size]
+        rows = list(zip(*(list(c) for c in columns)))
+        assert cli._table_lines(["a", "b", "c"], columns, digits)[1:] == self.per_cell(rows, digits)
+
+    @pytest.mark.parametrize("name, starts", [
+        ("signed-zero-runs", [0, 3, 6, 8]), ("nan-runs", [0, 1, 2, 3, 4, 7, 8]), ("inf-runs", [0, 3, 6]),
+        ("int-runs", [0, 6, 10]), ("one-int", [0]), ("empty-float", []), ("half-runs", [0, 2]),
+        ("over-half-runs", [0, 2, 3])])
+    def test_runs_join_equal_values_of_one_sign_and_never_a_nan(self, name, starts):
+        assert cli._run_starts(self.RUN_COLUMNS[name]).tolist() == starts
+
+    @settings(max_examples=150)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, -1.5, 0.1, 2.0 / 3.0]),
+                    max_size=40), st.integers(1, 4))
+    def test_float_arrays_with_runs_render_as_per_cell(self, values, stretch):
+        column = np.repeat(np.array(values, dtype=float), stretch)
+        for digits in (cli.CONSOLE_DIGITS, cli.FILE_DIGITS):
+            assert cli._table_lines(["a"], [column], digits)[1:] == self.per_cell([[v] for v in column], digits)
+
+    OUT_ARGV = ["simulate", "--scenario", "souza", "--steps", "3", "--out"]
+
+    @pytest.mark.parametrize("old", [b"x" * 100_000, b"y" * 10, b""], ids=["longer", "shorter", "empty"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_over_an_existing_file_leaves_exactly_the_new_bytes(self, tmp_path, old, fmt):
+        fresh, over = tmp_path / "fresh", tmp_path / "over"
+        assert cli.main([*self.OUT_ARGV, str(fresh), "--format", fmt]) == 0
+        over.write_bytes(old)
+        inode = over.stat().st_ino
+        assert cli.main([*self.OUT_ARGV, str(over), "--format", fmt]) == 0
+        assert over.read_bytes() == fresh.read_bytes()
+        assert over.stat().st_ino == inode
+
+    def test_out_to_a_device_or_fifo_writes_and_cuts_nothing(self, tmp_path):
+        # neither can be truncated: ftruncate would fail with EINVAL
+        assert cli.main([*self.OUT_ARGV, os.devnull]) == 0
+        fresh, fifo = tmp_path / "fresh", tmp_path / "fifo"
+        assert cli.main([*self.OUT_ARGV, str(fresh)]) == 0
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert cli.main([*self.OUT_ARGV, str(fifo)]) == 0
+            assert os.read(reader, 1 << 16) == fresh.read_bytes()
+        finally:
+            os.close(reader)
+
+    def test_out_on_a_directory_is_an_input_error(self, tmp_path, capsys):
+        assert cli.main([*self.OUT_ARGV, str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_a_new_file_gets_its_mode_from_the_umask(self, tmp_path, umask):
+        out = tmp_path / "new.csv"
+        previous = os.umask(umask)
+        try:
+            assert cli.main([*self.OUT_ARGV, str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
     def test_non_finite_floats_are_null_in_json_and_kept_in_csv(self):
         sink = cli._Sink()
@@ -1003,14 +1088,14 @@ class TestDesignReuse:
         sc = cli.load_scenario("insulin")
         plant, weights = sc.plant(), sc.weights()
         # the hold cut adds segment lengths to the substep grid's
-        segments = simulate._interval_segments(sc.T, sc.substeps, 0.1 * sc.T)
-        assert len({d for _, d, _ in segments}) > 1
+        _, lengths, hold = simulate._interval_segments(sc.T, sc.substeps, 0.1 * sc.T)
+        assert np.unique(lengths).size > 1
         counts = count_calls(monkeypatch, "constant_input_gram")
-        _, H, cost = simulate._interval_maps(plant, weights, segments, sc.T)
+        _, H, cost = simulate._interval_maps(plant, weights, lengths, hold, sc.T)
         assert counts == {"constant_input_gram": 1}
         # each form has the bits of its own length's call, and the whole
         # interval's cost the bits of cost_matrices at T
-        for (_, d, _), H_j in zip(segments, H):
+        for d, H_j in zip(lengths.tolist(), H):
             assert np.array_equal(H_j, discretize.constant_input_gram(plant, weights.Q, d))
         expected = discretize.cost_matrices(plant, weights, sc.T)
         for name, M in zip(("Q_d", "S_d", "R_d"), cost):

@@ -18,6 +18,7 @@ from mrilqr import (
     simulate_closed_loop,
     simulate_inputs,
 )
+from mrilqr.simulate import _interval_segments
 
 from conftest import random_stable_plant, relerr
 
@@ -203,6 +204,26 @@ class TestBasics:
                                    substeps=2, disturbance=DisturbanceSpec(step, [0.5, -1.0]))
 
         assert np.array_equal(run(np.int64(2)).dense_states, run(2).dense_states)
+
+    @pytest.mark.parametrize("T, substeps, alpha", [
+        (1.0, 1, None), (0.9, 7, None), (20.0, 32, 2.0), (0.9, 7, 0.9 * 3 / 7), (3.0, 5, 1e-9),
+        (2.5, 3, 2.5 - 1e-13), (0.3, 10, 0.3 * 7 / 10 + 1e-17)])
+    def test_interval_segments_keep_the_bits_of_the_scalar_grid(self, T, substeps, alpha):
+        # the per-cut Python arithmetic the array grid must match bit for bit;
+        # a hold cut on (or within 1e-15 T of) a grid cut adds no segment
+        cuts = [j * T / substeps for j in range(substeps + 1)]
+        if alpha is not None and all(abs(alpha - c) > 1e-15 * T for c in cuts):
+            cuts = sorted([*cuts, alpha])
+        pairs = list(zip(cuts[:-1], cuts[1:]))
+        t_ends, lengths, hold = _interval_segments(T, substeps, alpha)
+        assert t_ends.tolist() == [b for _, b in pairs]
+        assert lengths.tolist() == [b - a for a, b in pairs]
+        assert hold.tolist() == [alpha is not None and 0.5 * (a + b) < alpha for a, b in pairs]
+
+    def test_a_substep_grid_past_the_int64_range_is_rejected(self):
+        # np.arange(2**63 + 1) is an empty range, not an error
+        with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+            _interval_segments(1.0, 2**63, None)
 
 
 class TestCostAccumulation:
