@@ -198,8 +198,7 @@ def _cost_stack(plant: ContinuousPlant, weights: CostWeights, periods) -> tuple[
         raise ValueError(f"Q has shape {weights.Q.shape}, expected ({plant.n}, {plant.n})")
     if weights.Rc.shape[0] != plant.m:
         raise ValueError(f"Rc has shape {weights.Rc.shape}, expected ({plant.m}, {plant.m})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _gram_costs(plant, weights, constant_input_gram(plant, weights.Q, np.array(Ts)), Ts)
+    return _gram_costs(plant, weights, constant_input_gram(plant, weights.Q, np.array(Ts)), Ts)
 
 
 def _gram_costs(plant: ContinuousPlant, weights: CostWeights, H: np.ndarray, Ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -72,41 +72,73 @@ def expm_block_integrals(A, B, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def expm_gram_integral(A, W, T) -> np.ndarray:
     """Exact Gram integral int_0^T e^{A's} W e^{As} ds.
 
-    Computed from one exponential of the block matrix [[-A', W], [0, A]]:
-    if its exponential is [[F1, G2], [0, F3]] then the integral equals
-    F3' G2. The -A' block makes that exponential badly scaled for large
-    ||A||*T, so the integral is evaluated on a sub-interval with
-    ||A||*h <= 2 (below the cap of 60 doublings; an overflowing ||A||*T
-    is a NumericalError) and doubled through the exact composition
-    H(2t) = H(t) + Phi(t)' H(t) Phi(t). W must be symmetric; the result
-    is symmetrized to remove roundoff asymmetry. T is one duration or a
-    1-D array of them, as for ``expm_block_integrals``; each duration takes
+    The -A' block of the Van Loan matrix Z = [[-A', W], [0, A]] makes
+    e^{ZT} badly scaled for large ||A|| T, so e^{Zh} = [[F1, G2], [0, F3]]
+    gives the integral F3' G2 only on h = T / 2^d, ||A||_F h <= 2 (an
+    overflowing ||A||_F T is a NumericalError); ``_squaring_sum`` doubles
+    it d times from its factor and from e^{Ah} - I = A Atilde(h)
+    (``expm_block_integrals``), which keeps a slow decay next to a fast
+    one. W must be symmetric; an overflowing integral is non-finite, with
+    no numpy warning. T is one duration or a 1-D array of them; each takes
     its own number of doublings and gives the bits of a single duration.
     """
     n = A.shape[0]
-    T = np.asarray(T, dtype=float)
-    Ts = T.reshape(-1)
-    with np.errstate(over="ignore"):
+    Ts = np.asarray(T, dtype=float).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
         spans = float(np.linalg.norm(A, "fro")) * Ts
-    if not np.isfinite(spans).all():
-        raise NumericalError("||A|| T overflowed in the Gram integral")
-    doublings = np.array([max(0, min(60, int(np.ceil(np.log2(max(s, 1e-300) / 2.0))))) for s in spans.tolist()], dtype=int)
-    h = Ts / np.ldexp(1.0, doublings)
+        if not np.isfinite(spans).all():
+            raise NumericalError("||A|| T overflowed in the Gram integral")
+        doublings = np.maximum(0, np.ceil(np.log2(np.maximum(spans, 1e-300) / 2.0))).astype(int)
+        h = Ts / np.ldexp(1.0, doublings)
+        Z = np.zeros((2 * n, 2 * n))
+        Z[:n, :n], Z[:n, n:], Z[n:, n:] = -A.T, W, A
+        V = scipy.linalg.expm(Z * h[:, None, None])
+        F, failed = _cellwise(_psd_factor, _sym(_T(V[:, n:, n:]) @ V[:, :n, n:]))
+        F[list(failed)] = np.inf  # a sub-interval integral that overflowed stays non-finite
+        H = _squaring_sum(F, A @ expm_block_integrals(A, np.eye(n), h)[1], doublings)
+    return H if np.ndim(T) else H[0]
 
-    Z = np.zeros((2 * n, 2 * n))
-    Z[:n, :n] = -A.T
-    Z[:n, n:] = W
-    Z[n:, n:] = A
-    E = scipy.linalg.expm(Z * h[:, None, None])
-    H = _sym(_T(E[:, n:, n:]) @ E[:, :n, n:])
-    Phi = E[:, n:, n:]
-    for k in range(int(doublings.max(initial=0))):
-        # only the durations with more than k doublings take this one
-        on = doublings > k
-        Hk, Phik = H[on], Phi[on]
-        H[on] = _sym(Hk + _T(Phik) @ Hk @ Phik)
-        Phi[on] = Phik @ Phik
-    return H if T.ndim else H[0]
+
+def _squaring_sum(F, E, doublings) -> np.ndarray:
+    """X = sum_{i < 2^d} Phi^i' F'F Phi^i of each cell of stacks, Phi = I + E,
+    by the cell's d = ``doublings`` squarings X <- X + Phi'X Phi, Phi <- Phi^2.
+
+    X is carried as a factor, X = F'F, re-triangularized from [F; F Phi]
+    by one stacked QR per squaring but the last, so the sum stays positive
+    semidefinite and roundoff enters its small eigenvalues only squared.
+    Phi is squared as E <- 2E + E^2, so a Phi within roundoff of I keeps
+    its distance from I (Al-Mohy and Higham's squaring of e^A - I); each
+    term rounds Phi = I + E once, which does not compound over squarings.
+    A cell stops early, after its next term, once ||Phi||_F <= sqrt(eps):
+    the rest is then below eps^2 ||X||. An overflowing cell is non-finite,
+    for the caller to check. Each cell has the bits of a stack of one.
+    """
+    doublings = np.asarray(doublings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _T(F) @ F  # the sums of the cells without a squaring
+        live, I = np.flatnonzero(doublings > 0), np.eye(F.shape[-1])
+        F, E = F[live], E[live]
+        for k in range(1, int(doublings.max(initial=0)) + 1):
+            Phi = E + I
+            F = np.concatenate([F, F @ Phi], axis=-2)  # X after k squarings is F'F
+            done = (doublings[live] == k) | (_fro(Phi) <= np.finfo(float).eps ** 0.5)
+            if done.any():
+                X[live[done]] = _T(F[done]) @ F[done]
+                if done.all():
+                    break
+                live, F, E = live[~done], F[~done], E[~done]
+            F = np.linalg.qr(F, mode="r")
+            E = 2.0 * E + E @ E
+        return _sym(X)
+
+
+def _psd_factor(M) -> np.ndarray:
+    """F with F'F = M for a symmetric M (or each of a stack), negative eigenvalues clipped to zero.
+
+    ``eigh`` reads one triangle, so M must be symmetric to the bit.
+    """
+    w, V = np.linalg.eigh(M)
+    return np.sqrt(np.maximum(w, 0.0))[..., :, None] * _T(V)
 
 
 def eigenvalues(M) -> np.ndarray:

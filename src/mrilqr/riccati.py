@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from . import discretize, numkernel
-from .numkernel import _T, _cellwise, _fro, _sym
+from .numkernel import _T, _cellwise, _fro, _psd_factor, _sym
 from .discretize import ContinuousPlant, CostWeights, SampledCost, SampledModel
 from .errors import DareDivergenceError, NumericalError
 
@@ -102,47 +102,17 @@ def _converged(P, residual) -> np.ndarray:
     return residual <= RESIDUAL_RTOL * (1.0 + _fro(P))
 
 
-def _smith_lyapunov(A_cl, F) -> np.ndarray:
-    """X = A_cl' X A_cl + F'F by squaring; requires rho(A_cl) < 1.
-
-    X is carried as a triangular factor, X_k = F_k'F_k, so the sum stays
-    positive semidefinite and roundoff enters its small eigenvalues only
-    squared. The sum after k squarings misses A_k' X A_k, at most
-    ||A_k||^2 ||X||, so it stops once the entries of A_k fall below 1e-20.
-    A strongly non-normal A_cl can overflow on the way; the result is then
-    non-finite, which the caller checks.
-    """
-    Ak = A_cl.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(80):
-            F = np.linalg.qr(np.vstack([F, F @ Ak]), mode="r")
-            Ak = Ak @ Ak
-            if float(np.abs(Ak).max()) < 1e-20:
-                break
-        X = F.T @ F
-    return 0.5 * (X + X.T)
-
-
-def _psd_factor(M) -> np.ndarray:
-    """F with F'F = M for a symmetric M (or each of a stack), negative eigenvalues clipped to zero.
-
-    ``eigh`` reads one triangle, so M must be symmetric to the bit.
-    """
-    w, V = np.linalg.eigh(M)
-    return np.sqrt(np.maximum(w, 0.0))[..., :, None] * _T(V)
-
-
 def _policy_polish(P, residual: float, A_d, B, Q_d, S, R):
     """Policy-iteration refinement of an iterate that misses the residual test.
 
     The doubling stalled at a roundoff floor proportional to the magnitude
-    of the cost blocks; re-evaluating the current gain through an exact
-    closed-loop Lyapunov solve removes that floor. The Lyapunov right-hand
-    side is F'F with F = J [I; K], J'J the joint cost [[Q_d, S], [S', R]],
-    so every evaluated P is positive semidefinite. Each round needs a
-    stabilizing gain, so the polish stops (keeping the best iterate so far)
-    when the closed loop is not contractive or its Lyapunov sum overflows,
-    when the residual stops falling, and after at most 12 rounds.
+    of the cost blocks; re-evaluating the current gain through the exact
+    Lyapunov sum P = sum_{i < 2^64} A_cl^i' F'F A_cl^i (``_squaring_sum``),
+    F = J [I; K] with J'J the joint cost [[Q_d, S], [S', R]], removes that
+    floor, and every evaluated P is positive semidefinite. Each round needs
+    a stabilizing gain, so the polish stops (keeping the best iterate so
+    far) when the closed loop is not contractive or its Lyapunov sum
+    overflows, when the residual stops falling, and after at most 12 rounds.
     """
     best_P, best_res = P, residual
     n = A_d.shape[0]
@@ -152,7 +122,7 @@ def _policy_polish(P, residual: float, A_d, B, Q_d, S, R):
         A_cl = A_d + B @ K
         if numkernel.spectral_radius(A_cl) >= 1.0 - 1e-12:
             break
-        Pn = _smith_lyapunov(A_cl, J[:, :n] + J[:, n:] @ K)
+        Pn = numkernel._squaring_sum((J[:, :n] + J[:, n:] @ K)[None], (A_cl - np.eye(n))[None], [_MAX_DOUBLINGS])[0]
         if not np.all(np.isfinite(Pn)):
             break
         res = dare_residual(Pn, A_d, B, Q_d, S, R)

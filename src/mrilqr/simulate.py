@@ -141,8 +141,7 @@ def _interval_maps(plant: ContinuousPlant, weights: CostWeights, lengths, hold, 
     distinct = sorted(set(lengths.tolist()))
     which = [distinct.index(d) for d in lengths.tolist()]
     A_dd, _, B_dd = numkernel.expm_block_integrals(plant.A, plant.B, distinct)
-    with np.errstate(over="ignore", invalid="ignore"):
-        grams = constant_input_gram(plant, weights.Q, [*distinct, T])
+    grams = constant_input_gram(plant, weights.Q, [*distinct, T])
     Phi = np.empty((lengths.size, n, n + 2 * m))
     prev = np.eye(n, n + 2 * m)
     for j, (i, within_hold) in enumerate(zip(which, hold.tolist())):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrilqr
-from mrilqr import cli, controllability, design, discretize, preview, preview_plan, riccati, simulate
+from mrilqr import cli, controllability, design, discretize, numkernel, preview, preview_plan, riccati, simulate
 from mrilqr.errors import DareDivergenceError, NumericalError
 
 SOUZA_BASE = 2.0 * np.pi / np.sqrt(23.0)
@@ -28,7 +28,7 @@ def count_calls(monkeypatch, *names, log=None):
     """Count calls to library functions through every module namespace binding them;
     with a ``log`` list, also append each call's (name, positional arguments)."""
     counts = Counter()
-    modules = (mrilqr, cli, controllability, discretize, preview, riccati, simulate)
+    modules = (mrilqr, cli, controllability, discretize, numkernel, preview, riccati, simulate)
     for name in names:
         fn = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
 
@@ -338,13 +338,13 @@ class TestExitCodes:
         ["lqr", "--T", "1500"],
         ["preview", "--T", "1500"],
         ["controllability", "--T-max", "1500"],
-        *(["lqr", "--T", T] for T in ("50", "100", "150", "300", "500", "700")),
+        *(["lqr", "--T", T] for T in ("55", "100", "150", "300", "500", "700")),
         ["sweep", "--T-grid", "700:100:800", "--mode", "all"],
     ], ids=" ".join)
     def test_overflow_on_unstable_plant_exits_two_without_output(self, argv, tmp_path, capsys):
         # e^(AT) of souza (Re(lambda) = 1/2) passes the double range near T = 1420,
-        # its Gram integral near T = 710; from T = 45 on, Q_d and S R^-1 S'
-        # cancel to roundoff in Qhat, or the doubling meets a singular system
+        # its Gram integral near T = 710; from T = 40 on, Q_d and S R^-1 S' can
+        # cancel to roundoff in Qhat, or the doubling meet a singular system
         out = tmp_path / "o.csv"
         assert cli.main([argv[0], "--scenario", "souza", *argv[1:], "--out", str(out)]) == 2
         assert "numerical failure" in capsys.readouterr().err
@@ -420,7 +420,7 @@ class TestExitCodes:
             cost, _, iterations = cells[(T, "regular", "0")]
             assert cells[(T, "regular", "3")] == [cost, "false", iterations]
         # an unconverged design's preview cost can fall far below zero (down to
-        # -6.8e46 here): such a cell reports its feedback cost for every N
+        # -1.8e57 here): such a cell reports its feedback cost for every N
         assert all(not float(cost) < 0.0 for cost, _, _ in cells.values())
         for (T, mode, N), (cost, converged, iterations) in cells.items():
             if N == "3" and converged == "false":
@@ -451,8 +451,8 @@ class TestExitCodes:
             call(cli.load_scenario("souza"))
 
     def test_sweep_reports_failed_cells_and_keeps_the_others(self, tmp_path):
-        # from T = 45 the mri cells' Q_d and S R^-1 S' cancel to roundoff in
-        # Qhat; those cells read nan, the others as their solo designs
+        # at T = 40 and 55 the mri cells' Q_d and S R^-1 S' cancel to roundoff
+        # in Qhat; those cells read nan, the others as their solo designs
         out = tmp_path / "s.csv"
         assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "20:5:60",
                          "--mode", "all", "--out", str(out)]) == 0
@@ -473,7 +473,7 @@ class TestExitCodes:
                 continue
             assert (cost, converged, iterations) == (format(solo[0], ".17g"),
                                                      str(solo[1]).lower(), str(solo[2]))
-        assert failed == [("45", "mri"), ("50", "mri"), ("55", "mri")]
+        assert failed == [("40", "mri"), ("55", "mri")]
 
     def test_uncontrollable_scenario_is_input_error(self, tmp_path, capsys):
         doc = {
@@ -1100,6 +1100,24 @@ class TestDesignReuse:
         expected = discretize.cost_matrices(plant, weights, sc.T)
         for name, M in zip(("Q_d", "S_d", "R_d"), cost):
             assert bits(M) == bits(getattr(expected, name)), name
+
+    def test_gram_integral_and_policy_polish_square_through_one_kernel(self, monkeypatch):
+        # the cost's Gram integral is one kernel call on its stack of periods,
+        # and each round of the polish one call on a stack of one, capped at
+        # the doubling's 64
+        sc = cli.load_scenario("insulin")
+        des = design(sc.plant(), sc.weights(), sc.T, "mri")
+        log = []
+        counts = count_calls(monkeypatch, "_squaring_sum", "expm_gram_integral", log=log)
+        discretize.cost_matrices(sc.plant(), sc.weights(), sc.T)
+        assert counts == {"expm_gram_integral": 1, "_squaring_sum": 1}
+        P = des.solution.P * (1.0 + 1e-6)
+        problem = (des.model.A_d, des.B_sel, des.cost.Q_d, des.S_sel, des.R_sel)
+        residual = riccati.dare_residual(P, *problem)
+        assert riccati._policy_polish(P, residual, *problem)[1] < residual
+        rounds = [args for name, args in log[2:]]
+        assert counts == {"expm_gram_integral": 1, "_squaring_sum": 1 + len(rounds)} and rounds
+        assert all(len(F) == 1 and list(doublings) == [riccati._MAX_DOUBLINGS] for F, E, doublings in rounds)
 
 
 class TestDisturbanceColumns:

@@ -243,6 +243,14 @@ class TestCostMatrices:
         with pytest.raises(NumericalError, match=r"^the equivalent cost overflowed at T = 10000000000\.0$"):
             cost_matrices(plant, CostWeights([[1.0]], [[1e300]], [[1.0]]), 1e10)
 
+    def test_an_overflowing_sub_interval_integral_raises(self):
+        # Q = 1e308 on a growing plant: the Gram integral overflows on its
+        # first sub-interval already, where no factor of it exists, and the
+        # builder still raises its typed error
+        plant = ContinuousPlant(0.5 * np.eye(2), [[1.0], [1.0]])
+        with pytest.raises(NumericalError, match=r"^the equivalent cost overflowed at T = 3\.0$"):
+            cost_matrices(plant, CostWeights(1e308 * np.eye(2), [[1.0]], [[1.0]]), 3.0)
+
     def test_a_representable_input_block_is_kept(self):
         # Ri = 1e308 is a double and so is R_d, which the symmetric Gram block
         # plus the symmetric weights make exactly symmetric without a halving

@@ -1,5 +1,6 @@
 """Kernel-level checks: exponentials, integrals, spectra, rank decisions."""
 
+import warnings
 from itertools import product
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 from scipy.integrate import quad_vec
 from scipy.optimize import linear_sum_assignment
 
-from mrilqr import numkernel
+from mrilqr import discretize, numkernel, riccati
 from mrilqr.errors import NumericalError
 from mrilqr.numkernel import (
     _svd_kernel,
@@ -121,20 +122,53 @@ class TestGramIntegral:
             0.0, 0.9, epsabs=1e-13, epsrel=1e-13)
         assert relerr(got, oracle) < 1e-10
 
-    def test_stiff_normal_matrix_against_the_closed_form(self):
-        # A = V diag(lam) V' with lam from -1e-3 to -1e4: the integral is
-        # V [W~_ij (e^{(lam_i + lam_j) T} - 1) / (lam_i + lam_j)] V', W~ = V' W V;
-        # at T = 1e12 the sub-interval is halved 52 times, near the cap of 60
+    @pytest.mark.parametrize("lam, rotated, tol", [
+        (-np.logspace(-3, 4, 5), True, 1e-9),
+        (-np.logspace(-3, 4, 5), False, 1e-14),
+        *(([-k, -1.0], False, 1e-14) for k in (1e6, 1e12, 1e17, 1e22)),
+    ], ids=["rotated", "eigenbasis", "1e6", "1e12", "1e17", "1e22"])
+    def test_stiff_normal_matrix_against_the_closed_form(self, lam, rotated, tol):
+        # A = V diag(lam) V' with lam from -1e-3 to -1e4, or a pair -k, -1: the
+        # integral is V [W~_ij (e^{(lam_i + lam_j) T} - 1) / (lam_i + lam_j)] V',
+        # W~ = V' W V; at T = 1e12 the sub-interval is halved 53 times for the
+        # first spectrum and 112 times for k = 1e22. A rotated A holds its
+        # spectrum only to eps ||A||, which bounds the rotated case at 1e-9;
+        # in the eigenbasis every case holds to 1e-14
+        lam = np.asarray(lam)
+        n = len(lam)
         rng = np.random.default_rng(15)
-        lam = -np.logspace(-3, 4, 5)
-        V = np.linalg.qr(rng.normal(size=(5, 5)))[0]
-        W = rng.normal(size=(5, 5))
+        V = np.linalg.qr(rng.normal(size=(n, n)))[0] if rotated else np.eye(n)
+        W = rng.normal(size=(n, n))
         W = W @ W.T
         rate = lam[:, None] + lam[None, :]
         T = np.logspace(-3, 12, 31)
         for t, H in zip(T, expm_gram_integral(V @ np.diag(lam) @ V.T, W, T)):
             exact = V @ (V.T @ W @ V * np.expm1(rate * t) / rate) @ V.T
-            assert np.abs(H - exact).max() <= 1e-9 * np.abs(exact).max(), t
+            assert np.abs(H - exact).max() <= tol * np.abs(exact).max(), t
+
+    @pytest.mark.parametrize("k", [1e6, 1e12, 1e17, 1e22, 1e100])
+    def test_slow_decay_next_to_a_fast_one(self, k):
+        # A = diag(-k, -1), B = [1, 1]', Q = [[2, 1], [1, 2]], T = 1: every
+        # entry of Q_d = Q_ij (1 - e^{-(k_i + k_j)}) / (k_i + k_j) to 1e-14,
+        # with no warning; a squaring of e^{Ah} itself rounds the slow
+        # e^{-h} to 1 once k nears 1 / eps
+        A, Q = np.diag([-k, -1.0]), np.array([[2.0, 1.0], [1.0, 2.0]])
+        rate = np.diag(A)[:, None] + np.diag(A)[None, :]
+        exact = Q * np.expm1(rate) / rate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plant = discretize.ContinuousPlant(A, [[1.0], [1.0]])
+            Q_d = discretize.cost_matrices(plant, discretize.CostWeights(Q, [[1.0]], [[1.0]]), 1.0).Q_d
+            H = expm_gram_integral(A, Q, 1.0)
+        for got in (Q_d, H):
+            assert np.all(np.abs(got - exact) <= 1e-14 * exact)
+
+    def test_no_early_stop_while_phi_grows(self):
+        # W barely weighs the unstable mode, so ||F Phi|| falls below
+        # sqrt(eps) ||F|| after a few squarings, yet that mode's terms grow
+        # to the whole integral: the sum may stop early only on a small Phi
+        got = expm_gram_integral(np.diag([-1e6, 1.0]), np.diag([1.0, 1e-40]), 100.0)
+        assert relerr(got[1, 1], 1e-40 * np.expm1(200.0) / 2.0) < 1e-13
 
     @pytest.mark.parametrize("T", [5.0, 20.0, 60.0])
     def test_non_normal_matrix_against_quadrature(self, T):
@@ -166,6 +200,62 @@ class TestGramIntegral:
             assert H.tobytes() == expm_gram_integral(A, W, float(t)).tobytes(), t
         # an array of one duration is a stack of one
         assert expm_gram_integral(A, W, T[:1]).shape == (1, 3, 3)
+
+
+class TestSquaringSum:
+    """The one squaring kernel behind the Gram integral and the policy polish."""
+
+    @staticmethod
+    def lyapunov_sum(A, F) -> np.ndarray:
+        """X = A' X A + F'F as the polish solves it."""
+        n = A.shape[0]
+        return numkernel._squaring_sum(F[None], (A - np.eye(n))[None], [riccati._MAX_DOUBLINGS])[0]
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 0.999])
+    @pytest.mark.parametrize("normal", [True, False], ids=["normal", "non-normal"])
+    def test_lyapunov_sum_against_scipy(self, rho, normal):
+        # spectral radius rho; the non-normal A has ||A||_2 = 32 and a sum
+        # up to 1e10 times F'F from its transient
+        rng = np.random.default_rng(31)
+        D = np.diag(rho * np.array([1.0, -0.7, 0.4, 0.1]))
+        if normal:
+            V = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+            A = V @ D @ V.T
+        else:
+            A = D + np.triu(20.0 * rng.normal(size=(4, 4)), 1)
+        F = rng.normal(size=(5, 4))
+        X = self.lyapunov_sum(A, F)
+        oracle = scipy.linalg.solve_discrete_lyapunov(A.T, F.T @ F, method="bilinear")
+        assert np.abs(X - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_lyapunov_sum_is_positive_semidefinite(self):
+        # F sees only an invariant subspace of A, hidden by a rotation, so X has
+        # a kernel: its computed eigenvalues stay above -n eps ||X||, the
+        # roundoff of eigvalsh itself
+        rng = np.random.default_rng(32)
+        eps = np.finfo(float).eps
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            r = int(rng.integers(1, n))
+            blocks = [rng.normal(size=(d, d)) for d in (r, n - r)]
+            blocks = [M * rng.uniform(0.3, 0.999) / numkernel.spectral_radius(M) for M in blocks]
+            A = np.block([[blocks[0], np.zeros((r, n - r))], [rng.normal(size=(n - r, r)), blocks[1]]])
+            F = np.hstack([rng.normal(size=(r, r)), np.zeros((r, n - r))])
+            U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            w = np.linalg.eigvalsh(self.lyapunov_sum(U @ A @ U.T, F @ U.T))
+            assert w[0] >= -n * eps * w[-1], (n, r)
+
+    def test_a_cell_stops_once_phi_is_below_the_square_root_of_eps(self, monkeypatch):
+        # Phi = A with rho = 0.5: ||A^(2^5)||_F <= sqrt(eps), so the sum stops
+        # after adding that term, at 6 of the 64 squarings allowed, each but
+        # the last one QR
+        qr = np.linalg.qr
+        calls = []
+        monkeypatch.setattr(np.linalg, "qr", lambda M, mode: calls.append(M.shape) or qr(M, mode=mode))
+        A = np.diag([0.5, -0.25])
+        X = self.lyapunov_sum(A, np.eye(2))
+        assert np.abs(X - np.diag([4.0 / 3.0, 16.0 / 15.0])).max() <= 1e-15
+        assert calls == [(1, 4, 2)] * 5
 
 
 def hand_paired_eigenvalues(M) -> np.ndarray:

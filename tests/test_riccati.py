@@ -445,11 +445,11 @@ ROTATION_WEIGHTS = CostWeights(np.eye(2), [[1.0]], [[1.0]])
 
 
 def mixed_outcome_groups(souza_plant, souza_weights, modes) -> list:
-    """One group per mode of ``modes`` of the souza problems at T = 1, 20, 45, 2
-    and 100 (in mri: converging, not converging, Qhat cancelling to roundoff,
+    """One group per mode of ``modes`` of the souza problems at T = 1, 20, 40, 2
+    and 104 (in mri: converging, not converging, Qhat cancelling to roundoff,
     converging, a singular doubling solve), then two hand-made ones: a plant
     without inputs and an indefinite Qhat far from roundoff."""
-    models, costs = sampled_grid(souza_plant, souza_weights, [1.0, 20.0, 45.0, 2.0, 100.0])
+    models, costs = sampled_grid(souza_plant, souza_weights, [1.0, 20.0, 40.0, 2.0, 104.0])
     model, cost = models[0], costs[0]
     # an unstable A_d without inputs is not stabilizable: the doubling diverges
     models.append(dataclasses.replace(model, B_d=0.0 * model.B_d, B_i=0.0 * model.B_i))
@@ -710,7 +710,7 @@ class TestStackedPostSolve:
         assert stack_against_solo(groups_of(models, costs, ["regular"])) == {
             "converged": 2, "not converged": 2, "DareDivergenceError": 1, "ValueError": 1}
         # mri: closed-loop forms that disagree, and a Qhat cancelling to roundoff
-        outcomes = post_solve_against_solo(souza_plant, souza_weights, [1.0, 25.0, 45.0, 2.0], "mri",
+        outcomes = post_solve_against_solo(souza_plant, souza_weights, [1.0, 25.0, 40.0, 2.0], "mri",
                                            souza_plant.Btilde[:, 0])
         assert outcomes == {"converged": 2, "not converged": 1, "NumericalError": 1,
                             "previewed": 2, "preview: closed-loop forms disagree": 1}
