@@ -67,12 +67,17 @@ def _closed_loop(A_d, B, S, R, P, K):
     G_literal, singular = _cellwise(np.linalg.solve, M, A_d - B @ RinvBSt[..., n:])
     G = A_d + B @ K
     err = _fro(G - G_literal)
+    scale = 1.0 + _fro(G)
     # the literal route cannot beat eps * cond(I + B R^{-1} B' P); the
-    # extra factor absorbs the error of forming that product entrywise
-    tol = np.fmax(1e-9, 1e4 * np.finfo(float).eps * np.linalg.cond(M))
+    # extra factor absorbs the error of forming that product entrywise.
+    # The tolerance is at least 1e-9, so only a cell past 1e-9 needs cond
+    tol = np.full(len(err), 1e-9)
+    wide = np.flatnonzero(err > tol * scale)
+    if wide.size:
+        tol[wide] = np.fmax(1e-9, 1e4 * np.finfo(float).eps * np.linalg.cond(M[wide]))
     # a cell reports its first failure
     disagree = {j: NumericalError(f"closed-loop forms disagree by {err[j]:.3e} (tolerance {tol[j]:.3e})")
-                for j in np.flatnonzero(err > tol * (1.0 + _fro(G)))}
+                for j in np.flatnonzero(err > tol * scale)}
     singular = {j: NumericalError(f"singular I + B R^{{-1}} B' P: {exc}") for j, exc in singular.items()}
     return G, {**disagree, **singular, **failed}
 
@@ -84,9 +89,10 @@ def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
     stationary gain. Both forms are evaluated and must agree, which
     guards against ill-conditioned solves; a singular I + B R^{-1} B' P
     raises NumericalError like a disagreement. The agreement tolerance is
-    1e-9 relative, widened with the conditioning of R_d because the
-    literal form routes through R_d^{-1} and cannot do better than
-    eps * cond(R_d). The better-conditioned gain form is returned.
+    1e-9 relative, widened with the conditioning of I + B R^{-1} B' P
+    because the literal form solves with it and cannot do better than
+    eps times its condition number. The better-conditioned gain form is
+    returned.
     This is ``sweep``'s stacked closed loop on a stack of one.
     """
     A_d, B, S, R, P = (X[None] for X in (A_d, B_di, S_d, R_d, P))

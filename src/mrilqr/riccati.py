@@ -151,16 +151,41 @@ def _solve_lower(L, Z) -> np.ndarray:
     return X
 
 
-def _doubling_step(A, G, H, I):
+def _upper_cholesky(H) -> np.ndarray:
+    return np.linalg.cholesky(H, upper=True)
+
+
+def _cost_factor(H, definite, I) -> np.ndarray:
+    """F with F'F = H_k for each cell of a stack, I the identity: the upper
+    Cholesky factor where ``definite`` (Qhat, and so every H_k, positive
+    definite), and the clipped eigh factor (``_psd_factor``) where Qhat has
+    a numerical kernel or the Cholesky factorization fails to roundoff.
+    Each cell has the bits of a stack of one.
+    """
+    kernel = ~definite
+    if kernel.all():
+        return _psd_factor(H)
+    # the kernel cells' Cholesky factors are computed on I and discarded
+    F, failed = _cellwise(_upper_cholesky, np.where(kernel[:, None, None], I, H) if kernel.any() else H)
+    if failed:
+        kernel[list(failed)] = True
+    if kernel.any():
+        F[kernel] = _psd_factor(H[kernel])
+    return F
+
+
+def _doubling_step(A, G, H, I, definite):
     """(A_k, G_k, H_k) -> (A_{k+1}, G_{k+1}, H_{k+1}) on stacks; see ``solve_dare``.
 
-    I is the n x n identity. Also returns the NumericalError of each cell
-    whose solve or Cholesky factorization failed, by its index in the stack.
-    H stays symmetric to the bit: Qhat is symmetrized, and numpy forms Y'Y
-    symmetric.
+    I is the n x n identity, and H^{1/2} the factor ``_cost_factor`` takes
+    by ``definite``, the cells whose Qhat is positive definite. Also
+    returns the NumericalError of each cell whose solve or Cholesky
+    factorization of I + H^{1/2} G H^{1/2}' failed, by its index in the
+    stack. H stays symmetric to the bit: Qhat is symmetrized, and numpy
+    forms Y'Y symmetric.
     """
     n = A.shape[-1]
-    H_half = _psd_factor(H)
+    H_half = _cost_factor(H, definite, I)
     WinvAG, singular = _cellwise(np.linalg.solve, I + G @ H, np.concatenate([A, G], axis=-1))
     L, indefinite = _cellwise(np.linalg.cholesky, I + H_half @ G @ _T(H_half))
     failed = {}
@@ -189,11 +214,13 @@ def _iterate(A, G, H, seeded, I):
     return P, {int(cells[j]): _singular(exc) for j, exc in singular.items()}
 
 
-def _doubling(A, G, H, blow_up, seeded):
+def _doubling(A, G, H, blow_up, seeded, definite):
     """The doubling on stacks (k, n, n) of (Ahat, G, Qhat), until every cell stops.
 
     ``seeded`` marks the cells whose iterate starts from X0 = 1e-12 I (those
-    whose Qhat has a kernel); the others start from 0. Returns each cell's
+    whose Qhat has a kernel); the others start from 0. ``definite`` marks
+    the cells whose Qhat has no numerical kernel, whose H_k each doubling
+    factors by Cholesky (see ``_cost_factor``). Returns each cell's
     iterate, its number of doublings and its failure: None, a
     NumericalError, or a DareDivergenceError once the iterate passes the
     cell's ``blow_up`` bound. A cell leaves the stack when it meets the
@@ -220,10 +247,10 @@ def _doubling(A, G, H, blow_up, seeded):
             if stop.any():
                 keep = ~stop
                 live, A, G, H, P = live[keep], A[keep], G[keep], H[keep], P[keep]
-                bound, seeded = bound[keep], seeded[keep]
+                bound, seeded, definite = bound[keep], seeded[keep], definite[keep]
             if not live.size or it > _MAX_DOUBLINGS:
                 break
-            A, G, H, failed = _doubling_step(A, G, H, I)
+            A, G, H, failed = _doubling_step(A, G, H, I, definite)
             Pn, seed_failed = _iterate(A, G, H, seeded, I)
             if seed_failed:
                 # a cell's first failure is the one it reports
@@ -270,7 +297,8 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
 
     A cell fails with ValueError for an indefinite Qhat and NumericalError
     for one that lost definiteness to roundoff or whose norm overflows
-    (see ``solve_dare``); its Ahat, G and Qhat are zeros.
+    (see ``solve_dare``); its Ahat, G and Qhat are zeros, and the kernel of
+    that Qhat is the whole space.
     """
     n = A_d.shape[-1]
     RinvBSt, failed = numkernel.solve_pd_stack(R, np.concatenate([_T(B), _T(S)], axis=-1), "R_sel")
@@ -299,6 +327,7 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
         failed.setdefault(j, NumericalError("overflow: the Frobenius norm of Q_d - S R^{-1} S' is not finite"))
     G = _sym(B @ RinvBSt[..., :n])
     Ahat[list(failed)] = G[list(failed)] = Qhat[list(failed)] = 0.0
+    kernel_dims[list(failed)] = n
     return (Ahat, G, Qhat, DIVERGENCE_FACTOR * np.maximum(1.0, qhat_norm), kernel_dims), failed
 
 
@@ -317,7 +346,7 @@ def _solve_stack(groups) -> list[list[RiccatiSolution | ValueError | NumericalEr
     eliminated = [_eliminate_cross_term(*group) for group in groups]
     # only a Qhat with a kernel needs the seed X0 to reach the stabilizing solution
     Ahat, G, Qhat, blow_up, kernel_dims = map(np.concatenate, zip(*(e[0] for e in eliminated)))
-    P_all, iterations_all, failures = _doubling(Ahat, G, Qhat, blow_up, kernel_dims > 0)
+    P_all, iterations_all, failures = _doubling(Ahat, G, Qhat, blow_up, kernel_dims > 0, kernel_dims == 0)
     results, first = [], 0
     for (A_d, B, Q_d, S, R), ((*_, kernel_dims), failed) in zip(groups, eliminated):
         cells = slice(first, first + len(A_d))
@@ -372,13 +401,16 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
         H_{k+1} = H_k + A_k' H_k W^{-1} A_k,
 
     the last as H_k + Y'Y with Y = L^{-1} H^{1/2} A_k and L the Cholesky
-    factor of I + H^{1/2} G_k H^{1/2}, which is positive semidefinite by
-    construction. The iterate P_k is exactly the value iterate after 2^k
-    Riccati steps, and ``iterations`` counts doublings. Where Qhat is
-    positive definite the cost sees every mode, the steps start from 0
-    and P_k = H_k. Where Qhat has a numerical kernel (``qhat_kernel_dim``
-    > 0) they start from X0 = 1e-12 I, so that the iterate can find an
-    unstable mode the cost does not see, and
+    factor of I + H^{1/2} G_k H^{1/2}', which is positive semidefinite by
+    construction. H^{1/2} is the upper Cholesky factor of H_k where Qhat
+    is positive definite (then every H_k is), and the eigh factor with
+    negative eigenvalues clipped to zero where Qhat has a numerical
+    kernel or that Cholesky fails to roundoff. The iterate P_k is exactly
+    the value iterate after 2^k Riccati steps, and ``iterations`` counts
+    doublings. Where Qhat is positive definite the cost sees every mode,
+    the steps start from 0 and P_k = H_k. Where Qhat has a numerical
+    kernel (``qhat_kernel_dim`` > 0) they start from X0 = 1e-12 I, so that
+    the iterate can find an unstable mode the cost does not see, and
     P_k = H_k + A_k' X0 (I + G_k X0)^{-1} A_k. The loop stops when the
     Frobenius change of P_k falls below 1e-13 relative (with an absolute
     floor for P -> 0), or after 64 doublings, a horizon of 2^64 steps. An

@@ -373,7 +373,9 @@ def stack_against_solo(groups) -> Counter:
 def reference_doubling(A_d, B, Q_d, S, R):
     """The documented doubling as 2-D calls, one problem at a time:
     (last iterate or None when it diverges, doublings). Its iterate starts
-    from 1e-12 I where Qhat has a kernel and from 0 elsewhere."""
+    from 1e-12 I where Qhat has a kernel and from 0 elsewhere, and H^{1/2}
+    is the upper Cholesky factor of H where Qhat has no kernel (the
+    clipped eigh factor where it has one or Cholesky fails)."""
     n = A_d.shape[0]
     RinvBSt = scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (R + R.T)), np.hstack([B.T, S.T]))
     A = A_d - B @ RinvBSt[:, n:]
@@ -393,9 +395,17 @@ def reference_doubling(A_d, B, Q_d, S, R):
         return 0.5 * (P + P.T)
 
     P = value_iterate(A, G, H)
-    for k in range(1, 65):
+    def half(H):
+        if not seeded:
+            try:
+                return np.linalg.cholesky(H, upper=True)
+            except np.linalg.LinAlgError:
+                pass
         w, V = np.linalg.eigh(0.5 * (H + H.T))
-        H_half = np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T
+        return np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T
+
+    for k in range(1, 65):
+        H_half = half(H)
         X = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
         L = np.linalg.cholesky(np.eye(n) + H_half @ G @ H_half.T)
         Y = scipy.linalg.solve_triangular(L, H_half @ A, lower=True)
@@ -628,6 +638,67 @@ class TestSeedOnlyWhereQhatHasAKernel:
         assert sol.qhat_kernel_dim > 0
         # one seed solve for the first iterate, then one after each doubling
         assert sizes == [1] * (sol.iterations + 1)
+
+
+def factor_calls(monkeypatch) -> Counter:
+    """The doubling's factorizations of H_k as they happen: "cholesky" counts
+    the cells of each upper Cholesky call, "eigh" each ``eigh`` call made
+    inside ``_doubling`` (the polish's factor is outside it)."""
+    calls, inside = Counter(), []
+    cholesky, eigh, doubling = riccati._upper_cholesky, np.linalg.eigh, riccati._doubling
+
+    def upper_cholesky(H):
+        calls["cholesky"] += len(H)
+        return cholesky(H)
+
+    def spy_eigh(M, *args, **kwargs):
+        if inside:
+            calls["eigh"] += 1
+        return eigh(M, *args, **kwargs)
+
+    def spy_doubling(*args):
+        inside.append(True)
+        try:
+            return doubling(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(riccati, "_upper_cholesky", upper_cholesky)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(riccati, "_doubling", spy_doubling)
+    return calls
+
+
+class TestCholeskyWhereQhatIsDefinite:
+    def test_the_souza_sweep_factors_by_cholesky_alone(self, tmp_path, monkeypatch):
+        calls = factor_calls(monkeypatch)
+        assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "0.2:0.05:5", "--mode", "all",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls["cholesky"] > 0 and calls["eigh"] == 0
+
+    def test_an_insulin_design_factors_by_eigh_alone(self, insulin_plant, insulin_weights, monkeypatch):
+        calls = factor_calls(monkeypatch)
+        sol = design(insulin_plant, insulin_weights, 20.0, "mri").solution
+        assert sol.qhat_kernel_dim > 0
+        assert calls == {"eigh": sol.iterations}
+
+    def test_a_definite_cell_without_a_cholesky_factor_takes_the_eigh_factor(self):
+        # H = diag(1, 0) has no Cholesky factor (its second pivot is 0); the
+        # cell marked definite takes the clipped eigh factor instead of
+        # failing, and the other cell of its stack keeps its own factor
+        A = np.stack([0.5 * np.eye(2)] * 2)
+        G = np.stack([np.diag([1.0, 0.5])] * 2)
+        H = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        I = np.eye(2)
+        got = riccati._doubling_step(A, G, H, I, np.array([True, True]))
+        assert got[3] == {}
+        routed = riccati._doubling_step(A, G, H, I, np.array([True, False]))
+        for X, Y in zip(got[:3], routed[:3]):
+            assert same_bits(X, Y)
+        for j, definite in enumerate([True, False]):
+            solo = riccati._doubling_step(A[j:j + 1], G[j:j + 1], H[j:j + 1], I, np.array([definite]))
+            for X, Y in zip(got[:3], solo[:3]):
+                assert same_bits(X[j], Y[0])
 
 
 def post_solve_against_solo(plant, weights, periods, mode, b, horizons=(0, 1, 3)) -> Counter:

@@ -151,8 +151,10 @@ def test_kernel_free_cells_need_no_seed(problem):
     assume(cells)
     Ahat, G, Qhat, blow_up, kernel_dims = (np.array(X) for X in zip(*cells))
     assume(not kernel_dims.all())
-    P, iterations, failures = riccati._doubling(Ahat, G, Qhat, blow_up, kernel_dims > 0)
-    P_seeded, iterations_seeded, failures_seeded = riccati._doubling(Ahat, G, Qhat, blow_up, np.ones(len(Ahat), bool))
+    definite = kernel_dims == 0
+    P, iterations, failures = riccati._doubling(Ahat, G, Qhat, blow_up, kernel_dims > 0, definite)
+    P_seeded, iterations_seeded, failures_seeded = riccati._doubling(
+        Ahat, G, Qhat, blow_up, np.ones(len(Ahat), bool), definite)
     assert iterations.tolist() == iterations_seeded.tolist()
     assert [(type(f), str(f)) for f in failures] == [(type(f), str(f)) for f in failures_seeded]
     for j in np.flatnonzero([f is None for f in failures]):
