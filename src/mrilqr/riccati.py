@@ -162,9 +162,9 @@ def _cost_factor(H, definite, I) -> np.ndarray:
     a numerical kernel or the Cholesky factorization fails to roundoff.
     Each cell has the bits of a stack of one.
     """
-    kernel = ~definite
-    if kernel.all():
+    if not definite.any():
         return _psd_factor(H)
+    kernel = ~definite
     # the kernel cells' Cholesky factors are computed on I and discarded
     F, failed = _cellwise(_upper_cholesky, np.where(kernel[:, None, None], I, H) if kernel.any() else H)
     if failed:

@@ -15,6 +15,7 @@ from mrilqr import (
     cli,
     cost_matrices,
     design,
+    numkernel,
     preview,
     riccati,
     sample_plant,
@@ -685,18 +686,22 @@ class TestCholeskyWhereQhatIsDefinite:
     def test_a_definite_cell_without_a_cholesky_factor_takes_the_eigh_factor(self):
         # H = diag(1, 0) has no Cholesky factor (its second pivot is 0); the
         # cell marked definite takes the clipped eigh factor instead of
-        # failing, and the other cell of its stack keeps its own factor
+        # failing, and the other cell of its stack, whose Cholesky and eigh
+        # factors differ, keeps its Cholesky factor
+        H = np.stack([np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([1.0, 0.0])])
+        I = np.eye(2)
+        cholesky, eigh = np.linalg.cholesky(H[0], upper=True), numkernel._psd_factor(H[:1])[0]
+        assert not same_bits(cholesky, eigh)
+        for definite in ([True, True], [True, False]):
+            F = riccati._cost_factor(H, np.array(definite), I)
+            assert same_bits(F[0], cholesky)
+            assert same_bits(F[1], numkernel._psd_factor(H[1:])[0])
         A = np.stack([0.5 * np.eye(2)] * 2)
         G = np.stack([np.diag([1.0, 0.5])] * 2)
-        H = np.stack([np.eye(2), np.diag([1.0, 0.0])])
-        I = np.eye(2)
         got = riccati._doubling_step(A, G, H, I, np.array([True, True]))
         assert got[3] == {}
-        routed = riccati._doubling_step(A, G, H, I, np.array([True, False]))
-        for X, Y in zip(got[:3], routed[:3]):
-            assert same_bits(X, Y)
-        for j, definite in enumerate([True, False]):
-            solo = riccati._doubling_step(A[j:j + 1], G[j:j + 1], H[j:j + 1], I, np.array([definite]))
+        for j in range(2):
+            solo = riccati._doubling_step(A[j:j + 1], G[j:j + 1], H[j:j + 1], I, np.array([True]))
             for X, Y in zip(got[:3], solo[:3]):
                 assert same_bits(X[j], Y[0])
 
