@@ -299,17 +299,16 @@ class _Sink:
                              f"{list(map(len, columns))}")
         self.tables[name] = (header, columns)
 
-    def to_console(self, out=None):
-        out = out or sys.stdout
+    def to_console(self):
         for name, value in self.scalars.items():
-            out.write(f"{name} = {_cell(value, CONSOLE_DIGITS)}\n")
+            sys.stdout.write(f"{name} = {_cell(value, CONSOLE_DIGITS)}\n")
         for name, M in self.matrices.items():
-            out.write(f"{name} ({M.shape[0]}x{M.shape[1]}):\n")
+            sys.stdout.write(f"{name} ({M.shape[0]}x{M.shape[1]}):\n")
             for row in M:
-                out.write("  " + "  ".join(_cell(v, CONSOLE_DIGITS) for v in row) + "\n")
+                sys.stdout.write("  " + "  ".join(_cell(v, CONSOLE_DIGITS) for v in row) + "\n")
         for name, (header, columns) in self.tables.items():
-            out.write(f"[{name}]\n")
-            out.write("".join(line + "\n" for line in _table_lines(header, columns, CONSOLE_DIGITS)))
+            sys.stdout.write(f"[{name}]\n")
+            sys.stdout.write("".join(line + "\n" for line in _table_lines(header, columns, CONSOLE_DIGITS)))
 
     def to_csv(self) -> str:
         lines = []

@@ -12,7 +12,9 @@ class UncontrollablePlantError(ValueError):
 
 
 class DareDivergenceError(NumericalError):
-    """The Riccati doubling diverged (pair not stabilizable).
+    """The Riccati doubling diverged: its 2^k-step cost passed 1e12 max(1, ||Qhat||_F),
+    as for a pair not stabilizable, a pathological period or a stabilizing
+    P beyond that bound.
 
     Carries the last iterate, the value-iteration cost of a horizon of
     2^iterations periods (from 0 where Qhat is positive definite, from

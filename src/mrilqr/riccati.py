@@ -76,25 +76,24 @@ def _gain(P, A_d, B, S, R):
     return -X, failed
 
 
-def _residuals(P, A_d, B, Q_d, S, R):
-    """``dare_residual`` of each cell of stacks, and each failed cell's NumericalError.
-
-    A residual that overflows double precision is not finite, without a
-    numpy warning.
+def _evaluate(P, A_d, B, Q_d, S, R):
+    """The gain K, the ``dare_residual`` and the closed loop A_d + B K of each
+    cell of stacks, and each failed cell's NumericalError, from the one
+    factorization of R + B'PB in ``_gain``: (A_d'PB + S)(R + B'PB)^{-1}(...)'
+    is -(A_d'PB + S) K. Overflow is non-finite, without a numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        W = _T(A_d) @ P @ B + S
-        X, failed = numkernel.solve_pd_stack(_T(B) @ P @ B + R, _T(W), "R + B'PB")
-        return _fro(P - (_T(A_d) @ P @ A_d + Q_d - W @ X)), failed
+        K, failed = _gain(P, A_d, B, S, R)
+        residual = _fro(P - (_T(A_d) @ P @ A_d + Q_d + (_T(A_d) @ P @ B + S) @ K))
+        return K, residual, A_d + B @ K, failed
 
 
 def dare_residual(P, A_d, B, Q_d, S, R) -> float:
-    """Frobenius norm of P - (A_d'PA_d + Q_d - (A_d'PB + S)(B'PB + R)^{-1}(...)').
-
-    Not finite, without a numpy warning, when it overflows double precision.
+    """Frobenius norm of P - (A_d'PA_d + Q_d - (A_d'PB + S)(B'PB + R)^{-1}(...)'),
+    by ``_evaluate``; not finite, without a numpy warning, when it overflows.
     """
-    return float(numkernel._single(*_residuals(*(np.asarray(X, dtype=float)[None]
-                                                  for X in (P, A_d, B, Q_d, S, R)))))
+    _, residual, _, failed = _evaluate(*(np.asarray(X, dtype=float)[None] for X in (P, A_d, B, Q_d, S, R)))
+    return float(numkernel._single(residual, failed))
 
 
 def _converged(P, residual) -> np.ndarray:
@@ -102,34 +101,34 @@ def _converged(P, residual) -> np.ndarray:
     return residual <= RESIDUAL_RTOL * (1.0 + _fro(P))
 
 
-def _policy_polish(P, residual: float, A_d, B, Q_d, S, R):
-    """Policy-iteration refinement of an iterate that misses the residual test.
+def _policy_polish(P, K, residual: float, A_cl, A_d, B, Q_d, S, R):
+    """Policy-iteration refinement of an iterate P that misses the residual
+    test, given its gain K, residual and closed loop A_cl (``_evaluate``).
 
     The doubling stalled at a roundoff floor proportional to the magnitude
     of the cost blocks; re-evaluating the current gain through the exact
     Lyapunov sum P = sum_{i < 2^64} A_cl^i' F'F A_cl^i (``_squaring_sum``),
     F = J [I; K] with J'J the joint cost [[Q_d, S], [S', R]], removes that
-    floor, and every evaluated P is positive semidefinite. Each round needs
-    a stabilizing gain, so the polish stops (keeping the best iterate so
-    far) when the closed loop is not contractive or its Lyapunov sum
-    overflows, when the residual stops falling, and after at most 12 rounds.
+    floor; every P it forms is positive semidefinite and evaluated once.
+    Each round needs a stabilizing gain, so the polish stops (returning the
+    best (P, K, residual, A_cl) so far) when the closed loop is not
+    contractive or its Lyapunov sum overflows, when the residual stops
+    falling, and after at most 12 rounds.
     """
-    best_P, best_res = P, residual
     n = A_d.shape[0]
     J = _psd_factor(_sym(np.block([[Q_d, S], [S.T, R]])))
     for _ in range(12):
-        K = numkernel._single(*_gain(best_P[None], A_d[None], B[None], S[None], R[None]))
-        A_cl = A_d + B @ K
         if numkernel.spectral_radius(A_cl) >= 1.0 - 1e-12:
             break
         Pn = numkernel._squaring_sum((J[:, :n] + J[:, n:] @ K)[None], (A_cl - np.eye(n))[None], [_MAX_DOUBLINGS])[0]
         if not np.all(np.isfinite(Pn)):
             break
-        res = dare_residual(Pn, A_d, B, Q_d, S, R)
-        if not np.isfinite(res) or res >= best_res:
+        Kn, res, A_cl_n, failed = _evaluate(*(X[None] for X in (Pn, A_d, B, Q_d, S, R)))
+        res = float(numkernel._single(res, failed))
+        if not np.isfinite(res) or res >= residual:
             break
-        best_P, best_res = Pn, res
-    return best_P, best_res
+        P, K, residual, A_cl = Pn, Kn[0], res, A_cl_n[0]
+    return P, K, residual, A_cl
 
 
 def _singular(exc: np.linalg.LinAlgError) -> NumericalError:
@@ -267,8 +266,9 @@ def _doubling(A, G, H, blow_up, seeded, definite):
                 iterations[cell] = it if finite else it - 1
                 if diverged[j]:
                     failures[cell] = DareDivergenceError(
-                        f"Riccati doubling diverged: the 2^{it}-step cost passed {blow_up[cell]:.1e} "
-                        "(pair not stabilizable or period pathological)",
+                        f"Riccati doubling diverged: the 2^{it}-step cost passed {DIVERGENCE_FACTOR:g} "
+                        f"max(1, ||Qhat||_F) = {blow_up[cell]:.1e} (the pair is not stabilizable, the "
+                        "period is pathological, or a stabilizing P lies beyond that bound)",
                         last_iterate=P_out[cell],
                         iterations=int(iterations[cell]),
                     )
@@ -353,20 +353,17 @@ def _solve_stack(groups) -> list[list[RiccatiSolution | ValueError | NumericalEr
         first += len(A_d)
         P, iterations = P_all[cells], iterations_all[cells]
         failed = {**{j: exc for j, exc in enumerate(failures[cells]) if exc is not None}, **failed}
-        residual, more = _residuals(P, A_d, B, Q_d, S, R)
+        K, residual, A_cl, more = _evaluate(P, A_d, B, Q_d, S, R)
         overflow = {j: NumericalError("overflow: the Riccati residual of the doubling iterate is not finite")
                     for j in np.flatnonzero(~np.isfinite(residual))}
         failed = {**overflow, **more, **failed}
         for j in np.flatnonzero(~_converged(P, residual)):
             if j not in failed:
                 try:
-                    P[j], residual[j] = _policy_polish(P[j], residual[j], A_d[j], B[j], Q_d[j], S[j], R[j])
+                    P[j], K[j], residual[j], A_cl[j] = _policy_polish(
+                        P[j], K[j], residual[j], A_cl[j], A_d[j], B[j], Q_d[j], S[j], R[j])
                 except NumericalError as exc:
                     failed[j] = exc
-        with np.errstate(over="ignore", invalid="ignore"):  # a failed problem's gain may overflow
-            K, more = _gain(P, A_d, B, S, R)
-            A_cl = A_d + B @ K
-        failed = {**more, **failed}
         # a converged gain stabilizes; the closed loops of failed cells are left out
         stable = np.isfinite(A_cl).all(axis=(-2, -1))
         stable[list(failed)] = False
@@ -414,14 +411,15 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     P_k = H_k + A_k' X0 (I + G_k X0)^{-1} A_k. The loop stops when the
     Frobenius change of P_k falls below 1e-13 relative (with an absolute
     floor for P -> 0), or after 64 doublings, a horizon of 2^64 steps. An
-    iterate growing past 1e12 times the scale of Qhat raises
+    iterate growing past 1e12 max(1, ||Qhat||_F) raises
     DareDivergenceError carrying that finite-horizon cost.
 
-    The residual is evaluated on the original cross-term equation. Only an
-    iterate whose residual exceeds 1e-9 relative to 1 + ||P||_F is polished
-    by policy iteration, which keeps its result only where it lowers the
-    residual. ``converged`` is true exactly when the residual passes that
-    test and the gain stabilizes: rho(A_d + B_sel K) < 1.
+    The residual on the original cross-term equation, the gain and the
+    closed loop come from one factorization of R + B'PB per iterate
+    (``_evaluate``). An iterate whose residual exceeds 1e-9 relative to
+    1 + ||P||_F is polished by policy iteration, which keeps its result only
+    where it lowers the residual. ``converged`` is true exactly when the
+    residual passes that test and the gain stabilizes: rho(A_d + B_sel K) < 1.
 
     The checked problem runs through ``design_batch``'s stacked solve as a
     stack of one, so both give the same bits for the same problem.

@@ -1,6 +1,5 @@
 """Command-line front end: scenarios, output formats, exit codes."""
 
-import io
 import json
 import os
 import re
@@ -782,7 +781,7 @@ class TestWriter:
             sink.table("t", ["a", "b"], columns)
         assert sink.tables == {}
 
-    def test_every_writer_uses_one_type_rule(self):
+    def test_every_writer_uses_one_type_rule(self, capsys):
         numeric = [[f, i] for f, i in zip(self.FLOATS, cycle(self.INTS))]
         mixed = [[-0.0, 1e-300, 3, True, "mri", None], [2.5, np.float64(7.0), np.int64(4),
                                                          np.bool_(False), "regular", None]]
@@ -796,9 +795,8 @@ class TestWriter:
         assert csv[1].splitlines()[1:] == self.per_cell(numeric, cli.FILE_DIGITS)
         assert csv[2].splitlines()[1:] == self.per_cell(mixed, cli.FILE_DIGITS)
 
-        out = io.StringIO()
-        sink.to_console(out)
-        console = out.getvalue().splitlines()
+        sink.to_console()
+        console = capsys.readouterr().out.splitlines()
         assert console[:2] == ["flag = true", "count = 5"]
         start = console.index("[numeric]") + 2
         assert console[start:start + len(numeric)] == self.per_cell(numeric, cli.CONSOLE_DIGITS)
@@ -1113,8 +1111,9 @@ class TestDesignReuse:
         assert counts == {"expm_gram_integral": 1, "_squaring_sum": 1}
         P = des.solution.P * (1.0 + 1e-6)
         problem = (des.model.A_d, des.B_sel, des.cost.Q_d, des.S_sel, des.R_sel)
-        residual = riccati.dare_residual(P, *problem)
-        assert riccati._policy_polish(P, residual, *problem)[1] < residual
+        K, residual, A_cl, failed = riccati._evaluate(*(X[None] for X in (P, *problem)))
+        assert not failed
+        assert riccati._policy_polish(P, K[0], residual[0], A_cl[0], *problem)[2] < residual[0]
         rounds = [args for name, args in log[2:]]
         assert counts == {"expm_gram_integral": 1, "_squaring_sum": 1 + len(rounds)} and rounds
         assert all(len(F) == 1 and list(doublings) == [riccati._MAX_DOUBLINGS] for F, E, doublings in rounds)

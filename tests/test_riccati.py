@@ -489,6 +489,22 @@ class TestDesignBatch:
         if mode != "mri":
             assert outcomes["converged"] < len(periods)
 
+    @pytest.mark.parametrize("mode", ["regular", "impulsive"])
+    @pytest.mark.parametrize("T", [np.pi, 2.0 * np.pi, 4.0 * np.pi])
+    def test_single_channel_rotation_never_converges_on_the_unit_circle(self, rotation_plant, T, mode):
+        # A_d = +-I leaves one channel no control of a mode on the unit
+        # circle; the doubling's cost grows without bound there, and a
+        # looser divergence bound would stop it at a gain with rho(A_cl)
+        # within roundoff of 1 and a residual passing the test
+        try:
+            assert not design(rotation_plant, ROTATION_WEIGHTS, T, mode).solution.converged
+        except NumericalError:
+            pass
+
+    def test_lqr_on_the_rotation_at_2_pi_is_a_numerical_failure(self, capsys):
+        assert cli.main(["lqr", "--scenario", "rotation", "--mode", "regular", "--T", repr(2.0 * np.pi)]) == 2
+        assert "numerical failure: Riccati doubling diverged" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["regular", "impulsive", "mri"])
     def test_insulin_periods(self, insulin_plant, insulin_weights, mode):
         assert batch_against_solo(insulin_plant, insulin_weights, [5.0, 10.0, 20.0, 40.0], mode) == {"converged": 4}
@@ -795,23 +811,42 @@ class TestStackedPostSolve:
 class TestPolishOnDemand:
     def test_insulin_polishes_only_iterates_missing_the_residual_test(
             self, insulin_plant, insulin_weights, monkeypatch):
-        # the residual test runs on the stack, and only the polish evaluates
-        # dare_residual, once per policy-iteration round: no evaluation means
-        # the returned P is the doubling iterate itself
+        # the residual test runs on the stack's one evaluation, and only the
+        # polish evaluates again, once per policy-iteration round: no second
+        # evaluation means the returned P is the doubling iterate itself
         evaluations = []
-        residual = riccati.dare_residual
-        monkeypatch.setattr(riccati, "dare_residual",
-                            lambda *args: evaluations.append(1) or residual(*args))
+        evaluate = riccati._evaluate
+        monkeypatch.setattr(riccati, "_evaluate", lambda *args: evaluations.append(1) or evaluate(*args))
         polished = 0
         for T in (5.0, 10.0, 20.0, 40.0):
             for mode in ("regular", "impulsive", "mri"):
                 evaluations.clear()
                 d = design(insulin_plant, insulin_weights, T, mode)
+                polished += len(evaluations) > 1
                 sol = d.solution
                 np.linalg.cholesky(sol.P)
                 assert sol.converged
-                assert sol.residual == residual(sol.P, d.model.A_d, d.B_sel, d.cost.Q_d,
-                                                d.S_sel, d.R_sel)
-                polished += len(evaluations) > 0
+                assert sol.residual == dare_residual(sol.P, d.model.A_d, d.B_sel, d.cost.Q_d,
+                                                     d.S_sel, d.R_sel)
         # 3 of the 12 iterates miss the test and are polished to convergence
         assert 0 < polished < 12
+
+    def test_one_factorization_of_R_plus_BPB_per_cell_and_polish_round(
+            self, insulin_plant, insulin_weights, souza_plant, souza_weights, monkeypatch):
+        # the gain, residual and closed loop of each iterate come from one
+        # Cholesky factorization of R + B'PB: one per cell of the stack, one
+        # per polish round (each evaluates one new P, a stack of one)
+        factorizations, stacks = Counter(), []
+        cho_solve = numkernel._cho_solve
+        monkeypatch.setattr(numkernel, "_cho_solve",
+                            lambda A, rhs, what: factorizations.update([what]) or cho_solve(A, rhs, what))
+        assert design(souza_plant, souza_weights, 1.0, "mri").solution.converged
+        assert factorizations["R + B'PB"] == 1
+        factorizations.clear()
+        evaluate = riccati._evaluate
+        monkeypatch.setattr(riccati, "_evaluate", lambda P, *rest: stacks.append(len(P)) or evaluate(P, *rest))
+        periods = [5.0, 10.0, 20.0, 40.0]
+        design_batch(insulin_plant, insulin_weights, periods, MODES)
+        rounds = stacks.count(1)
+        assert stacks.count(len(periods)) == len(MODES) and len(stacks) == len(MODES) + rounds and rounds > 0
+        assert factorizations["R + B'PB"] == len(MODES) * len(periods) + rounds
