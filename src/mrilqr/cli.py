@@ -119,9 +119,9 @@ def bundled_scenario_names() -> list[str]:
 
 
 def _scenario_text(spec: str) -> tuple[str, str]:
-    """Resolve a path or bundled name to (label, raw JSON text)."""
+    """Resolve a path (ending in .json, or naming a file) or bundled name to (label, raw JSON text)."""
     p = Path(spec)
-    if p.suffix == ".json" or p.exists():
+    if p.suffix == ".json" or p.is_file():
         return str(p), p.read_text()
     names = bundled_scenario_names()
     if spec in names:
@@ -437,59 +437,50 @@ def cmd_preview(scenario: ScenarioConfig, args, sink: _Sink) -> None:
         sink.matrix("feedforward", np.vstack(plan.feedforward))
 
 
-def _sweep_rows(cells, N_list, b) -> list:
-    """(cost, converged, iterations) of each ``design_batch`` cell for each
-    horizon in N_list, or the cell's ValueError.
-
-    A diverged solve reports its last iterate's cost for every horizon, any
+def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
+    """Each (period, mode, horizon) row of the grid, from the stacks of its
+    solve; the converged cells of one input width preview in one call. A
+    diverged solve reports its last iterate's cost for every horizon, any
     other numerical failure a nan cost with 0 iterations, and an unconverged
     design (whose preview cost can fall far below zero), a failed closed-loop
-    check or a singular preview solve the feedback-only cost for every N > 0,
-    all with converged=False. The preview of the converged designs of one
-    input width, whatever their mode, is one stacked call.
-    """
-    rows: list = []
-    for cell in cells:
-        if isinstance(cell, DareDivergenceError):
-            rows.append([(float(b @ cell.last_iterate @ b), False, cell.iterations)] * len(N_list))
-        elif isinstance(cell, NumericalError):
-            rows.append([(float("nan"), False, 0)] * len(N_list))
-        elif isinstance(cell, Exception):
-            rows.append(cell)
-        else:
-            sol = cell.solution
-            rows.append([(float(b @ sol.P @ b), sol.converged, sol.iterations)] * len(N_list))
-    previewed = [i for i, cell in enumerate(cells) if not isinstance(cell, Exception) and cell.solution.converged]
-    for width in {cells[i].B_sel.shape[1] for i in previewed} if any(N_list) else ():
-        group = [i for i in previewed if cells[i].B_sel.shape[1] == width]
-        _, costs, failed = preview_mod.preview_costs([cells[i] for i in group], b, N_list)
-        for j, i in enumerate(group):
-            feedback = J, _, iterations = rows[i][0]
-            rows[i] = [feedback if N == 0 else (J, False, iterations) if j in failed else
-                       (float(costs[j, k]), True, iterations) for k, N in enumerate(N_list)]
-    return rows
-
-
-def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
-    T_grid = _parse_grid(args.T_grid).tolist()
+    check or a failed preview solve the feedback-only cost for every N > 0,
+    all with converged=False. A cell's ValueError is raised, the first
+    period's first, then in mode order."""
+    grid = _parse_grid(args.T_grid)
     modes = MODES if args.mode == "all" else (args.mode,)
     N_list = [p for p in args.N.split(",") if p != ""]
     for p in N_list or [args.N]:  # a list without entries is one bad entry
         if not p.strip().lstrip("+").isdecimal():
             raise ValueError(f"--N takes comma-separated integers >= 0, got the entry {p!r}")
     N_list = [int(p) for p in N_list]
+    ahead = [k for k, N in enumerate(N_list) if N > 0]
     plant, weights, bt = scenario.plant(), scenario.weights(), scenario.disturbance_column()
-    batch = riccati.design_batch(plant, weights, T_grid, modes)
-    flat = _sweep_rows([cell for cells in batch for cell in cells], N_list, bt)
-    sweeps = [flat[k * len(T_grid) : (k + 1) * len(T_grid)] for k in range(len(modes))]
-    rows = []
-    for i, T in enumerate(T_grid):
-        for mode, sweep in zip(modes, sweeps):
-            if isinstance(sweep[i], Exception):
-                raise sweep[i]
-            rows.extend((T, mode, N, *cell) for N, cell in zip(N_list, sweep[i]))
+    _, widths = riccati._solve_grid(plant, weights, grid.tolist(), modes)
+    # (period, mode, horizon) grids of the rows' cost, converged and iterations
+    cost, converged, iterations = (np.empty((len(grid), len(modes), len(N_list)), dtype=t) for t in (float, bool, int))
+    refused = {}
+    for qs, (A_d, B, _, S, R), (P, K, _, its, ok, _, errors) in widths:
+        # a diverged cell keeps the P and doublings of its last iterate
+        lost = {j for j, exc in errors.items() if not isinstance(exc, DareDivergenceError)}
+        J = np.array([np.nan if j in lost else bt @ P_j @ bt for j, P_j in enumerate(P)])
+        its[list(lost)] = 0
+        refused.update(((j % len(grid), qs[j // len(grid)]), exc) for j, exc in errors.items()
+                       if not isinstance(exc, NumericalError))
+        cost[:, qs], converged[:, qs], iterations[:, qs] = (X.reshape(len(qs), -1).T[..., None] for X in (J, ok, its))
+        cells = np.flatnonzero(ok)
+        if cells.size and ahead:
+            _, previewed, failed = preview_mod._preview_costs(
+                A_d[cells], B[cells], S[cells], R[cells], P[cells], K[cells], bt, N_list)
+            kept = np.array([[j not in failed] for j in range(cells.size)])
+            rows = cells[:, None] % len(grid), np.asarray(qs)[cells // len(grid), None], ahead
+            cost[rows] = np.where(kept, previewed[:, ahead], cost[rows])
+            converged[rows] = kept
+    if refused:
+        raise refused[min(refused)]
     # every grid holds a period and every --N a horizon, so there is a row
-    sink.table("sweep", ["T", "mode", "N", "cost", "converged", "iterations"], list(map(list, zip(*rows))))
+    sink.table("sweep", ["T", "mode", "N", "cost", "converged", "iterations"],
+               [np.repeat(grid, len(modes) * len(N_list)).tolist(), [m for m in modes for _ in N_list] * len(grid),
+                N_list * (len(grid) * len(modes)), *(X.ravel().tolist() for X in (cost, converged, iterations))])
 
 
 def cmd_simulate(scenario: ScenarioConfig, args, sink: _Sink) -> None:

@@ -161,6 +161,13 @@ def gamma_and_cost(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, float]:
     return _gamma(P, G, B_di, R_d, N), Jstar
 
 
+def _preview_costs(A_d, B, S, R, P, K, b, horizons) -> tuple[np.ndarray, np.ndarray, dict[int, NumericalError]]:
+    """``preview_costs`` on the stacks of the designs (as ``sweep`` has them), for a Btilde b of n floats."""
+    G, failed = _closed_loop(A_d, B, S, R, P, K)
+    _, Jstar, failed_N = _preview(P, G, B, R, b, max(horizons))
+    return G, Jstar[:, list(horizons)], {**failed_N, **failed}
+
+
 def preview_costs(designs, Btilde, horizons) -> tuple[np.ndarray, np.ndarray, dict[int, NumericalError]]:
     """The closed loop G of equally shaped designs and their Jstar (rows) at
     each horizon (columns), as one stack, and the NumericalError of each
@@ -171,11 +178,8 @@ def preview_costs(designs, Btilde, horizons) -> tuple[np.ndarray, np.ndarray, di
     gives every horizon's cost, so each cost has the bits of
     ``closed_loop_G`` followed by ``gamma_and_cost``.
     """
-    A_d, B, S, R, P, K = (np.stack(X) for X in zip(*(
-        (d.model.A_d, d.B_sel, d.S_sel, d.R_sel, d.solution.P, d.solution.K) for d in designs)))
-    G, failed = _closed_loop(A_d, B, S, R, P, K)
-    _, Jstar, failed_N = _preview(P, G, B, R, np.asarray(Btilde, dtype=float), max(horizons))
-    return G, Jstar[:, list(horizons)], {**failed_N, **failed}
+    return _preview_costs(*map(np.stack, zip(*((d.model.A_d, d.B_sel, d.S_sel, d.R_sel, d.solution.P, d.solution.K)
+                                               for d in designs))), np.asarray(Btilde, dtype=float), horizons)
 
 
 def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:

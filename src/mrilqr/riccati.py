@@ -13,12 +13,13 @@ returns the stationary feedback gain
 
     K = -(R + B' P B)^{-1} (B' P A_d + S').
 
-``design_batch`` is the synthesis pipeline, on period stacks from sampler
-to solver, and ``design`` its one-cell call; ``solve_dare`` solves checked
-hand-made matrices as a stack of one. The doubling (each problem with its
-own stop rule) runs once on all cells, the other stages once per mode, the
-policy polish only on the iterates that need it; each problem keeps its
-own failure status, whatever its stack.
+``_solve_grid`` is the synthesis pipeline, on period stacks from sampler
+to solver; ``design_batch`` wraps its cells in designs, ``design`` is its
+one-cell call, and ``solve_dare`` solves checked hand-made matrices as a
+stack of one. The doubling (each problem with its own stop rule) runs once
+on all cells, the other stages once per input width, the policy polish
+only on the iterates that need it; each problem keeps its own failure
+status, whatever its stack.
 
 With the mixed hold+impulse input selection the gain rows split as the
 hold gain (first m rows) followed by the impulse gain.
@@ -331,15 +332,21 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
     return (Ahat, G, Qhat, DIVERGENCE_FACTOR * np.maximum(1.0, qhat_norm), kernel_dims), failed
 
 
-def _solve_stack(groups) -> list[list[RiccatiSolution | ValueError | NumericalError]]:
+def _cell(stacks, j: int) -> RiccatiSolution | ValueError | NumericalError:
+    """Cell j of a group's ``_solve_stack`` stacks: its error, or its solution."""
+    P, K, res, its, ok, dims, errors = stacks
+    return errors.get(j) or RiccatiSolution(P[j], K[j], float(res[j]), int(its[j]), bool(ok[j]), int(dims[j]))
+
+
+def _solve_stack(groups) -> list[tuple]:
     """Solve groups of (A_d, B_sel, Q_d, S_sel, R_sel) stacks of one state dimension.
 
     The problems are trusted: float arrays of agreeing shapes, R_sel
-    positive definite. One list per group holds each problem's solution or
-    the first error ``solve_dare`` raises for it. The doubling runs once on
-    all groups together, the other stages once per group. A problem that
-    fails stays in its stack, as zeros where its data means nothing, and
-    its results are dropped.
+    positive definite. The doubling runs once on all groups together, the
+    other stages once per group (one per input width). Each group gives the
+    stacks (P, K, residual, doublings, converged, Qhat kernel dimension) and
+    the first error ``solve_dare`` raises for each failed problem, by index;
+    a failed problem is unconverged, and a diverged one keeps its last iterate.
     """
     if not groups:
         return []
@@ -368,10 +375,7 @@ def _solve_stack(groups) -> list[list[RiccatiSolution | ValueError | NumericalEr
         stable = np.isfinite(A_cl).all(axis=(-2, -1))
         stable[list(failed)] = False
         stable[stable] = numkernel.spectral_radius(A_cl[stable]) < 1.0
-        converged = _converged(P, residual) & stable
-        results.append([failed.get(j) or RiccatiSolution(
-            P=P[j], K=K[j], residual=float(residual[j]), iterations=int(iterations[j]),
-            converged=bool(converged[j]), qhat_kernel_dim=int(kernel_dims[j])) for j in range(len(A_d))])
+        results.append((P, K, residual, iterations, _converged(P, residual) & stable, kernel_dims, failed))
     return results
 
 
@@ -424,7 +428,7 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     The checked problem runs through ``design_batch``'s stacked solve as a
     stack of one, so both give the same bits for the same problem.
     """
-    ((result,),) = _solve_stack([[X[None].copy() for X in _check_problem(A_d, B_sel, Q_d, S_sel, R_sel)]])
+    result = _cell(_solve_stack([[X[None].copy() for X in _check_problem(A_d, B_sel, Q_d, S_sel, R_sel)]])[0], 0)
     if isinstance(result, Exception):
         raise result
     return result
@@ -443,26 +447,39 @@ class MriLqrDesign:
     solution: RiccatiSolution
 
 
-def design_batch(plant: ContinuousPlant, weights: CostWeights, periods,
-                 modes) -> list[list[MriLqrDesign | ValueError | NumericalError]]:
+def _solve_grid(plant: ContinuousPlant, weights: CostWeights, periods, modes):
     """The synthesis pipeline of one plant at each period in each mode, on
     stacks from sampler to solver: one stacked exponential samples the
-    periods, one stacked Gram integral builds their costs, each mode
-    selects its inputs once on the stacks, and one stacked solve takes
-    every (mode, period) cell.
-
-    One list per mode, with one entry per period: that cell's design, or
-    the ValueError or NumericalError its solve raises. A bad period or
-    mode, or a model or cost that overflows, raises for the whole grid.
-    """
+    periods, one stacked Gram integral builds their costs, each mode selects
+    its inputs once, and one stacked solve takes every (mode, period) cell.
+    Returns the stacks (periods, A_d, Atilde, B_d, B_i, Q_d, S_d, R_d) and,
+    per input width, the indices in ``modes`` of its modes, its problem and
+    ``_solve_stack`` stacks, where its k-th mode has the cells from k * len(periods)."""
     Ts, A_d, Atilde, B_d, B_i = discretize._sample_stack(plant, periods)
     Q_d, S_d, R_d = discretize._cost_stack(plant, weights, periods)
-    selected = [discretize._select_inputs(mode, B_d, B_i, S_d, R_d) for mode in modes]
-    results = _solve_stack([(A_d, B, Q_d, S, R) for B, S, R in selected])
+    problems = [(A_d, B, Q_d, S, R) for B, S, R in (discretize._select_inputs(m, B_d, B_i, S_d, R_d) for m in modes)]
+    sizes = [B.shape[-1] for _, B, *_ in problems]
+    widths = [[q for q, size in enumerate(sizes) if size == width] for width in dict.fromkeys(sizes)]
+    groups = [[np.concatenate(X) if len(qs) > 1 else X[0] for X in zip(*(problems[q] for q in qs))] for qs in widths]
+    return (Ts, A_d, Atilde, B_d, B_i, Q_d, S_d, R_d), list(zip(widths, groups, _solve_stack(groups)))
+
+
+def design_batch(plant: ContinuousPlant, weights: CostWeights, periods,
+                 modes) -> list[list[MriLqrDesign | ValueError | NumericalError]]:
+    """The pipeline of ``_solve_grid``, each cell wrapped in its design: one
+    list per mode, with one entry per period, that cell's design or the
+    ValueError or NumericalError its solve raises. A bad period or mode, or
+    a model or cost that overflows, raises for the whole grid."""
+    (Ts, A_d, Atilde, B_d, B_i, Q_d, S_d, R_d), widths = _solve_grid(plant, weights, periods, modes)
     sampled = [(SampledModel(T, A_d[i], Atilde[i], B_d[i], B_i[i]), SampledCost(Q_d[i], S_d[i], R_d[i]))
                for i, T in enumerate(Ts)]
-    return [[sol if isinstance(sol, Exception) else MriLqrDesign(mode, *sampled[i], B[i], S[i], R[i], sol)
-             for i, sol in enumerate(cells)] for mode, (B, S, R), cells in zip(modes, selected, results)]
+    batch: list = [None] * len(modes)
+    for qs, (_, B, _, S, R), stacks in widths:
+        for slot, q in enumerate(qs):
+            batch[q] = [sol if isinstance(sol := _cell(stacks, j), Exception)
+                        else MriLqrDesign(modes[q], *sampled[i], B[j], S[j], R[j], sol)
+                        for i, j in enumerate(range(slot * len(Ts), (slot + 1) * len(Ts)))]
+    return batch
 
 
 def design(plant: ContinuousPlant, weights: CostWeights, T: float, mode: str = "mri") -> MriLqrDesign:

@@ -191,6 +191,17 @@ class TestScenarioLoading:
 
 
 class TestExitCodes:
+    def test_a_directory_named_like_a_bundled_scenario_does_not_hide_it(self, tmp_path, monkeypatch, capsys):
+        bundled = tmp_path / "bundled.csv"
+        assert cli.main(["lqr", "--scenario", "souza", "--T", "1", "--out", str(bundled)]) == 0
+        work = tmp_path / "work"
+        (work / "souza").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        assert cli.main(["lqr", "--scenario", "souza", "--T", "1", "--out", "got.csv"]) == 0
+        assert (work / "got.csv").read_bytes() == bundled.read_bytes()
+        assert cli.main(["lqr", "--scenario", "x.json", "--T", "1"]) == 1
+        assert "input error" in capsys.readouterr().err
+
     def test_success(self, tmp_path):
         assert cli.main(["discretize", "--scenario", "souza",
                          "--out", str(tmp_path / "o.csv")]) == 0
@@ -1017,10 +1028,10 @@ class TestSimulateTable:
 
 class TestDesignReuse:
     def test_sweep_designs_once_per_period_and_mode(self, tmp_path, monkeypatch):
-        # one design_batch call is the whole pipeline: the period grid is
+        # one _solve_grid call is the whole pipeline: the period grid is
         # sampled in one stacked call, its costs come from one stacked Gram
         # integral, and the cells of all three modes are one stacked solve,
-        # one group of stacks per mode, with a single doubling
+        # one group of stacks per input width, with a single doubling
         log = []
         counts = count_calls(monkeypatch, "solve_dare", "sample_plant", "_sample_stack",
                              "cost_matrices", log=log)
@@ -1036,8 +1047,8 @@ class TestDesignReuse:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        recorded(riccati, "design_batch", lambda plant, weights, periods, modes, result:
-                 (list(periods), [(mode, len(cells)) for mode, cells in zip(modes, result)]))
+        recorded(riccati, "_solve_grid", lambda plant, weights, periods, modes, result:
+                 (list(periods), list(modes), [(qs, len(B)) for qs, (_, B, *_), _ in result[1]]))
         recorded(discretize, "_cost_stack", lambda plant, weights, periods, result: list(periods))
         recorded(riccati, "_solve_stack", lambda groups, result: [len(A_d) for A_d, *_ in groups])
         recorded(riccati, "_doubling", lambda *args: len(args[0]))
@@ -1046,8 +1057,10 @@ class TestDesignReuse:
                          "--mode", "all", "--N", "0,1,3", "--out", str(tmp_path / "s.csv")]) == 0
         assert counts == {"_sample_stack": 1}
         assert [list(args[1]) for name, args in log if name == "_sample_stack"] == [periods]
-        assert calls == [("_cost_stack", periods), ("_doubling", 3 * len(periods)), ("_solve_stack", [len(periods)] * 3),
-                         ("design_batch", (periods, [(mode, len(periods)) for mode in discretize.MODES]))]
+        assert calls == [("_cost_stack", periods), ("_doubling", 3 * len(periods)),
+                         ("_solve_stack", [2 * len(periods), len(periods)]),
+                         ("_solve_grid", (periods, list(discretize.MODES),
+                                          [([0, 1], 2 * len(periods)), ([2], len(periods))]))]
 
     def test_simulate_with_preview_solves_once(self, tmp_path, monkeypatch):
         # one stacked solve of one problem
@@ -1117,6 +1130,73 @@ class TestDesignReuse:
         rounds = [args for name, args in log[2:]]
         assert counts == {"expm_gram_integral": 1, "_squaring_sum": 1 + len(rounds)} and rounds
         assert all(len(F) == 1 and list(doublings) == [riccati._MAX_DOUBLINGS] for F, E, doublings in rounds)
+
+
+# n = 3, m = 2: regular and impulsive gains are 2 wide, mri gains 4 wide
+TWO_INPUT_SCENARIO = {
+    "name": "two-input", "A": [[0.1, 1.0, 0.0], [0.0, -0.2, 1.0], [0.3, 0.0, -0.5]],
+    "B": [[1.0, 0.0], [0.0, 0.5], [0.2, 1.0]], "Btilde": [[1.0], [0.0], [0.5]],
+    "Q": np.eye(3).tolist(), "Rc": [[1.0, 0.0], [0.0, 2.0]], "Ri": [[0.5, 0.0], [0.0, 1.0]], "T": 1.0,
+}
+
+
+class TestSweepStacks:
+    """``sweep`` reads its rows from the stacks of one solve, one group of
+    stacks per input width."""
+
+    @staticmethod
+    def scenario(spec, tmp_path) -> str:
+        if spec != "two-input":
+            return spec
+        path = tmp_path / "two-input.json"
+        path.write_text(json.dumps(TWO_INPUT_SCENARIO))
+        return str(path)
+
+    @pytest.mark.parametrize("spec, grid, horizons", [
+        ("insulin", "1:0.5:60", "0,2"), ("souza", "0.2:0.05:5", "0,3"), ("two-input", "0.25:0.25:6", "0,1,3")])
+    def test_all_modes_give_the_rows_of_each_mode_alone(self, spec, grid, horizons, tmp_path):
+        # regular and impulsive share a stack in --mode all and stand alone
+        # in a single-mode sweep; each row keeps its bytes
+        def rows(mode):
+            out = tmp_path / f"{mode}.csv"
+            assert cli.main(["sweep", "--scenario", self.scenario(spec, tmp_path), "--T-grid", grid,
+                             "--mode", mode, "--N", horizons, "--out", str(out)]) == 0
+            header, *lines = out.read_text().splitlines()
+            return header, lines
+
+        header, every = rows("all")
+        per_mode = [rows(mode) for mode in discretize.MODES]
+        assert all(h == header for h, _ in per_mode)
+        width = len(horizons.split(","))
+        periods = len(per_mode[0][1]) // width
+        assert len(every) == 3 * periods * width
+        assert every == [line for i in range(periods) for _, lines in per_mode
+                         for line in lines[i * width:(i + 1) * width]]
+
+    def test_two_input_rows_are_the_solo_designs_and_previews(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--scenario", self.scenario("two-input", tmp_path), "--T-grid", "0.5:0.5:4",
+                         "--mode", "all", "--N", "0,2", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 8 * 3 * 2
+        sc = cli.load_scenario(self.scenario("two-input", tmp_path))
+        b = sc.Btilde[:, 0]
+        for T, mode, N, cost, converged, iterations in rows:
+            d = design(sc.plant(), sc.weights(), float(T), mode)
+            assert d.solution.K.shape == ((4 if mode == "mri" else 2), 3)
+            J = b @ d.solution.P @ b if N == "0" else preview_plan(d, b, int(N)).Jstar
+            assert (cost, converged, iterations) == (format(J, ".17g"), "true", str(d.solution.iterations))
+
+    def test_post_solve_stages_run_once_per_input_width(self, tmp_path, monkeypatch):
+        # the cross-term elimination and the evaluation of the iterates run on
+        # one stack per input width (no iterate of this grid is polished)
+        sizes = {"_eliminate_cross_term": [], "_evaluate": []}
+        for name, seen in sizes.items():
+            monkeypatch.setattr(riccati, name, lambda *args, _fn=getattr(riccati, name), _seen=seen:
+                                _seen.append(len(args[0])) or _fn(*args))
+        assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "0.5:0.5:2.0", "--mode", "all",
+                         "--N", "0,3", "--out", str(tmp_path / "s.csv")]) == 0
+        assert sizes == {"_eliminate_cross_term": [8, 4], "_evaluate": [8, 4]}
 
 
 class TestDisturbanceColumns:

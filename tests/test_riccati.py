@@ -366,9 +366,9 @@ def stack_against_solo(groups) -> Counter:
     """Assert the stacked solve of groups of hand-made (A_d, B_sel, Q_d, S_sel,
     R_sel) stacks gives each problem the bits or the error of its
     ``solve_dare``; count the outcomes."""
-    return Counter(same_outcome(got, lambda: solve_dare(*(X[j] for X in group)))
-                   for group, cells in zip(groups, _solve_stack(groups), strict=True)
-                   for j, got in enumerate(cells))
+    return Counter(same_outcome(riccati._cell(stacks, j), lambda: solve_dare(*(X[j] for X in group)))
+                   for group, stacks in zip(groups, _solve_stack(groups), strict=True)
+                   for j in range(len(group[0])))
 
 
 def reference_doubling(A_d, B, Q_d, S, R):
@@ -523,7 +523,8 @@ class TestDesignBatch:
         _, zero_costs = sampled_grid(souza_plant, CostWeights(np.zeros((2, 2)), [[1.0]], [[1.0]]), periods)
         groups = groups_of([m for m in models for _ in range(2)],
                            [c for pair in zip(costs, zero_costs) for c in pair], ["mri"])
-        assert [sol.qhat_kernel_dim for sol in _solve_stack(groups)[0]] == [0, 2] * 3
+        *_, kernel_dims, _ = _solve_stack(groups)[0]
+        assert kernel_dims.tolist() == [0, 2] * 3
         assert stack_against_solo(groups) == {"converged": 6}
         # a failing seed solve (forced by the seed X0 = -1, which makes
         # I + X0 G = diag(0, 1) singular for G = diag(1, 0)) fails its own
@@ -532,8 +533,9 @@ class TestDesignBatch:
         Q = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
         hand_made = (np.stack([0.5 * np.eye(2)] * 3), np.array([[[1.0], [0.0]]] * 3), Q,
                      np.zeros((3, 2, 1)), np.ones((3, 1, 1)))
-        cells = _solve_stack([hand_made])[0]
-        assert isinstance(cells[1], NumericalError) and str(cells[1]).startswith("singular system in the Riccati doubling")
+        *_, failed = _solve_stack([hand_made])[0]
+        assert list(failed) == [1] and isinstance(failed[1], NumericalError)
+        assert str(failed[1]).startswith("singular system in the Riccati doubling")
         kernel_free = [tuple(X[::2] for X in groups[0])]
         assert stack_against_solo([hand_made, *kernel_free]) == {"converged": 5, "NumericalError": 1}
 
@@ -847,6 +849,8 @@ class TestPolishOnDemand:
         monkeypatch.setattr(riccati, "_evaluate", lambda P, *rest: stacks.append(len(P)) or evaluate(P, *rest))
         periods = [5.0, 10.0, 20.0, 40.0]
         design_batch(insulin_plant, insulin_weights, periods, MODES)
+        # one stack per input width: regular and impulsive together, mri alone
         rounds = stacks.count(1)
-        assert stacks.count(len(periods)) == len(MODES) and len(stacks) == len(MODES) + rounds and rounds > 0
+        assert [size for size in stacks if size > 1] == [2 * len(periods), len(periods)] and rounds > 0
+        assert sum(stacks) == len(MODES) * len(periods) + rounds
         assert factorizations["R + B'PB"] == len(MODES) * len(periods) + rounds
