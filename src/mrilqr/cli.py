@@ -230,6 +230,99 @@ def _column(column) -> tuple[list, str | None]:
     return column, kinds.pop() if len(kinds) == 1 else None
 
 
+@functools.cache
+def _g_tables(digits: int):
+    """The tables of ``_g_texts``, built once per process and digit count: hi and lo,
+    the correctly rounded quotients of 10**k (k = -300..300) and of the rest; 8-byte
+    text pieces (0-9999 the 4-digit chunks, a digit per '<u2' slot whose second byte
+    is left for a point; 10000 + 5 * negative + zeros before the first digit the
+    prefixes "", "0.", "0.0", ...; 10010 a newline; 10311 + e "e%+03d" and a newline);
+    at 10000 k + c, 4 k + the place after chunk c's last nonzero digit, or 0; and
+    marks, whose row kept * (digits + 1) + point blanks the padding and the digits
+    from kept on in a cell's 28 slots and puts a point after digit point."""
+    ratios = [(10 ** k, 1) if k >= 0 else (1, 10 ** -k) for k in range(-300, 301)]
+    hi = [num / den for num, den in ratios]
+    lo = [(num * h_den - h_num * den) / (den * h_den)
+          for (num, den), (h_num, h_den) in zip(ratios, map(float.as_integer_ratio, hi))]
+    c = np.arange(10000)
+    chunks = np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1)
+    frames = [sign + (b"0." + b"0" * (lead - 1) if lead else b"") for sign in (b"", b"-") for lead in range(5)]
+    frames += [b"\n"] + [b"e%+03d\n" % e for e in range(-300, 301)]
+    pieces = np.concatenate([(chunks + 48).astype("<u2").view("<u8")[:, 0],
+                             np.frombuffer(b"".join(f.ljust(8, b"\0") for f in frames), "<u8")])
+    ends = ((chunks != 0) * np.arange(1, 5)).max(axis=1)
+    ends = np.where(ends > 0, ends + 4 * np.arange(5)[:, None], 0).astype(np.uint8).ravel()
+    j = np.arange(-4, 24) - (20 - digits)  # the digit in each slot
+    slot = (j >= digits - 20) & (j < digits)
+    kept, point = np.divmod(np.arange((digits + 1) ** 2), digits + 1)
+    marks = -48 * (slot & ((j < 0) | (j >= kept[:, None]))) + (ord(".") << 8) * (slot & (j == point[:, None]))
+    return np.array([hi, lo]), pieces, ends, marks.astype("<u2")
+
+
+def _scaled(a: np.ndarray, k: np.ndarray, powers: np.ndarray):
+    """a * 10**k as a double-double (s, t): Dekker's exact product of a and
+    the power's hi, with Veltkamp's splits into 26-bit halves, plus a * lo."""
+    hi, lo = powers.take(k + 300, axis=1)
+    ca, ch = 134217729.0 * a, 134217729.0 * hi  # 2**27 + 1
+    a1, h1 = ca - (ca - a), ch - (ch - hi)
+    a2, h2 = a - a1, hi - h1
+    p = a * hi
+    t = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * lo
+    s = p + t
+    return s, t - (s - p)
+
+
+def _g_texts(values, digits: int) -> list[str]:
+    """``"%.{digits}g" % v`` for every cell of a float array, 1 <= digits <= 17.
+
+    |v| * 10**(digits - 1 - e) as a double-double (``_scaled``, within 2**-104 relative,
+    so its fraction is off by under 1e-14) is rounded to ``digits`` digits and laid out
+    in %g's form in a NUL-padded byte grid, which one translate, decode and split turn
+    into texts. The bound needs 1e-280 <= |v| <= 1e280, where no partial product or lo
+    used is subnormal. % formats every other cell (zero, non-finite, out of range) and
+    each whose scaled fraction is within 1e-6 of 1/2: a possible tie, broken to even."""
+    powers, pieces, ends, marks = _g_tables(digits)
+    v = np.asarray(values, dtype=float)
+    n, d = v.size, digits
+    a = np.abs(v)
+    exact = (a >= 1e-280) & (a <= 1e280)
+    a[~exact] = 2.0  # a stand-in in range for the cells % formats
+    e = np.floor(np.log10(a)).astype(np.intp)  # may be one off next to a power of ten
+    s, t = _scaled(a, d - 1 - e, powers)
+    low, top = float(10 ** (d - 1)), float(10 ** d)
+    off = np.flatnonzero((s <= low) | (s >= top))
+    if off.size:  # make low <= s + t < top; each difference with s is exact or far from 0
+        s_off, t_off = s[off], t[off]
+        e[off] += ((s_off - top) + t_off >= 0).astype(np.intp) - ((s_off - low) + t_off < 0)
+        s[off], t[off] = _scaled(a[off], d - 1 - e[off], powers)
+    whole = np.floor(s)
+    frac = (s - whole) + t
+    carry = np.floor(frac)
+    frac -= carry
+    exact &= np.abs(frac - 0.5) >= 1e-6
+    N = whole.astype(np.int64) + (carry + (frac > 0.5)).astype(np.int64)
+    up = N == 10 ** d  # rounded up to the next power of ten
+    N, e = np.where(up, 10 ** (d - 1), N), e + up
+    rows = np.empty((7, n), np.intp)  # pieces: prefix, N's 4-digit chunks (most significant first), suffix
+    for k in range(5, 0, -1):
+        high = N // 10000  # // by a scalar is several times faster than divmod
+        np.subtract(N, 10000 * high, out=rows[k])
+        N = high
+    sci = (e < -4) | (e >= d)
+    point = np.where(sci | (e < 0), 0, e)  # the digit the point follows
+    lead = np.where(sci | (e >= 0), 0, -e)  # zeros before the first digit
+    significant = ends.take(rows[1:6] + np.arange(0, 50000, 10000)[:, None]).max(axis=0) - (20 - d)
+    kept = np.maximum(point + 1, significant)  # trailing zeros go, but not before the point
+    rows[0] = 10000 + 5 * np.signbit(v) + lead
+    rows[6] = np.where(sci, 10311 + e, 10010)
+    grid = pieces.take(rows.T).view("<u2")
+    grid += marks.take(kept * (d + 1) + np.where((lead == 0) & (kept > point + 1), point, d), axis=0)
+    texts = grid.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    for i in np.flatnonzero(~exact).tolist():
+        texts[i] = f"%.{d}g" % v[i]
+    return texts
+
+
 def _run_starts(column: np.ndarray) -> np.ndarray:
     """Where each run of equal consecutive cells of a numeric array starts.
     Cells join a run when their values and sign bits are equal, so -0.0
@@ -240,31 +333,29 @@ def _run_starts(column: np.ndarray) -> np.ndarray:
 
 
 def _table_lines(header, columns, digits: int) -> list[str]:
-    """A table as its header line and one text line per row, each row through
-    one %-format string built from the column kinds.
-
-    A numeric array column whose runs of equal consecutive cells
-    (``_run_starts``) number at most half its cells has each run formatted
-    once, and reaches the row format as preformatted %s cells; a column that
-    mixes kinds is written cell by cell first. Every other column is
-    formatted by the row format itself.
-    """
-    specs, cells = [], []
+    """A table as its header line and one text line per row. A numeric array
+    column with at most half as many runs of equal consecutive cells
+    (``_run_starts``) as cells has each run formatted once, any other float
+    array column goes through ``_g_texts`` and a column of mixed kinds is
+    written cell by cell; rows of texts only are joined by ",".join, others
+    go through one %-format string of the column kinds."""
+    specs, cells = [], []  # a spec of None: a column of texts
     for column in columns:
         kind = _kind(column.dtype.type) if isinstance(column, np.ndarray) else None
         if kind in ("int", "float") and 2 * (starts := _run_starts(column)).size <= column.size:
             texts = [_spec(kind, digits) % v for v in column[starts].tolist()]
-            specs.append("%s")
-            cells.append(chain.from_iterable(map(repeat, texts, np.diff(starts, append=column.size).tolist())))
-            continue
-        values, kind = _column(column)
-        if kind is None:
-            specs.append("%s")
-            cells.append([_cell(v, digits) for v in values])
+            spec, cell = None, chain.from_iterable(map(repeat, texts, np.diff(starts, append=column.size).tolist()))
+        elif kind == "float":
+            spec, cell = None, _g_texts(column, digits)
         else:
-            specs.append(_spec(kind, digits))
-            cells.append(map(_BOOL_TEXT.__getitem__, values) if kind == "bool" else values)
-    return [",".join(header), *map(",".join(specs).__mod__, zip(*cells))]
+            values, kind = _column(column)
+            spec = None if kind in (None, "bool") else _spec(kind, digits)
+            cell = [_cell(v, digits) for v in values] if kind is None else \
+                map(_BOOL_TEXT.__getitem__, values) if kind == "bool" else values
+        specs.append(spec)
+        cells.append(cell)
+    join = ",".join if all(spec is None for spec in specs) else ",".join(spec or "%s" for spec in specs).__mod__
+    return [",".join(header), *map(join, zip(*cells))]
 
 
 class _Sink:
@@ -275,10 +366,9 @@ class _Sink:
     ``FILE_DIGITS`` significant digits, None as an empty field (null in
     JSON, as is a non-finite float). A table is a list of equally long
     columns, one per header entry: a numpy array, whose kind is read from
-    its dtype, or a list, whose kind is read from its cells. Its rows
-    render through one %-format string built from the column kinds; a
-    numeric array column whose runs of equal consecutive cells number at
-    most half its cells has each run formatted once (``_table_lines``).
+    its dtype, or a list, whose kind is read from its cells. The bytes are
+    those of % on every cell, but ``_table_lines`` formats a numeric
+    array's runs once each and other float arrays in numpy (``_g_texts``).
     A file is written over any old one in place and cut to length (``emit``).
     """
 

@@ -1,7 +1,10 @@
 """The summary of tools/ab_pairs.py on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 spec = importlib.util.spec_from_file_location("ab_pairs", Path(__file__).parents[1] / "tools" / "ab_pairs.py")
 ab_pairs = importlib.util.module_from_spec(spec)
@@ -32,3 +35,48 @@ def test_summary_of_fixed_pairs():
 
 def test_quartiles_of_one_run():
     assert ab_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+@pytest.mark.parametrize("base, change, better, bound, expected", [
+    # 9 of 10 wins, and the medians differ by 10 against a base IQR of 4.5
+    (list(range(100, 110)), [v + 10 for v in range(100, 109)] + [100.0], "higher", 0.25, "gain"),
+    # the same on a lower-is-better metric
+    (list(range(100, 110)), [v - 10 for v in range(100, 109)] + [120.0], "lower", 0.25, "gain"),
+    # 8 of 10 wins are too few
+    (list(range(100, 110)), [v + 10 for v in range(100, 108)] + [90.0, 90.0], "higher", 0.25, "flat"),
+    # 10 of 10 wins by 1, within the base IQR of 4.5
+    (list(range(100, 110)), [v + 1 for v in range(100, 110)], "higher", 0.25, "flat"),
+    # a median 30% below the base's, with a bound of 25%
+    (list(range(100, 110)), [v * 0.7 for v in range(100, 110)], "higher", 0.25, "worse"),
+    # 20% below is within the bound
+    (list(range(100, 110)), [v * 0.8 for v in range(100, 110)], "higher", 0.25, "flat"),
+    # a latency 10% above the base's against a bound of 5%
+    ([10.0] * 10, [11.0] * 10, "lower", 0.05, "worse"),
+])
+def test_verdict_of_fixed_pairs(base, change, better, bound, expected):
+    assert ab_pairs.verdict([float(v) for v in base], [float(v) for v in change], better, bound) == expected
+
+
+def test_verdicts_follow_the_summary(tmp_path, monkeypatch, capsys):
+    base, change = tmp_path / "base", tmp_path / "change"
+    base.mkdir()
+    (base / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "throughput_ops_s", "better": "higher", "bound": 0.25},
+        {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]}))
+    # the change is 20 ops/s faster on every seed and as slow per unit
+    monkeypatch.setattr(ab_pairs, "run", lambda checkout, workload, seed, seconds:
+                        result(seed + (100.0 if checkout == base else 120.0), 4.0))
+    assert ab_pairs.main([str(base), str(change), "--workload", "w", "--pairs", "10", "--seconds", "1",
+                          "--seed", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[-1] == "10/10"
+    assert out[-2:] == ["verdict throughput_ops_s: gain", "verdict latency_p50_ms: flat"]
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_a_pair_count_below_one_is_a_usage_error(pairs, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        ab_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", pairs, "--seconds", "1",
+                       "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err

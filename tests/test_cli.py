@@ -912,6 +912,103 @@ class TestWriter:
             "matrix,M,1,0,-inf", "matrix,M,1,1,nan", "", "cost,n", "nan,1", "2.5,2"]
 
 
+def near_powers_of_ten():
+    """Every power of ten in the double range and the doubles up to 3 ulps on either side, both signs."""
+    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near, up, down = [p], p, p
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    near = np.concatenate(near)
+    return np.concatenate([near, -near])
+
+
+def switch_values(digits):
+    """Doubles next to 1e-4 and 10**digits, where %g switches between its
+    fixed and exponent forms, and at 1 - 10**-j times them."""
+    values = []
+    for edge in (1e-4, float(10 ** digits)):
+        values += [edge * (1.0 + sign * 10.0 ** -j) for sign in (-1, 1) for j in range(1, 20)]
+        up = down = np.array([edge])
+        for _ in range(40):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            values += [up[0], down[0]]
+    return np.array(values)
+
+
+def round_up_values(digits):
+    """Runs of nines that round up to the next power of ten at ``digits`` digits (and some that do not)."""
+    return np.array([float("9" * width + f"e{k}") for width in (digits - 1, digits, digits + 1, digits + 2, 17)
+                     for k in range(-300, 300, 7)])
+
+
+def exact_ties(digits, rng, count=400):
+    """Odd M / 2**j whose decimal expansion, M * 5**j / 10**j, has digits + 1
+    digits ending in 5: each lies exactly halfway between two texts of
+    ``digits`` digits, and % breaks the tie to the even one."""
+    ties = []
+    for _ in range(count):
+        j = int(rng.integers(1, 40))
+        low, high = -(-10 ** digits // 5 ** j), min(10 ** (digits + 1) // 5 ** j, 2 ** 53)
+        if low >= high:
+            continue
+        M = int(rng.integers(low, high)) | 1
+        if M * 5 ** j < 10 ** (digits + 1):
+            ties.append(M / 2 ** j)
+    ties = np.array(ties)
+    assert ties.size > count // 4
+    return np.concatenate([ties, -ties])
+
+
+class TestGTexts:
+    """``_g_texts`` is ``"%.{digits}g" % v`` for every cell, the cells % formats itself included."""
+
+    @staticmethod
+    def assert_percent(values, digits):
+        texts = cli._g_texts(values, digits)
+        want = ["%.*g" % (digits, v) for v in np.asarray(values).tolist()]
+        assert len(texts) == len(want)
+        wrong = [(v, got, expected) for v, got, expected in zip(np.asarray(values).tolist(), texts, want)
+                 if got != expected]
+        assert not wrong, wrong[:5]
+
+    @pytest.mark.parametrize("digits", [cli.CONSOLE_DIGITS, cli.FILE_DIGITS])
+    def test_random_bit_patterns(self, digits):
+        rng = np.random.default_rng(20261021)
+        bits = rng.integers(-2**63, 2**63, 60_000, dtype=np.int64)
+        subnormal = rng.integers(1, 2**52, 200, dtype=np.int64)
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            1.7976931348623157e308, 1e-280, 1e280, np.nextafter(1e-280, 0.0),
+                            np.nextafter(1e280, np.inf)])
+        values = np.concatenate([bits.view(np.float64), subnormal.view(np.float64), -subnormal.view(np.float64),
+                                 special])
+        assert np.isnan(values).sum() >= 2 and (values == 0.0).sum() >= 2 and np.isinf(values).sum() >= 2
+        self.assert_percent(values, digits)
+
+    @pytest.mark.parametrize("digits", [cli.CONSOLE_DIGITS, cli.FILE_DIGITS])
+    @pytest.mark.parametrize("values", [lambda digits: near_powers_of_ten(), switch_values, round_up_values],
+                             ids=["near-powers-of-ten", "form-switch", "round-up"])
+    def test_edges_of_the_decimal_exponent(self, values, digits):
+        self.assert_percent(values(digits), digits)
+
+    @pytest.mark.parametrize("digits", [cli.CONSOLE_DIGITS, cli.FILE_DIGITS])
+    def test_exact_ties_are_broken_to_even(self, digits):
+        ties = exact_ties(digits, np.random.default_rng(digits))
+        mantissas = [("%.*e" % (digits, v)).split("e")[0] for v in ties.tolist()]  # all their digits
+        assert all(m.endswith("5") for m in mantissas)
+        # ties that round up and ties that round down, so rounding half up or half down shows
+        assert {int(m[-2]) % 2 for m in mantissas} == {0, 1}
+        self.assert_percent(ties, digits)
+
+    @pytest.mark.parametrize("digits", [cli.CONSOLE_DIGITS, cli.FILE_DIGITS])
+    def test_float32_and_empty_arrays(self, digits):
+        rng = np.random.default_rng(7)
+        values = (rng.standard_normal(2000) * 10.0 ** rng.integers(-30, 31, 2000)).astype(np.float32)
+        self.assert_percent(values, digits)
+        assert cli._g_texts(np.array([], dtype=float), digits) == []
+        assert cli._g_texts(np.array([], dtype=np.float32), digits) == []
+
+
 class TestEveryTable:
     """The fast writers against their plain forms on every command's output."""
 
@@ -1197,6 +1294,53 @@ class TestSweepStacks:
         assert cli.main(["sweep", "--scenario", "souza", "--T-grid", "0.5:0.5:2.0", "--mode", "all",
                          "--N", "0,3", "--out", str(tmp_path / "s.csv")]) == 0
         assert sizes == {"_eliminate_cross_term": [8, 4], "_evaluate": [8, 4]}
+
+
+class TestTrajectoryBytes:
+    """Real trajectories, in the CSV file and on the console, read as % writes their cells."""
+
+    RUNS = {
+        "insulin --N 2": ["--scenario", "insulin", "--N", "2"],
+        "insulin --eps 0.1": ["--scenario", "insulin", "--eps", "0.1"],
+        "insulin open loop": ["--scenario", "insulin", "--mode", "open_loop"],
+        # no output row: a y column of None
+        "souza": ["--scenario", "souza"],
+        # m = 2 in closed loop, with preview
+        "two-input --N 2": ["--scenario", "{two-input}", "--mode", "mri", "--N", "2"],
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_csv_and_console_tables_are_the_cells_as_percent_writes_them(self, name, tmp_path, capsys, monkeypatch):
+        spec = TestSweepStacks.scenario("two-input", tmp_path)
+        argv = ["simulate", *(a.replace("{two-input}", spec) for a in self.RUNS[name])]
+        sinks = []
+        emit = cli._Sink.emit
+        monkeypatch.setattr(cli._Sink, "emit",
+                            lambda sink, out_path, fmt: sinks.append(sink) or emit(sink, out_path, fmt))
+        calls = count_calls(monkeypatch, "_g_texts")
+        out = tmp_path / "t.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        console = capsys.readouterr().out.splitlines()
+
+        header, columns = sinks[0].tables["trajectory"]
+        rows = list(zip(*map(list, columns)))
+        csv = out.read_text().splitlines()
+        start = csv.index(",".join(header)) + 1
+        assert csv[start:] == TestWriter.per_cell(rows, cli.FILE_DIGITS)
+        start = console.index("[trajectory]") + 2
+        assert console[start - 1] == ",".join(header)
+        assert console[start:] == TestWriter.per_cell(rows, cli.CONSOLE_DIGITS)
+        # one kernel call per float array column without long runs, in each of the two runs
+        kernel_columns = [c for c in columns if isinstance(c, np.ndarray) and c.dtype == float
+                          and 2 * cli._run_starts(c).size > c.size]
+        assert kernel_columns and calls["_g_texts"] == 2 * len(kernel_columns)
+
+        if name.startswith("two-input"):
+            assert header[5:9] == ["uc1", "uc2", "ui1", "ui2"]
+            J_cont, J_disc = sinks[0].scalars["J_cont"], sinks[0].scalars["J_disc"]
+            assert abs(J_cont - J_disc) <= 1e-6 * J_disc  # the tolerance of acceptance test C6
 
 
 class TestDisturbanceColumns:

@@ -9,9 +9,13 @@ in both, the base first in even pairs and the change first in odd ones, so
 drift of the machine falls on both sides alike. For each end-to-end metric
 of BASE's ``BENCHMARK.json`` it prints the median and quartiles of each
 side, the change's median over the base's, and the pairs the change wins
-(ties count for neither), then each run's ``correct`` and ``failed``. It
-exits 1 when a run reports ``correct: false`` and 2 when a run fails.
-Standard library only.
+(ties count for neither), then each run's ``correct`` and ``failed``, then a
+verdict per metric: ``gain`` when the change wins at least 9/10 of the pairs
+and the medians differ, in the better direction, by more than the distance
+between the base's quartiles; ``worse`` when the change's median is worse
+than the base's by more than the metric's ``bound`` (a fraction of the
+base's median); ``flat`` otherwise. It exits 1 when a run reports
+``correct: false`` and 2 when a run fails. Standard library only.
 """
 
 from __future__ import annotations
@@ -31,19 +35,37 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def sides(pairs: list[tuple[dict, dict]], name: str) -> tuple[list[float], list[float]]:
+    """A metric's values in the base runs and in the change runs, pair by pair."""
+    return tuple([run["metrics"][name]["value"] for run in side] for side in zip(*pairs))
+
+
+def wins(base: list[float], change: list[float], better: str) -> int:
+    """The pairs the change wins; a tie counts for neither side."""
+    sign = 1.0 if better == "higher" else -1.0
+    return sum(sign * (c - b) > 0 for b, c in zip(base, change))
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """gain, worse or flat: the rule of the module docstring for one metric."""
+    (b1, b2, b3), (_, c2, _) = quartiles(base), quartiles(change)
+    ahead = (c2 - b2) if better == "higher" else (b2 - c2)
+    if 10 * wins(base, change, better) >= 9 * len(base) and ahead > b3 - b1:
+        return "gain"
+    return "worse" if -ahead > bound * abs(b2) else "flat"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) -> list[str]:
     """The report lines of (base, change) results, one pair of ``run.py``
     result objects per seed, for (name, "higher" or "lower") metrics."""
     lines = [f"{'metric':<18} {'base median [q1, q3]':>32} {'change median [q1, q3]':>32} "
              f"{'change/base':>11} {'wins':>6}"]
     for name, better in metrics:
-        base, change = ([run["metrics"][name]["value"] for run in side] for side in zip(*pairs))
-        sign = 1.0 if better == "higher" else -1.0
-        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        base, change = sides(pairs, name)
         (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
         ratio = f"{c2 / b2:.4f}" if b2 else "-"
         lines.append(f"{name:<18} {f'{b2:.6g} [{b1:.6g}, {b3:.6g}]':>32} {f'{c2:.6g} [{c1:.6g}, {c3:.6g}]':>32} "
-                     f"{ratio:>11} {f'{wins}/{len(pairs)}':>6}")
+                     f"{ratio:>11} {f'{wins(base, change, better)}/{len(pairs)}':>6}")
     for i, (base, change) in enumerate(pairs):
         lines.append(f"pair {i}: base correct={base['correct']} failed={base['failed']}, "
                      f"change correct={change['correct']} failed={change['failed']}")
@@ -69,6 +91,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     bench = json.loads((args.base / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
     pairs = []
@@ -83,6 +107,8 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 2
     print("\n".join(summarize(pairs, metrics)))
+    for m in bench["end_to_end"]:
+        print(f"verdict {m['name']}: {verdict(*sides(pairs, m['name']), m['better'], m['bound'])}")
     return 0 if all(run["correct"] for pair in pairs for run in pair) else 1
 
 
