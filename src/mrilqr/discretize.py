@@ -156,8 +156,8 @@ def _sample_stack(plant: ContinuousPlant, periods) -> tuple[list[float], np.ndar
     naming the first period in order whose exponentials overflow."""
     Ts = [_check_period(T) for T in periods]
     with np.errstate(over="ignore", invalid="ignore"):
-        A_d, Atilde, B_d = numkernel.expm_block_integrals(plant.A, plant.B, Ts)
-        B_i = A_d @ plant.B
+        A_d, Atilde = numkernel.expm_block_integrals(plant.A, Ts)
+        B_d, B_i = Atilde @ plant.B, A_d @ plant.B
     finite = np.logical_and.reduce([np.isfinite(M).all(axis=(1, 2)) for M in (A_d, Atilde, B_d, B_i)])
     if not finite.all():
         raise NumericalError(f"the sampled model overflowed at T = {Ts[int(np.argmin(finite))]!r}")

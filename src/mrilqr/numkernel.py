@@ -47,12 +47,12 @@ def _square(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def expm_block_integrals(A, B, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jointly compute (e^{AT}, int_0^T e^{As} ds, int_0^T e^{As} ds B).
+def expm_block_integrals(A, T) -> tuple[np.ndarray, np.ndarray]:
+    """Jointly compute (e^{AT}, int_0^T e^{As} ds).
 
     One exponential of the block-upper-triangular augmentation
     [[A, I], [0, 0]] yields both the state transition matrix and its
-    running integral; the input map is the integral times B. For
+    running integral; a caller's input map is the integral times B. For
     invertible A the integral equals A^{-1}(e^{AT} - I).
 
     T is one duration or a 1-D array of them; for an array each result
@@ -64,9 +64,7 @@ def expm_block_integrals(A, B, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     M[:n, :n] = A
     M[:n, n:] = np.eye(n)
     E = scipy.linalg.expm(M * np.asarray(T, dtype=float)[..., None, None])
-    A_d = E[..., :n, :n]
-    Atilde = E[..., :n, n:]
-    return A_d, Atilde, Atilde @ B
+    return E[..., :n, :n], E[..., :n, n:]
 
 
 def expm_gram_integral(A, W, T) -> np.ndarray:
@@ -95,7 +93,7 @@ def expm_gram_integral(A, W, T) -> np.ndarray:
         V = scipy.linalg.expm(Z * h[:, None, None])
         F, failed = _cellwise(_psd_factor, _sym(_T(V[:, n:, n:]) @ V[:, :n, n:]))
         F[list(failed)] = np.inf  # a sub-interval integral that overflowed stays non-finite
-        H = _squaring_sum(F, A @ expm_block_integrals(A, np.eye(n), h)[1], doublings)
+        H = _squaring_sum(F, A @ expm_block_integrals(A, h)[1], doublings)
     return H if np.ndim(T) else H[0]
 
 

@@ -104,37 +104,35 @@ def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
 
 
 def _preview(P, G, B, R, b, N: int):
-    """The feedforward f_0..f_{N-1} (k, N, p) of stacks of k designs and their
-    Jstar at each horizon 0..N (k, N + 1) for one Btilde b, and the
-    NumericalError of each cell that fails, by index. Each cell factors
-    R + B'PB once and solves for its N exponents as the N columns of one
-    right-hand side; a column of that solve has the bits of its own vector
-    solve, so x_e = (R + B'PB)^{-1} B'w_e and its drop (B'w_e)'x_e have the
-    same bits whatever N."""
-    k, p = len(P), B.shape[-1]
+    """The feedforward f_0..f_{N-1} (k, N, p) of stacks of k designs, their
+    Jstar at each horizon 0..N (k, N + 1) for one Btilde b, (R + B'PB)^{-1} B'
+    (k, p, n; zero for N = 0, which makes no solve) and the NumericalError of
+    each failed cell, by index. Each cell factors R + B'PB once and solves
+    for its N exponents and B' as the N + n columns of one right-hand side;
+    a column of that solve has the bits of its own vector solve, so
+    x_e = (R + B'PB)^{-1} B'w_e and its drop (B'w_e)'x_e have the same bits
+    whatever N."""
+    k, (n, p) = len(P), B.shape[-2:]
     Pb = w = P @ b[..., None]
     if N == 0:
-        return np.empty((k, 0, p)), (_T(b[..., None]) @ Pb)[:, 0], {}
+        return np.empty((k, 0, p)), (_T(b[..., None]) @ Pb)[:, 0], np.zeros((k, p, n)), {}
     Bw = np.empty((k, N, p))
     for e in range(N):
         if e:
             w = _T(G) @ w
         Bw[:, e] = (_T(B) @ w)[..., 0]
-    X, failed = numkernel.solve_pd_stack(R + _T(B) @ P @ B, _T(Bw), "R + B'PB")
-    X = np.ascontiguousarray(_T(X))
+    X, failed = numkernel.solve_pd_stack(R + _T(B) @ P @ B, np.concatenate([_T(Bw), _T(B)], axis=-1), "R + B'PB")
+    x = np.ascontiguousarray(_T(X[..., :N]))
     drops = np.zeros((k, N + 1))
-    drops[:, 1:] = (Bw * X).sum(axis=-1)
+    drops[:, 1:] = (Bw * x).sum(axis=-1)
     Jstar = (_T(b[..., None]) @ Pb)[:, 0] - np.cumsum(drops, axis=1)
-    return -X[:, ::-1], Jstar, failed
+    return -x[:, ::-1], Jstar, X[..., N:], failed
 
 
-def _gamma(P, G, B, R, N: int) -> np.ndarray:
-    """Gamma = sum_{i=0}^{N-1} G^i M (G')^i with the core M = B (R + B'PB)^{-1} B',
-    for a design whose R + B'PB factors; symmetrized to kill roundoff asymmetry."""
-    if N == 0:
-        return np.zeros(P.shape)
-    M = B @ numkernel._cho_solve(_sym(R + B.T @ P @ B), B.T, "R + B'PB")
-    Gamma, Gk = np.zeros(P.shape), np.eye(len(P))
+def _gamma(G, M, N: int) -> np.ndarray:
+    """Gamma = sum_{i=0}^{N-1} G^i M (G')^i for the core M = B (R + B'PB)^{-1} B'
+    of ``_preview``'s one factorization; symmetrized to kill roundoff asymmetry."""
+    Gamma, Gk = np.zeros(G.shape), np.eye(len(G))
     for i in range(N):
         if i:
             Gk = G @ Gk
@@ -147,24 +145,25 @@ def feedforward_sequence(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, .
     f_k = -(R + B'PB)^{-1} B' (G')^{N-k-1} P Btilde; R + B'PB is factored
     once, for the N right-hand sides together.
     """
-    ff, _, failed = _preview(P[None], G[None], B_di[None], R_d[None], np.asarray(Btilde, dtype=float).reshape(-1), N)
+    ff, _, _, failed = _preview(P[None], G[None], B_di[None], R_d[None], np.asarray(Btilde, dtype=float).reshape(-1), N)
     return tuple(numkernel._single(ff, failed))
 
 
 def gamma_and_cost(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, float]:
     """Preview benefit matrix Gamma and the optimal cost Jstar(N) of the
-    feedforward recursion, which is ``preview_costs``'s on a stack of one;
-    a failed solve with R + B'PB raises NumericalError.
+    feedforward recursion, which is ``preview_costs``'s on a stack of one,
+    from one factorization of R + B'PB, whose failure raises NumericalError.
     """
-    _, Jstar, failed = _preview(P[None], G[None], B_di[None], R_d[None], np.asarray(Btilde, dtype=float).reshape(-1), N)
+    _, Jstar, RinvBt, failed = _preview(P[None], G[None], B_di[None], R_d[None],
+                                        np.asarray(Btilde, dtype=float).reshape(-1), N)
     Jstar = float(numkernel._single(Jstar, failed)[N])
-    return _gamma(P, G, B_di, R_d, N), Jstar
+    return _gamma(G, B_di @ RinvBt[0], N), Jstar
 
 
 def _preview_costs(A_d, B, S, R, P, K, b, horizons) -> tuple[np.ndarray, np.ndarray, dict[int, NumericalError]]:
     """``preview_costs`` on the stacks of the designs (as ``sweep`` has them), for a Btilde b of n floats."""
     G, failed = _closed_loop(A_d, B, S, R, P, K)
-    _, Jstar, failed_N = _preview(P, G, B, R, b, max(horizons))
+    _, Jstar, _, failed_N = _preview(P, G, B, R, b, max(horizons))
     return G, Jstar[:, list(horizons)], {**failed_N, **failed}
 
 
@@ -185,7 +184,8 @@ def preview_costs(designs, Btilde, horizons) -> tuple[np.ndarray, np.ndarray, di
 def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
     """Preview quantities on top of a converged design (usually mode mri), for
     a disturbance Btilde of n finite entries and an integer N >= 0. The closed
-    loop takes the design's gain; an unconverged design raises NumericalError."""
+    loop takes the design's gain and one factorization of R + B'PB gives the
+    rest; an unconverged design raises NumericalError."""
     P = des.solution.P
     b = np.asarray(Btilde, dtype=float).reshape(-1)
     if b.size != len(P) or not np.isfinite(b).all():
@@ -195,6 +195,6 @@ def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
         raise NumericalError("no preview on a design that did not converge")
     B, R, K = des.B_sel, des.R_sel, des.solution.K
     G = numkernel._single(*_closed_loop(*(X[None] for X in (des.model.A_d, B, des.S_sel, R, P, K))))
-    ff, Jstar, failed = _preview(P[None], G[None], B[None], R[None], b, N)
+    ff, Jstar, RinvBt, failed = _preview(P[None], G[None], B[None], R[None], b, N)
     return PreviewPlan(N=N, K=K, feedforward=tuple(numkernel._single(ff, failed)), G=G,
-                       Gamma=_gamma(P, G, B, R, N), Jstar=float(Jstar[0, N]))
+                       Gamma=_gamma(G, B @ RinvBt[0], N), Jstar=float(Jstar[0, N]))

@@ -41,7 +41,6 @@ __all__ = [
     "RiccatiSolution",
     "MriLqrDesign",
     "solve_dare",
-    "dare_residual",
     "design",
     "design_batch",
 ]
@@ -78,23 +77,16 @@ def _gain(P, A_d, B, S, R):
 
 
 def _evaluate(P, A_d, B, Q_d, S, R):
-    """The gain K, the ``dare_residual`` and the closed loop A_d + B K of each
-    cell of stacks, and each failed cell's NumericalError, from the one
-    factorization of R + B'PB in ``_gain``: (A_d'PB + S)(R + B'PB)^{-1}(...)'
-    is -(A_d'PB + S) K. Overflow is non-finite, without a numpy warning.
+    """The gain K, the residual ||P - (A_d'PA_d + Q_d + (A_d'PB + S) K)||_F and
+    the closed loop A_d + B K of each cell of stacks, and each failed cell's
+    NumericalError, from the one factorization of R + B'PB in ``_gain``:
+    (A_d'PB + S)(R + B'PB)^{-1}(...)' is -(A_d'PB + S) K. Overflow is
+    non-finite, without a numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         K, failed = _gain(P, A_d, B, S, R)
         residual = _fro(P - (_T(A_d) @ P @ A_d + Q_d + (_T(A_d) @ P @ B + S) @ K))
         return K, residual, A_d + B @ K, failed
-
-
-def dare_residual(P, A_d, B, Q_d, S, R) -> float:
-    """Frobenius norm of P - (A_d'PA_d + Q_d - (A_d'PB + S)(B'PB + R)^{-1}(...)'),
-    by ``_evaluate``; not finite, without a numpy warning, when it overflows.
-    """
-    _, residual, _, failed = _evaluate(*(np.asarray(X, dtype=float)[None] for X in (P, A_d, B, Q_d, S, R)))
-    return float(numkernel._single(residual, failed))
 
 
 def _converged(P, residual) -> np.ndarray:
@@ -113,12 +105,12 @@ def _policy_polish(P, K, residual: float, A_cl, A_d, B, Q_d, S, R):
     floor; every P it forms is positive semidefinite and evaluated once.
     Each round needs a stabilizing gain, so the polish stops (returning the
     best (P, K, residual, A_cl) so far) when the closed loop is not
-    contractive or its Lyapunov sum overflows, when the residual stops
-    falling, and after at most 12 rounds.
+    contractive or its Lyapunov sum overflows, or when the residual stops
+    falling; quadratic convergence meets roundoff within a few rounds.
     """
     n = A_d.shape[0]
     J = _psd_factor(_sym(np.block([[Q_d, S], [S.T, R]])))
-    for _ in range(12):
+    while True:
         if numkernel.spectral_radius(A_cl) >= 1.0 - 1e-12:
             break
         Pn = numkernel._squaring_sum((J[:, :n] + J[:, n:] @ K)[None], (A_cl - np.eye(n))[None], [_MAX_DOUBLINGS])[0]
@@ -421,8 +413,8 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     The residual on the original cross-term equation, the gain and the
     closed loop come from one factorization of R + B'PB per iterate
     (``_evaluate``). An iterate whose residual exceeds 1e-9 relative to
-    1 + ||P||_F is polished by policy iteration, which keeps its result only
-    where it lowers the residual. ``converged`` is true exactly when the
+    1 + ||P||_F is polished by policy iteration while that lowers the
+    residual, with no round cap. ``converged`` is true exactly when the
     residual passes that test and the gain stabilizes: rho(A_d + B_sel K) < 1.
 
     The checked problem runs through ``design_batch``'s stacked solve as a

@@ -140,7 +140,8 @@ def _interval_maps(plant: ContinuousPlant, weights: CostWeights, lengths, hold, 
     n, m = plant.n, plant.m
     distinct = sorted(set(lengths.tolist()))
     which = [distinct.index(d) for d in lengths.tolist()]
-    A_dd, _, B_dd = numkernel.expm_block_integrals(plant.A, plant.B, distinct)
+    A_dd, Atilde = numkernel.expm_block_integrals(plant.A, distinct)
+    B_dd = Atilde @ plant.B
     grams = constant_input_gram(plant, weights.Q, [*distinct, T])
     Phi = np.empty((lengths.size, n, n + 2 * m))
     prev = np.eye(n, n + 2 * m)
@@ -381,7 +382,7 @@ def impulse_hold_matrix(plant: ContinuousPlant, T: float, epsilon: float) -> np.
     """
     T = _check_period(T)
     alpha = _hold_length(T, epsilon)
-    E, Atilde, _ = numkernel.expm_block_integrals(plant.A, plant.B, [alpha, T - alpha])
+    E, Atilde = numkernel.expm_block_integrals(plant.A, [alpha, T - alpha])
     return E[1] @ Atilde[0] @ plant.B / alpha
 
 

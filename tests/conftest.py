@@ -251,7 +251,8 @@ def reference_run(plant, weights, T, inputs_fn, x0, steps, substeps, epsilon, di
     t_ends, lengths, hold = _interval_segments(T, substeps, alpha)
     S = lengths.size
     distinct = sorted(set(lengths.tolist()))
-    A_dd, _, B_dd = numkernel.expm_block_integrals(plant.A, plant.B, distinct)
+    A_dd, Atilde = numkernel.expm_block_integrals(plant.A, distinct)
+    B_dd = Atilde @ plant.B
     H = constant_input_gram(plant, weights.Q, distinct)[[distinct.index(d) for d in lengths.tolist()]]
     Phi = np.empty((S, n, n + 2 * m))
     prev = np.eye(n, n + 2 * m)

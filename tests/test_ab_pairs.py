@@ -70,7 +70,23 @@ def test_verdicts_follow_the_summary(tmp_path, monkeypatch, capsys):
                           "--seed", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1].split()[-1] == "10/10"
-    assert out[-2:] == ["verdict throughput_ops_s: gain", "verdict latency_p50_ms: flat"]
+    # base throughput 101..110: quartiles 103.25 and 107.75 around 105.5
+    assert out[-4:] == ["verdict throughput_ops_s: gain", "verdict latency_p50_ms: flat",
+                        f"noise floor throughput_ops_s: {4.5 / 105.5:.4f} of the base median",
+                        "noise floor latency_p50_ms: 0.0000 of the base median"]
+
+
+@pytest.mark.parametrize("base, expected", [
+    # quartiles 102.25 and 106.75 around a median of 104.5
+    (list(range(100, 110)), 4.5 / 104.5),
+    # one run has no spread
+    ([7.0], 0.0),
+    # the floor is relative to the size of the median, whatever its sign
+    ([-3.0, -2.0, -1.0], 1.0 / 2.0),
+    ([0.0, 0.0, 1.0], float("inf")),
+])
+def test_noise_floor_of_fixed_runs(base, expected):
+    assert ab_pairs.noise_floor([float(v) for v in base]) == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("pairs", ["0", "-3"])

@@ -295,8 +295,8 @@ class TestPreviewPlanOnTheDesign:
         monkeypatch.setattr(numkernel, "_cho_solve", lambda A, rhs, what: solves.append(what) or cho_solve(A, rhs, what))
         plan = preview_plan(d, b, N)
         assert not gains
-        # one solve for every feedforward exponent together, one for Gamma's core
-        assert solves.count("R + B'PB") == (2 if N else 0)
+        # one solve for every feedforward exponent and Gamma's core together
+        assert solves.count("R + B'PB") == (1 if N else 0)
         monkeypatch.undo()
         P = d.solution.P
         G = closed_loop_G(d.model.A_d, d.B_sel, d.S_sel, d.R_sel, P)

@@ -14,8 +14,10 @@ verdict per metric: ``gain`` when the change wins at least 9/10 of the pairs
 and the medians differ, in the better direction, by more than the distance
 between the base's quartiles; ``worse`` when the change's median is worse
 than the base's by more than the metric's ``bound`` (a fraction of the
-base's median); ``flat`` otherwise. It exits 1 when a run reports
-``correct: false`` and 2 when a run fails. Standard library only.
+base's median); ``flat`` otherwise. Last comes the noise floor of each
+metric: the base's interquartile range as a fraction of its median, the
+least relative median difference a gain needs. It exits 1 when a run
+reports ``correct: false`` and 2 when a run fails. Standard library only.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     if 10 * wins(base, change, better) >= 9 * len(base) and ahead > b3 - b1:
         return "gain"
     return "worse" if -ahead > bound * abs(b2) else "flat"
+
+
+def noise_floor(base: list[float]) -> float:
+    """The base's interquartile range as a fraction of its median (inf for a zero median)."""
+    b1, b2, b3 = quartiles(base)
+    return (b3 - b1) / abs(b2) if b2 else float("inf")
 
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) -> list[str]:
@@ -109,6 +117,8 @@ def main(argv=None) -> int:
     print("\n".join(summarize(pairs, metrics)))
     for m in bench["end_to_end"]:
         print(f"verdict {m['name']}: {verdict(*sides(pairs, m['name']), m['better'], m['bound'])}")
+    for name, _ in metrics:
+        print(f"noise floor {name}: {noise_floor(sides(pairs, name)[0]):.4f} of the base median")
     return 0 if all(run["correct"] for pair in pairs for run in pair) else 1
 
 
