@@ -534,8 +534,7 @@ def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     other numerical failure a nan cost with 0 iterations, and an unconverged
     design (whose preview cost can fall far below zero), a failed closed-loop
     check or a failed preview solve the feedback-only cost for every N > 0,
-    all with converged=False. A cell's ValueError is raised, the first
-    period's first, then in mode order."""
+    all with converged=False."""
     grid = _parse_grid(args.T_grid)
     modes = MODES if args.mode == "all" else (args.mode,)
     N_list = [p for p in args.N.split(",") if p != ""]
@@ -548,14 +547,11 @@ def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
     _, widths = riccati._solve_grid(plant, weights, grid.tolist(), modes)
     # (period, mode, horizon) grids of the rows' cost, converged and iterations
     cost, converged, iterations = (np.empty((len(grid), len(modes), len(N_list)), dtype=t) for t in (float, bool, int))
-    refused = {}
     for qs, (A_d, B, _, S, R), (P, K, _, its, ok, _, errors) in widths:
         # a diverged cell keeps the P and doublings of its last iterate
         lost = {j for j, exc in errors.items() if not isinstance(exc, DareDivergenceError)}
         J = np.array([np.nan if j in lost else bt @ P_j @ bt for j, P_j in enumerate(P)])
         its[list(lost)] = 0
-        refused.update(((j % len(grid), qs[j // len(grid)]), exc) for j, exc in errors.items()
-                       if not isinstance(exc, NumericalError))
         cost[:, qs], converged[:, qs], iterations[:, qs] = (X.reshape(len(qs), -1).T[..., None] for X in (J, ok, its))
         cells = np.flatnonzero(ok)
         if cells.size and ahead:
@@ -565,8 +561,6 @@ def cmd_sweep(scenario: ScenarioConfig, args, sink: _Sink) -> None:
             rows = cells[:, None] % len(grid), np.asarray(qs)[cells // len(grid), None], ahead
             cost[rows] = np.where(kept, previewed[:, ahead], cost[rows])
             converged[rows] = kept
-    if refused:
-        raise refused[min(refused)]
     # every grid holds a period and every --N a horizon, so there is a row
     sink.table("sweep", ["T", "mode", "N", "cost", "converged", "iterations"],
                [np.repeat(grid, len(modes) * len(N_list)).tolist(), [m for m in modes for _ in N_list] * len(grid),

@@ -160,13 +160,15 @@ def _real_doubling(M: np.ndarray) -> np.ndarray:
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
-def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> tuple[dict[str, np.ndarray], list[ControllabilityReport]]:
-    """The reduced kernel test of every mode at each period of the sampled
-    stacks: per mode, the mask of periods whose sampled pair loses
-    controllability, and the ``reduced_hautus_mri`` reports.
+def _hautus_reports(plant: ContinuousPlant, T) -> tuple[dict[str, np.ndarray], list[ControllabilityReport]]:
+    """The reduced kernel test of every mode at each checked period T: per
+    mode, the mask of periods whose sampled pair loses controllability, and
+    the ``reduced_hautus_mri`` reports.
 
-    The spectrum of A is computed once, and the norms of the A_d and B_d
-    stacks take one stacked SVD each. The blocks of each (period,
+    The spectrum of A is computed once. Only the periods at which an
+    eigenvalue resonates are sampled, in one stacked exponential (the others
+    pass every mode with margin inf), and the norms of their A_d and B_d
+    take one stacked SVD each. The blocks of each (period,
     resonant eigenvalue) pair are built once; a mode's matrix is the
     A_d' - e^{mu T} I block over the input rows its ``input_channels``
     slice selects, and one stacked SVD per mode covers every (period,
@@ -185,16 +187,18 @@ def _hautus_reports(plant: ContinuousPlant, T, A_d, B_d) -> tuple[dict[str, np.n
     n, m = plant.n, plant.m
     eigs = numkernel.eigenvalues(plant.A)
     resonant = _resonance(eigs, T)
-    # one kernel test per (period, resonant eigenvalue) pair
+    # one kernel test per (period at[j], resonant eigenvalue) pair, on sample at_sample[j]
     at, which = np.nonzero(resonant)
+    sampled, at_sample = np.unique(at, return_inverse=True)
+    _, A_d, _, B_d, _ = _sample_stack(plant, [T[i] for i in sampled])
     mus = eigs[which]
     A_d_norm = np.linalg.svd(A_d, compute_uv=False).max(axis=-1)
     B_d_norm = np.linalg.svd(B_d, compute_uv=False).max(axis=-1)
     shift = np.exp(mus * np.asarray(T)[at])
-    scale = np.maximum(np.maximum(1.0, A_d_norm[at]), np.abs(shift))
-    A_block = (_T(A_d)[at] - shift[:, None, None] * np.eye(n)) / scale[:, None, None]
+    scale = np.maximum(np.maximum(1.0, A_d_norm[at_sample]), np.abs(shift))
+    A_block = (_T(A_d)[at_sample] - shift[:, None, None] * np.eye(n)) / scale[:, None, None]
     # the (Atilde B)' rows of the hold channel over the B' rows of the impulse channel
-    inputs = np.concatenate([_T(B_d)[at] / np.maximum(1.0, B_d_norm[at])[:, None, None],
+    inputs = np.concatenate([_T(B_d)[at_sample] / np.maximum(1.0, B_d_norm[at_sample])[:, None, None],
                              np.broadcast_to(plant.B.T, (len(at), m, n))], axis=1)
     if not (np.isfinite(A_block).all() and np.isfinite(inputs).all()):
         raise NumericalError("the reduced Hautus matrix overflowed")
@@ -232,17 +236,16 @@ def period_reports(plant: ContinuousPlant, periods) -> list[PeriodReport]:
     """Controllability of the plant sampled at each period, on one stack.
 
     The one route of every controllability verdict: the continuous pair is
-    checked once (UncontrollablePlantError), the periods are sampled in one
-    stacked exponential, and ``_hautus_reports`` tests them all, so each
-    report is bit for bit the one a single period gives. A numerical
-    failure at any period raises its NumericalError for the whole stack.
+    checked once (UncontrollablePlantError), the periods are checked, and
+    ``_hautus_reports`` tests them all, sampling in one stacked exponential
+    only the periods at which an eigenvalue resonates, so each report is
+    bit for bit the one a single period gives. A numerical failure at a
+    resonant period raises its NumericalError for the whole stack.
     """
     if not kalman_controllable(plant.A, plant.B):
         raise UncontrollablePlantError("hypothesis violated: the continuous pair (A, B) is not controllable")
-    if len(periods) == 0:
-        return []
-    T, A_d, _, B_d, _ = _sample_stack(plant, periods)
-    lost, mri = _hautus_reports(plant, T, A_d, B_d)
+    T = [_check_period(t) for t in periods]
+    lost, mri = _hautus_reports(plant, T)
     return [PeriodReport(float(t), bool(r), bool(i), report)
             for t, r, i, report in zip(T, lost["regular"], lost["impulsive"], mri)]
 

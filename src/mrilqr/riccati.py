@@ -147,37 +147,36 @@ def _upper_cholesky(H) -> np.ndarray:
     return np.linalg.cholesky(H, upper=True)
 
 
-def _cost_factor(H, definite, I) -> np.ndarray:
-    """F with F'F = H_k for each cell of a stack, I the identity: the upper
-    Cholesky factor where ``definite`` (Qhat, and so every H_k, positive
-    definite), and the clipped eigh factor (``_psd_factor``) where Qhat has
-    a numerical kernel or the Cholesky factorization fails to roundoff.
+def _cost_factor(H, kernel, I) -> np.ndarray:
+    """F with F'F = H_k for each cell of a stack, I the identity: the clipped
+    eigh factor (``_psd_factor``) where ``kernel`` (Qhat has a numerical
+    kernel) or the Cholesky factorization fails to roundoff, and the upper
+    Cholesky factor elsewhere (Qhat, and so every H_k, positive definite).
     Each cell has the bits of a stack of one.
     """
-    if not definite.any():
+    if kernel.all():
         return _psd_factor(H)
-    kernel = ~definite
     # the kernel cells' Cholesky factors are computed on I and discarded
     F, failed = _cellwise(_upper_cholesky, np.where(kernel[:, None, None], I, H) if kernel.any() else H)
-    if failed:
-        kernel[list(failed)] = True
+    kernel = kernel.copy()  # the caller's mask stays as it is
+    kernel[list(failed)] = True
     if kernel.any():
         F[kernel] = _psd_factor(H[kernel])
     return F
 
 
-def _doubling_step(A, G, H, I, definite):
+def _doubling_step(A, G, H, I, kernel):
     """(A_k, G_k, H_k) -> (A_{k+1}, G_{k+1}, H_{k+1}) on stacks; see ``solve_dare``.
 
     I is the n x n identity, and H^{1/2} the factor ``_cost_factor`` takes
-    by ``definite``, the cells whose Qhat is positive definite. Also
+    by ``kernel``, the cells whose Qhat has a numerical kernel. Also
     returns the NumericalError of each cell whose solve or Cholesky
     factorization of I + H^{1/2} G H^{1/2}' failed, by its index in the
     stack. H stays symmetric to the bit: Qhat is symmetrized, and numpy
     forms Y'Y symmetric.
     """
     n = A.shape[-1]
-    H_half = _cost_factor(H, definite, I)
+    H_half = _cost_factor(H, kernel, I)
     WinvAG, singular = _cellwise(np.linalg.solve, I + G @ H, np.concatenate([A, G], axis=-1))
     L, indefinite = _cellwise(np.linalg.cholesky, I + H_half @ G @ _T(H_half))
     failed = {}
@@ -191,14 +190,14 @@ def _doubling_step(A, G, H, I, definite):
     return A @ WinvAG[..., :n], _sym(G_next), H + _T(Y) @ Y, failed
 
 
-def _iterate(A, G, H, seeded, I):
+def _iterate(A, G, H, kernel, I):
     """The iterate P_k of each cell of stacks, I the identity, and the
-    NumericalError of each failed seed solve, by index: where ``seeded`` the
+    NumericalError of each failed seed solve, by index: where ``kernel`` the
     value iterate H + A' X0 (I + G X0)^{-1} A, 2^k Riccati steps from
     X0 = 1e-12 I after k doublings; elsewhere H_k, the value iterate from 0."""
-    if not seeded.any():
+    if not kernel.any():
         return H, {}
-    cells = np.flatnonzero(seeded)
+    cells = np.flatnonzero(kernel)
     A = A[cells]
     X, singular = _cellwise(np.linalg.solve, I + _X0 * G[cells], A)
     P = H.copy()
@@ -206,30 +205,30 @@ def _iterate(A, G, H, seeded, I):
     return P, {int(cells[j]): _singular(exc) for j, exc in singular.items()}
 
 
-def _doubling(A, G, H, blow_up, seeded, definite):
+def _doubling(A, G, H, kernel):
     """The doubling on stacks (k, n, n) of (Ahat, G, Qhat), until every cell stops.
 
-    ``seeded`` marks the cells whose iterate starts from X0 = 1e-12 I (those
-    whose Qhat has a kernel); the others start from 0. ``definite`` marks
-    the cells whose Qhat has no numerical kernel, whose H_k each doubling
-    factors by Cholesky (see ``_cost_factor``). Returns each cell's
-    iterate, its number of doublings and its failure: None, a
-    NumericalError, or a DareDivergenceError once the iterate passes the
-    cell's ``blow_up`` bound. A cell leaves the stack when it meets the
-    step rule, passes its bound or fails, so its result and doubling count
-    are those of a stack of one.
+    ``kernel`` marks the cells whose Qhat has a numerical kernel: their
+    iterate starts from X0 = 1e-12 I and their H_k takes the eigh factor
+    (see ``_cost_factor``); the others start from 0 and factor H_k by
+    Cholesky. Returns each cell's iterate, its number of doublings and its
+    failure: None, a NumericalError, or a DareDivergenceError once the
+    iterate passes 1e12 max(1, ||Qhat||_F). A cell leaves the stack when it
+    meets the step rule, passes its bound or fails, so its result and
+    doubling count are those of a stack of one.
     """
     k = len(A)
     I = np.eye(A.shape[-1])
     P_out = np.zeros_like(H)
     iterations = np.zeros(k, dtype=int)
     failures: list[NumericalError | None] = [None] * k
-    live, bound = np.arange(k), blow_up
+    live = np.arange(k)
     # a cell that overflows shows as a non-finite norm, which the divergence
     # test reads, and a failed cell runs on with placeholder values until it
     # is dropped, so numpy's overflow warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
-        P, failed = _iterate(A, G, H, seeded, I)
+        bound = blow_up = DIVERGENCE_FACTOR * np.maximum(1.0, _fro(H))
+        P, failed = _iterate(A, G, H, kernel, I)
         stop = np.zeros(k, dtype=bool)
         for it in range(1, _MAX_DOUBLINGS + 2):
             # drop the cells that failed or stopped in the last doubling
@@ -239,11 +238,11 @@ def _doubling(A, G, H, blow_up, seeded, definite):
             if stop.any():
                 keep = ~stop
                 live, A, G, H, P = live[keep], A[keep], G[keep], H[keep], P[keep]
-                bound, seeded, definite = bound[keep], seeded[keep], definite[keep]
+                bound, kernel = bound[keep], kernel[keep]
             if not live.size or it > _MAX_DOUBLINGS:
                 break
-            A, G, H, failed = _doubling_step(A, G, H, I, definite)
-            Pn, seed_failed = _iterate(A, G, H, seeded, I)
+            A, G, H, failed = _doubling_step(A, G, H, I, kernel)
+            Pn, seed_failed = _iterate(A, G, H, kernel, I)
             if seed_failed:
                 # a cell's first failure is the one it reports
                 failed = {**seed_failed, **failed}
@@ -281,38 +280,37 @@ def _check_problem(A_d, B_sel, Q_d, S_sel, R_sel) -> list[np.ndarray]:
     for M, name, shape in zip((A, B, Q, S, R), names, ((n, n), (n, p), (n, n), (n, p), (p, p))):
         if M.shape != shape:
             raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
+    w = np.linalg.eigvalsh(_sym(np.block([[Q, S], [S.T, R]])))
+    if w[0] < -1e-10 * (1.0 + np.abs(w).max()):
+        raise ValueError(f"the joint cost [[Q_d, S], [S', R]] is not positive semidefinite (min eig {w[0]:.3e})")
     return [A, B, Q, S, R]
 
 
 def _eliminate_cross_term(A_d, B, Q_d, S, R):
-    """(Ahat, G, Qhat, blow-up bound, Qhat kernel dimension) of each cell of
-    trusted stacks, and the error of each cell that fails.
+    """(Ahat, G, Qhat, Qhat kernel dimension) of each cell of trusted stacks,
+    and the NumericalError of each cell that fails, by index.
 
-    A cell fails with ValueError for an indefinite Qhat and NumericalError
-    for one that lost definiteness to roundoff or whose norm overflows
-    (see ``solve_dare``); its Ahat, G and Qhat are zeros, and the kernel of
-    that Qhat is the whole space.
+    A trusted joint cost [[Q_d, S], [S', R]] is positive semidefinite, and
+    so is its Schur complement Qhat. A computed Qhat with an eigenvalue
+    below -1e-10 (1 + its largest magnitude) lost definiteness to roundoff
+    where Q_d and S R^{-1} S' cancel (long periods on unstable plants);
+    that cell fails, and so does one whose eigenvalue solve fails or whose
+    Qhat norm overflows (see ``solve_dare``). A failed cell's Ahat, G and
+    Qhat are zeros, and the kernel of that Qhat is the whole space.
     """
     n = A_d.shape[-1]
     RinvBSt, failed = numkernel.solve_pd_stack(R, np.concatenate([_T(B), _T(S)], axis=-1), "R_sel")
     RinvSt = RinvBSt[..., n:]
     Ahat = A_d - B @ RinvSt
-    SRinvSt = S @ RinvSt
-    Qhat = _sym(Q_d - SRinvSt)
+    Qhat = _sym(Q_d - S @ RinvSt)
     qhat_eigs, bad_eigs = _cellwise(np.linalg.eigvalsh, Qhat)
-    failed = {**bad_eigs, **failed}
+    for j, exc in bad_eigs.items():
+        failed.setdefault(j, NumericalError(f"the eigenvalues of Q_d - S R^{{-1}} S' failed: {exc}"))
     low = qhat_eigs[:, 0]
     qscale = 1.0 + np.abs(qhat_eigs).max(axis=-1, initial=0.0)
     for j in np.flatnonzero(low < -1e-10 * qscale):
-        # Q_d and S R^{-1} S' can cancel to a Qhat far below their own
-        # size (long periods on unstable plants); a negative eigenvalue at
-        # their roundoff level is a numerical failure, not a bad input
-        cancelling = max(float(np.abs(Q_d[j]).max()), float(np.abs(SRinvSt[j]).max()))
         failed.setdefault(j, NumericalError(
-            f"Q_d - S R^{{-1}} S' lost positive semidefiniteness to roundoff "
-            f"(min eig {low[j]:.3e} against cost blocks of size {cancelling:.3e})"
-        ) if low[j] >= -1e-10 * cancelling else ValueError(
-            f"Q_d - S R^{{-1}} S' is not positive semidefinite (min eig {low[j]:.3e})"))
+            f"Q_d - S R^{{-1}} S' lost positive semidefiniteness to roundoff (min eig {low[j]:.3e})"))
     kernel_dims = np.count_nonzero(np.abs(qhat_eigs) <= 1e-10 * qscale[:, None], axis=-1)
     with np.errstate(over="ignore"):
         qhat_norm = _fro(Qhat)
@@ -321,10 +319,10 @@ def _eliminate_cross_term(A_d, B, Q_d, S, R):
     G = _sym(B @ RinvBSt[..., :n])
     Ahat[list(failed)] = G[list(failed)] = Qhat[list(failed)] = 0.0
     kernel_dims[list(failed)] = n
-    return (Ahat, G, Qhat, DIVERGENCE_FACTOR * np.maximum(1.0, qhat_norm), kernel_dims), failed
+    return (Ahat, G, Qhat, kernel_dims), failed
 
 
-def _cell(stacks, j: int) -> RiccatiSolution | ValueError | NumericalError:
+def _cell(stacks, j: int) -> RiccatiSolution | NumericalError:
     """Cell j of a group's ``_solve_stack`` stacks: its error, or its solution."""
     P, K, res, its, ok, dims, errors = stacks
     return errors.get(j) or RiccatiSolution(P[j], K[j], float(res[j]), int(its[j]), bool(ok[j]), int(dims[j]))
@@ -334,18 +332,19 @@ def _solve_stack(groups) -> list[tuple]:
     """Solve groups of (A_d, B_sel, Q_d, S_sel, R_sel) stacks of one state dimension.
 
     The problems are trusted: float arrays of agreeing shapes, R_sel
-    positive definite. The doubling runs once on all groups together, the
-    other stages once per group (one per input width). Each group gives the
-    stacks (P, K, residual, doublings, converged, Qhat kernel dimension) and
-    the first error ``solve_dare`` raises for each failed problem, by index;
+    positive definite and the joint cost positive semidefinite. The doubling
+    runs once on all groups together, the other stages once per group (one
+    per input width). Each group gives the stacks (P, K, residual,
+    doublings, converged, Qhat kernel dimension) and the first
+    NumericalError ``solve_dare`` raises for each failed problem, by index;
     a failed problem is unconverged, and a diverged one keeps its last iterate.
     """
     if not groups:
         return []
     eliminated = [_eliminate_cross_term(*group) for group in groups]
+    Ahat, G, Qhat, kernel_dims = map(np.concatenate, zip(*(e[0] for e in eliminated)))
     # only a Qhat with a kernel needs the seed X0 to reach the stabilizing solution
-    Ahat, G, Qhat, blow_up, kernel_dims = map(np.concatenate, zip(*(e[0] for e in eliminated)))
-    P_all, iterations_all, failures = _doubling(Ahat, G, Qhat, blow_up, kernel_dims > 0, kernel_dims == 0)
+    P_all, iterations_all, failures = _doubling(Ahat, G, Qhat, kernel_dims > 0)
     results, first = [], 0
     for (A_d, B, Q_d, S, R), ((*_, kernel_dims), failed) in zip(groups, eliminated):
         cells = slice(first, first + len(A_d))
@@ -376,15 +375,17 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
 
     The one entry for hand-made matrices: ValueError unless the five are
     finite, non-empty 2-D arrays, A_d and Q_d n x n, B_sel and S_sel n x p,
-    and R_sel p x p symmetric positive definite (checked first). Qhat =
-    Q_d - S R^{-1} S' must be positive semidefinite (it is a Gram-matrix
-    Schur complement for costs coming from ``cost_matrices``). A Qhat
-    whose negative eigenvalue lies within 1e-10 of the size of Q_d and
-    S R^{-1} S' lost definiteness to roundoff in their cancellation and
-    raises NumericalError; a more negative one raises ValueError. A
-    singular solve or a failed Cholesky factorization inside the doubling
-    raises NumericalError, and so does an overflow: a Qhat whose norm or
-    an iterate whose residual is not finite in double precision.
+    and R_sel p x p symmetric positive definite (checked first), and unless
+    the joint cost [[Q_d, S_sel], [S_sel', R_sel]] is positive
+    semidefinite: its smallest eigenvalue at least -1e-10 (1 + its largest
+    magnitude), as a cost from ``cost_matrices`` is (a Gram matrix). Past
+    this check every failure is a NumericalError: a computed Qhat =
+    Q_d - S R^{-1} S' that lost definiteness to roundoff in the
+    cancellation of its terms (an eigenvalue below -1e-10 (1 + its
+    largest magnitude)) or whose eigenvalue solve fails, a singular solve
+    or a failed Cholesky factorization inside the doubling, and an
+    overflow: a Qhat whose norm or an iterate whose residual is not
+    finite in double precision.
 
     Starting from (A_0, G_0, H_0) = (Ahat, B R^{-1} B', Qhat), each
     doubling forms, with W = I + G_k H_k,
@@ -457,10 +458,10 @@ def _solve_grid(plant: ContinuousPlant, weights: CostWeights, periods, modes):
 
 
 def design_batch(plant: ContinuousPlant, weights: CostWeights, periods,
-                 modes) -> list[list[MriLqrDesign | ValueError | NumericalError]]:
+                 modes) -> list[list[MriLqrDesign | NumericalError]]:
     """The pipeline of ``_solve_grid``, each cell wrapped in its design: one
     list per mode, with one entry per period, that cell's design or the
-    ValueError or NumericalError its solve raises. A bad period or mode, or
+    NumericalError its solve raises. A bad period or mode, or
     a model or cost that overflows, raises for the whole grid."""
     (Ts, A_d, Atilde, B_d, B_i, Q_d, S_d, R_d), widths = _solve_grid(plant, weights, periods, modes)
     sampled = [(SampledModel(T, A_d[i], Atilde[i], B_d[i], B_i[i]), SampledCost(Q_d[i], S_d[i], R_d[i]))

@@ -9,8 +9,13 @@ from hypothesis import settings
 from scipy.integrate import quad_vec
 
 from mrilqr import ContinuousPlant, CostWeights, SimulationDivergence, cost_matrices, numkernel
-from mrilqr.discretize import constant_input_gram
+from mrilqr.discretize import MODES, constant_input_gram, input_channels
 from mrilqr.simulate import Trajectory, _interval_segments
+
+try:
+    import mpmath
+except ImportError:  # the extended-precision oracle skips without it
+    mpmath = None
 
 # every property test draws the same examples on every run; each sets only its max_examples
 settings.register_profile("mrilqr", derandomize=True, database=None, deadline=None)
@@ -315,3 +320,50 @@ def reference_run(plant, weights, T, inputs_fn, x0, steps, substeps, epsilon, di
     times, states, flags, costs = (np.concatenate(part) for part in zip(*blocks))
     return Trajectory(np.array(sample_states), np.array(ucs), np.array(uis), times, states, flags, costs,
                       J_cont, J_disc)
+
+
+def mp_reference(plant: ContinuousPlant, weights: CostWeights, T: float, digits: int = 60) -> dict:
+    """Extended-precision oracle of the sampled model and cost at period T.
+
+    The package's block exponentials, evaluated by mpmath at ``digits``
+    significant digits on the exact binary values of A, B, Q, Rc, Ri and T:
+    e^{[[A, I], [0, 0]] T} gives A_d and Atilde (B_d = Atilde B, B_i = A_d B),
+    and Van Loan's e^{[[-E', diag(Q, 0)], [0, E]] T} = [[F1, G2], [0, F3]],
+    E = [[A, B], [0, 0]], gives the constant-input Gram integral H = F3' G2,
+    whose image L'HL under the selectors of ``discretize._gram_costs`` plus
+    diag(T Rc, Ri) is [[Q_d, S_d], [S_d', R_d]]. Returns those seven and the
+    Qhat = Q_d - S R^{-1} S' of each mode (keyed "Qhat regular", ...), as
+    float arrays. Skips the test when mpmath is not installed.
+    """
+    if mpmath is None:
+        pytest.skip("the extended-precision oracle needs mpmath (the 'test' extra)")
+    mp = mpmath.mp
+    n, m = plant.n, plant.m
+    with mp.workdps(digits):
+        A, B, Q = (mp.matrix(X.tolist()) for X in (plant.A, plant.B, weights.Q))
+        t = mp.mpf(float(T))
+        M = mp.zeros(2 * n)
+        M[:n, :n], M[:n, n:] = A, mp.eye(n)
+        X = mp.expm(M * t)
+        A_d, Atilde = X[:n, :n], X[:n, n:]
+        E = mp.zeros(n + m)
+        E[:n, :n], E[:n, n:] = A, B
+        Z = mp.zeros(2 * (n + m))
+        Z[: n + m, : n + m], Z[n + m :, n + m :] = -E.T, E
+        Z[:n, n + m : 2 * n + m] = Q
+        V = mp.expm(Z * t)
+        H = V[n + m :, n + m :].T * V[: n + m, n + m :]
+        L = mp.zeros(n + m, n + 2 * m)
+        L[:n, :n], L[n:, n : n + m], L[:n, n + m :] = mp.eye(n), mp.eye(m), B
+        G = L.T * H * L
+        for i in range(m):
+            for j in range(m):
+                G[n + i, n + j] += t * weights.Rc[i, j]
+                G[n + m + i, n + m + j] += weights.Ri[i, j]
+        Q_d, S_d, R_d = G[:n, :n], G[:n, n:], G[n:, n:]
+        ref = {"A_d": A_d, "Atilde": Atilde, "B_d": Atilde * B, "B_i": A_d * B, "Q_d": Q_d, "S_d": S_d, "R_d": R_d}
+        for mode in MODES:
+            ch = input_channels(mode, m)
+            S, R = S_d[:, ch], R_d[ch, ch]
+            ref[f"Qhat {mode}"] = Q_d - S * mp.inverse(R) * S.T
+        return {name: np.array(value.tolist(), dtype=float) for name, value in ref.items()}

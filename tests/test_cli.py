@@ -691,6 +691,20 @@ class TestOutputs:
         assert len(rows) == 763 and flags == [["true", "true", "false"]] * 763
         assert min(float(r[header.index("mri_margin")]) for r in rows) > 0.4
 
+    def test_a_period_without_resonance_is_not_sampled(self, tmp_path, capsys):
+        # e^{AT} of souza overflows at T = 2000, but 2000 is no multiple of
+        # 2 pi / sqrt(23): no eigenvalue resonates there, so the scenario
+        # period needs no kernel test and no sample, and is controllable
+        scenario = tmp_path / "long.json"
+        scenario.write_text(json.dumps({**json.loads(cli._scenario_text("souza")[1]), "T": 2000}))
+        out, bundled = tmp_path / "c.csv", tmp_path / "bundled.csv"
+        assert cli.main(["controllability", "--scenario", str(scenario), "--T-max", "10", "--out", str(out)]) == 0
+        assert cli.main(["controllability", "--scenario", "souza", "--T-max", "10", "--out", str(bundled)]) == 0
+        assert capsys.readouterr().err == ""
+        scalars, header, rows = read_cli_csv(out)
+        assert (scalars["scenario_T"], scalars["scenario_T_mri_controllable"]) == ("2000", "true")
+        assert (header, rows) == read_cli_csv(bundled)[1:] and len(rows) == 7
+
     def test_simulate_traj_csv(self, tmp_path):
         out = tmp_path / "t.csv"
         assert cli.main(["simulate", "--scenario", "insulin", "--steps", "10",
@@ -1177,11 +1191,13 @@ class TestDesignReuse:
         assert candidates
         assert cli.main(["controllability", "--scenario", "souza", "--T-max", "5",
                          "--out", str(tmp_path / "c.csv")]) == 0
-        # one stacked sampling call over the candidates and the scenario period;
-        # the continuous pair is checked once, the sampled pairs on the stack
+        # one stacked sampling call over the candidates, each resonant; the
+        # scenario period T = 1 is not, so it needs no sample; the continuous
+        # pair is checked once, the sampled pairs on the stack
+        assert not controllability.resonant_eigenvalues(souza.A, souza.T)
         assert counts == {"_sample_stack": 1, "kalman_controllable": 1}
         assert [list(args[1]) for name, args in log if name == "_sample_stack"] == \
-            [[c.period for c in candidates] + [souza.T]]
+            [[c.period for c in candidates]]
 
 
     def test_single_period_verdicts_run_through_period_reports(self, monkeypatch):

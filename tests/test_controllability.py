@@ -16,6 +16,7 @@ from mrilqr import (
     sample_plant,
 )
 
+from mrilqr.controllability import ControllabilityReport, PeriodReport
 from mrilqr.discretize import MODES
 
 from conftest import kalman_zeros, random_controllable_plant
@@ -399,10 +400,20 @@ class TestPeriodReports:
             assert not r.pathological_regular and not r.pathological_impulsive
 
     def test_an_overflowing_period_fails_the_stack(self, souza_plant):
-        with pytest.raises(NumericalError, match="overflowed at T = 1500.0"):
-            period_reports(souza_plant, [1.0, 1500.0, 2.0])
-        with pytest.raises(NumericalError, match="overflowed at T = 1500.0"):
-            reduced_hautus_mri(souza_plant, 1500.0)
+        # e^{AT} of souza overflows near T = 1420; a resonant period there
+        # needs its sample for the kernel test
+        T = float(1145 * SOUZA_BASE)
+        with pytest.raises(NumericalError, match=f"overflowed at T = {T!r}$"):
+            period_reports(souza_plant, [1.0, T, 2.0])
+        with pytest.raises(NumericalError, match=f"overflowed at T = {T!r}$"):
+            reduced_hautus_mri(souza_plant, T)
+
+    def test_a_period_without_resonance_needs_no_sample(self, souza_plant):
+        # T = 1500 overflows e^{AT} too, but no eigenvalue resonates there:
+        # controllable in every mode, with no kernel test (margin inf)
+        reports = period_reports(souza_plant, [1.0, 1500.0, 2.0])
+        assert reports[1] == PeriodReport(1500.0, False, False, ControllabilityReport(True, (), (), np.inf))
+        assert reports == [period_reports(souza_plant, [T])[0] for T in (1.0, 1500.0, 2.0)]
 
     def test_no_periods(self, souza_plant):
         assert period_reports(souza_plant, []) == []

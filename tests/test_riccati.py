@@ -181,6 +181,20 @@ class TestSolveDare:
         with pytest.raises(NumericalError, match="roundoff"):
             solve_dare(I, I, (1e20 - 65536.0) * I, 1e10 * I, I)
 
+    def test_an_indefinite_joint_cost_is_refused_before_any_solve(self, monkeypatch):
+        # [[Q_d, S], [S', R]] = [[I, 2I], [2I, I]] has the eigenvalue -1:
+        # solve_dare raises its ValueError before the stacked solve runs,
+        # while the trusted stack reads the same matrices as a numerical failure
+        I = np.eye(2)
+        problem = (0.5 * I, I, I, 2.0 * I, I)
+        stacks = _solve_stack([[X[None] for X in problem]])[0]
+        assert type(riccati._cell(stacks, 0)) is NumericalError
+        monkeypatch.setattr(riccati, "_solve_stack", lambda groups: pytest.fail("the problem was solved"))
+        with pytest.raises(ValueError) as err:
+            solve_dare(*problem)
+        assert (type(err.value), str(err.value)) == (
+            ValueError, "the joint cost [[Q_d, S], [S', R]] is not positive semidefinite (min eig -1.000e+00)")
+
     def test_reports_qhat_kernel(self, souza_plant):
         w = CostWeights(np.zeros((2, 2)), [[1.0]], [[1.0]])
         d = design(souza_plant, w, 1.0, "mri")
@@ -371,10 +385,21 @@ def batch_against_solo(plant, weights, periods, mode) -> Counter:
 def stack_against_solo(groups) -> Counter:
     """Assert the stacked solve of groups of hand-made (A_d, B_sel, Q_d, S_sel,
     R_sel) stacks gives each problem the bits or the error of its
-    ``solve_dare``; count the outcomes."""
-    return Counter(same_outcome(riccati._cell(stacks, j), lambda: solve_dare(*(X[j] for X in group)))
-                   for group, stacks in zip(groups, _solve_stack(groups), strict=True)
-                   for j in range(len(group[0])))
+    ``solve_dare``; count the outcomes. A problem that ``solve_dare``
+    refuses with a ValueError is outside the trusted stack's contract: its
+    cell must fail with a NumericalError, and counts as "refused"."""
+    outcomes = Counter()
+    for group, stacks in zip(groups, _solve_stack(groups), strict=True):
+        for j in range(len(group[0])):
+            got, problem = riccati._cell(stacks, j), [X[j] for X in group]
+            try:
+                riccati._check_problem(*problem)
+            except ValueError:
+                assert type(got) is NumericalError, got
+                outcomes["refused"] += 1
+                continue
+            outcomes[same_outcome(got, lambda: solve_dare(*problem))] += 1
+    return outcomes
 
 
 def reference_doubling(A_d, B, Q_d, S, R):
@@ -465,13 +490,13 @@ def mixed_outcome_groups(souza_plant, souza_weights, modes) -> list:
     """One group per mode of ``modes`` of the souza problems at T = 1, 20, 40, 2
     and 104 (in mri: converging, not converging, Qhat cancelling to roundoff,
     converging, a singular doubling solve), then two hand-made ones: a plant
-    without inputs and an indefinite Qhat far from roundoff."""
+    without inputs and an indefinite Q_d, which ``solve_dare`` refuses."""
     models, costs = sampled_grid(souza_plant, souza_weights, [1.0, 20.0, 40.0, 2.0, 104.0])
     model, cost = models[0], costs[0]
     # an unstable A_d without inputs is not stabilizable: the doubling diverges
     models.append(dataclasses.replace(model, B_d=0.0 * model.B_d, B_i=0.0 * model.B_i))
     costs.append(cost)
-    # an indefinite Qhat far from roundoff is a bad input
+    # an indefinite Q_d is a bad input, outside the trusted stack's contract
     models.append(model)
     costs.append(SampledCost(-np.eye(2), np.zeros_like(cost.S_d), cost.R_d))
     return groups_of(models, costs, modes)
@@ -518,7 +543,7 @@ class TestDesignBatch:
     def test_mixed_outcomes_fail_cell_by_cell(self, souza_plant, souza_weights):
         assert stack_against_solo(mixed_outcome_groups(souza_plant, souza_weights, ["mri"])) == {
             "converged": 2, "not converged": 1, "DareDivergenceError": 1,
-            "NumericalError": 2, "ValueError": 1}
+            "NumericalError": 2, "refused": 1}
 
     def test_kernel_and_kernel_free_cells_in_one_group(self, souza_plant, souza_weights, monkeypatch):
         # only the cells whose Qhat has a kernel (here Q = 0) start from
@@ -629,25 +654,48 @@ def seed_solves(monkeypatch) -> list:
     """The number of seeded cells of each ``_iterate`` call, as they happen."""
     sizes = []
     iterate = riccati._iterate
-    monkeypatch.setattr(riccati, "_iterate", lambda A, G, H, seeded, I:
-                        sizes.append(int(seeded.sum())) or iterate(A, G, H, seeded, I))
+    monkeypatch.setattr(riccati, "_iterate", lambda A, G, H, kernel, I:
+                        sizes.append(int(kernel.sum())) or iterate(A, G, H, kernel, I))
     return sizes
 
 
 def test_a_failed_elimination_cell_is_zeros_and_leaves_the_others(souza_plant, souza_weights):
-    # an indefinite Q_d fails its cell alone: the cell's Ahat, G and Qhat
-    # are zeros, and every other cell keeps the bits it has when none fails
+    # an indefinite Q_d, outside the trusted stack's contract, fails its cell
+    # alone with a NumericalError: the cell's Ahat, G and Qhat are zeros, and
+    # every other cell keeps the bits it has when none fails
     models, costs = sampled_grid(souza_plant, souza_weights, [0.5, 1.0, 1.5])
     groups = groups_of(models, costs, ["mri"])[0]
     bad = [X.copy() for X in groups]
     bad[2][1] = -np.eye(2)
     good, none_failed = riccati._eliminate_cross_term(*groups)
     got, failed = riccati._eliminate_cross_term(*bad)
-    assert not none_failed and list(failed) == [1] and isinstance(failed[1], ValueError)
-    # (Ahat, G, Qhat, blow-up bound, Qhat kernel dimension)
+    assert not none_failed and list(failed) == [1] and type(failed[1]) is NumericalError
+    # (Ahat, G, Qhat, Qhat kernel dimension)
     assert not any(X[1].any() for X in got[:3])
     for X, Y in zip(got, good):
         assert same_bits(X[[0, 2]], Y[[0, 2]])
+
+
+def test_a_failed_qhat_eigenvalue_solve_is_a_numerical_failure(souza_plant, souza_weights, monkeypatch, capsys):
+    # a failing LAPACK eigenvalue solve of Qhat fails its cell with a
+    # NumericalError, not with numpy's LinAlgError, a ValueError that the
+    # CLI would report as an input error
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing(M):
+        # the stacked Qhat fails, but not the weight checks' 2-D matrices, nor
+        # the identity that replaces a failed cell
+        if M.ndim == 3 and (M != np.eye(M.shape[-1])).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NumericalError) as err:
+        design(souza_plant, souza_weights, 1.0, "mri")
+    message = "the eigenvalues of Q_d - S R^{-1} S' failed: Eigenvalues did not converge"
+    assert (type(err.value), str(err.value)) == (NumericalError, message)
+    assert cli.main(["lqr", "--scenario", "souza"]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 class TestSeedOnlyWhereQhatHasAKernel:
@@ -709,23 +757,26 @@ class TestCholeskyWhereQhatIsDefinite:
 
     def test_a_definite_cell_without_a_cholesky_factor_takes_the_eigh_factor(self):
         # H = diag(1, 0) has no Cholesky factor (its second pivot is 0); the
-        # cell marked definite takes the clipped eigh factor instead of
-        # failing, and the other cell of its stack, whose Cholesky and eigh
-        # factors differ, keeps its Cholesky factor
+        # cell not marked as having a kernel takes the clipped eigh factor
+        # instead of failing, and the other cell of its stack, whose Cholesky
+        # and eigh factors differ, keeps its Cholesky factor; the caller's
+        # mask is left as it was
         H = np.stack([np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([1.0, 0.0])])
         I = np.eye(2)
         cholesky, eigh = np.linalg.cholesky(H[0], upper=True), numkernel._psd_factor(H[:1])[0]
         assert not same_bits(cholesky, eigh)
-        for definite in ([True, True], [True, False]):
-            F = riccati._cost_factor(H, np.array(definite), I)
+        for kernel in ([False, False], [False, True]):
+            mask = np.array(kernel)
+            F = riccati._cost_factor(H, mask, I)
+            assert mask.tolist() == kernel
             assert same_bits(F[0], cholesky)
             assert same_bits(F[1], numkernel._psd_factor(H[1:])[0])
         A = np.stack([0.5 * np.eye(2)] * 2)
         G = np.stack([np.diag([1.0, 0.5])] * 2)
-        got = riccati._doubling_step(A, G, H, I, np.array([True, True]))
+        got = riccati._doubling_step(A, G, H, I, np.array([False, False]))
         assert got[3] == {}
         for j in range(2):
-            solo = riccati._doubling_step(A[j:j + 1], G[j:j + 1], H[j:j + 1], I, np.array([True]))
+            solo = riccati._doubling_step(A[j:j + 1], G[j:j + 1], H[j:j + 1], I, np.array([False]))
             for X, Y in zip(got[:3], solo[:3]):
                 assert same_bits(X[j], Y[0])
 
@@ -803,12 +854,12 @@ class TestStackedPostSolve:
         assert outcomes == {
             "converged": 2, "not converged": 2, "DareDivergenceError": 1,
             "previewed": 3, "preview: singular I + B R^{-1} B' P": 1}
-        # the same problems and a hand-made indefinite Qhat far from roundoff
+        # the same problems and a hand-made indefinite Q_d, which solve_dare refuses
         models, costs = sampled_grid(souza_plant, souza_weights, periods)
         models.append(models[0])
         costs.append(SampledCost(-np.eye(2), np.zeros_like(costs[0].S_d), costs[0].R_d))
         assert stack_against_solo(groups_of(models, costs, ["regular"])) == {
-            "converged": 2, "not converged": 2, "DareDivergenceError": 1, "ValueError": 1}
+            "converged": 2, "not converged": 2, "DareDivergenceError": 1, "refused": 1}
         # mri: closed-loop forms that disagree, and a Qhat cancelling to roundoff
         outcomes = post_solve_against_solo(souza_plant, souza_weights, [1.0, 25.0, 40.0, 2.0], "mri",
                                            souza_plant.Btilde[:, 0])
@@ -882,3 +933,13 @@ class TestFalseConvergenceClaims:
         "rho = 1 - 1e-12 < 1"))
     def test_a_unit_circle_mode_the_cost_misses_is_not_converged(self):
         assert not solve_dare([[1.0]], [[1.0]], [[0.0]], [[0.0]], [[1.0]]).converged
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP items 15 and 9: at T = 1e-6 the insulin impulsive and mri designs claim convergence "
+        "with P 2.3e-3 and 2.8e-3 off (relative Frobenius) scipy's solution of the same equation; the "
+        "residual test passes them (regular mode is 3.6e-7 off there)"))
+    @pytest.mark.parametrize("mode", ["impulsive", "mri"])
+    def test_insulin_at_a_small_period_converges_to_the_solution(self, insulin_plant, insulin_weights, mode):
+        d = design(insulin_plant, insulin_weights, 1e-6, mode)
+        P = scipy.linalg.solve_discrete_are(d.model.A_d, d.B_sel, d.cost.Q_d, d.R_sel, s=d.S_sel)
+        assert not d.solution.converged or relerr(d.solution.P, P) <= 1e-6

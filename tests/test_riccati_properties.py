@@ -149,12 +149,20 @@ def test_kernel_free_cells_need_no_seed(problem):
         stacks, failed = riccati._eliminate_cross_term(A_d, B, Q_d, S, R)
         cells += [tuple(X[j] for X in stacks) for j in range(len(periods)) if j not in failed]
     assume(cells)
-    Ahat, G, Qhat, blow_up, kernel_dims = (np.array(X) for X in zip(*cells))
+    Ahat, G, Qhat, kernel_dims = (np.array(X) for X in zip(*cells))
     assume(not kernel_dims.all())
-    definite = kernel_dims == 0
-    P, iterations, failures = riccati._doubling(Ahat, G, Qhat, blow_up, kernel_dims > 0, definite)
-    P_seeded, iterations_seeded, failures_seeded = riccati._doubling(
-        Ahat, G, Qhat, blow_up, np.ones(len(Ahat), bool), definite)
+    P, iterations, failures = riccati._doubling(Ahat, G, Qhat, kernel_dims > 0)
+
+    # the same doubling, with every kernel-free cell's iterate seeded too:
+    # _iterate sees each cell as seeded, while the factor of H_k keeps the mask
+    iterate = riccati._iterate
+
+    def seeded_everywhere(A, G, H, kernel, I):
+        return iterate(A, G, H, np.ones_like(kernel), I)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(riccati, "_iterate", seeded_everywhere)
+        P_seeded, iterations_seeded, failures_seeded = riccati._doubling(Ahat, G, Qhat, kernel_dims > 0)
     assert iterations.tolist() == iterations_seeded.tolist()
     assert [(type(f), str(f)) for f in failures] == [(type(f), str(f)) for f in failures_seeded]
     for j in np.flatnonzero([f is None for f in failures]):
