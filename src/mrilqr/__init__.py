@@ -49,7 +49,6 @@ from .simulate import (
     certified_horizon,
     impulse_hold_matrix,
     simulate_closed_loop,
-    simulate_inputs,
 )
 
 __version__ = "0.1.0"

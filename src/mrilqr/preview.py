@@ -37,7 +37,6 @@ __all__ = [
     "closed_loop_G",
     "feedforward_sequence",
     "gamma_and_cost",
-    "preview_costs",
     "preview_plan",
 ]
 
@@ -103,15 +102,16 @@ def closed_loop_G(A_d, B_di, S_d, R_d, P) -> np.ndarray:
     return numkernel._single(G, {**gain_failed, **failed})
 
 
-def _preview(P, G, B, R, b, N: int):
+def _preview(P, G, B, R, b, N: int, gamma: bool = False):
     """The feedforward f_0..f_{N-1} (k, N, p) of stacks of k designs, their
-    Jstar at each horizon 0..N (k, N + 1) for one Btilde b, (R + B'PB)^{-1} B'
-    (k, p, n; zero for N = 0, which makes no solve) and the NumericalError of
-    each failed cell, by index. Each cell factors R + B'PB once and solves
-    for its N exponents and B' as the N + n columns of one right-hand side;
-    a column of that solve has the bits of its own vector solve, so
+    Jstar at each horizon 0..N (k, N + 1) for one Btilde b, Gamma's core
+    (R + B'PB)^{-1} B' (k, p, n; solved only with ``gamma``, else without
+    columns, and zero for N = 0, which makes no solve) and the NumericalError
+    of each failed cell, by index. Each cell factors R + B'PB once and solves
+    for its N exponents (and B') as the columns of one right-hand side; a
+    column of that solve has the bits of its own vector solve, so
     x_e = (R + B'PB)^{-1} B'w_e and its drop (B'w_e)'x_e have the same bits
-    whatever N."""
+    whatever N and ``gamma``."""
     k, (n, p) = len(P), B.shape[-2:]
     Pb = w = P @ b[..., None]
     if N == 0:
@@ -121,7 +121,8 @@ def _preview(P, G, B, R, b, N: int):
         if e:
             w = _T(G) @ w
         Bw[:, e] = (_T(B) @ w)[..., 0]
-    X, failed = numkernel.solve_pd_stack(R + _T(B) @ P @ B, np.concatenate([_T(Bw), _T(B)], axis=-1), "R + B'PB")
+    rhs = np.concatenate([_T(Bw), _T(B)], axis=-1) if gamma else _T(Bw)
+    X, failed = numkernel.solve_pd_stack(R + _T(B) @ P @ B, rhs, "R + B'PB")
     x = np.ascontiguousarray(_T(X[..., :N]))
     drops = np.zeros((k, N + 1))
     drops[:, 1:] = (Bw * x).sum(axis=-1)
@@ -151,34 +152,27 @@ def feedforward_sequence(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, .
 
 def gamma_and_cost(P, G, B_di, R_d, Btilde, N: int) -> tuple[np.ndarray, float]:
     """Preview benefit matrix Gamma and the optimal cost Jstar(N) of the
-    feedforward recursion, which is ``preview_costs``'s on a stack of one,
+    feedforward recursion, which is ``_preview_costs``'s on a stack of one,
     from one factorization of R + B'PB, whose failure raises NumericalError.
     """
     _, Jstar, RinvBt, failed = _preview(P[None], G[None], B_di[None], R_d[None],
-                                        np.asarray(Btilde, dtype=float).reshape(-1), N)
+                                        np.asarray(Btilde, dtype=float).reshape(-1), N, gamma=True)
     Jstar = float(numkernel._single(Jstar, failed)[N])
     return _gamma(G, B_di @ RinvBt[0], N), Jstar
 
 
 def _preview_costs(A_d, B, S, R, P, K, b, horizons) -> tuple[np.ndarray, np.ndarray, dict[int, NumericalError]]:
-    """``preview_costs`` on the stacks of the designs (as ``sweep`` has them), for a Btilde b of n floats."""
+    """The closed loop G of stacks of designs (as ``sweep`` has them) and
+    their Jstar (rows) at each horizon (columns) for a Btilde b of n floats,
+    and the NumericalError of each failed design, by index.
+
+    The closed loop takes each design's gain K, which ``closed_loop_G``
+    derives again, and one feedforward recursion to the longest horizon
+    gives every horizon's cost, so each cost has the bits of
+    ``closed_loop_G`` followed by ``gamma_and_cost``."""
     G, failed = _closed_loop(A_d, B, S, R, P, K)
     _, Jstar, _, failed_N = _preview(P, G, B, R, b, max(horizons))
     return G, Jstar[:, list(horizons)], {**failed_N, **failed}
-
-
-def preview_costs(designs, Btilde, horizons) -> tuple[np.ndarray, np.ndarray, dict[int, NumericalError]]:
-    """The closed loop G of equally shaped designs and their Jstar (rows) at
-    each horizon (columns), as one stack, and the NumericalError of each
-    failed design, by index.
-
-    The closed loop takes each solution's K, which ``closed_loop_G``
-    derives again, and one feedforward recursion to the longest horizon
-    gives every horizon's cost, so each cost has the bits of
-    ``closed_loop_G`` followed by ``gamma_and_cost``.
-    """
-    return _preview_costs(*map(np.stack, zip(*((d.model.A_d, d.B_sel, d.S_sel, d.R_sel, d.solution.P, d.solution.K)
-                                               for d in designs))), np.asarray(Btilde, dtype=float), horizons)
 
 
 def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
@@ -195,6 +189,6 @@ def preview_plan(des: riccati.MriLqrDesign, Btilde, N: int) -> PreviewPlan:
         raise NumericalError("no preview on a design that did not converge")
     B, R, K = des.B_sel, des.R_sel, des.solution.K
     G = numkernel._single(*_closed_loop(*(X[None] for X in (des.model.A_d, B, des.S_sel, R, P, K))))
-    ff, Jstar, RinvBt, failed = _preview(P[None], G[None], B[None], R[None], b, N)
+    ff, Jstar, RinvBt, failed = _preview(P[None], G[None], B[None], R[None], b, N, gamma=True)
     return PreviewPlan(N=N, K=K, feedforward=tuple(numkernel._single(ff, failed)), G=G,
                        Gamma=_gamma(G, B @ RinvBt[0], N), Jstar=float(Jstar[0, N]))

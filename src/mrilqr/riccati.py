@@ -14,12 +14,11 @@ returns the stationary feedback gain
     K = -(R + B' P B)^{-1} (B' P A_d + S').
 
 ``_solve_grid`` is the synthesis pipeline, on period stacks from sampler
-to solver; ``design_batch`` wraps its cells in designs, ``design`` is its
-one-cell call, and ``solve_dare`` solves checked hand-made matrices as a
-stack of one. The doubling (each problem with its own stop rule) runs once
-on all cells, the other stages once per input width, the policy polish
-only on the iterates that need it; each problem keeps its own failure
-status, whatever its stack.
+to solver; ``design`` is its one-cell call, and ``solve_dare`` solves
+checked hand-made matrices as a stack of one. The doubling (each problem
+with its own stop rule) runs once on all cells, the other stages once per
+input width, the policy polish only on the iterates that need it; each
+problem keeps its own failure status, whatever its stack.
 
 With the mixed hold+impulse input selection the gain rows split as the
 hold gain (first m rows) followed by the impulse gain.
@@ -42,7 +41,6 @@ __all__ = [
     "MriLqrDesign",
     "solve_dare",
     "design",
-    "design_batch",
 ]
 
 STEP_RTOL = 1e-13
@@ -280,9 +278,14 @@ def _check_problem(A_d, B_sel, Q_d, S_sel, R_sel) -> list[np.ndarray]:
     for M, name, shape in zip((A, B, Q, S, R), names, ((n, n), (n, p), (n, n), (n, p), (p, p))):
         if M.shape != shape:
             raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
-    w = np.linalg.eigvalsh(_sym(np.block([[Q, S], [S.T, R]])))
+    # scaled to unit diagonal, so that a large R cannot hide an indefinite Q_d
+    M = _sym(np.block([[Q, S], [S.T, R]]))
+    d = np.sqrt(np.abs(np.diag(M)))
+    d[d == 0.0] = 1.0
+    w = np.linalg.eigvalsh(M / d[:, None] / d)
     if w[0] < -1e-10 * (1.0 + np.abs(w).max()):
-        raise ValueError(f"the joint cost [[Q_d, S], [S', R]] is not positive semidefinite (min eig {w[0]:.3e})")
+        raise ValueError("the joint cost [[Q_d, S], [S', R]] is not positive semidefinite "
+                         f"(min eig {w[0]:.3e} of it scaled to unit diagonal)")
     return [A, B, Q, S, R]
 
 
@@ -376,9 +379,11 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     The one entry for hand-made matrices: ValueError unless the five are
     finite, non-empty 2-D arrays, A_d and Q_d n x n, B_sel and S_sel n x p,
     and R_sel p x p symmetric positive definite (checked first), and unless
-    the joint cost [[Q_d, S_sel], [S_sel', R_sel]] is positive
-    semidefinite: its smallest eigenvalue at least -1e-10 (1 + its largest
-    magnitude), as a cost from ``cost_matrices`` is (a Gram matrix). Past
+    the joint cost M = [[Q_d, S_sel], [S_sel', R_sel]] is positive
+    semidefinite, as a cost from ``cost_matrices`` is (a Gram matrix):
+    scaled to unit diagonal, D^{-1} M D^{-1} with D = sqrt|diag M| (1
+    where the diagonal is 0), its smallest eigenvalue at least -1e-10 (1 +
+    its largest magnitude), so a negative diagonal entry is indefinite. Past
     this check every failure is a NumericalError: a computed Qhat =
     Q_d - S R^{-1} S' that lost definiteness to roundoff in the
     cancellation of its terms (an eigenvalue below -1e-10 (1 + its
@@ -418,8 +423,8 @@ def solve_dare(A_d, B_sel, Q_d, S_sel, R_sel) -> RiccatiSolution:
     residual, with no round cap. ``converged`` is true exactly when the
     residual passes that test and the gain stabilizes: rho(A_d + B_sel K) < 1.
 
-    The checked problem runs through ``design_batch``'s stacked solve as a
-    stack of one, so both give the same bits for the same problem.
+    The checked problem runs through the stacked solve of ``_solve_grid`` as
+    a stack of one, so both give the same bits for the same problem.
     """
     result = _cell(_solve_stack([[X[None].copy() for X in _check_problem(A_d, B_sel, Q_d, S_sel, R_sel)]])[0], 0)
     if isinstance(result, Exception):
@@ -457,28 +462,13 @@ def _solve_grid(plant: ContinuousPlant, weights: CostWeights, periods, modes):
     return (Ts, A_d, Atilde, B_d, B_i, Q_d, S_d, R_d), list(zip(widths, groups, _solve_stack(groups)))
 
 
-def design_batch(plant: ContinuousPlant, weights: CostWeights, periods,
-                 modes) -> list[list[MriLqrDesign | NumericalError]]:
-    """The pipeline of ``_solve_grid``, each cell wrapped in its design: one
-    list per mode, with one entry per period, that cell's design or the
-    NumericalError its solve raises. A bad period or mode, or
-    a model or cost that overflows, raises for the whole grid."""
-    (Ts, A_d, Atilde, B_d, B_i, Q_d, S_d, R_d), widths = _solve_grid(plant, weights, periods, modes)
-    sampled = [(SampledModel(T, A_d[i], Atilde[i], B_d[i], B_i[i]), SampledCost(Q_d[i], S_d[i], R_d[i]))
-               for i, T in enumerate(Ts)]
-    batch: list = [None] * len(modes)
-    for qs, (_, B, _, S, R), stacks in widths:
-        for slot, q in enumerate(qs):
-            batch[q] = [sol if isinstance(sol := _cell(stacks, j), Exception)
-                        else MriLqrDesign(modes[q], *sampled[i], B[j], S[j], R[j], sol)
-                        for i, j in enumerate(range(slot * len(Ts), (slot + 1) * len(Ts)))]
-    return batch
-
-
 def design(plant: ContinuousPlant, weights: CostWeights, T: float, mode: str = "mri") -> MriLqrDesign:
-    """``design_batch`` at the single period T in one mode: sample, build the
-    equivalent cost, restrict the input mode, solve; the cell's error is raised."""
-    ((cell,),) = design_batch(plant, weights, [T], [mode])
-    if isinstance(cell, Exception):
-        raise cell
-    return cell
+    """The pipeline of ``_solve_grid`` at the single period T in one mode: sample,
+    build the equivalent cost, restrict the input mode, solve; the cell's error is raised."""
+    (Ts, A_d, Atilde, B_d, B_i, Q_d, S_d, R_d), ((_, (_, B, _, S, R), stacks),) = _solve_grid(
+        plant, weights, [T], [mode])
+    solution = _cell(stacks, 0)
+    if isinstance(solution, Exception):
+        raise solution
+    return MriLqrDesign(mode, SampledModel(Ts[0], A_d[0], Atilde[0], B_d[0], B_i[0]),
+                        SampledCost(Q_d[0], S_d[0], R_d[0]), B[0], S[0], R[0], solution)

@@ -37,7 +37,6 @@ __all__ = [
     "DisturbanceSpec",
     "Trajectory",
     "simulate_closed_loop",
-    "simulate_inputs",
     "impulse_hold_matrix",
     "certified_horizon",
 ]
@@ -332,44 +331,12 @@ def simulate_closed_loop(
     step's input is computed, so the feedback acts on the post-jump
     state. With epsilon None the control impulse jumps the state at the
     interval start; with epsilon in (0, 1) it is spread as a constant
-    input over the leading epsilon fraction of the interval.
+    input over the leading epsilon fraction of the interval. An open-loop
+    run is the zero 2m x n gain in mode mri with one feedforward row
+    [u_c, u_i] per step and ``steps`` the number of rows.
     """
     inputs_fn = _policy_inputs(policy, plant)
     return _run(plant, weights, T, inputs_fn, x0, steps, substeps, epsilon, disturbance)
-
-
-def _input_sequence(seq, name: str, m: int) -> np.ndarray:
-    """An open-loop input sequence as a finite (steps, m) float array."""
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim != 2 or seq.shape[1] != m:
-        raise ValueError(f"{name} must have shape (steps, {m}), got {seq.shape}")
-    if not np.isfinite(seq).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return seq
-
-
-def simulate_inputs(
-    plant: ContinuousPlant,
-    weights: CostWeights,
-    T: float,
-    u_c_seq,
-    u_i_seq,
-    x0=None,
-    substeps: int = 32,
-    disturbance: DisturbanceSpec | None = None,
-    epsilon: float | None = None,
-) -> Trajectory:
-    """Open-loop run driven by explicit per-step input sequences; epsilon as
-    in ``simulate_closed_loop``."""
-    u_c_seq = _input_sequence(u_c_seq, "u_c_seq", plant.m)
-    u_i_seq = _input_sequence(u_i_seq, "u_i_seq", plant.m)
-    if u_c_seq.shape != u_i_seq.shape:
-        raise ValueError("hold and impulse input sequences must have equal shapes")
-
-    def fn(k, _x):
-        return u_c_seq[k], u_i_seq[k]
-
-    return _run(plant, weights, T, fn, x0, u_c_seq.shape[0], substeps, epsilon, disturbance)
 
 
 def impulse_hold_matrix(plant: ContinuousPlant, T: float, epsilon: float) -> np.ndarray:

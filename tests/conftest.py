@@ -8,7 +8,8 @@ import scipy.linalg
 from hypothesis import settings
 from scipy.integrate import quad_vec
 
-from mrilqr import ContinuousPlant, CostWeights, SimulationDivergence, cost_matrices, numkernel
+from mrilqr import (ContinuousPlant, CostWeights, InputPolicy, SimulationDivergence, cost_matrices, numkernel,
+                    simulate_closed_loop)
 from mrilqr.discretize import MODES, constant_input_gram, input_channels
 from mrilqr.simulate import Trajectory, _interval_segments
 
@@ -244,6 +245,19 @@ def kalman_zeros(A, B, mode, T_max, h=0.01):
     return zeros
 
 
+def open_loop_policy(plant: ContinuousPlant, u_c, u_i) -> InputPolicy:
+    """The policy of an open-loop run of the per-step inputs u_c and u_i, (steps, m)
+    arrays, as ``simulate --mode open_loop`` builds it: the zero 2m x n gain in
+    mode mri with one feedforward row [u_c, u_i] per step."""
+    return InputPolicy(np.zeros((2 * plant.m, plant.n)), "mri", feedforward=np.hstack([u_c, u_i]))
+
+
+def open_loop(plant: ContinuousPlant, weights: CostWeights, T: float, u_c, u_i, **kw) -> Trajectory:
+    """``simulate_closed_loop`` under ``open_loop_policy`` for as many steps as
+    there are input rows; keywords as in ``simulate_closed_loop``."""
+    return simulate_closed_loop(plant, weights, T, open_loop_policy(plant, u_c, u_i), steps=len(u_c), **kw)
+
+
 def reference_run(plant, weights, T, inputs_fn, x0, steps, substeps, epsilon, disturbance) -> Trajectory:
     """The per-step simulation loop the stacked ``simulate._run`` must match bit
     for bit, for valid arguments: per step, the discrete-equivalent cost from
@@ -322,7 +336,25 @@ def reference_run(plant, weights, T, inputs_fn, x0, steps, substeps, epsilon, di
                       J_cont, J_disc)
 
 
-def mp_reference(plant: ContinuousPlant, weights: CostWeights, T: float, digits: int = 60) -> dict:
+def mp_sda(Ahat, G, Qhat):
+    """The stabilizing solution of the cross-term-free DARE by structure-preserving
+    doubling from 0 in mpmath, at the working precision: with W = I + G_k H_k,
+    A_{k+1} = A_k W^{-1} A_k, G_{k+1} = G_k + A_k W^{-1} G_k A_k' and
+    H_{k+1} = H_k + A_k' H_k W^{-1} A_k, until the Frobenius step of H_k is
+    below 1e-50 relative; AssertionError after 64 doublings."""
+    mp = mpmath.mp
+    A, H = Ahat, Qhat
+    for _ in range(64):
+        Winv = mp.inverse(mp.eye(A.rows) + G * H)
+        A, G, H_next = A * Winv * A, G + A * Winv * G * A.T, H + A.T * H * Winv * A
+        step, H = mp.mnorm(H_next - H, "f"), H_next
+        if step <= 1e-50 * mp.mnorm(H, "f"):
+            return H
+    raise AssertionError("the reference doubling did not converge in 64 doublings")
+
+
+def mp_reference(plant: ContinuousPlant, weights: CostWeights, T: float, digits: int = 60,
+                 solve: bool = False) -> dict:
     """Extended-precision oracle of the sampled model and cost at period T.
 
     The package's block exponentials, evaluated by mpmath at ``digits``
@@ -333,7 +365,10 @@ def mp_reference(plant: ContinuousPlant, weights: CostWeights, T: float, digits:
     whose image L'HL under the selectors of ``discretize._gram_costs`` plus
     diag(T Rc, Ri) is [[Q_d, S_d], [S_d', R_d]]. Returns those seven and the
     Qhat = Q_d - S R^{-1} S' of each mode (keyed "Qhat regular", ...), as
-    float arrays. Skips the test when mpmath is not installed.
+    float arrays; with ``solve`` also each mode's P (keyed "P regular", ...),
+    by ``mp_sda`` on its own Ahat = A_d - B R^{-1} S', G = B R^{-1} B' and
+    Qhat, for B, S and R the mode's selection of [B_d, B_i], S_d and R_d.
+    Skips the test when mpmath is not installed.
     """
     if mpmath is None:
         pytest.skip("the extended-precision oracle needs mpmath (the 'test' extra)")
@@ -362,8 +397,12 @@ def mp_reference(plant: ContinuousPlant, weights: CostWeights, T: float, digits:
                 G[n + m + i, n + m + j] += weights.Ri[i, j]
         Q_d, S_d, R_d = G[:n, :n], G[:n, n:], G[n:, n:]
         ref = {"A_d": A_d, "Atilde": Atilde, "B_d": Atilde * B, "B_i": A_d * B, "Q_d": Q_d, "S_d": S_d, "R_d": R_d}
+        B_di = mp.zeros(n, 2 * m)
+        B_di[:, :m], B_di[:, m:] = ref["B_d"], ref["B_i"]
         for mode in MODES:
             ch = input_channels(mode, m)
-            S, R = S_d[:, ch], R_d[ch, ch]
-            ref[f"Qhat {mode}"] = Q_d - S * mp.inverse(R) * S.T
+            B, S, Rinv = B_di[:, ch], S_d[:, ch], mp.inverse(R_d[ch, ch])
+            ref[f"Qhat {mode}"] = Q_d - S * Rinv * S.T
+            if solve:
+                ref[f"P {mode}"] = mp_sda(A_d - B * Rinv * S.T, B * Rinv * B.T, ref[f"Qhat {mode}"])
         return {name: np.array(value.tolist(), dtype=float) for name, value in ref.items()}

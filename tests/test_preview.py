@@ -18,7 +18,7 @@ from mrilqr import (
 )
 from mrilqr import numkernel, preview, riccati
 from mrilqr.numkernel import spectral_radius
-from mrilqr.preview import closed_loop_G, feedforward_sequence, gamma_and_cost, preview_costs
+from mrilqr.preview import closed_loop_G, feedforward_sequence, gamma_and_cost
 
 from conftest import relerr
 
@@ -228,26 +228,46 @@ class TestOneRecursion:
     def test_costs_at_every_horizon_equal_the_solo_cost(self, souza_plant, souza_weights,
                                                         insulin_plant, insulin_weights, monkeypatch):
         # one feedforward recursion to the longest horizon gives each horizon
-        # the bits of a recursion that stops there
+        # the bits of a recursion that stops there; only Gamma's callers ask
+        # the recursion to solve for B' as well
         calls = []
         recursion = preview._preview
-        monkeypatch.setattr(preview, "_preview", lambda *args: calls.append(args[-1]) or recursion(*args))
+        monkeypatch.setattr(preview, "_preview",
+                            lambda *args, **kw: calls.append((args[5], kw.get("gamma", False))) or recursion(*args, **kw))
         horizons = (0, 1, 3, 10)
         for plant, weights, periods in ((souza_plant, souza_weights, (0.5, 1.0, 2.0)),
                                         (insulin_plant, insulin_weights, (5.0, 20.0))):
             designs = [design(plant, weights, T, "mri") for T in periods]
             b = plant.Btilde[:, 0]
             calls.clear()
-            G, Jstar, failed = preview_costs(designs, b, horizons)
-            assert calls == [10] and not failed
+            stacks = (np.stack(X) for X in zip(*((d.model.A_d, d.B_sel, d.S_sel, d.R_sel, d.solution.P, d.solution.K)
+                                                 for d in designs)))
+            G, Jstar, failed = preview._preview_costs(*stacks, b, horizons)
+            assert calls == [(10, False)] and not failed
             for j, d in enumerate(designs):
                 for k, N in enumerate(horizons):
                     assert Jstar[j, k] == gamma_and_cost(d.solution.P, G[j], d.B_sel, d.R_sel, b, N)[1]
                 calls.clear()
                 plan = preview_plan(d, b, 3)
-                assert calls == [3]
+                assert calls == [(3, True)]
                 assert [f.tobytes() for f in plan.feedforward] == \
                     [f.tobytes() for f in feedforward_sequence(d.solution.P, G[j], d.B_sel, d.R_sel, b, 3)]
+
+    def test_only_gamma_solves_for_B_transpose(self, souza_plant, souza_weights, monkeypatch):
+        # R + B'PB takes N right-hand-side columns, plus the n of B' where Gamma is formed
+        d, P, G = mri_design(souza_plant, souza_weights, 1.0)
+        b, N = souza_plant.Btilde[:, 0], 3
+        columns, cho_solve = [], numkernel._cho_solve
+        monkeypatch.setattr(numkernel, "_cho_solve",
+                            lambda A, rhs, what: columns.append((what, rhs.shape[-1])) or cho_solve(A, rhs, what))
+        feedforward_sequence(P, G, d.B_sel, d.R_sel, b, N)
+        preview._preview_costs(*(X[None] for X in (d.model.A_d, d.B_sel, d.S_sel, d.R_sel, P, d.solution.K)),
+                               b, (0, N))
+        assert [c for what, c in columns if what == "R + B'PB"] == [N, N]
+        columns.clear()
+        gamma_and_cost(P, G, d.B_sel, d.R_sel, b, N)
+        preview_plan(d, b, N)
+        assert [c for what, c in columns if what == "R + B'PB"] == [N + 2, N + 2]
 
 
 class TestPreviewPlanChecks:

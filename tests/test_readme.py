@@ -17,7 +17,10 @@ README = ROOT / "README.md"
 #: The public names of the package, its submodules aside. Adding or dropping
 #: one is a decision made here, in the open. Dropped: ``sample_plants``, the
 #: list view of ``discretize._sample_stack`` that no library code used;
-#: ``sample_plant`` is the one sampling entry, a stack of one.
+#: ``sample_plant`` is the one sampling entry, a stack of one. Dropped:
+#: ``simulate_inputs``, a second route to the open-loop run that
+#: ``simulate_closed_loop`` makes with a zero gain and the inputs as its
+#: feedforward rows (as ``simulate --mode open_loop`` does).
 PUBLIC_NAMES = [
     "ContinuousPlant", "ControllabilityReport", "CostWeights", "DareDivergenceError", "DisturbanceSpec",
     "InputPolicy", "MriLqrDesign", "NumericalError", "PathologicalCandidate", "PeriodReport", "PreviewPlan",
@@ -25,7 +28,7 @@ PUBLIC_NAMES = [
     "UncontrollablePlantError", "candidate_pathological_periods", "certified_horizon", "cost_matrices",
     "design", "impulse_hold_matrix", "is_pathological", "kalman_controllable", "period_reports",
     "preview_plan", "reduced_hautus_mri", "resonant_eigenvalues", "sample_plant",
-    "simulate_closed_loop", "simulate_inputs",
+    "simulate_closed_loop",
 ]
 
 

@@ -23,7 +23,7 @@ from mrilqr import (
 from mrilqr.discretize import MODES, SampledCost, restrict_input_mode
 from mrilqr.preview import closed_loop_G, gamma_and_cost
 from mrilqr.numkernel import spectral_radius
-from mrilqr.riccati import _solve_stack, design_batch, solve_dare
+from mrilqr.riccati import _solve_grid, _solve_stack, solve_dare
 
 from conftest import closed_loop_cost_matrix, random_controllable_plant, random_stable_plant, relerr
 
@@ -169,11 +169,17 @@ class TestSolveDare:
             solve_dare(**{**problem, **change(problem)})
         assert (type(err.value), str(err.value)) == (ValueError, message)
 
-    def test_rejects_indefinite_q(self):
-        # far from roundoff of the cost blocks: a bad input, not a numerical failure
-        with pytest.raises(ValueError, match="not positive semidefinite") as err:
-            solve_dare(np.eye(2), np.eye(2), -np.eye(2), np.zeros((2, 2)), np.eye(2))
-        assert not isinstance(err.value, NumericalError)
+    @pytest.mark.parametrize("r", [1.0, 1e9, 1e12])
+    def test_rejects_indefinite_q(self, r):
+        # far from roundoff of the cost blocks: a bad input, not a numerical
+        # failure, whatever R; the eigenvalue test runs on the joint cost
+        # scaled to unit diagonal, where Q_d = -I reads -I next to R's I
+        I = np.eye(2)
+        with pytest.raises(ValueError) as err:
+            solve_dare(0.5 * I, I, -I, np.zeros((2, 2)), r * I)
+        assert (type(err.value), str(err.value)) == (
+            ValueError, "the joint cost [[Q_d, S], [S', R]] is not positive semidefinite "
+                        "(min eig -1.000e+00 of it scaled to unit diagonal)")
 
     def test_qhat_cancelling_to_roundoff_is_a_numerical_error(self):
         # Q_d - S R^-1 S' = -65536 I (all exact) against blocks of size 1e20
@@ -193,7 +199,8 @@ class TestSolveDare:
         with pytest.raises(ValueError) as err:
             solve_dare(*problem)
         assert (type(err.value), str(err.value)) == (
-            ValueError, "the joint cost [[Q_d, S], [S', R]] is not positive semidefinite (min eig -1.000e+00)")
+            ValueError, "the joint cost [[Q_d, S], [S', R]] is not positive semidefinite "
+                        "(min eig -1.000e+00 of it scaled to unit diagonal)")
 
     def test_reports_qhat_kernel(self, souza_plant):
         w = CostWeights(np.zeros((2, 2)), [[1.0]], [[1.0]])
@@ -365,20 +372,33 @@ def same_outcome(got, solve) -> str:
     return "converged" if got.converged else "not converged"
 
 
+def grid_cells(plant, weights, periods, modes) -> tuple[tuple, list[tuple]]:
+    """One ``_solve_grid``: its sample and cost stacks (periods, A_d, Atilde,
+    B_d, B_i, Q_d, S_d, R_d), and each (mode, period) cell, mode by mode: its
+    mode, its period and the period's index, its width's problem stacks
+    (A_d, B_sel, Q_d, S_sel, R_sel) and ``_solve_stack`` stacks, and its index
+    in them."""
+    sampled, widths = _solve_grid(plant, weights, periods, modes)
+    Ts = sampled[0]
+    assert Ts == list(periods)
+    cells = {}
+    for qs, problem, stacks in widths:
+        for slot, q in enumerate(qs):
+            for i, T in enumerate(Ts):
+                cells[q, i] = (modes[q], T, i, problem, stacks, slot * len(Ts) + i)
+    return sampled, [cells[q, i] for q in range(len(modes)) for i in range(len(Ts))]
+
+
 def batch_against_solo(plant, weights, periods, mode) -> Counter:
-    """Assert each cell of one ``design_batch`` equals its solo ``design`` bit
+    """Assert each cell of one ``_solve_grid`` equals its solo ``design`` bit
     for bit, or fails with the same error; count the outcomes.
 
     ``mode`` is one mode, or a tuple of modes solved as one stack whose
     outcomes are counted together."""
     modes = (mode,) if isinstance(mode, str) else mode
     outcomes = Counter()
-    for mode, cells in zip(modes, design_batch(plant, weights, periods, modes), strict=True):
-        for T, cell in zip(periods, cells, strict=True):
-            if not isinstance(cell, Exception):
-                assert (cell.mode, cell.model.T) == (mode, T)
-                cell = cell.solution
-            outcomes[same_outcome(cell, lambda: design(plant, weights, T, mode).solution)] += 1
+    for mode, T, _, _, stacks, j in grid_cells(plant, weights, periods, modes)[1]:
+        outcomes[same_outcome(riccati._cell(stacks, j), lambda: design(plant, weights, T, mode).solution)] += 1
     return outcomes
 
 
@@ -604,28 +624,31 @@ class TestDesignBatch:
                                 for mode in MODES), Counter())
         assert outcomes.total() == 3 * 7
 
-    def test_design_batch_is_the_grid_pipeline(self, souza_plant, souza_weights):
-        # design_batch samples, builds the costs and solves every (mode, period)
-        # cell in one stack; each cell is design's result at that period
+    def test_design_is_one_cell_of_the_grid_pipeline(self, souza_plant, souza_weights):
+        # _solve_grid samples, builds the costs and solves every (mode, period)
+        # cell in one stack; design's result at each period is that cell's
         periods = [0.5, 1.0, SOUZA_BASE, 2.0, 80.0]
         modes = ("mri", "regular")
-        batch = design_batch(souza_plant, souza_weights, periods, modes)
-        assert [len(cells) for cells in batch] == [len(periods)] * len(modes)
-        for mode, cells in zip(modes, batch):
-            for T, cell in zip(periods, cells):
-                try:
-                    solo = design(souza_plant, souza_weights, T, mode)
-                except NumericalError as exc:
-                    assert type(cell) is type(exc) and str(cell) == str(exc), (T, mode)
-                    continue
-                assert (cell.mode, cell.model.T) == (mode, T)
-                for got, ref in ((cell.cost, solo.cost), (cell.model, solo.model), (cell.solution, solo.solution)):
-                    for field in dataclasses.fields(ref):
-                        assert same_bits(getattr(got, field.name), getattr(ref, field.name)), (T, mode, field)
+        (_, A_d, Atilde, B_d, B_i, Q_d, S_d, R_d), cells = grid_cells(souza_plant, souza_weights, periods, modes)
+        assert len(cells) == len(periods) * len(modes)
+        for mode, T, i, (_, B, _, S, R), stacks, j in cells:
+            cell = riccati._cell(stacks, j)
+            try:
+                solo = design(souza_plant, souza_weights, T, mode)
+            except NumericalError as exc:
+                assert type(cell) is type(exc) and str(cell) == str(exc), (T, mode)
+                continue
+            assert (solo.mode, solo.model.T) == (mode, T)
+            pairs = [(A_d[i], solo.model.A_d), (Atilde[i], solo.model.Atilde), (B_d[i], solo.model.B_d),
+                     (B_i[i], solo.model.B_i), (Q_d[i], solo.cost.Q_d), (S_d[i], solo.cost.S_d),
+                     (R_d[i], solo.cost.R_d), (B[j], solo.B_sel), (S[j], solo.S_sel), (R[j], solo.R_sel),
+                     *((getattr(cell, f.name), getattr(solo.solution, f.name))
+                       for f in dataclasses.fields(solo.solution))]
+            for k, (got, ref) in enumerate(pairs):
+                assert same_bits(got, ref), (T, mode, k)
         # a cost that overflows raises for the whole grid, naming its first period
         with pytest.raises(NumericalError, match=r"the equivalent cost overflowed at T = 800\.0$"):
-            design_batch(souza_plant, souza_weights, [1.0, 800.0, 2.0, 900.0], MODES)
-
+            _solve_grid(souza_plant, souza_weights, [1.0, 800.0, 2.0, 900.0], MODES)
 
     def test_stacked_doubling_equals_the_two_dimensional_recursion(
             self, souza_plant, souza_weights, insulin_plant, insulin_weights):
@@ -783,25 +806,26 @@ class TestCholeskyWhereQhatIsDefinite:
 
 def post_solve_against_solo(plant, weights, periods, mode, b, horizons=(0, 1, 3)) -> Counter:
     """``batch_against_solo``, then the stacked closed loop and the preview
-    costs of every design of the batch, one feedforward recursion to the
-    longest horizon, against ``design`` followed by the 2-D ``closed_loop_G``
-    and one ``gamma_and_cost`` per horizon: G and Jstar bit for bit, or the
-    same first error. Counts the outcomes of both."""
+    costs (``_preview_costs``) of every cell of the grid that solved, one
+    feedforward recursion to the longest horizon, against ``design`` followed
+    by the 2-D ``closed_loop_G`` and one ``gamma_and_cost`` per horizon: G and
+    Jstar bit for bit, or the same first error. Counts the outcomes of both."""
     outcomes = batch_against_solo(plant, weights, periods, mode)
-    designs = [d for d in design_batch(plant, weights, periods, [mode])[0] if not isinstance(d, Exception)]
-    G, Jstar, failed = preview.preview_costs(designs, b, horizons)
-    for j, d in enumerate(designs):
-        solo = design(plant, weights, d.model.T, mode)
-        P = solo.solution.P
+    (Ts, *_), ((_, (A_d, B, _, S, R), (P, K, *_, errors)),) = _solve_grid(plant, weights, periods, [mode])
+    solved = [i for i in range(len(Ts)) if i not in errors]
+    G, Jstar, failed = preview._preview_costs(*(X[solved] for X in (A_d, B, S, R, P, K)), b, horizons)
+    for j, i in enumerate(solved):
+        solo = design(plant, weights, Ts[i], mode)
+        P_solo = solo.solution.P
         try:
-            G_solo = closed_loop_G(solo.model.A_d, solo.B_sel, solo.S_sel, solo.R_sel, P)
-            J_solo = [gamma_and_cost(P, G_solo, solo.B_sel, solo.R_sel, b, N)[1] for N in horizons]
+            G_solo = closed_loop_G(solo.model.A_d, solo.B_sel, solo.S_sel, solo.R_sel, P_solo)
+            J_solo = [gamma_and_cost(P_solo, G_solo, solo.B_sel, solo.R_sel, b, N)[1] for N in horizons]
         except NumericalError as exc:
-            assert type(failed[j]) is type(exc) and str(failed[j]) == str(exc), (d.model.T, exc)
+            assert type(failed[j]) is type(exc) and str(failed[j]) == str(exc), (Ts[i], exc)
             outcomes[f"preview: {str(exc).split(' by ')[0].split(':')[0]}"] += 1
             continue
-        assert j not in failed, (d.model.T, failed.get(j))
-        assert same_bits(G[j], G_solo) and same_bits(Jstar[j], J_solo), d.model.T
+        assert j not in failed, (Ts[i], failed.get(j))
+        assert same_bits(G[j], G_solo) and same_bits(Jstar[j], J_solo), Ts[i]
         outcomes["previewed"] += 1
     return outcomes
 
@@ -905,7 +929,7 @@ class TestPolishOnDemand:
         evaluate = riccati._evaluate
         monkeypatch.setattr(riccati, "_evaluate", lambda P, *rest: stacks.append(len(P)) or evaluate(P, *rest))
         periods = [5.0, 10.0, 20.0, 40.0]
-        design_batch(insulin_plant, insulin_weights, periods, MODES)
+        _solve_grid(insulin_plant, insulin_weights, periods, MODES)
         # one stack per input width: regular and impulsive together, mri alone
         rounds = stacks.count(1)
         assert [size for size in stacks if size > 1] == [2 * len(periods), len(periods)] and rounds > 0

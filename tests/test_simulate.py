@@ -16,11 +16,10 @@ from mrilqr import (
     impulse_hold_matrix,
     sample_plant,
     simulate_closed_loop,
-    simulate_inputs,
 )
 from mrilqr.simulate import _interval_segments
 
-from conftest import random_stable_plant, relerr
+from conftest import open_loop, random_stable_plant, relerr
 
 
 class TestBasics:
@@ -36,8 +35,8 @@ class TestBasics:
         m = sample_plant(souza_plant, 0.9)
         u_c = rng.normal(size=(12, 1))
         u_i = rng.normal(size=(12, 1))
-        traj = simulate_inputs(souza_plant, souza_weights, 0.9, u_c, u_i,
-                               x0=[1.0, -2.0], substeps=8)
+        traj = open_loop(souza_plant, souza_weights, 0.9, u_c, u_i,
+                         x0=[1.0, -2.0], substeps=8)
         for k in range(12):
             expected = m.A_d @ traj.sample_states[k] + m.B_d @ u_c[k] + m.B_i @ u_i[k]
             assert relerr(traj.sample_states[k + 1], expected) < 1e-10
@@ -48,8 +47,8 @@ class TestBasics:
         u_c = np.array([[0.7]])
         u_i = np.array([[-0.3]])
         s = 8
-        traj = simulate_inputs(souza_plant, souza_weights, 1.0, u_c, u_i,
-                               x0=[0.5, 0.25], substeps=s)
+        traj = open_loop(souza_plant, souza_weights, 1.0, u_c, u_i,
+                         x0=[0.5, 0.25], substeps=s)
         y0 = np.array([0.5, 0.25]) + souza_plant.B[:, 0] * u_i[0, 0]
         for j in range(1, s + 1):
             t = j / s
@@ -84,8 +83,8 @@ class TestBasics:
             u_c, u_i = rng.normal(size=(steps, 1)), rng.normal(size=(steps, 1))
 
             def run(disturbance):
-                return simulate_inputs(souza_plant, souza_weights, T, u_c, u_i, x0=[1.0, -0.5],
-                                       substeps=3, disturbance=disturbance, epsilon=epsilon)
+                return open_loop(souza_plant, souza_weights, T, u_c, u_i, x0=[1.0, -0.5],
+                                 substeps=3, disturbance=disturbance, epsilon=epsilon)
 
         free, hit = run(None), run(DisturbanceSpec(steps, d))
         assert hit.dense_times[-1] == steps * T
@@ -129,7 +128,6 @@ class TestBasics:
          r"policy gain has shape \(1, 2\), expected \(2, 2\)"),
         (lambda p, w: DisturbanceSpec(-1, [1.0, 0.0]), "impulse_step must be >= 0"),
         (lambda p, w: DisturbanceSpec(0, [1.0, np.inf]), "non-finite"),
-        (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((3, 1)), np.zeros((2, 1))), "equal shapes"),
         (lambda p, w: impulse_hold_matrix(p, 0.0, 0.5), "sampling period must exceed 1e-12, got 0.0"),
         (lambda p, w: impulse_hold_matrix(p, -1.0, 0.5), "sampling period must exceed 1e-12, got -1.0"),
         (lambda p, w: impulse_hold_matrix(p, np.inf, 0.5), "period must be finite, got inf"),
@@ -140,7 +138,7 @@ class TestBasics:
         # the period of a run is checked where it enters, not by the exponential kernel
         (lambda p, w: simulate_closed_loop(p, w, 0.0, InputPolicy(np.zeros((2, 2)))),
          "sampling period must exceed 1e-12, got 0.0"),
-        (lambda p, w: simulate_inputs(p, w, np.inf, np.zeros((2, 1)), np.zeros((2, 1))),
+        (lambda p, w: open_loop(p, w, np.inf, np.zeros((2, 1)), np.zeros((2, 1))),
          "sampling period must be finite, got inf"),
         (lambda p, w: certified_horizon(np.zeros((2, 3)), 1.0), r"must be square, got shape \(2, 3\)"),
         (lambda p, w: certified_horizon([[np.nan, 0.0], [0.0, 0.5]], 1.0), "has non-finite entries"),
@@ -155,14 +153,14 @@ class TestBasics:
         (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2))), steps=3,
                                            disturbance=DisturbanceSpec(4, [1.0, 0.0])),
          "disturbance impulse_step must be <= steps = 3, got 4"),
-        (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((2, 1)), np.zeros((2, 1)),
-                                      disturbance=DisturbanceSpec(3, [1.0, 0.0])),
+        (lambda p, w: open_loop(p, w, 1.0, np.zeros((2, 1)), np.zeros((2, 1)),
+                                disturbance=DisturbanceSpec(3, [1.0, 0.0])),
          "disturbance impulse_step must be <= steps = 2, got 3"),
-        (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((2, 1)), np.zeros((2, 1)),
-                                      disturbance=DisturbanceSpec(0, [1.0, 0.0, 0.0])),
+        (lambda p, w: open_loop(p, w, 1.0, np.zeros((2, 1)), np.zeros((2, 1)),
+                                disturbance=DisturbanceSpec(0, [1.0, 0.0, 0.0])),
          "disturbance direction has size 3, expected 2"),
     ], ids=["steps", "substeps", "x0-size", "policy-mode", "gain-shape", "negative-step",
-            "non-finite-direction", "unequal-sequences", "zero-period", "negative-period",
+            "non-finite-direction", "zero-period", "negative-period",
             "infinite-hold-period", "subnormal-hold-period", "tiny-hold-period", "hold-epsilon",
             "zero-run-period", "infinite-run-period", "A_cl-non-square", "A_cl-non-finite",
             "fractional-step", "bool-step", "fractional-steps", "bool-substeps", "step-past-closed-loop",
@@ -172,15 +170,7 @@ class TestBasics:
             call(souza_plant, souza_weights)
 
     @pytest.mark.parametrize("call, message", [
-        (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((4, 2)), np.zeros((4, 2))),
-         r"u_c_seq must have shape \(steps, 1\), got \(4, 2\)"),
-        (lambda p, w: simulate_inputs(p, w, 1.0, [1.0, 2.0, 3.0], np.zeros((3, 1))),
-         r"u_c_seq must have shape \(steps, 1\), got \(3,\)"),
-        (lambda p, w: simulate_inputs(p, w, 1.0, np.zeros((3, 1)), np.zeros((1, 3))),
-         r"u_i_seq must have shape \(steps, 1\), got \(1, 3\)"),
-        (lambda p, w: simulate_inputs(p, w, 1.0, [[np.nan]], [[0.0]]), "u_c_seq has non-finite entries"),
-        (lambda p, w: simulate_inputs(p, w, 1.0, [[0.0]], [[-np.inf]]), "u_i_seq has non-finite entries"),
-        (lambda p, w: simulate_inputs(p, w, 1.0, [[0.0]], [[0.0]], x0=[np.nan, 0.0]), "x0 has non-finite entries"),
+        (lambda p, w: open_loop(p, w, 1.0, [[0.0]], [[0.0]], x0=[np.nan, 0.0]), "x0 has non-finite entries"),
         (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2))), x0=[np.inf, 0.0]),
          "x0 has non-finite entries"),
         (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2)), feedforward=(np.zeros(3),))),
@@ -191,8 +181,7 @@ class TestBasics:
         (lambda p, w: simulate_closed_loop(p, w, 1.0, InputPolicy(np.zeros((2, 2)),
                                                                   feedforward=(np.zeros(2), [np.inf, 0.0]))),
          r"feedforward entry 1 must hold 2 finite numbers, got \[inf, 0.0\]"),
-    ], ids=["sequence-width", "sequence-1d", "impulse-sequence-width", "nan-hold", "inf-impulse", "nan-x0",
-            "inf-x0", "feedforward-width", "feedforward-regular-width", "inf-feedforward"])
+    ], ids=["nan-x0", "inf-x0", "feedforward-width", "feedforward-regular-width", "inf-feedforward"])
     def test_simulation_inputs_are_checked_where_they_enter(self, souza_plant, souza_weights, call, message):
         # never a numpy shape error or a divergence at step 0
         with pytest.raises(ValueError, match=message):
@@ -200,8 +189,8 @@ class TestBasics:
 
     def test_a_numpy_integer_step_is_an_integer(self, souza_plant, souza_weights):
         def run(step):
-            return simulate_inputs(souza_plant, souza_weights, 1.0, np.ones((3, 1)), np.ones((3, 1)),
-                                   substeps=2, disturbance=DisturbanceSpec(step, [0.5, -1.0]))
+            return open_loop(souza_plant, souza_weights, 1.0, np.ones((3, 1)), np.ones((3, 1)),
+                             substeps=2, disturbance=DisturbanceSpec(step, [0.5, -1.0]))
 
         assert np.array_equal(run(np.int64(2)).dense_states, run(2).dense_states)
 
@@ -245,18 +234,18 @@ class TestCostAccumulation:
         K = 7
         u_c = np.ones((K, 1))
         u_i = np.zeros((K, 1))
-        traj = simulate_inputs(plant, w, 0.6, u_c, u_i, substeps=4)
+        traj = open_loop(plant, w, 0.6, u_c, u_i, substeps=4)
         assert abs(traj.J_cont - K * 0.6) < 1e-12
 
     def test_continuous_cost_recomputes_under_new_weights(self, souza_plant, souza_weights):
         rng = np.random.default_rng(62)
         u_c = rng.normal(size=(6, 1))
         u_i = rng.normal(size=(6, 1))
-        traj = simulate_inputs(souza_plant, souza_weights, 0.8, u_c, u_i, x0=[0.2, -0.1])
-        again = simulate_inputs(souza_plant, souza_weights, 0.8, traj.u_c, traj.u_i, x0=[0.2, -0.1])
+        traj = open_loop(souza_plant, souza_weights, 0.8, u_c, u_i, x0=[0.2, -0.1])
+        again = open_loop(souza_plant, souza_weights, 0.8, traj.u_c, traj.u_i, x0=[0.2, -0.1])
         assert abs(again.J_cont - traj.J_cont) < 1e-12 * (1 + abs(traj.J_cont))
         heavier = CostWeights(souza_weights.Q, [[5.0]], [[2.0]])
-        reweighted = simulate_inputs(souza_plant, heavier, 0.8, traj.u_c, traj.u_i, x0=[0.2, -0.1])
+        reweighted = open_loop(souza_plant, heavier, 0.8, traj.u_c, traj.u_i, x0=[0.2, -0.1])
         assert np.array_equal(reweighted.sample_states, traj.sample_states)
         assert reweighted.J_cont > traj.J_cont
 
@@ -269,7 +258,7 @@ class TestCostAccumulation:
         K = 40
         T = 0.5
         zeros = np.zeros((K, 1))
-        traj = simulate_inputs(plant, w, T, zeros, zeros, x0=x0, substeps=8)
+        traj = open_loop(plant, w, T, zeros, zeros, x0=x0, substeps=8)
         J_cont = traj.J_cont
         assert abs(J_cont - traj.J_disc) <= 1e-8 * max(abs(traj.J_disc), 1e-12)
 
@@ -287,15 +276,15 @@ class TestCostAccumulation:
 class TestCostEquivalence:
     def test_zero_inputs_zero_state(self, souza_plant, souza_weights):
         zeros = np.zeros((5, 1))
-        traj = simulate_inputs(souza_plant, souza_weights, 1.0, zeros, zeros, x0=np.zeros(2))
+        traj = open_loop(souza_plant, souza_weights, 1.0, zeros, zeros, x0=np.zeros(2))
         assert traj.J_cont == 0.0 and traj.J_disc == 0.0
 
     def test_random_inputs_on_souza(self, souza_plant, souza_weights):
         rng = np.random.default_rng(64)
         u_c = rng.normal(size=(50, 1))
         u_i = rng.normal(size=(50, 1))
-        traj = simulate_inputs(souza_plant, souza_weights, 0.7, u_c, u_i,
-                               x0=rng.normal(size=2), substeps=8)
+        traj = open_loop(souza_plant, souza_weights, 0.7, u_c, u_i,
+                         x0=rng.normal(size=2), substeps=8)
         assert abs(traj.J_cont - traj.J_disc) <= 1e-6 * max(abs(traj.J_disc), 1e-12)
 
     def test_fifty_randomized_instances_with_certified_tails(self):
@@ -365,8 +354,8 @@ class TestImpulseApproximation:
         eps = 0.05
         m = sample_plant(souza_plant, 1.0)
         B_ia = impulse_hold_matrix(souza_plant, 1.0, eps)
-        traj = simulate_inputs(souza_plant, souza_weights, 1.0, u_c, u_i,
-                               x0=[1.0, 0.0], substeps=8, epsilon=eps)
+        traj = open_loop(souza_plant, souza_weights, 1.0, u_c, u_i,
+                         x0=[1.0, 0.0], substeps=8, epsilon=eps)
         expected = m.A_d @ np.array([1.0, 0.0]) + m.B_d @ u_c[0] + B_ia @ u_i[0]
         assert relerr(traj.sample_states[1], expected) < 1e-10
 

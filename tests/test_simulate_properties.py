@@ -17,12 +17,11 @@ from mrilqr import (
     sample_plant,
     simulate,
     simulate_closed_loop,
-    simulate_inputs,
 )
 
 from mrilqr.discretize import MODES, constant_input_gram
 
-from conftest import random_stable_plant, reference_run, relerr
+from conftest import open_loop, open_loop_policy, random_stable_plant, reference_run, relerr
 
 
 @st.composite
@@ -122,7 +121,7 @@ def test_interval_maps_match_one_shot_propagation(run):
     # each segment end's state and running cost, from one exponential and one
     # Gram integral over the time since the interval start (or the hold cut)
     plant, weights, T, substeps, epsilon, u_c, u_i, x0 = run
-    traj = simulate_inputs(plant, weights, T, u_c, u_i, x0=x0, substeps=substeps, epsilon=epsilon)
+    traj = open_loop(plant, weights, T, u_c, u_i, x0=x0, substeps=substeps, epsilon=epsilon)
     steps = len(u_c)
     ends = np.flatnonzero(traj.dense_impulse_flags == 0)[1:]
     S = len(ends) // steps
@@ -158,9 +157,9 @@ def test_interval_maps_match_one_shot_propagation(run):
 def stepped_runs(draw):
     """A random run for ``reference_run``: a stable plant with n <= 5 and m <= 2,
     exact impulses or a hold with epsilon off or on a substep cut, a disturbance
-    at 0, mid-run, at ``steps`` or none, and either open-loop inputs with
-    zero-impulse steps and -0.0 holds or a policy of any mode with a
-    feedforward tail and saturation on or off."""
+    at 0, mid-run, at ``steps`` or none, and either the policy of open-loop
+    inputs with zero-impulse steps and -0.0 holds (``open_loop_policy``) or a
+    policy of any mode with a feedforward tail and saturation on or off."""
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 2))
     substeps, steps = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     T = draw(st.floats(0.2, 3.0))
@@ -184,30 +183,22 @@ def stepped_runs(draw):
         width = 2 * m if mode == "mri" else m
         feedforward = tuple(rng.normal(size=width) for _ in range(draw(st.integers(0, steps))))
         policy = InputPolicy(0.5 * rng.normal(size=(width, n)), mode, feedforward, draw(st.booleans()))
-        inputs = policy
     else:
         u_c, u_i = rng.normal(size=(steps, m)), rng.normal(size=(steps, m))
         u_i[rng.random(steps) < 0.4] = 0.0
         u_c[rng.random(steps) < 0.2] = -0.0
-        inputs = (u_c, u_i)
-    return plant, weights, T, substeps, epsilon, steps, disturbance, x0, inputs
+        policy = open_loop_policy(plant, u_c, u_i)
+    return plant, weights, T, substeps, epsilon, steps, disturbance, x0, policy
 
 
 @settings(max_examples=80)
 @given(stepped_runs())
 def test_stacked_run_matches_the_per_step_loop_bit_for_bit(run):
-    plant, weights, T, substeps, epsilon, steps, disturbance, x0, inputs = run
-    kw = dict(x0=x0, substeps=substeps, disturbance=disturbance, epsilon=epsilon)
-    if isinstance(inputs, InputPolicy):
-        got = simulate_closed_loop(plant, weights, T, inputs, steps=steps, **kw)
-        fn = simulate._policy_inputs(inputs, plant)
-    else:
-        got = simulate_inputs(plant, weights, T, *inputs, **kw)
-
-        def fn(k, _x):
-            return inputs[0][k], inputs[1][k]
-
-    expected = reference_run(plant, weights, T, fn, x0, steps, substeps, epsilon, disturbance)
+    plant, weights, T, substeps, epsilon, steps, disturbance, x0, policy = run
+    got = simulate_closed_loop(plant, weights, T, policy, steps=steps, x0=x0, substeps=substeps,
+                               disturbance=disturbance, epsilon=epsilon)
+    expected = reference_run(plant, weights, T, simulate._policy_inputs(policy, plant), x0, steps, substeps,
+                             epsilon, disturbance)
     for field in fields(Trajectory):
         a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(expected, field.name))
         assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
