@@ -9,15 +9,11 @@ result against the cost it claims.
 """
 
 from .controllability import (
-    ControllabilityReport,
     PathologicalCandidate,
     PeriodReport,
     candidate_pathological_periods,
-    is_pathological,
     kalman_controllable,
     period_reports,
-    reduced_hautus_mri,
-    resonant_eigenvalues,
 )
 from .discretize import (
     ContinuousPlant,

@@ -476,9 +476,9 @@ def cmd_controllability(scenario: ScenarioConfig, args, sink: _Sink) -> None:
                [[c.period for c in candidates], [c.base_period for c in candidates],
                 [c.multiple for c in candidates], [c.needs_per_multiple_test for c in candidates],
                 [r.pathological_regular for r in reports], [r.pathological_impulsive for r in reports],
-                [not r.mri.controllable for r in reports], [r.mri.margin for r in reports]])
+                [r.pathological_mri for r in reports], [r.mri_margin for r in reports]])
     sink.scalar("scenario_T", scenario.T)
-    sink.scalar("scenario_T_mri_controllable", at_T.mri.controllable)
+    sink.scalar("scenario_T_mri_controllable", not at_T.pathological_mri)
 
 
 def _emit_gain(sink: _Sink, K: np.ndarray, mode: str, m: int) -> None:

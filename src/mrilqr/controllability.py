@@ -16,7 +16,8 @@ block, the impulse row block or both) and must have a trivial kernel.
 The impulse channel may test B' in place of B_i' = B' A_d': on the
 kernel of A_d' - e^{mu T} I the two differ by the factor e^{mu T} != 0.
 When no eigenvalue pair resonates at T the sampled pair is controllable
-with no kernel test at all.
+with no kernel test at all. ``period_reports`` runs this test for a list
+of periods and answers every per-period question in one ``PeriodReport``.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ from .discretize import MODES, ContinuousPlant, _check_period, _sample_stack, in
 from .errors import NumericalError, UncontrollablePlantError
 
 __all__ = [
-    "ControllabilityReport",
     "PeriodReport",
     "PathologicalCandidate",
     "kalman_controllable",
-    "resonant_eigenvalues",
-    "reduced_hautus_mri",
-    "is_pathological",
     "period_reports",
     "candidate_pathological_periods",
 ]
@@ -47,36 +44,24 @@ _RESONANCE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ControllabilityReport:
-    """Outcome of the reduced kernel test for one (plant, T) and input mode.
-
-    resonant holds the tested eigenvalues (see ``resonant_eigenvalues``);
-    failures lists (mu, complex kernel dimension) for every tested
-    eigenvalue whose stacked matrix had a nontrivial kernel; margin is
-    the smallest singular value seen across all tests (inf when no
-    eigenvalue resonated and no test was needed).
-    """
-
-    controllable: bool
-    resonant: tuple[complex, ...]
-    failures: tuple[tuple[complex, int], ...]
-    margin: float
-
-
-@dataclass(frozen=True)
 class PeriodReport:
     """Controllability of the sampled model at one period.
 
-    pathological_regular and pathological_impulsive are
-    ``is_pathological`` of the single-channel modes; mri is
-    ``reduced_hautus_mri``. All three come from one reduced kernel test,
-    which differs between modes only by the rows it keeps.
+    resonant holds the tested eigenvalues of A (``_resonance``), in the order
+    of ``numkernel.eigenvalues``. pathological_<mode> is True when the sampled
+    pair of that input mode loses controllability; the modes' kernel tests
+    differ only by the rows they keep. mri_failures lists (mu, complex kernel
+    dimension) for every failed mri test; mri_margin is the smallest singular
+    value across the mri tests (inf when no eigenvalue resonated).
     """
 
     period: float
+    resonant: tuple[complex, ...]
     pathological_regular: bool
     pathological_impulsive: bool
-    mri: ControllabilityReport
+    pathological_mri: bool
+    mri_failures: tuple[tuple[complex, int], ...]
+    mri_margin: float
 
 
 @dataclass(frozen=True)
@@ -132,7 +117,9 @@ def _pair_table(eigs: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _resonance(eigs: np.ndarray, periods) -> np.ndarray:
-    """Mask (k, n) of the eigenvalues that resonate at each period; see ``resonant_eigenvalues``."""
+    """Mask (k, n) of the eigenvalues that resonate at each period: mu pairs
+    with some gamma (``_pair_table``) and T Im(mu - gamma) / (2 pi) lies within
+    1e-8 (1 + T) of a nonzero integer. Distinct real eigenvalues never resonate."""
     T = np.asarray(periods, dtype=float)[:, None, None]
     # [i, j] pairs mu = eigs[i] with gamma = eigs[j]
     x = T * (eigs.imag[:, None] - eigs.imag[None, :]) / (2.0 * np.pi)
@@ -140,30 +127,14 @@ def _resonance(eigs: np.ndarray, periods) -> np.ndarray:
     return (_pair_table(eigs)[0] & (ell != 0.0) & (np.abs(x - ell) <= _RESONANCE_RTOL * (1.0 + T))).any(axis=-1)
 
 
-def resonant_eigenvalues(A, T: float) -> tuple[complex, ...]:
-    """Eigenvalues of A with an exponential collision at period T.
-
-    mu resonates when some other eigenvalue gamma pairs with it (real
-    parts within tol (1 + max |lambda|), imaginary parts further apart,
-    tol = 1e-8: the rule behind ``candidate_pathological_periods`` too)
-    and T Im(mu - gamma) / (2 pi) lies within tol (1 + T) of a nonzero
-    integer. Distinct real eigenvalues never resonate. T is checked like
-    a sampling period. Returned in the order of ``numkernel.eigenvalues``.
-    """
-    T = _check_period(T)
-    eigs = numkernel.eigenvalues(numkernel._square(A))
-    return tuple(map(complex, eigs[_resonance(eigs, [T])[0]]))
-
-
 def _real_doubling(M: np.ndarray) -> np.ndarray:
     """Real 2x block matrix (of each matrix of a stack) whose kernel dimension doubles the complex one."""
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
-def _hautus_reports(plant: ContinuousPlant, T) -> tuple[dict[str, np.ndarray], list[ControllabilityReport]]:
-    """The reduced kernel test of every mode at each checked period T: per
-    mode, the mask of periods whose sampled pair loses controllability, and
-    the ``reduced_hautus_mri`` reports.
+def _hautus_reports(plant: ContinuousPlant, T) -> list[PeriodReport]:
+    """The reduced kernel test of every mode at each checked period T, one
+    ``PeriodReport`` per period.
 
     The spectrum of A is computed once. Only the periods at which an
     eigenvalue resonates are sampled, in one stacked exponential (the others
@@ -204,32 +175,15 @@ def _hautus_reports(plant: ContinuousPlant, T) -> tuple[dict[str, np.ndarray], l
         raise NumericalError("the reduced Hautus matrix overflowed")
     tests = {mode: numkernel._svd_kernel(_real_doubling(
         np.concatenate([A_block, inputs[:, input_channels(mode, m)]], axis=1))) for mode in MODES}
-    lost = {mode: np.bincount(at, kdim, len(T)) > 0 for mode, (_, kdim) in tests.items()}
+    lost = [np.bincount(at, tests[mode][1], len(T)) > 0 for mode in MODES]
     s, kdim = tests["mri"]
     margin = np.full(len(T), np.inf)
     np.minimum.at(margin, at, s[:, -1])
     failures: list[list] = [[] for _ in T]
     for j in np.flatnonzero(kdim):
         failures[at[j]].append((complex(mus[j]), int(kdim[j]) // 2))
-    return lost, [ControllabilityReport(not f, tuple(map(complex, eigs[mask])), tuple(f), float(g))
-                  for f, mask, g in zip(failures, resonant, margin)]
-
-
-def reduced_hautus_mri(plant: ContinuousPlant, T: float) -> ControllabilityReport:
-    """Controllability of (A_d, [B_d B_i]) via kernel tests at resonant mu only:
-    the mri report of ``period_reports`` at T (see ``_hautus_reports``)."""
-    return period_reports(plant, [T])[0].mri
-
-
-def is_pathological(plant: ContinuousPlant, T: float, mode: str) -> bool:
-    """True when the sampled pair for the given input mode loses controllability:
-    the reduced kernel test of ``reduced_hautus_mri`` on the rows of the mode's
-    channels, read from ``period_reports`` at T. For mode mri it is ``not
-    reduced_hautus_mri(plant, T).controllable``."""
-    input_channels(mode, plant.m)  # a ValueError for an unknown mode
-    report = period_reports(plant, [T])[0]
-    return {"regular": report.pathological_regular, "impulsive": report.pathological_impulsive,
-            "mri": not report.mri.controllable}[mode]
+    return [PeriodReport(float(t), tuple(map(complex, eigs[mask])), bool(r), bool(i), bool(x), tuple(f), float(g))
+            for t, mask, r, i, x, f, g in zip(T, resonant, *lost, failures, margin)]
 
 
 def period_reports(plant: ContinuousPlant, periods) -> list[PeriodReport]:
@@ -244,26 +198,23 @@ def period_reports(plant: ContinuousPlant, periods) -> list[PeriodReport]:
     """
     if not kalman_controllable(plant.A, plant.B):
         raise UncontrollablePlantError("hypothesis violated: the continuous pair (A, B) is not controllable")
-    T = [_check_period(t) for t in periods]
-    lost, mri = _hautus_reports(plant, T)
-    return [PeriodReport(float(t), bool(r), bool(i), report)
-            for t, r, i, report in zip(T, lost["regular"], lost["impulsive"], mri)]
+    return _hautus_reports(plant, [_check_period(t) for t in periods])
 
 
 def candidate_pathological_periods(A, T_max: float) -> list[PathologicalCandidate]:
     """All sampling periods up to T_max at which a resonance can occur.
 
-    Every eigenvalue pair a + i b1, a + i b2 that ``resonant_eigenvalues``
-    pairs (real parts within 1e-8 (1 + max |lambda|), imaginary parts
-    further apart) contributes the base period 2 pi / |b2 - b1| and all
-    its integer multiples up to T_max, so each listed period has a
-    resonant pair. For a family with a = 0 (to the same tolerance) whose
-    imaginary parts have a rational ratio (including a zero member), the
-    kernel test outcome can change from multiple to multiple, so each
-    emitted period is flagged as requiring its own test; otherwise one
-    representative decides the whole family. Periods arising from several
-    pairs are deduplicated, keeping any flag. A T_max spanning more
-    multiples than numpy can index or memory can hold is a ValueError.
+    Every eigenvalue pair a + i b1, a + i b2 that ``_pair_table`` pairs
+    (real parts within 1e-8 (1 + max |lambda|), imaginary parts further
+    apart; the rule of ``PeriodReport.resonant`` too) contributes the base
+    period 2 pi / |b2 - b1| and all its integer multiples up to T_max, so
+    each listed period has a resonant pair. For a family with a = 0 (to the
+    same tolerance) whose imaginary parts have a rational ratio (including a
+    zero member), the kernel test outcome can change from multiple to
+    multiple, so each emitted period is flagged as requiring its own test;
+    otherwise one representative decides the whole family. Periods arising
+    from several pairs are deduplicated, keeping any flag. A T_max spanning
+    more multiples than numpy can index or memory can hold is a ValueError.
     """
     if not (T_max > 0.0):
         raise ValueError(f"T_max must be positive, got {T_max}")

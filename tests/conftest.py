@@ -367,7 +367,8 @@ def mp_reference(plant: ContinuousPlant, weights: CostWeights, T: float, digits:
     Qhat = Q_d - S R^{-1} S' of each mode (keyed "Qhat regular", ...), as
     float arrays; with ``solve`` also each mode's P (keyed "P regular", ...),
     by ``mp_sda`` on its own Ahat = A_d - B R^{-1} S', G = B R^{-1} B' and
-    Qhat, for B, S and R the mode's selection of [B_d, B_i], S_d and R_d.
+    Qhat, for B, S and R the mode's selection of [B_d, B_i], S_d and R_d,
+    and its gain K = -(R + B'PB)^{-1}(B'PA_d + S') (keyed "K regular", ...).
     Skips the test when mpmath is not installed.
     """
     if mpmath is None:
@@ -404,5 +405,6 @@ def mp_reference(plant: ContinuousPlant, weights: CostWeights, T: float, digits:
             B, S, Rinv = B_di[:, ch], S_d[:, ch], mp.inverse(R_d[ch, ch])
             ref[f"Qhat {mode}"] = Q_d - S * Rinv * S.T
             if solve:
-                ref[f"P {mode}"] = mp_sda(A_d - B * Rinv * S.T, B * Rinv * B.T, ref[f"Qhat {mode}"])
+                P = ref[f"P {mode}"] = mp_sda(A_d - B * Rinv * S.T, B * Rinv * B.T, ref[f"Qhat {mode}"])
+                ref[f"K {mode}"] = -mp.inverse(R_d[ch, ch] + B.T * P * B) * (B.T * P * A_d + S.T)
         return {name: np.array(value.tolist(), dtype=float) for name, value in ref.items()}

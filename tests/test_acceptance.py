@@ -27,10 +27,9 @@ from mrilqr import (
     certified_horizon,
     design,
     impulse_hold_matrix,
-    is_pathological,
-    preview_plan,
-    reduced_hautus_mri,
     kalman_controllable,
+    period_reports,
+    preview_plan,
     sample_plant,
     simulate_closed_loop,
 )
@@ -108,8 +107,9 @@ def test_c03_souza_pathological_matrices():
         assert relerr(m.A_d, -c * np.eye(2)) < 1e-10
         assert relerr(m.B_d, np.array([[(1.0 + c) / 6.0], [0.0]])) < 1e-10
         assert relerr(m.B_i, np.array([[0.0], [-c]])) < 1e-10
-        assert is_pathological(plant, SOUZA_BASE, "regular")
-        assert not is_pathological(plant, SOUZA_BASE, "mri")
+        report = period_reports(plant, [SOUZA_BASE])[0]
+        assert report.pathological_regular
+        assert not report.pathological_mri
 
     _report("C3", "closed-form sampled matrices and pathology flags at 2*pi/sqrt(23)", body)
 
@@ -120,7 +120,7 @@ def test_c04_rotation_full_turn():
         m = sample_plant(plant, 2.0 * np.pi)
         assert np.linalg.norm(m.B_d) <= 1e-10
         assert np.abs(m.B_i - plant.B).max() <= 1e-12
-        assert not reduced_hautus_mri(plant, 2.0 * np.pi).controllable
+        assert period_reports(plant, [2.0 * np.pi])[0].pathological_mri
 
     _report("C4", "rotation plant at T = 2*pi: dead hold channel, mixed pair uncontrollable", body)
 
@@ -134,7 +134,7 @@ def test_c05_reduced_test_agrees_with_kalman():
             T = rng.uniform(0.1, 5.0)
             m = sample_plant(plant, T)
             kalman = kalman_controllable(m.A_d, np.hstack([m.B_d, m.B_i]))
-            reduced = reduced_hautus_mri(plant, T).controllable
+            reduced = not period_reports(plant, [T])[0].pathological_mri
             agreements += int(kalman == reduced)
         assert agreements == 100, f"{agreements}/100 agreements"
 

@@ -705,6 +705,18 @@ class TestOutputs:
         assert (scalars["scenario_T"], scalars["scenario_T_mri_controllable"]) == ("2000", "true")
         assert (header, rows) == read_cli_csv(bundled)[1:] and len(rows) == 7
 
+    def test_a_pathological_scenario_period_is_not_mri_controllable(self, tmp_path, capsys):
+        # rotation at T = 2 pi: A_d = I, and no input mode reaches both directions
+        scenario = tmp_path / "full-turn.json"
+        scenario.write_text(json.dumps({**json.loads(cli._scenario_text("rotation")[1]), "T": 2.0 * np.pi}))
+        out = tmp_path / "c.csv"
+        assert cli.main(["controllability", "--scenario", str(scenario), "--T-max", "7", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        scalars, header, rows = read_cli_csv(out)
+        assert scalars["scenario_T_mri_controllable"] == "false"
+        full_turn = [r for r in rows if float(r[header.index("period")]) == pytest.approx(2.0 * np.pi)]
+        assert len(full_turn) == 1 and full_turn[0][header.index("pathological_mri")] == "true"
+
     def test_simulate_traj_csv(self, tmp_path):
         out = tmp_path / "t.csv"
         assert cli.main(["simulate", "--scenario", "insulin", "--steps", "10",
@@ -1194,19 +1206,10 @@ class TestDesignReuse:
         # one stacked sampling call over the candidates, each resonant; the
         # scenario period T = 1 is not, so it needs no sample; the continuous
         # pair is checked once, the sampled pairs on the stack
-        assert not controllability.resonant_eigenvalues(souza.A, souza.T)
+        assert not controllability._resonance(numkernel.eigenvalues(souza.A), [souza.T]).any()
         assert counts == {"_sample_stack": 1, "kalman_controllable": 1}
         assert [list(args[1]) for name, args in log if name == "_sample_stack"] == \
             [[c.period for c in candidates]]
-
-
-    def test_single_period_verdicts_run_through_period_reports(self, monkeypatch):
-        plant = cli.load_scenario("souza").plant()
-        counts = count_calls(monkeypatch, "period_reports", "kalman_controllable", "_sample_stack")
-        assert controllability.reduced_hautus_mri(plant, SOUZA_BASE).controllable
-        assert counts == {"period_reports": 1, "kalman_controllable": 1, "_sample_stack": 1}
-        assert controllability.is_pathological(plant, SOUZA_BASE, "regular")
-        assert counts == {"period_reports": 2, "kalman_controllable": 2, "_sample_stack": 2}
 
     def test_simulate_takes_every_segment_gram_form_from_one_call(self, monkeypatch):
         sc = cli.load_scenario("insulin")

@@ -8,15 +8,13 @@ from mrilqr import (
     NumericalError,
     UncontrollablePlantError,
     candidate_pathological_periods,
-    is_pathological,
     kalman_controllable,
+    numkernel,
     period_reports,
-    reduced_hautus_mri,
-    resonant_eigenvalues,
     sample_plant,
 )
 
-from mrilqr.controllability import ControllabilityReport, PeriodReport
+from mrilqr.controllability import PeriodReport, _resonance
 from mrilqr.discretize import MODES
 
 from conftest import kalman_zeros, random_controllable_plant
@@ -46,35 +44,35 @@ class TestKalman:
 
 class TestResonantEigenvalues:
     def test_rotation_full_turn_resonates(self, rotation_plant):
-        res = resonant_eigenvalues(rotation_plant.A, 2.0 * np.pi)
+        res = period_reports(rotation_plant, [2.0 * np.pi])[0].resonant
         assert type(res) is tuple and all(type(mu) is complex for mu in res)
         assert np.allclose(sorted(res, key=lambda z: z.imag), [-1j, 1j])
 
     def test_souza_nonresonant_at_unit_period(self, souza_plant):
-        assert len(resonant_eigenvalues(souza_plant.A, 1.0)) == 0
+        assert len(period_reports(souza_plant, [1.0])[0].resonant) == 0
 
     def test_souza_resonant_at_base_period(self, souza_plant):
-        res = resonant_eigenvalues(souza_plant.A, SOUZA_BASE)
+        res = period_reports(souza_plant, [SOUZA_BASE])[0].resonant
         vals = sorted(res, key=lambda z: z.imag)
         assert np.allclose(vals, [0.5 - 1j * np.sqrt(23) / 2, 0.5 + 1j * np.sqrt(23) / 2])
 
     def test_real_spectrum_never_resonates(self):
-        A = np.diag([-1.0, -2.0, -2.0])
-        for T in (0.1, 1.0, np.pi, 10.0):
-            assert len(resonant_eigenvalues(A, T)) == 0
+        plant = ContinuousPlant(np.diag([-1.0, -2.0, -2.0]), np.eye(3))
+        for r in period_reports(plant, [0.1, 1.0, np.pi, 10.0]):
+            assert len(r.resonant) == 0
 
     def test_rejects_nonpositive_period(self, souza_plant):
         with pytest.raises(ValueError):
-            resonant_eigenvalues(souza_plant.A, 0.0)
+            period_reports(souza_plant, [0.0])
 
     def test_rejects_a_period_no_sampler_takes(self, souza_plant):
         with pytest.raises(ValueError, match="sampling period must exceed 1e-12, got 1e-13"):
-            resonant_eigenvalues(souza_plant.A, 1e-13)
+            period_reports(souza_plant, [1e-13])
 
     def test_rejects_an_infinite_period(self, souza_plant):
         # an infinite period is an input fault, not a resonance test on nan
         with pytest.raises(ValueError, match="period must be finite, got inf"):
-            resonant_eigenvalues(souza_plant.A, np.inf)
+            period_reports(souza_plant, [np.inf])
 
 
 @pytest.mark.parametrize("A, message", [
@@ -82,52 +80,48 @@ class TestResonantEigenvalues:
     ([[np.nan, 0.0], [0.0, 1.0]], "has non-finite entries"),
     ([[np.inf, 0.0], [0.0, 1.0]], "has non-finite entries"),
 ], ids=["non-square", "nan", "inf"])
-@pytest.mark.parametrize("entry", [
-    lambda A: candidate_pathological_periods(A, 5.0),
-    lambda A: resonant_eigenvalues(A, 1.0),
-], ids=["candidates", "resonant"])
-def test_entries_check_the_state_matrix(entry, A, message):
-    # the spectrum kernel behind these entries trusts its argument
+def test_candidates_check_the_state_matrix(A, message):
+    # the spectrum kernel behind the candidates trusts its argument
     with pytest.raises(ValueError, match=message):
-        entry(A)
+        candidate_pathological_periods(A, 5.0)
 
 
 class TestReducedHautus:
     def test_souza_mri_controllable_at_pathological_period(self, souza_plant):
-        report = reduced_hautus_mri(souza_plant, SOUZA_BASE)
-        assert report.controllable
+        report = period_reports(souza_plant, [SOUZA_BASE])[0]
+        assert not report.pathological_mri
         assert len(report.resonant) == 2
-        assert report.failures == ()
-        assert np.isfinite(report.margin) and report.margin > 1e-6
+        assert report.mri_failures == ()
+        assert np.isfinite(report.mri_margin) and report.mri_margin > 1e-6
 
     def test_rotation_not_controllable_at_full_turn(self, rotation_plant):
-        report = reduced_hautus_mri(rotation_plant, 2.0 * np.pi)
-        assert not report.controllable
-        assert report.failures
-        assert all(kdim >= 1 for _, kdim in report.failures)
-        assert report.margin < 1e-9
+        report = period_reports(rotation_plant, [2.0 * np.pi])[0]
+        assert report.pathological_mri
+        assert report.mri_failures
+        assert all(kdim >= 1 for _, kdim in report.mri_failures)
+        assert report.mri_margin < 1e-9
 
     def test_empty_resonant_set_short_circuits(self, souza_plant):
-        report = reduced_hautus_mri(souza_plant, 1.0)
-        assert report.controllable
+        report = period_reports(souza_plant, [1.0])[0]
+        assert not report.pathological_mri
         assert report.resonant == ()
-        assert report.margin == np.inf
+        assert report.mri_margin == np.inf
 
     def test_uncontrollable_pair_raises(self):
         plant = ContinuousPlant(np.eye(2), np.zeros((2, 1)))
         with pytest.raises(UncontrollablePlantError):
-            reduced_hautus_mri(plant, 1.0)
+            period_reports(plant, [1.0])
 
     def test_souza_controllable_at_long_pathological_periods(self, souza_plant):
         # the stacked blocks grow like e^{T/2} on souza; the rank test
         # must not read that growth as a lost direction
         for k in range(35, 39):
-            assert reduced_hautus_mri(souza_plant, k * SOUZA_BASE).controllable
+            assert not period_reports(souza_plant, [k * SOUZA_BASE])[0].pathological_mri
 
     def test_rotation_flagged_exactly_at_full_turns(self, rotation_plant):
         cands = candidate_pathological_periods(rotation_plant.A, 200.0)
-        flagged = [c.multiple for c in cands
-                   if not reduced_hautus_mri(rotation_plant, c.period).controllable]
+        reports = period_reports(rotation_plant, [c.period for c in cands])
+        flagged = [c.multiple for c, r in zip(cands, reports) if r.pathological_mri]
         # candidates are the multiples of pi; the 31 multiples of 2 pi lose controllability
         assert flagged == list(range(2, 63, 2))
 
@@ -139,22 +133,25 @@ class TestReducedHautus:
             T = rng.uniform(0.1, 5.0)
             m = sample_plant(plant, T)
             expected = kalman_controllable(m.A_d, np.hstack([m.B_d, m.B_i]))
-            assert reduced_hautus_mri(plant, T).controllable == expected
+            assert period_reports(plant, [T])[0].pathological_mri == (not expected)
 
 
 class TestIsPathological:
     def test_souza_at_base_period(self, souza_plant):
-        assert is_pathological(souza_plant, SOUZA_BASE, "regular")
-        assert is_pathological(souza_plant, SOUZA_BASE, "impulsive")
-        assert not is_pathological(souza_plant, SOUZA_BASE, "mri")
+        report = period_reports(souza_plant, [SOUZA_BASE])[0]
+        assert report.pathological_regular
+        assert report.pathological_impulsive
+        assert not report.pathological_mri
 
     def test_rotation_at_full_turn_all_modes(self, rotation_plant):
-        for mode in ("regular", "impulsive", "mri"):
-            assert is_pathological(rotation_plant, 2.0 * np.pi, mode)
+        report = period_reports(rotation_plant, [2.0 * np.pi])[0]
+        for mode in MODES:
+            assert getattr(report, f"pathological_{mode}"), mode
 
     def test_non_pathological_period(self, souza_plant):
-        for mode in ("regular", "impulsive", "mri"):
-            assert not is_pathological(souza_plant, 1.0, mode)
+        report = period_reports(souza_plant, [1.0])[0]
+        for mode in MODES:
+            assert not getattr(report, f"pathological_{mode}"), mode
 
     def test_mri_pathology_implies_single_channel_pathology(self, souza_plant, rotation_plant):
         rng = np.random.default_rng(34)
@@ -163,23 +160,24 @@ class TestIsPathological:
         for plant in plants:
             periods = [c.period for c in candidate_pathological_periods(plant.A, 8.0)]
             periods += list(rng.uniform(0.1, 5.0, size=3))
-            for T in periods:
-                if is_pathological(plant, T, "mri"):
-                    assert is_pathological(plant, T, "regular")
-                    assert is_pathological(plant, T, "impulsive")
+            for r in period_reports(plant, periods):
+                if r.pathological_mri:
+                    assert r.pathological_regular
+                    assert r.pathological_impulsive
 
     def test_hypothesis_violation(self):
         plant = ContinuousPlant(np.eye(2), np.zeros((2, 1)))
         with pytest.raises(UncontrollablePlantError):
-            is_pathological(plant, 1.0, "regular")
+            period_reports(plant, [1.0])
 
     @pytest.mark.parametrize("T", [0.2, 0.3, 0.5, 1.0, 2.5])
     def test_a_decayed_fast_mode_loses_no_channel(self, near_resonant_plant, T):
         # e^{-100 T} shrinks the impulse map's fast direction towards roundoff,
         # but no eigenvalue pair collides at these periods, so no mode loses
         # controllability (a Kalman rank of [B_i, A_d B_i, ...] reads it as lost)
+        report = period_reports(near_resonant_plant, [T])[0]
         for mode in MODES:
-            assert not is_pathological(near_resonant_plant, T, mode), mode
+            assert not getattr(report, f"pathological_{mode}"), mode
 
 
 class TestCandidatePeriods:
@@ -242,7 +240,7 @@ class TestCandidatePeriods:
         T = 2.0 * np.pi / b
         periods = [c.period for c in candidate_pathological_periods(rotation_plant.A, 7.0)]
         assert any(abs(p - T) < 1e-9 for p in periods)
-        assert is_pathological(rotation_plant, T, "regular")
+        assert period_reports(rotation_plant, [T])[0].pathological_regular
 
     def test_zero_paired_with_imaginary_is_flagged(self):
         # spectrum {0, +2i, -2i}: the (0, 2i) family has a zero member
@@ -258,9 +256,9 @@ class TestCandidatePeriods:
             A = rng.normal(size=(n, n))
             T_max = 10.0
             periods = [c.period for c in candidate_pathological_periods(A, T_max)]
-            for T in np.linspace(0.2, T_max, 23):
-                if len(resonant_eigenvalues(A, T)) > 0:
-                    assert any(abs(T - p) <= 1e-6 * (1 + T) for p in periods)
+            grid = np.linspace(0.2, T_max, 23)
+            for T in grid[_resonance(numkernel.eigenvalues(A), grid).any(axis=-1)]:
+                assert any(abs(T - p) <= 1e-6 * (1 + T) for p in periods)
 
 
 class TestPathologicalPeriodOracle:
@@ -271,8 +269,8 @@ class TestPathologicalPeriodOracle:
     def test_single_channel_zeros_are_the_flagged_candidates(self, request, name, T_max, mode):
         plant = request.getfixturevalue(f"{name}_plant")
         zeros = kalman_zeros(plant.A, plant.B, mode, T_max)
-        flagged = [c.period for c in candidate_pathological_periods(plant.A, T_max)
-                   if is_pathological(plant, c.period, mode)]
+        periods = [c.period for c in candidate_pathological_periods(plant.A, T_max)]
+        flagged = [r.period for r in period_reports(plant, periods) if getattr(r, f"pathological_{mode}")]
         assert zeros and len(zeros) == len(flagged)
         assert np.allclose(zeros, flagged, rtol=0.0, atol=1e-6)
 
@@ -282,14 +280,14 @@ class TestPathologicalPeriodOracle:
         assert len(zeros) == 2
         assert np.allclose(zeros, [2.0 * np.pi, 4.0 * np.pi], rtol=0.0, atol=1e-6)
         # the reduced test at the resonant eigenvalues finds the same periods
-        flagged = [c.period for c in candidate_pathological_periods(rotation_plant.A, 13.0)
-                   if not reduced_hautus_mri(rotation_plant, c.period).controllable]
+        periods = [c.period for c in candidate_pathological_periods(rotation_plant.A, 13.0)]
+        flagged = [r.period for r in period_reports(rotation_plant, periods) if r.pathological_mri]
         assert len(flagged) == 2
         assert np.allclose(zeros, flagged, rtol=0.0, atol=1e-6)
 
 
 def documented_resonance(A, T):
-    """The resonance rule of ``resonant_eigenvalues``, pair by pair."""
+    """The resonance rule of ``PeriodReport.resonant``, pair by pair."""
     eigs = np.sort_complex(np.linalg.eigvals(A).astype(complex))
     tol = 1e-8 * (1.0 + np.abs(eigs).max())
     out = []
@@ -315,7 +313,8 @@ def hautus_reference(plant, T):
     A_d_norm = np.linalg.norm(m.A_d, 2)
     AtB_block = m.B_d.T / max(1.0, np.linalg.norm(m.B_d, 2))
     failures, margin = [], np.inf
-    for mu in resonant_eigenvalues(plant.A, T):
+    eigs = numkernel.eigenvalues(plant.A)
+    for mu in eigs[_resonance(eigs, [T])[0]]:
         shift = np.exp(mu * T)
         M = np.vstack([(m.A_d.T - shift * np.eye(plant.n)) / max(1.0, A_d_norm, abs(shift)),
                        AtB_block, plant.B.T])
@@ -328,20 +327,16 @@ def hautus_reference(plant, T):
 
 
 def reports_against_solo(plant, periods):
-    """``period_reports`` over the periods, each equal bit for bit to the solo
-    calls and to a reduced kernel test on 2-D matrices."""
+    """``period_reports`` over the periods, each equal bit for bit to the report
+    of its period alone and to a reduced kernel test on 2-D matrices."""
     reports = period_reports(plant, periods)
     assert [r.period for r in reports] == [float(T) for T in periods]
     for T, r in zip(periods, reports):
-        solo = reduced_hautus_mri(plant, T)
-        assert (r.mri.controllable, r.mri.resonant, r.mri.failures) == \
-            (solo.controllable, solo.resonant, solo.failures)
-        assert bits(r.mri.margin) == bits(solo.margin)
+        solo = period_reports(plant, [T])[0]
+        assert r == solo and bits(r.mri_margin) == bits(solo.mri_margin)
         failures, margin = hautus_reference(plant, T)
-        assert r.mri.failures == failures and bits(r.mri.margin) == bits(margin)
-        assert r.pathological_regular is is_pathological(plant, T, "regular")
-        assert r.pathological_impulsive is is_pathological(plant, T, "impulsive")
-        assert np.allclose(sorted(r.mri.resonant, key=lambda z: (z.real, z.imag)),
+        assert r.mri_failures == failures and bits(r.mri_margin) == bits(margin)
+        assert np.allclose(sorted(r.resonant, key=lambda z: (z.real, z.imag)),
                            documented_resonance(plant.A, T), rtol=1e-9)
     return reports
 
@@ -353,12 +348,12 @@ class TestPeriodReports:
         assert len(candidates) == 38
         assert all(r.pathological_regular and r.pathological_impulsive for r in reports[:38])
         # no resonance away from the candidates: no kernel test and an infinite margin
-        assert [r.mri.margin for r in reports[38:]] == [np.inf] * 3
+        assert [r.mri_margin for r in reports[38:]] == [np.inf] * 3
 
     def test_rotation_up_to_two_hundred(self, rotation_plant):
         candidates = candidate_pathological_periods(rotation_plant.A, 200.0)
         reports = reports_against_solo(rotation_plant, [c.period for c in candidates])
-        assert [c.multiple for c, r in zip(candidates, reports) if not r.mri.controllable] == \
+        assert [c.multiple for c, r in zip(candidates, reports) if r.pathological_mri] == \
             list(range(2, 63, 2))
         # A_d = +-I at every multiple of pi: one channel cannot reach both directions.
         # At 2 pi k the hold block cancels to roundoff too, and only a rank rule
@@ -366,12 +361,10 @@ class TestPeriodReports:
         assert all(r.pathological_regular and r.pathological_impulsive for r in reports)
 
     def test_insulin_is_rejected_like_the_solo_calls(self, insulin_plant):
-        # the insulin pair is not controllable: every entry point raises the same error
-        for call in (lambda: period_reports(insulin_plant, [5.0, 20.0]),
-                     lambda: reduced_hautus_mri(insulin_plant, 20.0),
-                     lambda: is_pathological(insulin_plant, 20.0, "regular")):
+        # the insulin pair is not controllable: a stack and a single period raise the same error
+        for periods in ([5.0, 20.0], [20.0]):
             with pytest.raises(UncontrollablePlantError, match="not controllable"):
-                call()
+                period_reports(insulin_plant, periods)
 
     def test_random_plant_with_equal_real_part_pairs(self):
         # n = 4, m = 2: two rotation blocks a I + w J share the real part a
@@ -384,18 +377,18 @@ class TestPeriodReports:
         candidates = [c.period for c in candidate_pathological_periods(plant.A, 30.0)]
         reports = reports_against_solo(plant, [*candidates, *rng.uniform(0.2, 10.0, size=5)])
         assert len(candidates) > 10
-        assert all(r.mri.resonant for r in reports[:len(candidates)])
+        assert all(r.resonant for r in reports[:len(candidates)])
 
     def test_pairs_near_equal_on_the_spectrum_scale_are_tested(self, near_resonant_plant):
         # every candidate period gets a kernel test, the pair 5e-8 + i, -2i included
         candidates = candidate_pathological_periods(near_resonant_plant.A, 7.0)
         reports = reports_against_solo(near_resonant_plant, [c.period for c in candidates])
-        assert all(r.mri.resonant and np.isfinite(r.mri.margin) for r in reports)
+        assert all(r.resonant and np.isfinite(r.mri_margin) for r in reports)
         colliding = [r for c, r in zip(candidates, reports) if np.isclose(c.base_period, 2.0 * np.pi / 3.0)]
         assert [r.period for r in colliding] == pytest.approx([2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
         for r in colliding:
-            assert np.allclose(sorted(r.mri.resonant, key=lambda z: z.imag), [-2j, 5e-8 - 1j, 5e-8 + 1j, 2j])
-            assert r.mri.controllable and r.mri.margin == pytest.approx(0.647, abs=1e-3)
+            assert np.allclose(sorted(r.resonant, key=lambda z: z.imag), [-2j, 5e-8 - 1j, 5e-8 + 1j, 2j])
+            assert not r.pathological_mri and r.mri_margin == pytest.approx(0.647, abs=1e-3)
             # the collision costs neither single channel its controllability
             assert not r.pathological_regular and not r.pathological_impulsive
 
@@ -406,13 +399,13 @@ class TestPeriodReports:
         with pytest.raises(NumericalError, match=f"overflowed at T = {T!r}$"):
             period_reports(souza_plant, [1.0, T, 2.0])
         with pytest.raises(NumericalError, match=f"overflowed at T = {T!r}$"):
-            reduced_hautus_mri(souza_plant, T)
+            period_reports(souza_plant, [T])
 
     def test_a_period_without_resonance_needs_no_sample(self, souza_plant):
         # T = 1500 overflows e^{AT} too, but no eigenvalue resonates there:
         # controllable in every mode, with no kernel test (margin inf)
         reports = period_reports(souza_plant, [1.0, 1500.0, 2.0])
-        assert reports[1] == PeriodReport(1500.0, False, False, ControllabilityReport(True, (), (), np.inf))
+        assert reports[1] == PeriodReport(1500.0, (), False, False, False, (), np.inf)
         assert reports == [period_reports(souza_plant, [T])[0] for T in (1.0, 1500.0, 2.0)]
 
     def test_no_periods(self, souza_plant):

@@ -12,11 +12,8 @@ from mrilqr import (
     ContinuousPlant,
     UncontrollablePlantError,
     candidate_pathological_periods,
-    is_pathological,
     kalman_controllable,
     period_reports,
-    reduced_hautus_mri,
-    resonant_eigenvalues,
     sample_plant,
 )
 from mrilqr.discretize import MODES, input_channels
@@ -63,13 +60,13 @@ def resonant_plants(draw):
 def test_reduced_hautus_agrees_with_kalman(case):
     # each mode's verdict against the Kalman rank of its own sampled pair (A_d, B_sel)
     plant, periods = case
-    for T in periods:
+    for T, report in zip(periods, period_reports(plant, periods)):
         model = sample_plant(plant, T)
         B_mixed = np.hstack([model.B_d, model.B_i])
         kalman = {mode: kalman_controllable(model.A_d, B_mixed[:, input_channels(mode, plant.m)]) for mode in MODES}
         for mode, controllable in kalman.items():
-            assert is_pathological(plant, T, mode) is (not controllable), (mode, T)
-        assert reduced_hautus_mri(plant, T).controllable is kalman["mri"]
+            assert getattr(report, f"pathological_{mode}") is (not controllable), (mode, T)
+        assert (report.mri_failures == ()) is kalman["mri"]
 
 
 @st.composite
@@ -123,14 +120,14 @@ def test_candidates_are_the_only_collisions(case):
     plant, T_max, rng = case
     periods = np.array([c.period for c in candidate_pathological_periods(plant.A, 1.1 * T_max)])
     # the resonance test finds a colliding pair at every candidate
-    for T in periods[periods <= T_max]:
-        assert resonant_eigenvalues(plant.A, T)
+    for report in period_reports(plant, periods[periods <= T_max]):
+        assert report.resonant
     # and none away from them, where both single-channel pairs stay controllable
-    for T in rng.uniform(0.25 * T_max, T_max, size=4):
-        if np.abs(periods - T).min(initial=np.inf) > 1e-3:
-            assert resonant_eigenvalues(plant.A, T) == ()
-            assert not is_pathological(plant, T, "regular")
-            assert not is_pathological(plant, T, "impulsive")
+    away = [T for T in rng.uniform(0.25 * T_max, T_max, size=4) if np.abs(periods - T).min(initial=np.inf) > 1e-3]
+    for report in period_reports(plant, away):
+        assert report.resonant == ()
+        assert not report.pathological_regular
+        assert not report.pathological_impulsive
     # the sampled Kalman matrix loses rank only next to a candidate
     for mode in ("regular", "impulsive"):
         for T in kalman_zeros(plant.A, plant.B, mode, T_max, h=T_max / 200):

@@ -71,12 +71,13 @@ class TestEntryChecks:
     @pytest.mark.parametrize("build, message", [
         (lambda: ContinuousPlant(np.zeros((2, 3)), np.zeros((2, 1))), r"A must be square, got \(2, 3\)"),
         (lambda: ContinuousPlant([[np.nan, 0.0], [0.0, 1.0]], np.zeros((2, 1))), "A has non-finite entries"),
+        (lambda: ContinuousPlant([[np.inf, 0.0], [0.0, 1.0]], np.zeros((2, 1))), "A has non-finite entries"),
         (lambda: ContinuousPlant(np.eye(2), np.ones((3, 1))), "B has 3 rows, expected 2"),
         (lambda: ContinuousPlant(np.eye(2), [[np.inf], [1.0]]), "B has non-finite entries"),
         (lambda: cost_matrices(ContinuousPlant(np.eye(2), np.ones((2, 1))),
                                CostWeights(np.eye(3), [[1.0]], [[1.0]]), 1.0),
          r"Q has shape \(3, 3\), expected \(2, 2\)"),
-    ], ids=["A-non-square", "A-non-finite", "B-rows", "B-non-finite", "Q-vs-states"])
+    ], ids=["A-non-square", "A-non-finite", "A-infinite", "B-rows", "B-non-finite", "Q-vs-states"])
     def test_malformed_data_is_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()

@@ -1,4 +1,4 @@
-"""The sampled model, cost, Qhat and P against an extended-precision reference.
+"""The sampled model, cost, Qhat, P and K against an extended-precision reference.
 
 ``conftest.mp_reference`` evaluates the package's block exponentials in
 mpmath at 60 digits, and solves each mode's Riccati equation there by
@@ -67,10 +67,11 @@ def test_souza_mri_qhat_by_subtraction(T):
 #: mode has a stabilizing solution that the doubling reaches from 0
 SOLVED = [*(("souza", T) for T in (0.5, 1.3, 5.0, 20.0)), ("rotation", 0.5), ("rotation", 37.7),
           ("insulin", 1.0), ("insulin", 20.0)]
+solved_cells = pytest.mark.parametrize("name, T, mode", [(name, T, mode) for name, T in SOLVED for mode in MODES],
+                                       ids=[f"{name}-{T:g}-{mode}" for name, T in SOLVED for mode in MODES])
 
 
-@pytest.mark.parametrize("name, T, mode", [(name, T, mode) for name, T in SOLVED for mode in MODES],
-                         ids=[f"{name}-{T:g}-{mode}" for name, T in SOLVED for mode in MODES])
+@solved_cells
 def test_P_agrees_with_the_reference(name, T, mode):
     # within 1e-8 normwise relative; the largest gap seen is 2.4e-9 (insulin
     # impulsive at T = 1), souza and rotation at T <= 5 stay within 3.2e-13,
@@ -80,6 +81,15 @@ def test_P_agrees_with_the_reference(name, T, mode):
     assert relerr(solution.P, ref[f"P {mode}"]) <= 1e-8
     if (name, T) != ("souza", 20.0):
         assert solution.converged
+
+
+@solved_cells
+def test_K_agrees_with_the_reference(name, T, mode):
+    # within 1e-8 normwise relative; the largest gaps seen are on insulin at
+    # T = 1 (2.1e-9 to 6.2e-9, mri the worst), every other cell stays within
+    # 5.9e-10 (insulin regular at T = 20)
+    plant, weights, ref = reference(name, T, solve=True)
+    assert relerr(design(plant, weights, T, mode).solution.K, ref[f"K {mode}"]) <= 1e-8
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -20,15 +20,17 @@ README = ROOT / "README.md"
 #: ``sample_plant`` is the one sampling entry, a stack of one. Dropped:
 #: ``simulate_inputs``, a second route to the open-loop run that
 #: ``simulate_closed_loop`` makes with a zero gain and the inputs as its
-#: feedforward rows (as ``simulate --mode open_loop`` does).
+#: feedforward rows (as ``simulate --mode open_loop`` does). Dropped:
+#: ``resonant_eigenvalues``, ``reduced_hautus_mri`` and ``is_pathological``,
+#: which each read one period's answer from a ``period_reports`` report, and
+#: ``ControllabilityReport``, whose fields a ``PeriodReport`` now holds.
 PUBLIC_NAMES = [
-    "ContinuousPlant", "ControllabilityReport", "CostWeights", "DareDivergenceError", "DisturbanceSpec",
+    "ContinuousPlant", "CostWeights", "DareDivergenceError", "DisturbanceSpec",
     "InputPolicy", "MriLqrDesign", "NumericalError", "PathologicalCandidate", "PeriodReport", "PreviewPlan",
     "RiccatiSolution", "SampledCost", "SampledModel", "SimulationDivergence", "Trajectory",
     "UncontrollablePlantError", "candidate_pathological_periods", "certified_horizon", "cost_matrices",
-    "design", "impulse_hold_matrix", "is_pathological", "kalman_controllable", "period_reports",
-    "preview_plan", "reduced_hautus_mri", "resonant_eigenvalues", "sample_plant",
-    "simulate_closed_loop",
+    "design", "impulse_hold_matrix", "kalman_controllable", "period_reports",
+    "preview_plan", "sample_plant", "simulate_closed_loop",
 ]
 
 

@@ -7,13 +7,13 @@ The tool imports ``mrilqr`` from the ``src/`` of the checkout it sits in and
 runs every command of ``COMMANDS`` in this one process through ``cli.main``,
 three times each: to the console, to an ``--out`` CSV file and to an
 ``--out`` JSON file. The runs take place in a temporary directory that also
-holds ``two-input.json``, a hand-made scenario with n = 3 states and m = 2
-inputs, so every argv is the same from run to run. Each run prints one line:
-the sha256 of everything it wrote (its ``--out`` file, then its stdout, then
-its stderr, which holds the message of a failing run), its exit code and its
-argv. With ``--against FILE`` the listing is also compared with FILE's, each
-run whose line differs or is missing is named on stderr, and the exit status
-is 1 when there is one. Standard library and mrilqr only.
+holds the hand-made scenarios of ``SCENARIO_FILES``, so every argv is the
+same from run to run. Each run prints one line: the sha256 of everything it
+wrote (its ``--out`` file, then its stdout, then its stderr, which holds the
+message of a failing run), its exit code and its argv. With ``--against
+FILE`` the listing is also compared with FILE's, each run whose line differs
+or is missing is named on stderr, and the exit status is 1 when there is
+one. Standard library and mrilqr only.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -39,6 +40,13 @@ TWO_INPUT_SCENARIO = {
     "Q": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "Rc": [[1.0, 0.0], [0.0, 2.0]],
     "Ri": [[0.5, 0.0], [0.0, 1.0]], "T": 1.0,
 }
+#: The bundled rotation scenario at T = 2 pi, where its mixed pair is not controllable.
+ROTATION_FULL_TURN_SCENARIO = {
+    "name": "rotation-full-turn", "A": [[0.0, -1.0], [1.0, 0.0]], "B": [[0.0], [1.0]], "Btilde": [[1.0], [0.0]],
+    "Q": [[1.0, 0.0], [0.0, 1.0]], "Rc": [[1.0]], "Ri": [[1.0]], "T": 2.0 * math.pi,
+}
+#: The hand-made scenario files written to the temporary directory, by file name.
+SCENARIO_FILES = {"two-input.json": TWO_INPUT_SCENARIO, "rotation-full-turn.json": ROTATION_FULL_TURN_SCENARIO}
 SCENARIOS = ("souza", "insulin", "rotation", "two-input.json")
 
 COMMANDS: list[list[str]] = [
@@ -59,6 +67,8 @@ COMMANDS: list[list[str]] = [
         ("souza", "3"), ("insulin", "2"), ("rotation", "5"), ("two-input.json", "3"))),
     ["controllability", "--scenario", "souza", "--T-max", "50"],
     ["controllability", "--scenario", "rotation", "--T-max", "200"],
+    # the scenario period is pathological: scenario_T_mri_controllable = false
+    ["controllability", "--scenario", "rotation-full-turn.json", "--T-max", "7"],
     # the Riccati solver claims convergence with P = 0 here (its output is pinned, not endorsed)
     ["lqr", "--scenario", "souza", "--T", "76.25", "--mode", "mri"],
     # the Riccati solver claims convergence with P 2e-3 off the solution of its
@@ -90,7 +100,8 @@ def listing(commands) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            Path("two-input.json").write_text(json.dumps(TWO_INPUT_SCENARIO))
+            for name, scenario in SCENARIO_FILES.items():
+                Path(name).write_text(json.dumps(scenario))
             for command in commands:
                 for out, extra in ((None, []), ("out.csv", ["--out", "out.csv"]),
                                    ("out.json", ["--out", "out.json", "--format", "json"])):
